@@ -17,18 +17,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .dual_quotients import (
-    MUTATIONS,
-    VerificationResult,
-    verify_linear_quotients,
-    _verified,
-)
+from .dual_quotients import MUTATIONS, VerificationResult, verify_linear_quotients
 from .errors import CapacityError, PreconditionError, ScrollError, VerificationError
 from .facet_complex import enumerate_facets, facet_tree
 from .invariants import (
@@ -297,7 +291,7 @@ def cmd_invariants(config: RunConfig) -> tuple[ReportEnvelope, int]:
     """Full invariant report; prediction-only (exit 3) when c < d + 4."""
     spec = config.spec
     started = time.perf_counter()
-    if spec.c < spec.d + 4:
+    if not spec.has_complex:
         report = closed_form(spec.c, spec.d)
         envelope = ReportEnvelope(
             spec=_spec_dict(config), mode="prediction-only", invariants=_invariants_dict(report)
@@ -310,7 +304,7 @@ def cmd_invariants(config: RunConfig) -> tuple[ReportEnvelope, int]:
             hilbert_window=config.hilbert_window,
             face_capacity=config.face_capacity,
         )
-        verification = _verified(spec)
+        verification = verify_linear_quotients(spec)
     except VerificationError as exc:
         envelope = ReportEnvelope(spec=_spec_dict(config), mode="computed", error=str(exc))
         return envelope, EXIT_MATH
@@ -402,27 +396,19 @@ def _batch_line(line: str, config: RunConfig) -> tuple[ReportEnvelope, int]:
         return envelope, EXIT_USAGE
 
 
-def cmd_batch(path: str, config: RunConfig, jobs: int) -> tuple[list[ReportEnvelope], int]:
-    """One invariant envelope per input line; errors never stop the run."""
+def cmd_batch(path: str, config: RunConfig) -> tuple[list[ReportEnvelope], int]:
+    """One invariant envelope per input line, in input order; errors never stop
+    the run.  A line's results are freed before the next line starts."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise PreconditionError(f"cannot read batch file {path}: {exc}")
     lines = [line.strip() for line in raw.splitlines()]
     lines = [line for line in lines if line]
-    if not lines:
-        return [], EXIT_OK
-    with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(lines)))) as pool:
-        results = list(pool.map(lambda line: _batch_line(line, config), lines))
-    envelopes = [envelope for envelope, _ in results]
-    codes = [code for _, code in results]
-    if any(code == EXIT_USAGE for code in codes):
-        exit_code = EXIT_USAGE
-    elif any(code == EXIT_MATH for code in codes):
-        exit_code = EXIT_MATH
-    else:
-        exit_code = EXIT_OK
-    return envelopes, exit_code
+    results = [_batch_line(line, config) for line in lines]
+    codes = {code for _, code in results}
+    exit_code = next((code for code in (EXIT_USAGE, EXIT_MATH) if code in codes), EXIT_OK)
+    return [envelope for envelope, _ in results], exit_code
 
 
 def cmd_selftest() -> int:
@@ -472,7 +458,7 @@ def cmd_selftest() -> int:
     checks.append(("colon generators match prediction", gens == frozenset(frozenset((v,)) for v in expected_lg)))
 
     spec5 = ScrollSpec((5,))
-    result = _verified(spec5)
+    result = verify_linear_quotients(spec5)
     checks.append(("linear quotients (5)", result.passed))
     checks.append(("h-vector (5)", h_vector_from_quotients(result.reports).h == (1, 4, 4, 1)))
     facets5 = enumerate_facets(spec5)
@@ -532,7 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bat.add_argument("--out-dir", default=None)
     p_bat.add_argument("--hilbert-window", type=int, default=5)
     p_bat.add_argument("--face-capacity", type=int, default=DEFAULT_FACE_NODE_CAPACITY)
-    p_bat.add_argument("--jobs", type=int, default=4)
 
     sub.add_parser("selftest", help="run the built-in example checks")
     return parser
@@ -554,7 +539,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 face_capacity=args.face_capacity,
                 out_dir=args.out_dir,
             )
-            envelopes, code = cmd_batch(args.file, config, args.jobs)
+            envelopes, code = cmd_batch(args.file, config)
             if args.format == "json":
                 text = "".join(
                     json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in envelopes

@@ -13,19 +13,20 @@ the combinatorial prediction read off the facet tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DomainError, PreconditionError, UnsupportedRegimeError
+from .errors import DomainError, PreconditionError
 from .facet_complex import (
     Facet,
     Vertex,
+    _bitset_index,
     _enumerated,
+    _facet_index,
+    _vertex_ids,
     facet_tree,
     first_facet,
-    vertex_set,
 )
-from .scroll_model import ScrollSpec
+from .scroll_model import ScrollSpec, per_spec, require_complex
 
 #: Named rule mutations for mutation-testing the checker.  Only for
 #: diagnostics; production verification uses ``mutation=None``.
@@ -65,16 +66,10 @@ class VerificationResult:
         return tuple(r for r in self.reports if not (r.linear and r.matches_prediction))
 
 
-@lru_cache(maxsize=None)
-def _vertex_ids(spec: ScrollSpec) -> dict[Vertex, int]:
-    # Ascending (a, b) order is exactly descending variable order.
-    return {v: i for i, v in enumerate(vertex_set(spec))}
-
-
 def dual_support(facet: Facet) -> tuple[Vertex, ...]:
     """Complement V \\ F listed from the greatest variable downwards."""
     vs = facet.vertices
-    return tuple(v for v in vertex_set(facet.spec) if v not in vs)
+    return tuple(v for v in _vertex_ids(facet.spec) if v not in vs)
 
 
 def descending_order_key(facet: Facet):
@@ -84,20 +79,14 @@ def descending_order_key(facet: Facet):
     are compared position by position with the greater variable winning;
     on ascending-id tuples this is plain tuple order.
     """
-    vid = _vertex_ids(facet.spec)
-    comp = tuple(vid[v] for v in dual_support(facet))
-    return (-facet.alpha, comp)
+    vs = facet.vertices
+    return (-facet.alpha, tuple(i for v, i in _vertex_ids(facet.spec).items() if v not in vs))
 
 
 def _swapped_groups_key(facet: Facet):
     top = facet.spec.c - facet.spec.d - 2
-    alpha = facet.alpha
-    if alpha == top:
-        alpha = top - 1
-    elif alpha == top - 1:
-        alpha = top
-    vid = _vertex_ids(facet.spec)
-    return (-alpha, tuple(vid[v] for v in dual_support(facet)))
+    alpha = {top: top - 1, top - 1: top}.get(facet.alpha, facet.alpha)
+    return (-alpha, descending_order_key(facet)[1])
 
 
 def precedes(f: Facet, g: Facet) -> bool:
@@ -206,9 +195,7 @@ def _report_for(
     )
 
 
-def _indexed_reports(
-    facets: Sequence[Facet], spec: ScrollSpec, mutation: str | None
-) -> list[ColonReport]:
+def _indexed_reports(facets: Sequence[Facet], mutation: str | None) -> list[ColonReport]:
     """One pass over the ordered facets with an inverted vertex index.
 
     For each facet F and member v, the facets among the already-seen
@@ -217,13 +204,9 @@ def _indexed_reports(
     degree exists exactly when some earlier facet contains every singleton
     generator; only such rare facets fall back to the quadratic scan.
     """
+    spec = facets[0].spec
     vid = _vertex_ids(spec)
-    vindex = [0] * len(vid)
-    for rank, f in enumerate(facets):
-        bit = 1 << rank
-        for v in f.vertices:
-            vindex[vid[v]] |= bit
-
+    vindex = _facet_index(spec) if facets is _enumerated(spec) else _bitset_index(facets)
     id_to_vertex = {i: v for v, i in vid.items()}
     reports: list[ColonReport] = []
     seen = 0
@@ -260,17 +243,22 @@ def verify_linear_quotients(
 
     Every facet's minimal colon generators must be singletons equal to its
     prediction; the greatest facet's colon must be empty.  ``mode="full"``
-    forces the quadratic audit scan on every facet.
+    forces the quadratic audit scan on every facet.  The default-mode result
+    is kept on ``spec``.
     """
-    if spec.c < spec.d + 4:
-        raise UnsupportedRegimeError(f"no facet complex for c={spec.c} < d+4={spec.d + 4}")
+    require_complex(spec)
     _check_mutation(mutation)
     if mode not in ("indexed", "full"):
         raise PreconditionError(f"mode must be 'indexed' or 'full', got {mode!r}")
+    if mode == "indexed" and mutation is None:
+        return per_spec(spec, "certification", lambda: _certify(spec, mode, mutation))
+    return _certify(spec, mode, mutation)
 
-    facets = list(_enumerated(spec))
+
+def _certify(spec: ScrollSpec, mode: str, mutation: str | None) -> VerificationResult:
+    facets = _enumerated(spec)
     if mutation == "swap-groups":
-        facets.sort(key=_swapped_groups_key)
+        facets = sorted(facets, key=_swapped_groups_key)
 
     if mode == "full":
         reports = [
@@ -278,15 +266,9 @@ def verify_linear_quotients(
             for rank, f in enumerate(facets)
         ]
     else:
-        reports = _indexed_reports(facets, spec, mutation)
+        reports = _indexed_reports(facets, mutation)
 
     passed = all(r.linear and r.matches_prediction for r in reports)
     return VerificationResult(
         spec=spec, reports=tuple(reports), passed=passed, mode=mode, mutation=mutation
     )
-
-
-@lru_cache(maxsize=None)
-def _verified(spec: ScrollSpec) -> VerificationResult:
-    """Cached default-mode verification, shared by the invariant pipeline."""
-    return verify_linear_quotients(spec)

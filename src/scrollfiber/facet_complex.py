@@ -11,16 +11,10 @@ their interval exactly.  Every facet has c + d vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import (
-    InternalError,
-    InvalidVertexError,
-    StructuralError,
-    UnsupportedRegimeError,
-)
-from .scroll_model import ScrollSpec, leaves_profile
+from .errors import InternalError, InvalidVertexError, StructuralError
+from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 
 # An open interval (a, b) on the line, equivalently the variable T[a, b].
 Vertex = tuple[int, int]
@@ -58,11 +52,27 @@ class FacetTree:
         return len(kids) == 2 and kids[0] == v
 
 
-@lru_cache(maxsize=None)
 def vertex_set(spec: ScrollSpec) -> tuple[Vertex, ...]:
     """All vertices of the complex for ``spec``, in ascending (a, b) order."""
     c = spec.c
     return tuple((a, b) for a in range(1, c + 1) for b in range(a + 1, c + 1))
+
+
+def _vertex_ids(spec: ScrollSpec) -> dict[Vertex, int]:
+    # Ascending (a, b) order is exactly descending variable order.
+    return per_spec(spec, "vertex_ids", lambda: {v: i for i, v in enumerate(vertex_set(spec))})
+
+
+def _bitset_index(facets: Sequence[Facet]) -> list[int]:
+    """Incidence index over vertex ids: entry ``vid`` has bit ``rank`` set
+    exactly when ``facets[rank]`` contains that vertex."""
+    vid = _vertex_ids(facets[0].spec) if facets else {}
+    index = [0] * len(vid)
+    for rank, f in enumerate(facets):
+        bit = 1 << rank
+        for v in f.vertices:
+            index[vid[v]] |= bit
+    return index
 
 
 def _validate_vertices(spec: ScrollSpec, vertices: Iterable[Vertex]) -> frozenset[Vertex]:
@@ -138,8 +148,7 @@ def _tree_structure(
 
 def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
     """Whether ``candidate`` is a facet of the initial complex of ``spec``."""
-    if spec.c < spec.d + 4:
-        raise UnsupportedRegimeError(f"no facet complex for c={spec.c} < d+4={spec.d + 4}")
+    require_complex(spec)
     vs = _validate_vertices(spec, candidate)
     try:
         _tree_structure(spec, vs)
@@ -193,10 +202,18 @@ def _subtrees(
     return result
 
 
-@lru_cache(maxsize=None)
 def _enumerated(spec: ScrollSpec) -> tuple[Facet, ...]:
-    if spec.c < spec.d + 4:
-        raise UnsupportedRegimeError(f"no facet complex for c={spec.c} < d+4={spec.d + 4}")
+    """The facets of ``spec`` in the facet order, kept on the spec."""
+    require_complex(spec)
+    return per_spec(spec, "facets", lambda: _enumerate(spec))
+
+
+def _facet_index(spec: ScrollSpec) -> list[int]:
+    """``_bitset_index`` of the ordered facets, kept on the spec."""
+    return per_spec(spec, "index", lambda: _bitset_index(_enumerated(spec)))
+
+
+def _enumerate(spec: ScrollSpec) -> tuple[Facet, ...]:
     # Imported late: the ordering module needs Facet from this module.
     from .dual_quotients import descending_order_key
 
@@ -216,7 +233,7 @@ def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
 
     The list is grouped by window position (larger alpha first) and ordered
     within a group by the dual-monomial comparison of ``dual_quotients``.
-    The result is deterministic and cached per spec.
+    The result is deterministic and kept on the spec object.
     """
     return list(_enumerated(spec))
 
@@ -230,9 +247,7 @@ def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     enough that (c-2, c) contains no leaf; the group is still non-empty then
     and its genuine maximum under the facet order is returned.
     """
-    if spec.c < spec.d + 4:
-        raise UnsupportedRegimeError(f"no facet complex for c={spec.c} < d+4={spec.d + 4}")
-    leaves_profile(spec, alpha)  # validates the alpha range
+    leaves_profile(spec, alpha)  # validates the regime and the alpha range
     for facet in _enumerated(spec):
         if facet.alpha == alpha:
             return facet

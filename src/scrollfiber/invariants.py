@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
-from .dual_quotients import ColonReport, _verified
+from .dual_quotients import ColonReport, verify_linear_quotients
 from .errors import CapacityError, InternalError, PreconditionError, VerificationError
-from .facet_complex import Facet, _enumerated, vertex_set
-from .scroll_model import ScrollSpec
+from .facet_complex import Facet, _bitset_index, _enumerated, _facet_index
+from .scroll_model import ScrollSpec, complex_regime
 
 DEFAULT_FACE_NODE_CAPACITY = 20_000_000
 
@@ -103,36 +100,37 @@ def face_counts(
         f where f[k-1] is the number of faces with k vertices.
 
     Raises:
+        PreconditionError: ``max_size`` is below 1.
         CapacityError: more than ``capacity`` faces would be visited.
     """
-    if not facets:
-        return (0,) * max_size
-    spec = facets[0].spec
-    ids = {v: i for i, v in enumerate(vertex_set(spec))}
-    nv = len(ids)
-    incidence = np.zeros((len(facets), nv), dtype=bool)
-    for row, facet in enumerate(facets):
-        for v in facet.vertices:
-            incidence[row, ids[v]] = True
+    return _face_walk(_bitset_index(facets), max_size, capacity)
 
+
+def _face_walk(index: list[int], max_size: int, capacity: int) -> tuple[int, ...]:
+    """``face_counts`` over a ``_bitset_index``.  A face's cover is the bitset
+    of facets containing it (-1 for the empty face); adding w narrows it to
+    ``cover & index[w]``.  A vertex that extends no face extends none of its
+    supersets, so each face passes on only the extensions that hit."""
+    if max_size < 1:
+        raise PreconditionError(f"face sizes start at 1, got max_size={max_size}")
     counts = [0] * (max_size + 1)
     visited = 0
 
-    def walk(last: int, cover: np.ndarray, size: int) -> None:
+    def walk(candidates: Sequence[int], cover: int, size: int) -> None:
         nonlocal visited
-        sub = incidence[cover]
-        present = sub[:, last + 1 :].any(axis=0)
-        for w in np.flatnonzero(present) + last + 1:
-            visited += 1
-            if visited > capacity:
-                raise CapacityError(
-                    f"face walk exceeded {capacity} nodes; raise the capacity to proceed"
-                )
-            counts[size + 1] += 1
-            if size + 1 < max_size:
-                walk(int(w), cover[sub[:, w]], size + 1)
+        hits = [(w, sub) for w in candidates if (sub := cover & index[w])]
+        visited += len(hits)
+        if visited > capacity:
+            raise CapacityError(
+                f"face walk exceeded {capacity} nodes; raise the capacity to proceed"
+            )
+        counts[size + 1] += len(hits)
+        if size + 1 < max_size:
+            extensions = [w for w, _ in hits]
+            for i, (_, sub) in enumerate(hits):
+                walk(extensions[i + 1 :], sub, size + 1)
 
-    walk(-1, np.arange(len(facets), dtype=np.int32), 0)
+    walk(range(len(index)), -1, 0)
     return tuple(counts[1:])
 
 
@@ -182,13 +180,6 @@ def numerator_from_face_counts(f: Sequence[int], dim: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _face_counts_cached(
-    spec: ScrollSpec, max_size: int, capacity: int = DEFAULT_FACE_NODE_CAPACITY
-) -> tuple[int, ...]:
-    return face_counts(_enumerated(spec), max_size, capacity=capacity)
-
-
 def closed_form(c: int, d: int) -> InvariantReport:
     """Predicted invariants from c and d alone.
 
@@ -198,7 +189,7 @@ def closed_form(c: int, d: int) -> InvariantReport:
     """
     if c < 2 or d < 1:
         raise PreconditionError(f"need c >= 2 and d >= 1, got c={c}, d={d}")
-    if c >= d + 4:
+    if complex_regime(c, d):
         reg = (c + d) // 2  # = ceil((c + d - 1) / 2)
         dim = c + d
     else:
@@ -220,14 +211,20 @@ def closed_form(c: int, d: int) -> InvariantReport:
     )
 
 
-@lru_cache(maxsize=None)
-def _hilbert_data(spec: ScrollSpec, window: int, face_capacity: int) -> HilbertData:
-    result = _verified(spec)
+def hilbert_data(
+    spec: ScrollSpec,
+    *,
+    window: int = 5,
+    face_capacity: int = DEFAULT_FACE_NODE_CAPACITY,
+) -> HilbertData:
+    """Hilbert window computed two independent ways; the face count is the
+    authority and any disagreement with the h-expansion is a hard failure."""
+    result = verify_linear_quotients(spec)
     if not result.passed:
         raise VerificationError(f"linear-quotients certification failed for {spec}")
     hv = h_vector_from_quotients(result.reports)
     dim = spec.c + spec.d
-    f = _face_counts_cached(spec, window, face_capacity)
+    f = _face_walk(_facet_index(spec), window, face_capacity)
     hf: dict[int, int] = {}
     for t in range(window + 1):
         by_faces = _hf_from_counts(f, t)
@@ -239,17 +236,6 @@ def _hilbert_data(spec: ScrollSpec, window: int, face_capacity: int) -> HilbertD
             )
         hf[t] = by_faces
     return HilbertData(dim=dim, h_polynomial=hv, hf=hf)
-
-
-def hilbert_data(
-    spec: ScrollSpec,
-    *,
-    window: int = 5,
-    face_capacity: int = DEFAULT_FACE_NODE_CAPACITY,
-) -> HilbertData:
-    """Hilbert window computed two independent ways; the face count is the
-    authority and any disagreement with the h-expansion is a hard failure."""
-    return _hilbert_data(spec, window, face_capacity)
 
 
 def full_report(
@@ -266,7 +252,7 @@ def full_report(
     """
     c, d = spec.c, spec.d
     predicted = closed_form(c, d)
-    if c < d + 4:
+    if not spec.has_complex:
         return predicted
 
     data = hilbert_data(spec, window=hilbert_window, face_capacity=face_capacity)

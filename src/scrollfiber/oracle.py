@@ -14,13 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError, UnsupportedRegimeError
-from .invariants import _face_counts_cached, _hf_from_counts
-from .scroll_model import EntryName, ScrollSpec, minor
+from .errors import CapacityError, PreconditionError
+from .facet_complex import _facet_index
+from .invariants import DEFAULT_FACE_NODE_CAPACITY, _face_walk, _hf_from_counts
+from .scroll_model import EntryName, ScrollSpec, minor, require_complex
 
 DEFAULT_MODULUS = (1 << 31) - 1
 DEFAULT_ROW_CAPACITY = 100_000
@@ -63,7 +63,6 @@ class RankProblem:
         return (len(self.rows), len(self.monomial_index))
 
 
-@lru_cache(maxsize=None)
 def _generators(spec: ScrollSpec) -> tuple[tuple[EntryName, ...], tuple[dict[Monomial, int], ...]]:
     """The C(c,2) expanded minors over an id-indexed variable alphabet."""
     c = spec.c
@@ -153,8 +152,7 @@ def rank_mod_prime(
     Returns:
         The matrix rank over GF(p).
     """
-    if not 2 <= p <= DEFAULT_MODULUS:
-        raise PreconditionError(f"modulus must lie in [2, 2^31 - 1], got {p}")
+    _check_prime(p)
     n_rows, n_cols = problem.shape
     if n_rows * n_cols > cell_capacity:
         raise CapacityError(
@@ -208,14 +206,28 @@ def rank_rational(problem: RankProblem) -> int:
     return len(echelon)
 
 
-@lru_cache(maxsize=None)
-def _fiber_hf(spec: ScrollSpec, t: int, modulus: int | str, capacity: int) -> int:
-    if t == 0:
-        return 1
-    problem = build_rank_problem(spec, t, capacity=capacity)
-    if modulus == "rational":
-        return rank_rational(problem)
-    return rank_mod_prime(problem, int(modulus))
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 7, 61; exact for every
+    n < 4,759,123,141, which covers all admissible moduli."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    odd = n - 1
+    while odd % 2 == 0:
+        odd //= 2
+    for a in (2, 7, 61):
+        if a % n == 0:
+            continue
+        k, x = odd, pow(a, odd, n)
+        while k != n - 1 and x not in (1, n - 1):
+            x, k = x * x % n, 2 * k
+        if x != n - 1 and k % 2 == 0:
+            return False
+    return True
+
+
+def _check_prime(p: int) -> None:
+    if not (2 <= p <= DEFAULT_MODULUS and _is_prime(p)):
+        raise PreconditionError(f"modulus must be 'rational' or a prime <= 2^31 - 1, got {p}")
 
 
 def fiber_hilbert_function(
@@ -228,9 +240,14 @@ def fiber_hilbert_function(
     """Dimension of the degree-t graded piece of the minor subalgebra."""
     if t < 0:
         raise PreconditionError(f"degree must be non-negative, got {t}")
-    if modulus != "rational" and not 2 <= int(modulus) <= DEFAULT_MODULUS:
-        raise PreconditionError(f"modulus must be 'rational' or a prime <= 2^31 - 1: {modulus}")
-    return _fiber_hf(spec, t, modulus, capacity)
+    if modulus != "rational":
+        _check_prime(int(modulus))
+    if t == 0:
+        return 1
+    problem = build_rank_problem(spec, t, capacity=capacity)
+    if modulus == "rational":
+        return rank_rational(problem)
+    return rank_mod_prime(problem, int(modulus))
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,14 +281,11 @@ def cross_check(
     problem is small enough: a genuinely modular discrepancy is flagged as a
     suspected modulus collision instead of a mathematical failure.
     """
-    if spec.c < spec.d + 4:
-        raise UnsupportedRegimeError(
-            f"cross-check needs the facet complex: c={spec.c} < d+4={spec.d + 4}"
-        )
+    require_complex(spec)
     if t_max < 0:
         raise PreconditionError(f"t_max must be non-negative, got {t_max}")
 
-    faces = _face_counts_cached(spec, max(t_max, 1))
+    faces = _face_walk(_facet_index(spec), max(t_max, 1), DEFAULT_FACE_NODE_CAPACITY)
     rows: list[CrossCheckRow] = []
     notes: list[str] = []
     for t in range(t_max + 1):

@@ -8,16 +8,16 @@ round-robin (first columns of every block in increasing block order, then
 second columns, and so on, skipping blocks that have run out), then the last
 column of every block in decreasing block order.
 
-All objects are immutable and all functions are pure, so everything here is
-safe to share across threads.
+Everything is immutable except a ``ScrollSpec``'s private memo, where
+``per_spec`` keeps reused results until the spec object is freed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from .errors import InternalError, InvalidVertexError, PreconditionError
+from .errors import InternalError, InvalidVertexError, PreconditionError, UnsupportedRegimeError
 
 # The variable x[block, index]; blocks are 1-based, indices run 0..n_block.
 EntryName = tuple[int, int]
@@ -26,18 +26,25 @@ EntryName = tuple[int, int]
 Column = tuple[EntryName, EntryName]
 
 
+def complex_regime(c: int, d: int) -> bool:
+    """Whether a scroll with c columns and d blocks carries the facet
+    complex; smaller scrolls get closed-form predictions only."""
+    return c >= d + 4
+
+
 @dataclass(frozen=True, slots=True)
 class ScrollSpec:
     """A scroll type: the block degrees ``n``, sorted non-decreasingly."""
 
     n: tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, tuple):
             object.__setattr__(self, "n", tuple(self.n))
         if not self.n:
             raise PreconditionError("scroll type must have at least one block")
-        if any(not isinstance(v, int) or v < 1 for v in self.n):
+        if any(type(v) is not int or v < 1 for v in self.n):  # bool is an int subclass
             raise PreconditionError(f"block degrees must be positive integers: {self.n}")
         if any(a > b for a, b in zip(self.n, self.n[1:])):
             raise PreconditionError(f"block degrees must be sorted non-decreasingly: {self.n}")
@@ -50,8 +57,26 @@ class ScrollSpec:
     def d(self) -> int:
         return len(self.n)
 
+    @property
+    def has_complex(self) -> bool:
+        return complex_regime(self.c, self.d)
+
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.n) + ")"
+
+
+def per_spec(spec: ScrollSpec, key: Any, compute: Callable[[], Any]) -> Any:
+    """The result kept on ``spec`` under ``key``, computed on first use; an
+    equal but distinct spec object computes its own."""
+    if key not in spec._memo:
+        spec._memo[key] = compute()
+    return spec._memo[key]
+
+
+def require_complex(spec: ScrollSpec) -> None:
+    """Raise ``UnsupportedRegimeError`` unless ``spec`` carries the complex."""
+    if not spec.has_complex:
+        raise UnsupportedRegimeError(f"no facet complex for c={spec.c}, d={spec.d}: needs c >= d+4")
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +123,6 @@ class MinorPolynomial:
         return {sum(p for _, p in expo) for _, expo in self.terms}
 
 
-@lru_cache(maxsize=None)
 def build_matrix(spec: ScrollSpec) -> ScrollMatrix:
     """Arrange the block columns of ``spec`` into the rearranged matrix.
 
@@ -122,7 +146,6 @@ def build_matrix(spec: ScrollSpec) -> ScrollMatrix:
     return ScrollMatrix(spec=spec, columns=tuple(columns))
 
 
-@lru_cache(maxsize=None)
 def leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
     """Compute gamma, ell, and the leaf set for a window position alpha.
 
@@ -130,12 +153,14 @@ def leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
     found by solving the defining set equation exactly; failure to find one
     would mean the column arrangement is broken and raises ``InternalError``.
     """
-    c, d = spec.c, spec.d
-    if c < d + 4:
-        raise PreconditionError(f"leaf profiles need c >= d + 4, got c={c}, d={d}")
-    if not 1 <= alpha <= c - d - 2:
-        raise PreconditionError(f"alpha must lie in [1, {c - d - 2}], got {alpha}")
+    require_complex(spec)
+    if not 1 <= alpha <= spec.c - spec.d - 2:
+        raise PreconditionError(f"alpha must lie in [1, {spec.c - spec.d - 2}], got {alpha}")
+    return per_spec(spec, ("leaves", alpha), lambda: _leaves_profile(spec, alpha))
 
+
+def _leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
+    c, d = spec.c, spec.d
     matrix = build_matrix(spec)
     gamma: dict[int, int] = {}
     for col in range(alpha + 2, c + 1):

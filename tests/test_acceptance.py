@@ -11,7 +11,7 @@ import math
 from contextlib import contextmanager
 
 import pytest
-from conftest import brute_force_facets, crossing, desk_specs_with_complex
+from conftest import DESK_SPECS, brute_force_facets, crossing, desk_specs_with_complex
 
 from scrollfiber import (
     Facet,
@@ -32,6 +32,10 @@ from scrollfiber import (
 )
 
 
+# The worked example, shared with the desk suite so its results are computed once.
+SPEC_2244 = next(s for s in DESK_SPECS if s.n == (2, 2, 4, 4))
+
+
 @contextmanager
 def criterion(number: int, name: str):
     ok = True
@@ -46,7 +50,7 @@ def criterion(number: int, name: str):
 
 def test_criterion_01_worked_example_fidelity():
     with criterion(1, "leaf set and first facet of (2,2,4,4) at alpha=2"):
-        spec = ScrollSpec((2, 2, 4, 4))
+        spec = SPEC_2244
         leaves = leaves_profile(spec, 2).leaves
         assert leaves == {(2, 3), (3, 4), (4, 5), (5, 6), (10, 11), (11, 12)}
         expected = frozenset((k, 12) for k in range(1, 11)) | leaves
@@ -105,7 +109,7 @@ def test_criterion_05_closed_form_reproduction():
             assert report.reduction_number == report.reg
             assert report.dim == c + d
             assert report.closed_form_match
-        big = full_report(ScrollSpec((2, 2, 4, 4)))
+        big = full_report(SPEC_2244)
         assert (big.reg, big.a_invariant) == (8, -8)
 
 

@@ -61,6 +61,13 @@ class TestInvariantsCommand:
         _, second, _ = run(capsys, "invariants", "--n", "1,5", "--format", "json")
         assert first == second
 
+    def test_hilbert_window_below_one_is_a_usage_error(self, capsys):
+        for window in ("0", "-1"):
+            code, out, err = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)
+            assert code == 2
+            assert out == ""
+            assert "max_size" in err
+
     def test_face_capacity_guard(self, capsys):
         code, _, err = run(capsys, "invariants", "--n", "2,4", "--face-capacity", "5")
         assert code == 2
@@ -86,6 +93,24 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["oracle"]["modulus"] == "rational"
+
+    def test_largest_admissible_prime_modulus(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "5", "--t-max", "2", "--modulus", "2147483647",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["oracle"]["rows"]
+        assert rows == [[0, 1, 1, True], [1, 10, 10, True], [2, 49, 49, True]]
+
+    def test_composite_modulus_is_a_usage_error(self, capsys):
+        for modulus in ("4", "2147483646"):
+            code, out, err = run(
+                capsys, "verify", "--n", "5", "--t-max", "2", "--modulus", modulus
+            )
+            assert code == 2
+            assert out == ""
+            assert "prime" in err
 
     def test_verify_envelope_round_trips(self, capsys):
         _, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")

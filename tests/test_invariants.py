@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
+from conftest import desk_specs_with_complex
 
 from scrollfiber import (
     CapacityError,
@@ -91,6 +93,25 @@ class TestFaceCounting:
         spec = ScrollSpec((2, 2, 4, 4))
         with pytest.raises(CapacityError):
             face_counts(enumerate_facets(spec), 3, capacity=100)
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in desk_specs_with_complex() if s.c <= 9], ids=str
+    )
+    def test_walk_equals_brute_force_faces(self, spec):
+        # Every face of size <= 4 is a subset of some facet; collect them all.
+        faces = {
+            face
+            for facet in enumerate_facets(spec)
+            for k in range(1, 5)
+            for face in itertools.combinations(sorted(facet.vertices), k)
+        }
+        expected = tuple(sum(len(face) == k for face in faces) for k in range(1, 5))
+        assert face_counts(enumerate_facets(spec), 4) == expected
+
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_rejects_sizes_below_one(self, max_size):
+        with pytest.raises(PreconditionError):
+            face_counts(enumerate_facets(ScrollSpec((5,))), max_size)
 
 
 class TestClosedForm:

@@ -17,6 +17,7 @@ from scrollfiber import (
     rank_mod_prime,
     rank_rational,
 )
+from scrollfiber.oracle import _is_prime
 
 
 class TestRankProblem:
@@ -68,6 +69,20 @@ class TestFiberHilbertFunction:
             fiber_hilbert_function(spec, 1, modulus=2**31)
         with pytest.raises(PreconditionError):
             fiber_hilbert_function(spec, -1)
+
+    @pytest.mark.parametrize("modulus", [0, 1, 4, 49, 3277, 2147483646])
+    def test_composite_modulus_rejected(self, modulus):
+        with pytest.raises(PreconditionError):
+            fiber_hilbert_function(ScrollSpec((5,)), 1, modulus=modulus)
+        with pytest.raises(PreconditionError):
+            rank_mod_prime(build_rank_problem(ScrollSpec((5,)), 1), modulus)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+        for n in list(range(3000)) + list(range(2147483547, 2147483648)):
+            assert _is_prime(n) == trial(n), n
 
     def test_observed_monotone_window(self):
         # Observed property of the fixture tables; not asserted in general.

@@ -9,9 +9,12 @@ from scrollfiber import (
     InvalidVertexError,
     PreconditionError,
     ScrollSpec,
+    UnsupportedRegimeError,
     build_matrix,
+    enumerate_facets,
     leaves_profile,
     minor,
+    verify_linear_quotients,
 )
 
 specs = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4).map(
@@ -34,10 +37,29 @@ class TestScrollSpec:
         assert spec == ScrollSpec((2, 4))
         assert hash(spec) == hash(ScrollSpec((2, 4)))
 
-    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (3, 2)])
+    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (3, 2), (True, 4)])
     def test_rejects_bad_degrees(self, bad):
         with pytest.raises(PreconditionError):
             ScrollSpec(bad)
+
+    def test_results_live_on_the_spec_object(self):
+        spec, twin = ScrollSpec((5,)), ScrollSpec((5,))
+        assert verify_linear_quotients(spec) is verify_linear_quotients(spec)
+        assert enumerate_facets(spec)[0] is enumerate_facets(spec)[0]
+        assert enumerate_facets(twin)[0] is not enumerate_facets(spec)[0]
+        assert spec == twin and hash(spec) == hash(twin)
+        assert repr(spec) == "ScrollSpec(n=(5,))"
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [((5,), True), ((1, 1, 4), False), ((1, 1, 5), True), ((2, 2, 2), False)],
+    )
+    def test_complex_regime(self, n, expected):
+        spec = ScrollSpec(n)
+        assert spec.has_complex is expected
+        if not expected:
+            with pytest.raises(UnsupportedRegimeError, match="d\\+4"):
+                leaves_profile(spec, 1)
 
 
 class TestBuildMatrix:

@@ -32,7 +32,7 @@ from .invariants import (
     full_report,
 )
 from .oracle import DEFAULT_MODULUS, DEFAULT_ROW_CAPACITY, CrossCheckResult, cross_check
-from .scroll_model import ScrollSpec
+from .scroll_model import ScrollSpec, leaves_profile
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -343,6 +343,10 @@ def cmd_verify(config: RunConfig) -> tuple[ReportEnvelope, int]:
 def cmd_facets(config: RunConfig, alpha: int | None, limit: int) -> str:
     """Render the facet list (with trees) in the requested format."""
     spec = config.spec
+    if limit < 0:
+        raise PreconditionError(f"--limit must be >= 0 (0 emits every facet), got {limit}")
+    if alpha is not None:
+        leaves_profile(spec, alpha)  # validates the alpha range
     facets = enumerate_facets(spec)
     if alpha is not None:
         facets = [f for f in facets if f.alpha == alpha]
@@ -413,7 +417,7 @@ def cmd_batch(path: str, config: RunConfig) -> tuple[list[ReportEnvelope], int]:
 
 def cmd_selftest() -> int:
     """Built-in example checks; prints one line per check."""
-    from .scroll_model import build_matrix, leaves_profile
+    from .scroll_model import build_matrix
     from .facet_complex import first_facet, is_facet
     from .dual_quotients import colon_generators, predict_LG
     from .invariants import h_vector_from_quotients

@@ -241,13 +241,11 @@ def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
 def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     """The greatest facet of the group at ``alpha``.
 
-    Whenever the chain (1,c), (2,c), ..., (c-2,c) together with the leaf set
-    is a facet, that is the answer.  The chain form breaks down exactly when
-    the leaf set has no unit near c (split parameter d+1) and alpha is small
-    enough that (c-2, c) contains no leaf; the group is still non-empty then
-    and its genuine maximum under the facet order is returned.
+    Scans the enumeration, which lists facets greatest first, and returns
+    the first facet of the group.  Raises for a spec without a complex and
+    for alpha outside [1, c-d-2].
     """
-    leaves_profile(spec, alpha)  # validates the regime and the alpha range
+    leaves_profile(spec, alpha)
     for facet in _enumerated(spec):
         if facet.alpha == alpha:
             return facet

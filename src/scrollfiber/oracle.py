@@ -2,8 +2,8 @@
 
 The degree-t graded piece of the subalgebra generated by the 2x2 minors is
 spanned by the products of t minors; its dimension is the rank of the
-coefficient matrix of those products, computed exactly over a prime field
-(default) or over the rationals.  Nothing here looks at facets or colon
+coefficient matrix of those products, computed exactly by sparse row
+reduction over a prime field (default) or over the rationals.  Nothing here looks at facets or colon
 ideals, so agreement with the face-count Hilbert function is a genuine
 cross-check of the combinatorial pipeline.
 """
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapacityError, PreconditionError
 from .facet_complex import _facet_index
 from .invariants import DEFAULT_FACE_NODE_CAPACITY, _face_walk, _hf_from_counts
@@ -24,10 +22,6 @@ from .scroll_model import EntryName, ScrollSpec, minor, require_complex
 
 DEFAULT_MODULUS = (1 << 31) - 1
 DEFAULT_ROW_CAPACITY = 100_000
-
-# Dense elimination allocates rows x columns int64 cells; this bounds the
-# allocation to roughly 800 MB.
-DEFAULT_CELL_CAPACITY = 100_000_000
 
 # Rational confirmation of a suspicious modular rank is only attempted below
 # this row count; larger problems report the suspicion unresolved.
@@ -139,71 +133,53 @@ def build_rank_problem(
     )
 
 
-def rank_mod_prime(
-    problem: RankProblem, p: int, *, cell_capacity: int = DEFAULT_CELL_CAPACITY
-) -> int:
-    """Gaussian elimination over GF(p) on the dense int64 matrix.
+def _echelon_rank(problem: RankProblem, p: int | None) -> int:
+    """Sparse row reduction over GF(p), or over the rationals when p is None.
 
-    Args:
-        problem: the coefficient matrix to reduce.
-        p: prime modulus, at most 2**31 - 1 so products stay inside int64.
-        cell_capacity: refuse matrices with more cells than this.
-
-    Returns:
-        The matrix rank over GF(p).
+    Each row, as a dict column -> nonzero entry, is reduced against the stored
+    pivot rows (leading entry 1) from its smallest column up; what is left, if
+    anything, becomes the pivot of its leading column.  Every product of
+    minors is multihomogeneous, so a row only meets pivots of its own
+    multidegree and fill-in stays inside that block of the matrix.
     """
-    _check_prime(p)
-    n_rows, n_cols = problem.shape
-    if n_rows * n_cols > cell_capacity:
-        raise CapacityError(
-            f"dense matrix of {n_rows} x {n_cols} exceeds the {cell_capacity}-cell "
-            "budget; lower the degree or use a smaller scroll"
-        )
-    matrix = np.zeros((n_rows, n_cols), dtype=np.int64)
     index = problem.monomial_index
-    for i, row in enumerate(problem.rows):
-        for mono, coeff in row.terms.items():
-            matrix[i, index[mono]] = coeff % p
-
-    rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        pivots = np.flatnonzero(matrix[rank:, col])
-        if pivots.size == 0:
-            continue
-        pivot_row = rank + pivots[0]
-        if pivot_row != rank:
-            matrix[[rank, pivot_row]] = matrix[[pivot_row, rank]]
-        inverse = pow(int(matrix[rank, col]), p - 2, p)
-        below = rank + 1 + np.flatnonzero(matrix[rank + 1 :, col])
-        if below.size:
-            factors = (matrix[below, col] * inverse) % p
-            matrix[below] = (matrix[below] - factors[:, None] * matrix[rank][None, :]) % p
-        rank += 1
-    return rank
-
-
-def rank_rational(problem: RankProblem) -> int:
-    """Exact rank over the rationals via sparse fraction elimination."""
-    index = problem.monomial_index
-    echelon: dict[int, dict[int, Fraction]] = {}
+    echelon: dict[int, dict[int, int | Fraction]] = {}
     for row in problem.rows:
-        work = {index[mono]: Fraction(coeff) for mono, coeff in row.terms.items()}
+        if p is None:
+            work = {index[mono]: Fraction(coeff) for mono, coeff in row.terms.items()}
+        else:
+            work = {index[mono]: coeff % p for mono, coeff in row.terms.items() if coeff % p}
         while work:
             lead = min(work)
             pivot = echelon.get(lead)
             if pivot is None:
-                echelon[lead] = work
+                scale = 1 / work[lead] if p is None else pow(work[lead], -1, p)
+                echelon[lead] = {
+                    col: value * scale if p is None else value * scale % p
+                    for col, value in work.items()
+                }
                 break
-            factor = work[lead] / pivot[lead]
+            factor = work[lead]
             for col, value in pivot.items():
-                updated = work.get(col, Fraction(0)) - factor * value
+                updated = work.get(col, 0) - factor * value
+                if p is not None:
+                    updated %= p
                 if updated:
                     work[col] = updated
-                elif col in work:
-                    del work[col]
+                else:
+                    work.pop(col, None)
     return len(echelon)
+
+
+def rank_mod_prime(problem: RankProblem, p: int) -> int:
+    """Exact rank over GF(p) for a prime p <= 2**31 - 1."""
+    _check_prime(p)
+    return _echelon_rank(problem, p)
+
+
+def rank_rational(problem: RankProblem) -> int:
+    """Exact rank over the rationals."""
+    return _echelon_rank(problem, None)
 
 
 def _is_prime(n: int) -> bool:
@@ -244,7 +220,10 @@ def fiber_hilbert_function(
         _check_prime(int(modulus))
     if t == 0:
         return 1
-    problem = build_rank_problem(spec, t, capacity=capacity)
+    return _rank(build_rank_problem(spec, t, capacity=capacity), modulus)
+
+
+def _rank(problem: RankProblem, modulus: int | str) -> int:
     if modulus == "rational":
         return rank_rational(problem)
     return rank_mod_prime(problem, int(modulus))
@@ -284,15 +263,18 @@ def cross_check(
     require_complex(spec)
     if t_max < 0:
         raise PreconditionError(f"t_max must be non-negative, got {t_max}")
+    if modulus != "rational":
+        _check_prime(int(modulus))
 
     faces = _face_walk(_facet_index(spec), max(t_max, 1), DEFAULT_FACE_NODE_CAPACITY)
-    rows: list[CrossCheckRow] = []
+    # Degree 0 is the ground field on both sides.
+    rows: list[CrossCheckRow] = [CrossCheckRow(t=0, fiber_rank=1, face_count=1, equal=True)]
     notes: list[str] = []
-    for t in range(t_max + 1):
-        fiber = fiber_hilbert_function(spec, t, modulus=modulus, capacity=capacity)
+    for t in range(1, t_max + 1):
+        problem = build_rank_problem(spec, t, capacity=capacity)
+        fiber = _rank(problem, modulus)
         expected = _hf_from_counts(faces, t)
-        if fiber != expected and modulus != "rational" and t >= 1:
-            problem = build_rank_problem(spec, t, capacity=capacity)
+        if fiber != expected and modulus != "rational":
             if len(problem.rows) <= RATIONAL_SPOT_CHECK_ROWS:
                 exact = rank_rational(problem)
                 if exact != fiber:

@@ -155,6 +155,19 @@ class TestFacetsCommand:
         assert payload["count"] == 3
         assert all(f["alpha"] == 2 for f in payload["facets"])
 
+    def test_negative_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "facets", "--n", "5", "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
+
+    def test_alpha_out_of_range_is_a_usage_error(self, capsys):
+        for alpha in ("0", "7"):
+            code, out, err = run(capsys, "facets", "--n", "5", "--alpha", alpha)
+            assert code == 2
+            assert out == ""
+            assert "alpha must lie in [1, 2]" in err
+
 
 class TestBatchCommand:
     def test_equal_cd_rows_match(self, capsys, tmp_path):

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from scrollfiber import (
     CapacityError,
+    CrossCheckRow,
     PreconditionError,
     ScrollSpec,
     UnsupportedRegimeError,
@@ -17,6 +22,7 @@ from scrollfiber import (
     rank_mod_prime,
     rank_rational,
 )
+from scrollfiber import oracle
 from scrollfiber.oracle import _is_prime
 
 
@@ -36,11 +42,6 @@ class TestRankProblem:
         with pytest.raises(CapacityError):
             build_rank_problem(ScrollSpec((2, 2, 4, 4)), 3, capacity=1000)
 
-    def test_cell_budget_guard(self):
-        problem = build_rank_problem(ScrollSpec((5,)), 2)
-        with pytest.raises(CapacityError):
-            rank_mod_prime(problem, (1 << 31) - 1, cell_capacity=100)
-
     def test_rejects_degree_zero(self):
         with pytest.raises(PreconditionError):
             build_rank_problem(ScrollSpec((5,)), 0)
@@ -56,10 +57,10 @@ class TestFiberHilbertFunction:
             spec = ScrollSpec(n)
             assert fiber_hilbert_function(spec, 1) == math.comb(spec.c, 2)
 
-    @pytest.mark.parametrize("n", [(5,), (6,)])
+    @pytest.mark.parametrize("n", [(5,), (6,), (2, 4)])
     def test_rational_confirms_modular(self, n):
         spec = ScrollSpec(n)
-        for t in (1, 2):
+        for t in (1, 2, 3):
             problem = build_rank_problem(spec, t)
             assert rank_rational(problem) == rank_mod_prime(problem, (1 << 31) - 1)
 
@@ -111,12 +112,26 @@ class TestCrossCheck:
         assert len(set(tables.values())) == 1
 
     def test_large_pair_agrees_within_budget(self):
-        # c = 12 at degree 3 would need an infeasible dense matrix; degree 2
-        # already separates scroll types if anything could.
+        # Degree 2 already separates scroll types if anything could; c = 12
+        # at degree 3 is checked against the face counts below.
         for t in (1, 2):
             left = fiber_hilbert_function(ScrollSpec((2, 2, 4, 4)), t)
             right = fiber_hilbert_function(ScrollSpec((1, 3, 4, 4)), t)
             assert left == right
+
+    def test_c12_degree_three_frontier(self):
+        result = cross_check(ScrollSpec((2, 2, 4, 4)), 3)
+        assert result.passed
+        assert result.rows[3] == CrossCheckRow(t=3, fiber_rank=22722, face_count=22722, equal=True)
+
+    def test_modulus_collision_falls_back_to_the_rational_rank(self, monkeypatch):
+        monkeypatch.setattr(oracle, "rank_mod_prime", lambda problem, p: rank_rational(problem) - 1)
+        result = cross_check(ScrollSpec((5,)), 2)
+        assert result.passed
+        assert [(row.t, row.fiber_rank) for row in result.rows] == [(0, 1), (1, 10), (2, 49)]
+        assert len(result.notes) == 2
+        assert all("suspected modulus collision" in note for note in result.notes)
+        assert "modular rank 48 != rational rank 49" in result.notes[1]
 
     def test_small_regime_pair_agrees_without_a_complex(self):
         # c < d + 4: no facets, but the rank oracle itself still applies.
@@ -129,3 +144,15 @@ class TestCrossCheck:
     def test_capacity_surcharge_guidance(self):
         with pytest.raises(CapacityError):
             cross_check(ScrollSpec((5,)), 3, capacity=10)
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c", "import scrollfiber, sys; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout == "False\n"

@@ -7,7 +7,14 @@ under the variable order in which T[a,b] beats T[a',b'] when a < a', or
 a = a' and b < b'.  Successive colon ideals of the ordered dual generators
 are generated by the inclusion-minimal difference sets F \\ F' over earlier
 facets F'; the certification checks that these are all singletons and match
-the combinatorial prediction read off the facet tree.
+the combinatorial prediction ``predict_LG``.
+
+All facets have c + d vertices, so a singleton difference F \\ G = {u}
+means G = F \\ {u} + {w}: F and G share the swap key F \\ {u}.  One pass
+over the ordered facets with a dict of swap keys therefore finds every
+singleton generator.  A generator of higher degree exists exactly when some
+earlier facet contains all singleton generators of F; the bitset index
+detects that, and only such facets fall back to the quadratic scan.
 """
 
 from __future__ import annotations
@@ -15,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, InternalError, PreconditionError
 from .facet_complex import (
     Facet,
     Vertex,
     _bitset_index,
     _enumerated,
     _facet_index,
+    _tree_structure,
     _vertex_ids,
-    facet_tree,
     first_facet,
 )
 from .scroll_model import ScrollSpec, per_spec, require_complex
@@ -76,11 +83,17 @@ def descending_order_key(facet: Facet):
     """Sort key that lists facets greatest-first.
 
     Within a group the dual supports, read from the greatest variable down,
-    are compared position by position with the greater variable winning;
-    on ascending-id tuples this is plain tuple order.
+    are compared position by position with the greater variable winning.
+    The smallest vertex id in the symmetric difference decides that; it is
+    the highest differing bit of the facets' masks with id i at bit top - i,
+    and the facet holding it comes later.
     """
-    vs = facet.vertices
-    return (-facet.alpha, tuple(i for v, i in _vertex_ids(facet.spec).items() if v not in vs))
+    vid = _vertex_ids(facet.spec)
+    top = len(vid) - 1
+    mask = 0
+    for v in facet.vertices:
+        mask |= 1 << (top - vid[v])
+    return (-facet.alpha, mask)
 
 
 def _swapped_groups_key(facet: Facet):
@@ -113,41 +126,42 @@ def _check_mutation(mutation: str | None) -> None:
 def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex]:
     """Predicted linear colon generators of a facet, read off its tree.
 
-    Within the column of vertices sharing a left endpoint b, sorted by right
+    Within the column of vertices sharing a left endpoint a, sorted by right
     endpoint: the topmost entry never generates; a middle entry generates
     exactly when its node has a right sibling or two children; the bottom
     entry of a column of size >= 2 always generates when it is not a unit,
-    and when it is the unit (b, b+1) it generates exactly for b = alpha in
+    and when it is the unit (a, a+1) it generates exactly for a = alpha in
     every group but the greatest.
+
+    The facet is validated first (``StructuralError`` on a non-facet).  In
+    a facet the parent of a middle entry (a, b) is the next entry (a, b')
+    of its column, so it has a right sibling iff (b, b') is a vertex, and
+    it has two children iff (b'', b) is, for the entry (a, b'') below.
     """
     _check_mutation(mutation)
-    tree = facet_tree(facet)
     spec = facet.spec
+    vs = facet.vertices
+    _tree_structure(spec, vs)
+    alpha = facet.alpha
     top_group = spec.c - spec.d - 2
 
-    columns: dict[int, list[Vertex]] = {}
-    for v in facet.vertices:
-        columns.setdefault(v[0], []).append(v)
+    columns: dict[int, list[int]] = {}
+    for a, b in vs:
+        columns.setdefault(a, []).append(b)
 
     out: set[Vertex] = set()
-    for b, column in columns.items():
-        column.sort()
-        k = len(column)
-        for j, v in enumerate(column, start=1):
-            if j == k:
-                continue
-            if j > 1:
-                include = tree.has_right_sibling(v) or len(tree.children[v]) == 2
-                if mutation == "b2":
-                    include = tree.has_right_sibling(v)
-            elif v[1] == b + 1:
-                include = b == facet.alpha and facet.alpha != top_group
-                if mutation == "c2":
-                    include = b == facet.alpha
-            else:
-                include = True
-            if include:
-                out.add(v)
+    for a, ends in columns.items():
+        if len(ends) < 2:
+            continue
+        ends.sort()
+        bottom = ends[0]
+        if bottom != a + 1:
+            out.add((a, bottom))
+        elif a == alpha and (alpha != top_group or mutation == "c2"):
+            out.add((a, bottom))
+        for below, b, above in zip(ends, ends[1:], ends[2:]):
+            if (b, above) in vs or (mutation != "b2" and (below, b) in vs):
+                out.add((a, b))
     return frozenset(out)
 
 
@@ -195,39 +209,50 @@ def _report_for(
     )
 
 
-def _indexed_reports(facets: Sequence[Facet], mutation: str | None) -> list[ColonReport]:
-    """One pass over the ordered facets with an inverted vertex index.
+def _singleton_generators(facets: Sequence[Facet]) -> list[list[int]]:
+    """Vertex ids u of each facet F for which {u} = F \\ G for an earlier G.
 
-    For each facet F and member v, the facets among the already-seen
-    (greater) ones containing F minus v are read off bitmask intersections;
-    any hit makes v a singleton generator.  A minimal generator of higher
-    degree exists exactly when some earlier facet contains every singleton
-    generator; only such rare facets fall back to the quadratic scan.
+    Every facet has c + d vertices, so an earlier G containing F \\ {u} is
+    F \\ {u} + {w} for some vertex w, and F and G share the swap key: the
+    vertex-id mask of F \\ {u}.  The keys are kept in a dict, first facet
+    wins, for one pass; ``InternalError`` if a facet has another size.
     """
     spec = facets[0].spec
     vid = _vertex_ids(spec)
+    size = spec.c + spec.d
+    first: dict[int, int] = {}
+    out: list[list[int]] = []
+    for rank, f in enumerate(facets):
+        if len(f.vertices) != size:
+            raise InternalError(f"facet of size {len(f.vertices)} != {size} for {spec}")
+        ids = [vid[v] for v in f.vertices]
+        mask = 0
+        for u in ids:
+            mask |= 1 << u
+        out.append([u for u in ids if first.setdefault(mask ^ (1 << u), rank) != rank])
+    return out
+
+
+def _indexed_reports(facets: Sequence[Facet], mutation: str | None) -> list[ColonReport]:
+    """Reports from the swap-key singletons (``_singleton_generators``).
+
+    The singleton generators are all the minimal generators unless some
+    earlier facet contains every one of them, read off the bitset index;
+    only such facets fall back to the quadratic scan.
+    """
+    spec = facets[0].spec
     vindex = _facet_index(spec) if facets is _enumerated(spec) else _bitset_index(facets)
-    id_to_vertex = {i: v for v, i in vid.items()}
+    singles = [frozenset((v,)) for v in _vertex_ids(spec)]
     reports: list[ColonReport] = []
     seen = 0
-    for rank, f in enumerate(facets):
-        ids = sorted(vid[v] for v in f.vertices)
-        k = len(ids)
-        prefix = [-1] * (k + 1)
-        for i, u in enumerate(ids):
-            prefix[i + 1] = prefix[i] & vindex[u]
-        suffix = [-1] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffix[i] = suffix[i + 1] & vindex[ids[i]]
-
-        gens = [ids[i] for i in range(k) if seen & prefix[i] & suffix[i + 1]]
+    for rank, (f, gens) in enumerate(zip(facets, _singleton_generators(facets))):
         witness = seen
         for g in gens:
             witness &= vindex[g]
         if witness:
             computed = _minimal_diffs(f, facets[:rank])
         else:
-            computed = frozenset(frozenset((id_to_vertex[g],)) for g in gens)
+            computed = frozenset(singles[g] for g in gens)
         reports.append(_report_for(f, computed, mutation))
         seen |= 1 << rank
     return reports

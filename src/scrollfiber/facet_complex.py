@@ -13,11 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InternalError, InvalidVertexError, StructuralError
+from .errors import CapacityError, InternalError, InvalidVertexError, StructuralError
 from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 
 # An open interval (a, b) on the line, equivalently the variable T[a, b].
 Vertex = tuple[int, int]
+
+#: Enumeration refuses specs with more facets than this (``CapacityError``):
+#: each facet costs a few KB, and certification a pass over all of them.
+MAX_ENUMERATED_FACETS = 200_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,12 +71,12 @@ def _bitset_index(facets: Sequence[Facet]) -> list[int]:
     """Incidence index over vertex ids: entry ``vid`` has bit ``rank`` set
     exactly when ``facets[rank]`` contains that vertex."""
     vid = _vertex_ids(facets[0].spec) if facets else {}
-    index = [0] * len(vid)
+    rows = [bytearray((len(facets) + 7) // 8) for _ in vid]
     for rank, f in enumerate(facets):
-        bit = 1 << rank
+        byte, bit = rank >> 3, 1 << (rank & 7)
         for v in f.vertices:
-            index[vid[v]] |= bit
-    return index
+            rows[vid[v]][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _validate_vertices(spec: ScrollSpec, vertices: Iterable[Vertex]) -> frozenset[Vertex]:
@@ -202,8 +206,53 @@ def _subtrees(
     return result
 
 
+def _count_subtrees(
+    a: int, b: int, leaf_starts: frozenset[int], memo: dict[tuple[int, int], int]
+) -> int:
+    """``len(_subtrees(a, b, leaf_starts, ...))`` by the same recursion."""
+    key = (a, b)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if b - a == 1:
+        count = int(a in leaf_starts)
+    else:
+        count = 0
+        if a not in leaf_starts:
+            count += _count_subtrees(a + 1, b, leaf_starts, memo)
+        if (b - 1) not in leaf_starts:
+            count += _count_subtrees(a, b - 1, leaf_starts, memo)
+        for mid in range(a + 1, b):
+            lefts = _count_subtrees(a, mid, leaf_starts, memo)
+            if lefts:
+                count += lefts * _count_subtrees(mid, b, leaf_starts, memo)
+    memo[key] = count
+    return count
+
+
+def count_facets(spec: ScrollSpec) -> int:
+    """Number of facets of the initial complex, without enumerating them.
+
+    Runs in time polynomial in c; ``enumerate_facets`` lists exactly this
+    many facets.
+    """
+    require_complex(spec)
+    return sum(
+        _count_subtrees(1, spec.c, _leaf_starts(spec, alpha), {})
+        for alpha in range(1, spec.c - spec.d - 1)
+    )
+
+
+def _leaf_starts(spec: ScrollSpec, alpha: int) -> frozenset[int]:
+    return frozenset(a for a, _ in leaves_profile(spec, alpha).leaves)
+
+
 def _enumerated(spec: ScrollSpec) -> tuple[Facet, ...]:
-    """The facets of ``spec`` in the facet order, kept on the spec."""
+    """The facets of ``spec`` in the facet order, kept on the spec.
+
+    Raises ``CapacityError`` when the spec has more than
+    ``MAX_ENUMERATED_FACETS`` facets.
+    """
     require_complex(spec)
     return per_spec(spec, "facets", lambda: _enumerate(spec))
 
@@ -217,13 +266,20 @@ def _enumerate(spec: ScrollSpec) -> tuple[Facet, ...]:
     # Imported late: the ordering module needs Facet from this module.
     from .dual_quotients import descending_order_key
 
+    expected = count_facets(spec)
+    if expected > MAX_ENUMERATED_FACETS:
+        raise CapacityError(
+            f"{spec} has {expected:,} facets, over the enumeration budget of "
+            f"{MAX_ENUMERATED_FACETS:,} facets; choose a smaller scroll type"
+        )
     c, d = spec.c, spec.d
     facets: list[Facet] = []
     for alpha in range(1, c - d - 1):
-        leaf_starts = frozenset(a for a, _ in leaves_profile(spec, alpha).leaves)
         memo: dict[tuple[int, int], tuple[frozenset[Vertex], ...]] = {}
-        for vertices in _subtrees(1, c, leaf_starts, memo):
+        for vertices in _subtrees(1, c, _leaf_starts(spec, alpha), memo):
             facets.append(Facet(vertices=vertices, alpha=alpha, spec=spec))
+    if len(facets) != expected:
+        raise InternalError(f"enumerated {len(facets)} facets for {spec}, counted {expected}")
     facets.sort(key=descending_order_key)
     return tuple(facets)
 

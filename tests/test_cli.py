@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollfiber.cli import ReportEnvelope, main
 
@@ -72,6 +80,14 @@ class TestInvariantsCommand:
         code, _, err = run(capsys, "invariants", "--n", "2,4", "--face-capacity", "5")
         assert code == 2
         assert "capacity" in err
+
+    def test_facet_budget_guard(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--n", "4,4,4,4")
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert out == ""
+        assert "475,456 facets" in err and "200,000" in err
 
     def test_csv_schema(self, capsys):
         code, out, _ = run(capsys, "invariants", "--n", "5", "--format", "csv")
@@ -199,6 +215,16 @@ class TestBatchCommand:
         assert rows[2].startswith("6,2")
         assert "2,x" in err
 
+    def test_over_budget_line_is_isolated(self, capsys, tmp_path):
+        batch = tmp_path / "big.txt"
+        batch.write_text("5\n4,4,4,4\n", encoding="utf-8")
+        code, out, err = run(capsys, "batch", str(batch), "--format", "csv")
+        assert code == 2
+        rows = out.strip().splitlines()[1:]
+        assert rows[0].startswith("5,1")
+        assert rows[1] == ",,,,,,error"
+        assert "475,456 facets" in err
+
     def test_json_lines(self, capsys, tmp_path):
         batch = tmp_path / "two.txt"
         batch.write_text("5\n6\n", encoding="utf-8")
@@ -231,3 +257,70 @@ class TestOutputDirectory:
         assert code == 0
         written = (tmp_path / "invariants-n5.json").read_text(encoding="utf-8")
         assert written == out
+
+
+# Fuzzing main(argv): valid and garbage values for every value option, on
+# scrolls with c <= 8 and degrees t <= 3 so that each call stays cheap.
+GARBAGE = st.sampled_from(["", " ", "x", "-", "--", "1.5", "2,,4", "3,-1", "0", "1e2", "nan"])
+BLOCK_DEGREES = (
+    st.lists(st.integers(1, 8), min_size=1, max_size=4)
+    .filter(lambda n: sum(n) <= 8)
+    .map(lambda n: ",".join(map(str, n)))
+)
+OPTION_VALUES = {
+    "--n": BLOCK_DEGREES,
+    "--t-max": st.integers(-2, 3).map(str),
+    "--modulus": st.sampled_from(["rational", "2", "3", "4", "1", "0", "-7", "2147483647"]),
+    "--mutate-rule": st.sampled_from(["c2", "b2", "swap-groups"]),
+    "--hilbert-window": st.integers(-2, 3).map(str),
+    "--limit": st.integers(-2, 5).map(str),
+    "--alpha": st.integers(-1, 6).map(str),
+}
+ONE_IN_SIX = st.sampled_from([False] * 5 + [True])
+COMMAND_OPTIONS = {
+    "invariants": ("--n", "--hilbert-window"),
+    "verify": ("--n", "--t-max", "--modulus", "--mutate-rule"),
+    "facets": ("--n", "--alpha", "--limit"),
+    "batch": ("--hilbert-window",),
+}
+
+
+@st.composite
+def invocations(draw) -> tuple[list[str], list[str]]:
+    """An argv (the batch file as ``{batch}``) and the batch file's lines.
+
+    Each option is present with its valid values, or garbage about one time
+    in six; ``--n`` is always present, as argparse requires it.
+    """
+
+    def value(option: str) -> str:
+        return draw(GARBAGE if draw(ONE_IN_SIX) else OPTION_VALUES[option])
+
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = ["no-such-command" if draw(ONE_IN_SIX) and draw(ONE_IN_SIX) else command]
+    lines: list[str] = []
+    if command == "batch":
+        lines = [value("--n") for _ in range(draw(st.integers(0, 3)))]
+        argv.append("{batch}")
+    for option in COMMAND_OPTIONS[command]:
+        if option == "--n" or draw(st.booleans()):
+            argv += [option, value(option)]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv, lines
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(invocations())
+def test_every_invocation_has_a_defined_exit_code(invocation):
+    argv, lines = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = Path(tmp) / "batch.txt"
+        batch.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        argv = [str(batch) if arg == "{batch}" else arg for arg in argv]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+    assert code in (0, 1, 2, 3)

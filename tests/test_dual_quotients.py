@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from conftest import DESK_SPECS
 
 from scrollfiber import (
     DomainError,
@@ -17,6 +20,10 @@ from scrollfiber import (
     predict_LG,
     verify_linear_quotients,
 )
+from scrollfiber.dual_quotients import _indexed_reports, _minimal_diffs, _swapped_groups_key
+
+# Shared desk spec objects keep their enumerations between tests.
+DESK_BY_N = {s.n: s for s in DESK_SPECS}
 
 SPEC_245 = ScrollSpec((2, 4, 5))
 EXAMPLE_245 = Facet(
@@ -29,6 +36,27 @@ EXAMPLE_245 = Facet(
     alpha=1,
     spec=SPEC_245,
 )
+
+
+def _agreement_cases(specs):
+    """(n, mutation) cases; the unmutated ones keep the ids n0, n1, ..."""
+    return [
+        pytest.param(n, mutation, id=f"n{i}" if mutation is None else f"n{i}-{mutation}")
+        for mutation in (None, "c2", "b2", "swap-groups")
+        for i, n in enumerate(specs)
+    ]
+
+
+def _assert_engines_agree(spec, mutation):
+    indexed = verify_linear_quotients(spec, mutation=mutation)
+    full = verify_linear_quotients(spec, mode="full", mutation=mutation)
+    for r, q in zip(indexed.reports, full.reports, strict=True):
+        assert r.facet.vertices == q.facet.vertices
+        assert r.computed_generators == q.computed_generators
+        assert r.predicted_LG == q.predicted_LG == predict_LG(r.facet, mutation=mutation)
+        assert (r.linear, r.matches_prediction) == (q.linear, q.matches_prediction)
+    assert indexed.passed == full.passed
+    assert len(indexed.failures()) == len(full.failures())
 
 
 class TestOrder:
@@ -49,9 +77,24 @@ class TestOrder:
             for g in facets[i + 1 :]:
                 assert precedes(f, g) != precedes(g, f)
 
-    def test_enumeration_is_descending(self):
-        facets = enumerate_facets(ScrollSpec((1, 5)))
+    @pytest.mark.parametrize("n", [(1, 5), (12,), (2, 2, 4, 4)])
+    def test_enumeration_is_descending(self, n):
+        spec = DESK_BY_N.get(n) or ScrollSpec(n)
+        facets = enumerate_facets(spec)
         assert all(precedes(f, g) for f, g in zip(facets, facets[1:]))
+
+    def test_swapped_order_transposes_the_two_greatest_groups(self):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        facets = enumerate_facets(spec)
+        swapped = sorted(facets, key=_swapped_groups_key)
+        assert swapped != facets
+        top = spec.c - spec.d - 2
+        for alpha in range(1, top + 1):
+            assert [f for f in swapped if f.alpha == alpha] == [
+                f for f in facets if f.alpha == alpha
+            ]
+        alphas = list(dict.fromkeys(f.alpha for f in swapped))
+        assert alphas == [top - 1, top, *range(top - 2, 0, -1)]
 
     def test_cross_spec_comparison_rejected(self):
         f = enumerate_facets(ScrollSpec((5,)))[0]
@@ -133,16 +176,11 @@ class TestVerification:
         assert all(r.linear and r.matches_prediction for r in result.reports)
         assert result.reports[0].computed_generators == frozenset()
 
-    @pytest.mark.parametrize("n", [(5,), (6,), (1, 5), (2, 2, 2, 2)])
-    def test_indexed_engine_agrees_with_full_scan(self, n):
-        indexed = verify_linear_quotients(ScrollSpec(n), mode="indexed")
-        full = verify_linear_quotients(ScrollSpec(n), mode="full")
-        assert [r.facet.vertices for r in indexed.reports] == [
-            r.facet.vertices for r in full.reports
-        ]
-        assert [r.computed_generators for r in indexed.reports] == [
-            r.computed_generators for r in full.reports
-        ]
+    @pytest.mark.parametrize(
+        "n, mutation", _agreement_cases([(5,), (6,), (1, 5), (2, 2, 2, 2), (2, 4)])
+    )
+    def test_indexed_engine_agrees_with_full_scan(self, n, mutation):
+        _assert_engines_agree(ScrollSpec(n), mutation)
 
     def test_small_scroll_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -167,13 +205,19 @@ class TestVerification:
             r.facet.alpha for r in default.reports
         ]
 
-    @pytest.mark.parametrize("n", [(5,), (6,), (1, 5)])
-    def test_indexed_engine_agrees_with_full_scan_under_mutated_order(self, n):
+    @pytest.mark.parametrize("n, mutation", _agreement_cases([(5,), (6,), (1, 5), (2, 4)]))
+    def test_indexed_engine_agrees_with_full_scan_under_mutated_order(self, n, mutation):
         # The index logic is order-agnostic; it must reproduce the quadratic
-        # scan even when the order no longer yields linear quotients.
-        indexed = verify_linear_quotients(ScrollSpec(n), mutation="swap-groups")
-        full = verify_linear_quotients(ScrollSpec(n), mode="full", mutation="swap-groups")
-        assert [r.computed_generators for r in indexed.reports] == [
-            r.computed_generators for r in full.reports
+        # scan under the mutated order and rules, where certification fails.
+        _assert_engines_agree(ScrollSpec(n), mutation)
+
+    def test_quadratic_fallback_on_a_shuffled_order(self):
+        # No order the public API offers has non-linear quotients on small
+        # specs, so the fallback is reached through a shuffled facet list.
+        facets = enumerate_facets(ScrollSpec((6,)))
+        random.Random(0).shuffle(facets)
+        reports = _indexed_reports(facets, None)
+        assert sum(not r.linear for r in reports) == 16
+        assert [r.computed_generators for r in reports] == [
+            _minimal_diffs(f, facets[:rank]) for rank, f in enumerate(facets)
         ]
-        assert indexed.passed == full.passed

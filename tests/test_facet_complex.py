@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from conftest import brute_force_facets, crossing
+from conftest import brute_force_facets, crossing, desk_specs_with_complex
 
 from scrollfiber import (
+    CapacityError,
     Facet,
+    InternalError,
     ScrollSpec,
     StructuralError,
     UnsupportedRegimeError,
@@ -17,6 +19,7 @@ from scrollfiber import (
     leaves_profile,
     precedes,
 )
+from scrollfiber.facet_complex import MAX_ENUMERATED_FACETS, count_facets
 
 SPEC_2244 = ScrollSpec((2, 2, 4, 4))
 LEAVES_2244_A2 = frozenset({(2, 3), (3, 4), (4, 5), (5, 6), (10, 11), (11, 12)})
@@ -120,6 +123,40 @@ class TestEnumeration:
     def test_small_scroll_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
             enumerate_facets(ScrollSpec((2, 2, 2)))
+
+
+class TestFacetCount:
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            ((5,), 10),
+            ((2, 4), 28),
+            ((12,), 3962),
+            ((2, 2, 4, 4), 20696),
+            ((2, 2, 2, 2, 2, 2), 38012),
+            ((4, 4, 4, 4), 475456),
+        ],
+    )
+    def test_known_counts(self, n, count):
+        assert count_facets(ScrollSpec(n)) == count
+
+    def test_matches_enumeration(self):
+        for spec in desk_specs_with_complex():
+            assert count_facets(spec) == len(enumerate_facets(spec))
+
+    def test_over_budget_enumeration_is_refused(self):
+        with pytest.raises(CapacityError, match="475,456 facets.*200,000"):
+            enumerate_facets(ScrollSpec((4, 4, 4, 4)))
+        assert count_facets(ScrollSpec((16,))) <= MAX_ENUMERATED_FACETS
+
+    def test_count_mismatch_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr("scrollfiber.facet_complex.count_facets", lambda spec: 11)
+        with pytest.raises(InternalError, match="enumerated 10 facets"):
+            enumerate_facets(ScrollSpec((5,)))
+
+    def test_small_scroll_rejected(self):
+        with pytest.raises(UnsupportedRegimeError):
+            count_facets(ScrollSpec((2, 2, 2)))
 
 
 class TestFirstFacet:

@@ -29,8 +29,9 @@ from .facet_complex import (
     _bitset_index,
     _enumerated,
     _facet_index,
-    _tree_structure,
+    _leaf_set,
     _vertex_ids,
+    _walk,
     first_facet,
 )
 from .scroll_model import ScrollSpec, per_spec, require_complex
@@ -133,35 +134,26 @@ def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex
     and when it is the unit (a, a+1) it generates exactly for a = alpha in
     every group but the greatest.
 
-    The facet is validated first (``StructuralError`` on a non-facet).  In
-    a facet the parent of a middle entry (a, b) is the next entry (a, b')
-    of its column, so it has a right sibling iff (b, b') is a vertex, and
-    it has two children iff (b'', b) is, for the entry (a, b'') below.
+    The walk ``facet_complex._walk`` validates the facet against the leaf
+    set at ``facet.alpha`` (``StructuralError`` otherwise) and places every
+    node: it heads its column unless it is a split's left child or a right
+    drop's child, and it is the bottom when it is a leaf or a left drop.
     """
     _check_mutation(mutation)
     spec = facet.spec
-    vs = facet.vertices
-    _tree_structure(spec, vs)
     alpha = facet.alpha
-    top_group = spec.c - spec.d - 2
-
-    columns: dict[int, list[int]] = {}
-    for a, b in vs:
-        columns.setdefault(a, []).append(b)
-
+    unit_generates = alpha != spec.c - spec.d - 2 or mutation == "c2"
+    split_generates = mutation != "b2"
     out: set[Vertex] = set()
-    for a, ends in columns.items():
-        if len(ends) < 2:
+    for node, kids, top, sibling in _walk(facet.vertices, spec.c, _leaf_set(spec, alpha)):
+        if top:
             continue
-        ends.sort()
-        bottom = ends[0]
-        if bottom != a + 1:
-            out.add((a, bottom))
-        elif a == alpha and (alpha != top_group or mutation == "c2"):
-            out.add((a, bottom))
-        for below, b, above in zip(ends, ends[1:], ends[2:]):
-            if (b, above) in vs or (mutation != "b2" and (below, b) in vs):
-                out.add((a, b))
+        a, b = node
+        if not kids or kids[0][0] != a:  # bottom of its column
+            if b != a + 1 or (a == alpha and unit_generates):
+                out.add(node)
+        elif sibling or (split_generates and len(kids) == 2):
+            out.add(node)
     return frozenset(out)
 
 

@@ -1,17 +1,20 @@
 """Facets of the initial complex and their binary interval trees.
 
 Vertices of the complex are open intervals (a, b) with integer endpoints
-1 <= a < b <= c.  A vertex set is a facet exactly when its containment order
-is a rooted binary tree on (1, c) whose leaves form one of the unit-interval
-leaf sets of ``scroll_model.leaves_profile``, one-child nodes shrink their
-interval by a unit that is absent from the set, and two-child nodes split
-their interval exactly.  Every facet has c + d vertices.
+1 <= a < b <= c.  A facet is a binary tree on the root (1, c), which
+``_walk`` rebuilds top-down: a unit node is a leaf and lies in one of the
+leaf sets of ``scroll_model.leaves_profile``; a longer node (a, b) splits
+at some k ((a, k) and (k, b) present), drops its left unit ((a+1, b)
+present, (a, a+1) absent) or drops its right unit ((a, b-1) present,
+(b-1, b) absent).  On a facet the split point is unique and the patterns
+exclude each other, so the walk meets every vertex; on any other set it
+fails a check.  Every facet has c + d vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InternalError, InvalidVertexError, StructuralError
 from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
@@ -48,13 +51,6 @@ class FacetTree:
     def leaves(self) -> frozenset[Vertex]:
         return frozenset(v for v, kids in self.children.items() if not kids)
 
-    def has_right_sibling(self, v: Vertex) -> bool:
-        p = self.parent.get(v)
-        if p is None:
-            return False
-        kids = self.children[p]
-        return len(kids) == 2 and kids[0] == v
-
 
 def vertex_set(spec: ScrollSpec) -> tuple[Vertex, ...]:
     """All vertices of the complex for ``spec``, in ascending (a, b) order."""
@@ -89,82 +85,88 @@ def _validate_vertices(spec: ScrollSpec, vertices: Iterable[Vertex]) -> frozense
     return vs
 
 
-def _tree_structure(
-    spec: ScrollSpec, vs: frozenset[Vertex]
-) -> tuple[dict[Vertex, Vertex], dict[Vertex, tuple[Vertex, ...]]]:
-    """Build (parent, children) of the containment order, checking every
-    facet condition; raises ``StructuralError`` on the first violation."""
-    c, d = spec.c, spec.d
+def _leaf_set(spec: ScrollSpec, alpha: int) -> frozenset[Vertex]:
+    """The leaf set at ``alpha``, from a table kept on the spec; raises
+    ``StructuralError`` for alpha outside [1, c-d-2]."""
+    table = per_spec(spec, "leaf_sets", lambda: {
+        a: leaves_profile(spec, a).leaves for a in range(1, spec.c - spec.d - 1)
+    })
+    if alpha not in table:
+        raise StructuralError(f"leftmost unit start {alpha} outside [1, {len(table)}]")
+    return table[alpha]
+
+
+def _walk(
+    vs: frozenset[Vertex], c: int, leaves: frozenset[Vertex]
+) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
+    """Rebuild the tree of ``vs`` top-down from the root (1, c).
+
+    Yields ``(node, children, top, right_sibling)`` per node, children by
+    left endpoint: ``top`` when the parent has another left endpoint (the
+    node heads its column), ``right_sibling`` for a split's left child.
+    ``StructuralError`` unless ``vs`` is a facet with units ``leaves``,
+    possibly after the last node: consume the whole walk.
+    """
     root = (1, c)
-    if root not in vs:
-        raise StructuralError(f"root {root} missing")
-
-    units = {v for v in vs if v[1] - v[0] == 1}
-    if not units:
-        raise StructuralError("no unit intervals present")
-    alpha = min(a for a, _ in units)
-    if not 1 <= alpha <= c - d - 2:
-        raise StructuralError(f"leftmost unit start {alpha} outside [1, {c - d - 2}]")
-    if units != leaves_profile(spec, alpha).leaves:
-        raise StructuralError(f"unit intervals do not form the leaf set at {alpha}")
-
-    # Laminar sweep: sorted by (a, -b) every vertex meets its tightest
-    # enclosing interval at the stack top; anything else is a crossing.
-    parent: dict[Vertex, Vertex] = {}
-    kids: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
-    stack: list[Vertex] = []
-    for v in sorted(vs, key=lambda v: (v[0], -v[1])):
-        while stack and stack[-1][1] <= v[0]:
-            stack.pop()
-        if stack:
-            top = stack[-1]
-            if v[1] > top[1]:
-                raise StructuralError(f"vertices {top} and {v} cross")
-            parent[v] = top
-            kids[top].append(v)
-        elif v != root:
-            raise StructuralError(f"vertex {v} not under the root")
-        stack.append(v)
-
-    for node, children in kids.items():
-        if len(children) > 2:
-            raise StructuralError(f"node {node} has {len(children)} children")
-        if len(children) == 1:
-            (child,) = children
-            a, b = node
-            if child == (a + 1, b):
-                dropped = (a, a + 1)
-            elif child == (a, b - 1):
-                dropped = (b - 1, b)
+    if root not in vs or not leaves <= vs:
+        raise StructuralError(f"root {root} or a leaf of the group is missing")
+    stack = [(root, True, False)]
+    visited = 0
+    while stack:
+        node, top, sibling = stack.pop()
+        visited += 1
+        a, b = node
+        if b - a == 1:
+            if node not in leaves:
+                raise StructuralError(f"unit {node} is not in the leaf set")
+            kids: tuple[Vertex, ...] = ()
+        else:
+            # The three node patterns; on a facet exactly one holds.
+            right, left = (a + 1, b), (a, b - 1)
+            if right in vs:  # drop the left unit, or split at a+1
+                unit = (a, a + 1)
+                kids = (unit, right) if unit in vs else (right,)
+            elif left in vs:  # drop the right unit, or split at b-1
+                unit = (b - 1, b)
+                kids = (left, unit) if unit in vs else (left,)
             else:
-                raise StructuralError(f"single child {child} of {node} is not a unit drop")
-            if dropped in vs:
-                raise StructuralError(f"dropped unit {dropped} of {node} is present")
-        elif len(children) == 2:
-            left, right = children
-            if left[0] != node[0] or left[1] != right[0] or right[1] != node[1]:
-                raise StructuralError(f"children {children} do not split {node}")
-        elif node not in units:
-            raise StructuralError(f"non-unit {node} is childless")
-
-    return parent, {node: tuple(children) for node, children in kids.items()}
+                for k in range(a + 2, b - 1):
+                    if (a, k) in vs and (k, b) in vs:
+                        kids = ((a, k), (k, b))
+                        break
+                else:
+                    raise StructuralError(f"node {node} neither splits nor drops an absent unit")
+            if len(kids) == 2:
+                stack.append((kids[1], True, False))
+                stack.append((kids[0], False, True))
+            else:
+                stack.append((kids[0], kids[0][0] != a, False))
+        yield node, kids, top, sibling
+    if visited != len(vs):
+        raise StructuralError(f"{len(vs) - visited} vertices lie off the tree from {root}")
 
 
 def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
     """Whether ``candidate`` is a facet of the initial complex of ``spec``."""
     require_complex(spec)
     vs = _validate_vertices(spec, candidate)
+    alpha = min((a for a, b in vs if b - a == 1), default=0)
     try:
-        _tree_structure(spec, vs)
+        for _ in _walk(vs, spec.c, _leaf_set(spec, alpha)):
+            pass
     except StructuralError:
         return False
     return True
 
 
 def facet_tree(facet: Facet) -> FacetTree:
-    """Containment tree of a facet; ``StructuralError`` on non-facets."""
-    parent, children = _tree_structure(facet.spec, facet.vertices)
-    return FacetTree(root=(1, facet.spec.c), children=children, parent=parent)
+    """Containment tree of a facet; ``StructuralError`` on non-facets and
+    when ``facet.alpha`` is not the leftmost unit start."""
+    spec = facet.spec
+    walk = _walk(facet.vertices, spec.c, _leaf_set(spec, facet.alpha))
+    children = {node: kids for node, kids, _, _ in walk}
+    parent = {kid: node for node, kids in children.items() for kid in kids}
+    return FacetTree(root=(1, spec.c), children=children, parent=parent)
 
 
 def _subtrees(

@@ -46,3 +46,14 @@ def crossing(u: tuple[int, int], v: tuple[int, int]) -> bool:
     """Whether two open intervals overlap without containment."""
     (a1, b1), (a2, b2) = sorted((u, v))
     return a1 < a2 < b1 < b2
+
+
+def tightest_covers(vertices) -> dict:
+    """Parent of every non-root vertex by brute force: the shortest other
+    interval of the set that contains it."""
+    covers = {}
+    for v in vertices:
+        enclosing = [u for u in vertices if u != v and u[0] <= v[0] and v[1] <= u[1]]
+        if enclosing:
+            covers[v] = min(enclosing, key=lambda u: u[1] - u[0])
+    return covers

@@ -9,6 +9,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from conftest import tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,6 +162,15 @@ class TestFacetsCommand:
         payload = json.loads(out)
         assert payload["count"] == 10
         assert all(len(f["vertices"]) == 6 for f in payload["facets"])
+
+    def test_json_parents_are_tightest_covers(self, capsys):
+        code, out, _ = run(capsys, "facets", "--n", "7", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == len(payload["facets"]) == 84
+        for f in payload["facets"]:
+            covers = tightest_covers([tuple(v) for v in f["vertices"]])
+            assert f["parents"] == sorted([list(v), list(p)] for v, p in covers.items())
 
     def test_alpha_filter_and_limit(self, capsys):
         code, out, _ = run(

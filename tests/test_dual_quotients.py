@@ -11,6 +11,7 @@ from scrollfiber import (
     DomainError,
     Facet,
     ScrollSpec,
+    StructuralError,
     UnsupportedRegimeError,
     colon_generators,
     dual_support,
@@ -153,6 +154,15 @@ class TestPredictLG:
             for alpha in range(1, top):
                 assert predict_LG(first_facet(spec, alpha)) == {(alpha, alpha + 1)}
 
+    def test_mislabelled_alpha_raises(self):
+        # An alpha-5 facet labelled with the greatest group, alpha = 6, used
+        # to get the plausible prediction frozenset() in place of {(5, 6)}.
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        facet = first_facet(spec, 5)
+        assert predict_LG(facet) == {(5, 6)}
+        with pytest.raises(StructuralError):
+            predict_LG(Facet(facet.vertices, alpha=6, spec=spec))
+
     def test_prediction_stays_inside_the_facet(self):
         for facet in enumerate_facets(ScrollSpec((2, 2, 2, 2))):
             predicted = predict_LG(facet)
@@ -196,6 +206,23 @@ class TestVerification:
     def test_mutated_sibling_rule_fails(self):
         result = verify_linear_quotients(ScrollSpec((6,)), mutation="b2")
         assert not result.passed
+
+    @pytest.mark.parametrize(
+        "n, c2, b2, swap",
+        [
+            ((2, 4), 9, 4, 28),
+            ((6,), 4, 14, 18),
+            ((2, 2, 2, 2), 90, 34, 264),
+            ((1, 2, 2, 4), 165, 179, 594),
+        ],
+    )
+    def test_mutation_failure_counts(self, n, c2, b2, swap):
+        spec = DESK_BY_N[n]
+        counts = {
+            m: len(verify_linear_quotients(spec, mutation=m).failures())
+            for m in ("c2", "b2", "swap-groups")
+        }
+        assert counts == {"c2": c2, "b2": b2, "swap-groups": swap}
 
     def test_swapped_group_order_is_a_diagnostic(self):
         result = verify_linear_quotients(ScrollSpec((5,)), mutation="swap-groups")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import brute_force_facets, crossing, desk_specs_with_complex
+from conftest import brute_force_facets, crossing, desk_specs_with_complex, tightest_covers
 
 from scrollfiber import (
     CapacityError,
@@ -18,6 +18,8 @@ from scrollfiber import (
     is_facet,
     leaves_profile,
     precedes,
+    predict_LG,
+    vertex_set,
 )
 from scrollfiber.facet_complex import MAX_ENUMERATED_FACETS, count_facets
 
@@ -54,6 +56,42 @@ class TestIsFacet:
                 assert not is_facet(facet.spec, facet.vertices - {v})
 
 
+# The enumeration (the ``_subtrees`` recursion, not the walk) is the oracle.
+ORACLE_SPECS = [(5,), (6,), (2, 4), (1, 5), (7,), (2, 2, 2, 2)]
+
+
+class TestWalkAgainstEnumeration:
+    @pytest.mark.parametrize("n", ORACLE_SPECS)
+    def test_one_vertex_changes(self, n):
+        spec = ScrollSpec(n)
+        facets = {f.vertices for f in enumerate_facets(spec)}
+        vertices = vertex_set(spec)
+        for f in facets:
+            outside = [w for w in vertices if w not in f]
+            for w in outside:
+                assert not is_facet(spec, f | {w})
+            for u in f:
+                rest = f - {u}
+                assert not is_facet(spec, rest)
+                for w in outside:
+                    swapped = rest | {w}
+                    assert is_facet(spec, swapped) == (swapped in facets)
+
+    @pytest.mark.parametrize("n", ORACLE_SPECS)
+    def test_relabelled_facets_raise(self, n):
+        spec = ScrollSpec(n)
+        top = spec.c - spec.d - 2
+        for f in enumerate_facets(spec):
+            for alpha in range(top + 2):
+                if alpha == f.alpha:
+                    continue
+                relabelled = Facet(f.vertices, alpha=alpha, spec=spec)
+                with pytest.raises(StructuralError):
+                    predict_LG(relabelled)
+                with pytest.raises(StructuralError):
+                    facet_tree(relabelled)
+
+
 class TestFacetTree:
     def test_tree_of_first_facet_2244(self):
         tree = facet_tree(Facet(FIRST_2244_A2, alpha=2, spec=SPEC_2244))
@@ -77,6 +115,23 @@ class TestFacetTree:
         broken = Facet(FIRST_2244_A2 - {(10, 12)}, alpha=2, spec=SPEC_2244)
         with pytest.raises(StructuralError):
             facet_tree(broken)
+
+    def test_mislabelled_alpha_raises(self):
+        # An alpha-5 facet labelled with the greatest group, alpha = 6.
+        facet = first_facet(SPEC_2244, 5)
+        with pytest.raises(StructuralError):
+            facet_tree(Facet(facet.vertices, alpha=6, spec=SPEC_2244))
+
+    def test_matches_tightest_enclosing_intervals(self):
+        for spec in desk_specs_with_complex():
+            for facet in enumerate_facets(spec):
+                tree = facet_tree(facet)
+                parents = tightest_covers(facet.vertices)
+                assert tree.parent == parents
+                covers = {u: [] for u in facet.vertices}
+                for v, p in sorted(parents.items()):
+                    covers[p].append(v)
+                assert tree.children == {u: tuple(kids) for u, kids in covers.items()}
 
 
 class TestEnumeration:

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -25,12 +25,7 @@ from . import __version__
 from .dual_quotients import MUTATIONS, VerificationResult, verify_linear_quotients
 from .errors import CapacityError, PreconditionError, ScrollError, VerificationError
 from .facet_complex import enumerate_facets, facet_tree
-from .invariants import (
-    DEFAULT_FACE_NODE_CAPACITY,
-    InvariantReport,
-    closed_form,
-    full_report,
-)
+from .invariants import DEFAULT_FACE_NODE_CAPACITY, full_report
 from .oracle import DEFAULT_MODULUS, DEFAULT_ROW_CAPACITY, CrossCheckResult, cross_check
 from .scroll_model import ScrollSpec, leaves_profile
 
@@ -42,27 +37,6 @@ EXIT_PREDICTION_ONLY = 3
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("c", "d", "facets", "reg", "a", "gorenstein", "pass")
 MAX_REPORTED_FAILURES = 100
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Parsed, normalized invocation parameters."""
-
-    n: tuple[int, ...]
-    t_max: int = 3
-    modulus: int | str = DEFAULT_MODULUS
-    fmt: str = "text"
-    row_capacity: int = DEFAULT_ROW_CAPACITY
-    face_capacity: int = DEFAULT_FACE_NODE_CAPACITY
-    hilbert_window: int = 5
-    mutate_rule: str | None = None
-    include_timings: bool = False
-    out_dir: str | None = None
-    normalized: bool = False
-
-    @property
-    def spec(self) -> ScrollSpec:
-        return ScrollSpec(self.n)
 
 
 @dataclass(slots=True)
@@ -80,17 +54,7 @@ class ReportEnvelope:
     tool: dict = field(default_factory=lambda: {"name": "scrollfiber", "version": __version__})
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool": self.tool,
-            "spec": self.spec,
-            "mode": self.mode,
-            "invariants": self.invariants,
-            "verification": self.verification,
-            "oracle": self.oracle,
-            "timings": self.timings,
-            "error": self.error,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReportEnvelope":
@@ -130,25 +94,8 @@ def _parse_modulus(text: str) -> int | str:
         raise PreconditionError(f"modulus must be an integer or 'rational': {text!r}")
 
 
-def _spec_dict(config: RunConfig) -> dict:
-    spec = config.spec
-    return {"n": list(spec.n), "c": spec.c, "d": spec.d, "normalized": config.normalized}
-
-
-def _invariants_dict(report: InvariantReport) -> dict:
-    return {
-        "c": report.c,
-        "d": report.d,
-        "facet_count": report.facet_count,
-        "h_vector": list(report.h_vector) if report.h_vector is not None else None,
-        "dim": report.dim,
-        "reg": report.reg,
-        "a_invariant": report.a_invariant,
-        "reduction_number": report.reduction_number,
-        "gorenstein": report.gorenstein,
-        "closed_form_match": report.closed_form_match,
-        "mode": report.mode,
-    }
+def _spec_dict(spec: ScrollSpec, normalized: bool) -> dict:
+    return {"n": list(spec.n), "c": spec.c, "d": spec.d, "normalized": normalized}
 
 
 def _verification_dict(result: VerificationResult) -> dict:
@@ -169,7 +116,7 @@ def _verification_dict(result: VerificationResult) -> dict:
     return {
         "passed": result.passed,
         "facets": len(result.reports),
-        "mode": result.mode,
+        "mode": "indexed",
         "mutation": result.mutation,
         "failure_count": len(failures),
         "failures": entries,
@@ -273,76 +220,68 @@ def _render(envelope: ReportEnvelope, fmt: str) -> str:
     return _render_text(envelope)
 
 
-def _write_output(text: str, config_out_dir: str | None, filename: str) -> None:
-    sys.stdout.write(text)
-    out_dir = config_out_dir or os.environ.get("SCROLLFIBER_OUT_DIR")
+def _write_output(text: str, out_dir: str | None, filename: str) -> None:
+    """Write the report to ``out_dir`` (or ``SCROLLFIBER_OUT_DIR``), then print it."""
+    out_dir = out_dir or os.environ.get("SCROLLFIBER_OUT_DIR")
     if out_dir:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text, encoding="utf-8")
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            (Path(out_dir) / filename).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise PreconditionError(f"cannot write the report to {out_dir}: {exc}")
+    sys.stdout.write(text)
 
 
-def _out_name(command: str, config: RunConfig, fmt: str) -> str:
-    tag = "-".join(str(v) for v in config.n)
-    return f"{command}-n{tag}.{fmt}"
-
-
-def cmd_invariants(config: RunConfig) -> tuple[ReportEnvelope, int]:
+def cmd_invariants(
+    spec: ScrollSpec, normalized: bool, hilbert_window: int, face_capacity: int
+) -> tuple[ReportEnvelope, int]:
     """Full invariant report; prediction-only (exit 3) when c < d + 4."""
-    spec = config.spec
-    started = time.perf_counter()
-    if not spec.has_complex:
-        report = closed_form(spec.c, spec.d)
-        envelope = ReportEnvelope(
-            spec=_spec_dict(config), mode="prediction-only", invariants=_invariants_dict(report)
-        )
-        return envelope, EXIT_PREDICTION_ONLY
-
     try:
-        report = full_report(
-            spec,
-            hilbert_window=config.hilbert_window,
-            face_capacity=config.face_capacity,
-        )
+        report = full_report(spec, hilbert_window=hilbert_window, face_capacity=face_capacity)
+        if report.mode == "prediction-only":
+            envelope = ReportEnvelope(
+                spec=_spec_dict(spec, normalized), mode=report.mode, invariants=asdict(report)
+            )
+            return envelope, EXIT_PREDICTION_ONLY
         verification = verify_linear_quotients(spec)
     except VerificationError as exc:
-        envelope = ReportEnvelope(spec=_spec_dict(config), mode="computed", error=str(exc))
+        envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="computed", error=str(exc))
         return envelope, EXIT_MATH
-    timings = {"total": round(time.perf_counter() - started, 3)} if config.include_timings else None
     envelope = ReportEnvelope(
-        spec=_spec_dict(config),
+        spec=_spec_dict(spec, normalized),
         mode="computed",
-        invariants=_invariants_dict(report),
+        invariants=asdict(report),
         verification=_verification_dict(verification),
-        timings=timings,
     )
     passed = report.closed_form_match and verification.passed
     return envelope, EXIT_OK if passed else EXIT_MATH
 
 
-def cmd_verify(config: RunConfig) -> tuple[ReportEnvelope, int]:
+def cmd_verify(
+    spec: ScrollSpec,
+    normalized: bool,
+    t_max: int,
+    modulus: int | str,
+    row_capacity: int,
+    mutation: str | None,
+) -> tuple[ReportEnvelope, int]:
     """Linear-quotients certification plus the rank-oracle cross-check."""
-    spec = config.spec
-    started = time.perf_counter()
-    verification = verify_linear_quotients(spec, mutation=config.mutate_rule)
-    oracle_result = cross_check(
-        spec, config.t_max, modulus=config.modulus, capacity=config.row_capacity
-    )
-    timings = {"total": round(time.perf_counter() - started, 3)} if config.include_timings else None
+    verification = verify_linear_quotients(spec, mutation=mutation)
+    oracle_result = cross_check(spec, t_max, modulus=modulus, capacity=row_capacity)
     envelope = ReportEnvelope(
-        spec=_spec_dict(config),
+        spec=_spec_dict(spec, normalized),
         mode="computed",
         verification=_verification_dict(verification),
         oracle=_oracle_dict(oracle_result),
-        timings=timings,
     )
     passed = verification.passed and oracle_result.passed
     return envelope, EXIT_OK if passed else EXIT_MATH
 
 
-def cmd_facets(config: RunConfig, alpha: int | None, limit: int) -> str:
+def cmd_facets(
+    spec: ScrollSpec, normalized: bool, fmt: str, alpha: int | None, limit: int
+) -> str:
     """Render the facet list (with trees) in the requested format."""
-    spec = config.spec
     if limit < 0:
         raise PreconditionError(f"--limit must be >= 0 (0 emits every facet), got {limit}")
     if alpha is not None:
@@ -352,10 +291,10 @@ def cmd_facets(config: RunConfig, alpha: int | None, limit: int) -> str:
         facets = [f for f in facets if f.alpha == alpha]
     if limit:
         facets = facets[:limit]
-    if config.fmt == "json":
+    if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "spec": _spec_dict(config),
+            "spec": _spec_dict(spec, normalized),
             "count": len(facets),
             "facets": [
                 {
@@ -376,7 +315,7 @@ def cmd_facets(config: RunConfig, alpha: int | None, limit: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _batch_line(line: str, config: RunConfig) -> tuple[ReportEnvelope, int]:
+def _batch_line(line: str, hilbert_window: int, face_capacity: int) -> tuple[ReportEnvelope, int]:
     try:
         n, normalized = _parse_n(line)
     except PreconditionError as exc:
@@ -386,30 +325,26 @@ def _batch_line(line: str, config: RunConfig) -> tuple[ReportEnvelope, int]:
             error=str(exc),
         )
         return envelope, EXIT_USAGE
-    line_config = RunConfig(
-        n=n,
-        fmt=config.fmt,
-        hilbert_window=config.hilbert_window,
-        face_capacity=config.face_capacity,
-        normalized=normalized,
-    )
+    spec = ScrollSpec(n)
     try:
-        return cmd_invariants(line_config)
+        return cmd_invariants(spec, normalized, hilbert_window, face_capacity)
     except ScrollError as exc:
-        envelope = ReportEnvelope(spec=_spec_dict(line_config), mode="error", error=str(exc))
+        envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="error", error=str(exc))
         return envelope, EXIT_USAGE
 
 
-def cmd_batch(path: str, config: RunConfig) -> tuple[list[ReportEnvelope], int]:
+def cmd_batch(
+    path: str, hilbert_window: int, face_capacity: int
+) -> tuple[list[ReportEnvelope], int]:
     """One invariant envelope per input line, in input order; errors never stop
     the run.  A line's results are freed before the next line starts."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read batch file {path}: {exc}")
     lines = [line.strip() for line in raw.splitlines()]
     lines = [line for line in lines if line]
-    results = [_batch_line(line, config) for line in lines]
+    results = [_batch_line(line, hilbert_window, face_capacity) for line in lines]
     codes = {code for _, code in results}
     exit_code = next((code for code in (EXIT_USAGE, EXIT_MATH) if code in codes), EXIT_OK)
     return [envelope for envelope, _ in results], exit_code
@@ -528,22 +463,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
             return cmd_selftest()
 
         if args.command == "batch":
-            config = RunConfig(
-                n=(1,),
-                fmt=args.format,
-                hilbert_window=args.hilbert_window,
-                face_capacity=args.face_capacity,
-                out_dir=args.out_dir,
-            )
-            envelopes, code = cmd_batch(args.file, config)
+            envelopes, code = cmd_batch(args.file, args.hilbert_window, args.face_capacity)
             if args.format == "json":
                 text = "".join(
                     json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in envelopes
@@ -561,39 +487,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         n, normalized = _parse_n(args.n)
         if normalized:
             print(f"note: n reordered non-decreasingly to {','.join(map(str, n))}", file=sys.stderr)
+        spec = ScrollSpec(n)
+        filename = f"{args.command}-n{'-'.join(map(str, n))}.{args.format}"
 
         if args.command == "facets":
-            config = RunConfig(n=n, fmt=args.format, normalized=normalized, out_dir=args.out_dir)
-            text = cmd_facets(config, args.alpha, args.limit)
-            _write_output(text, args.out_dir, _out_name("facets", config, args.format))
+            text = cmd_facets(spec, normalized, args.format, args.alpha, args.limit)
+            _write_output(text, args.out_dir, filename)
             return EXIT_OK
 
+        started = time.perf_counter()
         if args.command == "invariants":
-            config = RunConfig(
-                n=n,
-                fmt=args.format,
-                hilbert_window=args.hilbert_window,
-                face_capacity=args.face_capacity,
-                include_timings=args.timings,
-                out_dir=args.out_dir,
-                normalized=normalized,
+            envelope, code = cmd_invariants(
+                spec, normalized, args.hilbert_window, args.face_capacity
             )
-            envelope, code = cmd_invariants(config)
         else:  # verify
-            config = RunConfig(
-                n=n,
-                t_max=args.t_max,
-                modulus=_parse_modulus(args.modulus),
-                fmt=args.format,
-                row_capacity=args.capacity,
-                mutate_rule=args.mutate_rule,
-                include_timings=args.timings,
-                out_dir=args.out_dir,
-                normalized=normalized,
+            envelope, code = cmd_verify(
+                spec, normalized, args.t_max, _parse_modulus(args.modulus), args.capacity,
+                args.mutate_rule,
             )
-            envelope, code = cmd_verify(config)
-        _write_output(_render(envelope, args.format), args.out_dir,
-                      _out_name(args.command, config, args.format))
+        if args.timings and envelope.mode == "computed" and envelope.error is None:
+            envelope.timings = {"total": round(time.perf_counter() - started, 3)}
+        _write_output(_render(envelope, args.format), args.out_dir, filename)
         return code
 
     except CapacityError as exc:

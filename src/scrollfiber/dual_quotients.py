@@ -32,7 +32,6 @@ from .facet_complex import (
     _leaf_set,
     _vertex_ids,
     _walk,
-    first_facet,
 )
 from .scroll_model import ScrollSpec, per_spec, require_complex
 
@@ -67,7 +66,6 @@ class VerificationResult:
     spec: ScrollSpec
     reports: tuple[ColonReport, ...]
     passed: bool
-    mode: str = "indexed"
     mutation: str | None = None
 
     def failures(self) -> tuple[ColonReport, ...]:
@@ -98,7 +96,7 @@ def descending_order_key(facet: Facet):
 
 
 def _swapped_groups_key(facet: Facet):
-    top = facet.spec.c - facet.spec.d - 2
+    top = facet.spec.alphas[-1]
     alpha = {top: top - 1, top - 1: top}.get(facet.alpha, facet.alpha)
     return (-alpha, descending_order_key(facet)[1])
 
@@ -142,10 +140,11 @@ def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex
     _check_mutation(mutation)
     spec = facet.spec
     alpha = facet.alpha
-    unit_generates = alpha != spec.c - spec.d - 2 or mutation == "c2"
+    leaves = _leaf_set(spec, alpha)
+    unit_generates = alpha != spec.alphas[-1] or mutation == "c2"
     split_generates = mutation != "b2"
     out: set[Vertex] = set()
-    for node, kids, top, sibling in _walk(facet.vertices, spec.c, _leaf_set(spec, alpha)):
+    for node, kids, top, sibling in _walk(facet.vertices, spec.c, leaves):
         if top:
             continue
         a, b = node
@@ -177,8 +176,7 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     sets through an inverted index.  The list must contain the globally
     greatest facet, otherwise it cannot be complete.
     """
-    spec = facet.spec
-    greatest = first_facet(spec, spec.c - spec.d - 2)
+    greatest = _enumerated(facet.spec)[0]
     if not any(f.vertices == greatest.vertices for f in all_facets):
         raise DomainError("facet list is missing the greatest facet; incomplete input")
     return _minimal_diffs(facet, (g for g in all_facets if precedes(g, facet)))
@@ -251,41 +249,25 @@ def _indexed_reports(facets: Sequence[Facet], mutation: str | None) -> list[Colo
 
 
 def verify_linear_quotients(
-    spec: ScrollSpec,
-    *,
-    mode: str = "indexed",
-    mutation: str | None = None,
+    spec: ScrollSpec, *, mutation: str | None = None
 ) -> VerificationResult:
     """Certify that the ordered dual generators have linear quotients.
 
     Every facet's minimal colon generators must be singletons equal to its
-    prediction; the greatest facet's colon must be empty.  ``mode="full"``
-    forces the quadratic audit scan on every facet.  The default-mode result
-    is kept on ``spec``.
+    prediction; the greatest facet's colon must be empty.  The unmutated
+    result is kept on ``spec``.
     """
     require_complex(spec)
     _check_mutation(mutation)
-    if mode not in ("indexed", "full"):
-        raise PreconditionError(f"mode must be 'indexed' or 'full', got {mode!r}")
-    if mode == "indexed" and mutation is None:
-        return per_spec(spec, "certification", lambda: _certify(spec, mode, mutation))
-    return _certify(spec, mode, mutation)
+    if mutation is None:
+        return per_spec(spec, "certification", lambda: _certify(spec, None))
+    return _certify(spec, mutation)
 
 
-def _certify(spec: ScrollSpec, mode: str, mutation: str | None) -> VerificationResult:
+def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
     facets = _enumerated(spec)
     if mutation == "swap-groups":
         facets = sorted(facets, key=_swapped_groups_key)
-
-    if mode == "full":
-        reports = [
-            _report_for(f, _minimal_diffs(f, facets[:rank]), mutation)
-            for rank, f in enumerate(facets)
-        ]
-    else:
-        reports = _indexed_reports(facets, mutation)
-
+    reports = _indexed_reports(facets, mutation)
     passed = all(r.linear and r.matches_prediction for r in reports)
-    return VerificationResult(
-        spec=spec, reports=tuple(reports), passed=passed, mode=mode, mutation=mutation
-    )
+    return VerificationResult(spec=spec, reports=tuple(reports), passed=passed, mutation=mutation)

@@ -61,6 +61,12 @@ class ScrollSpec:
     def has_complex(self) -> bool:
         return complex_regime(self.c, self.d)
 
+    @property
+    def alphas(self) -> range:
+        """The window positions 1..c-d-2 of the facet groups, greatest last;
+        empty when the spec has no complex."""
+        return range(1, self.c - self.d - 1) if self.has_complex else range(0)
+
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.n) + ")"
 
@@ -154,8 +160,8 @@ def leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
     would mean the column arrangement is broken and raises ``InternalError``.
     """
     require_complex(spec)
-    if not 1 <= alpha <= spec.c - spec.d - 2:
-        raise PreconditionError(f"alpha must lie in [1, {spec.c - spec.d - 2}], got {alpha}")
+    if alpha not in spec.alphas:
+        raise PreconditionError(f"alpha must lie in [1, {spec.alphas[-1]}], got {alpha}")
     return per_spec(spec, ("leaves", alpha), lambda: _leaves_profile(spec, alpha))
 
 

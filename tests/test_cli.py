@@ -90,6 +90,15 @@ class TestInvariantsCommand:
         assert out == ""
         assert "475,456 facets" in err and "200,000" in err
 
+    def test_counting_budget_guard(self, capsys):
+        for n in ("120", "1100"):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "invariants", "--n", n)
+            assert time.perf_counter() - started < 2
+            assert code == 2
+            assert out == ""
+            assert "counting budget of 1,000,000 steps" in err
+
     def test_csv_schema(self, capsys):
         code, out, _ = run(capsys, "invariants", "--n", "5", "--format", "csv")
         assert code == 0
@@ -235,6 +244,23 @@ class TestBatchCommand:
         assert rows[1] == ",,,,,,error"
         assert "475,456 facets" in err
 
+    def test_over_counting_budget_line_is_isolated(self, capsys, tmp_path):
+        batch = tmp_path / "huge.txt"
+        batch.write_text("5\n1100\n6\n", encoding="utf-8")
+        code, out, err = run(capsys, "batch", str(batch))
+        assert code == 2
+        rows = out.strip().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["true", "error", "true"]
+        assert "counting budget" in err
+
+    def test_undecodable_file_is_a_usage_error(self, capsys, tmp_path):
+        batch = tmp_path / "binary.txt"
+        batch.write_bytes(b"\xff\xfe5\n")
+        code, out, err = run(capsys, "batch", str(batch))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read batch file {batch}")
+
     def test_json_lines(self, capsys, tmp_path):
         batch = tmp_path / "two.txt"
         batch.write_text("5\n6\n", encoding="utf-8")
@@ -258,6 +284,97 @@ class TestSelftest:
         assert "9/9" in out
 
 
+INVARIANTS_5_TEXT = """\
+spec: n=(5) c=5 d=1
+mode: computed
+facets: 10
+h-vector: 1 4 4 1
+dim: 6
+reg: 3
+a-invariant: -3
+reduction number: 3
+gorenstein: true
+closed-form match: true
+linear quotients: pass over 10 facets
+"""
+
+PREDICTED_3_TEXT = """\
+spec: n=(3) c=3 d=1
+mode: prediction-only
+dim: 3
+reg: 0
+a-invariant: -3
+reduction number: 0
+gorenstein: true
+closed-form match: true
+"""
+
+PARSE_ERROR = "error: cannot parse block degrees from '2,x'\n"
+
+
+class TestPinnedBytes:
+    """The exact text and CSV reports; JSON is covered by the round trips."""
+
+    def test_invariants_text(self, capsys):
+        assert run(capsys, "invariants", "--n", "5") == (0, INVARIANTS_5_TEXT, "")
+
+    def test_invariants_csv(self, capsys):
+        expected = "c,d,facets,reg,a,gorenstein,pass\n5,1,10,3,-3,true,true\n"
+        assert run(capsys, "invariants", "--n", "5", "--format", "csv") == (0, expected, "")
+
+    def test_verify_text(self, capsys):
+        expected = (
+            "spec: n=(5) c=5 d=1\n"
+            "mode: computed\n"
+            "linear quotients: pass over 10 facets\n"
+            "oracle (modulus 2147483647, t <= 2):\n"
+            "  t=0: fiber=1 faces=1 ok\n"
+            "  t=1: fiber=10 faces=10 ok\n"
+            "  t=2: fiber=49 faces=49 ok\n"
+            "oracle: pass\n"
+        )
+        assert run(capsys, "verify", "--n", "5", "--t-max", "2") == (0, expected, "")
+
+    def test_facets_text(self, capsys):
+        expected = (
+            "10 facets of n=(5)\n"
+            "alpha=2  (1,5) (2,3) (2,5) (3,4) (3,5) (4,5)\n"
+            "alpha=2  (1,5) (2,3) (2,4) (2,5) (3,4) (4,5)\n"
+            "alpha=2  (1,4) (1,5) (2,3) (2,4) (3,4) (4,5)\n"
+            "alpha=2  (1,3) (1,5) (2,3) (3,4) (3,5) (4,5)\n"
+            "alpha=2  (1,3) (1,4) (1,5) (2,3) (3,4) (4,5)\n"
+            "alpha=1  (1,2) (1,5) (2,3) (2,5) (3,4) (3,5)\n"
+            "alpha=1  (1,2) (1,5) (2,3) (2,4) (2,5) (3,4)\n"
+            "alpha=1  (1,2) (1,4) (1,5) (2,3) (2,4) (3,4)\n"
+            "alpha=1  (1,2) (1,3) (1,5) (2,3) (3,4) (3,5)\n"
+            "alpha=1  (1,2) (1,3) (1,4) (1,5) (2,3) (3,4)\n"
+        )
+        assert run(capsys, "facets", "--n", "5") == (0, expected, "")
+
+    def test_batch_csv(self, capsys, tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("5\n2,x\n3\n", encoding="utf-8")
+        expected = (
+            "c,d,facets,reg,a,gorenstein,pass\n"
+            "5,1,10,3,-3,true,true\n"
+            ",,,,,,error\n"
+            "3,1,,0,-3,true,prediction-only\n"
+        )
+        assert run(capsys, "batch", str(batch)) == (2, expected, PARSE_ERROR)
+
+    def test_batch_text(self, capsys, tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("5\n2,x\n3\n", encoding="utf-8")
+        expected = (
+            INVARIANTS_5_TEXT
+            + "spec: unparsable input '2,x'\n"
+            + "mode: error\n"
+            + PARSE_ERROR
+            + PREDICTED_3_TEXT
+        )
+        assert run(capsys, "batch", str(batch), "--format", "text") == (2, expected, PARSE_ERROR)
+
+
 class TestOutputDirectory:
     def test_report_file_written(self, capsys, tmp_path):
         code, out, _ = run(
@@ -267,6 +384,17 @@ class TestOutputDirectory:
         assert code == 0
         written = (tmp_path / "invariants-n5.json").read_text(encoding="utf-8")
         assert written == out
+
+    def test_unwritable_directory_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        taken = tmp_path / "report"
+        taken.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, "invariants", "--n", "5", "--out-dir", str(taken))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write the report to {taken}")
+        monkeypatch.setenv("SCROLLFIBER_OUT_DIR", str(taken / "inside"))
+        code, out, err = run(capsys, "invariants", "--n", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write the report to {taken / 'inside'}")
 
 
 # Fuzzing main(argv): valid and garbage values for every value option, on

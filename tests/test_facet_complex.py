@@ -190,6 +190,8 @@ class TestFacetCount:
             ((2, 2, 4, 4), 20696),
             ((2, 2, 2, 2, 2, 2), 38012),
             ((4, 4, 4, 4), 475456),
+            ((30,), 1_073_740_952),
+            ((40,), 1_099_511_626_214),
         ],
     )
     def test_known_counts(self, n, count):
@@ -203,6 +205,15 @@ class TestFacetCount:
         with pytest.raises(CapacityError, match="475,456 facets.*200,000"):
             enumerate_facets(ScrollSpec((4, 4, 4, 4)))
         assert count_facets(ScrollSpec((16,))) <= MAX_ENUMERATED_FACETS
+
+    @pytest.mark.parametrize("n", [(52,), (120,), (1100,), (20, 20, 20)])
+    def test_over_budget_count_is_refused_before_counting(self, n, monkeypatch):
+        def no_counting(*args):
+            raise AssertionError("the counting DP ran")
+
+        monkeypatch.setattr("scrollfiber.facet_complex._count_subtrees", no_counting)
+        with pytest.raises(CapacityError, match="counting budget of 1,000,000 steps"):
+            count_facets(ScrollSpec(n))
 
     def test_count_mismatch_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr("scrollfiber.facet_complex.count_facets", lambda spec: 11)

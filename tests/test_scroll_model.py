@@ -57,6 +57,7 @@ class TestScrollSpec:
     def test_complex_regime(self, n, expected):
         spec = ScrollSpec(n)
         assert spec.has_complex is expected
+        assert list(spec.alphas) == (list(range(1, spec.c - spec.d - 1)) if expected else [])
         if not expected:
             with pytest.raises(UnsupportedRegimeError, match="d\\+4"):
                 leaves_profile(spec, 1)

@@ -22,12 +22,18 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .dual_quotients import MUTATIONS, VerificationResult, verify_linear_quotients
-from .errors import CapacityError, PreconditionError, ScrollError, VerificationError
-from .facet_complex import enumerate_facets, facet_tree
-from .invariants import DEFAULT_FACE_NODE_CAPACITY, full_report
-from .oracle import DEFAULT_MODULUS, DEFAULT_ROW_CAPACITY, CrossCheckResult, cross_check
-from .scroll_model import ScrollSpec, leaves_profile
+from .dual_quotients import (
+    MUTATIONS,
+    VerificationResult,
+    colon_generators,
+    predict_LG,
+    verify_linear_quotients,
+)
+from .errors import PreconditionError, ScrollError, VerificationError
+from .facet_complex import Facet, enumerate_facets, facet_tree, first_facet, is_facet
+from .invariants import full_report, h_vector_from_quotients, hilbert_function_by_faces
+from .oracle import DEFAULT_MODULUS, CrossCheckResult, cross_check, fiber_hilbert_function
+from .scroll_model import ScrollSpec, build_matrix, leaves_profile
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -233,11 +239,11 @@ def _write_output(text: str, out_dir: str | None, filename: str) -> None:
 
 
 def cmd_invariants(
-    spec: ScrollSpec, normalized: bool, hilbert_window: int, face_capacity: int
+    spec: ScrollSpec, normalized: bool, hilbert_window: int
 ) -> tuple[ReportEnvelope, int]:
     """Full invariant report; prediction-only (exit 3) when c < d + 4."""
     try:
-        report = full_report(spec, hilbert_window=hilbert_window, face_capacity=face_capacity)
+        report = full_report(spec, hilbert_window=hilbert_window)
         if report.mode == "prediction-only":
             envelope = ReportEnvelope(
                 spec=_spec_dict(spec, normalized), mode=report.mode, invariants=asdict(report)
@@ -262,12 +268,11 @@ def cmd_verify(
     normalized: bool,
     t_max: int,
     modulus: int | str,
-    row_capacity: int,
     mutation: str | None,
 ) -> tuple[ReportEnvelope, int]:
     """Linear-quotients certification plus the rank-oracle cross-check."""
     verification = verify_linear_quotients(spec, mutation=mutation)
-    oracle_result = cross_check(spec, t_max, modulus=modulus, capacity=row_capacity)
+    oracle_result = cross_check(spec, t_max, modulus=modulus)
     envelope = ReportEnvelope(
         spec=_spec_dict(spec, normalized),
         mode="computed",
@@ -284,10 +289,9 @@ def cmd_facets(
     """Render the facet list (with trees) in the requested format."""
     if limit < 0:
         raise PreconditionError(f"--limit must be >= 0 (0 emits every facet), got {limit}")
-    if alpha is not None:
-        leaves_profile(spec, alpha)  # validates the alpha range
     facets = enumerate_facets(spec)
     if alpha is not None:
+        leaves_profile(spec, alpha)  # validates the alpha range
         facets = [f for f in facets if f.alpha == alpha]
     if limit:
         facets = facets[:limit]
@@ -315,7 +319,7 @@ def cmd_facets(
     return "\n".join(lines) + "\n"
 
 
-def _batch_line(line: str, hilbert_window: int, face_capacity: int) -> tuple[ReportEnvelope, int]:
+def _batch_line(line: str, hilbert_window: int) -> tuple[ReportEnvelope, int]:
     try:
         n, normalized = _parse_n(line)
     except PreconditionError as exc:
@@ -327,15 +331,13 @@ def _batch_line(line: str, hilbert_window: int, face_capacity: int) -> tuple[Rep
         return envelope, EXIT_USAGE
     spec = ScrollSpec(n)
     try:
-        return cmd_invariants(spec, normalized, hilbert_window, face_capacity)
+        return cmd_invariants(spec, normalized, hilbert_window)
     except ScrollError as exc:
         envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="error", error=str(exc))
         return envelope, EXIT_USAGE
 
 
-def cmd_batch(
-    path: str, hilbert_window: int, face_capacity: int
-) -> tuple[list[ReportEnvelope], int]:
+def cmd_batch(path: str, hilbert_window: int) -> tuple[list[ReportEnvelope], int]:
     """One invariant envelope per input line, in input order; errors never stop
     the run.  A line's results are freed before the next line starts."""
     try:
@@ -344,7 +346,7 @@ def cmd_batch(
         raise PreconditionError(f"cannot read batch file {path}: {exc}")
     lines = [line.strip() for line in raw.splitlines()]
     lines = [line for line in lines if line]
-    results = [_batch_line(line, hilbert_window, face_capacity) for line in lines]
+    results = [_batch_line(line, hilbert_window) for line in lines]
     codes = {code for _, code in results}
     exit_code = next((code for code in (EXIT_USAGE, EXIT_MATH) if code in codes), EXIT_OK)
     return [envelope for envelope, _ in results], exit_code
@@ -352,13 +354,6 @@ def cmd_batch(
 
 def cmd_selftest() -> int:
     """Built-in example checks; prints one line per check."""
-    from .scroll_model import build_matrix
-    from .facet_complex import first_facet, is_facet
-    from .dual_quotients import colon_generators, predict_LG
-    from .invariants import h_vector_from_quotients
-    from .oracle import fiber_hilbert_function
-    from .invariants import hilbert_function_by_faces
-
     checks: list[tuple[str, bool]] = []
 
     spec = ScrollSpec((2, 2, 4, 4))
@@ -378,8 +373,6 @@ def cmd_selftest() -> int:
     checks.append(("first facet is a facet", is_facet(spec, first.vertices)))
 
     spec245 = ScrollSpec((2, 4, 5))
-    from .facet_complex import Facet
-
     example = Facet(
         vertices=frozenset(
             {
@@ -434,15 +427,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_inv)
     p_inv.add_argument("--hilbert-window", type=int, default=5, metavar="T",
                        help="check the two Hilbert paths up to this degree (default 5)")
-    p_inv.add_argument("--face-capacity", type=int, default=DEFAULT_FACE_NODE_CAPACITY)
 
     p_ver = sub.add_parser("verify", help="certify linear quotients and run the rank oracle")
     add_common(p_ver)
     p_ver.add_argument("--t-max", type=int, default=3)
     p_ver.add_argument("--modulus", default=str(DEFAULT_MODULUS),
                        help="prime modulus for the rank oracle, or 'rational'")
-    p_ver.add_argument("--capacity", type=int, default=DEFAULT_ROW_CAPACITY,
-                       help="row guard for the rank oracle")
     p_ver.add_argument("--mutate-rule", choices=sorted(MUTATIONS), default=None,
                        help="diagnostic rule mutation (checker self-test)")
 
@@ -456,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bat.add_argument("--format", choices=("text", "json", "csv"), default="csv")
     p_bat.add_argument("--out-dir", default=None)
     p_bat.add_argument("--hilbert-window", type=int, default=5)
-    p_bat.add_argument("--face-capacity", type=int, default=DEFAULT_FACE_NODE_CAPACITY)
 
     sub.add_parser("selftest", help="run the built-in example checks")
     return parser
@@ -469,7 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_selftest()
 
         if args.command == "batch":
-            envelopes, code = cmd_batch(args.file, args.hilbert_window, args.face_capacity)
+            envelopes, code = cmd_batch(args.file, args.hilbert_window)
             if args.format == "json":
                 text = "".join(
                     json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in envelopes
@@ -497,22 +486,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         started = time.perf_counter()
         if args.command == "invariants":
-            envelope, code = cmd_invariants(
-                spec, normalized, args.hilbert_window, args.face_capacity
-            )
+            envelope, code = cmd_invariants(spec, normalized, args.hilbert_window)
         else:  # verify
             envelope, code = cmd_verify(
-                spec, normalized, args.t_max, _parse_modulus(args.modulus), args.capacity,
-                args.mutate_rule,
+                spec, normalized, args.t_max, _parse_modulus(args.modulus), args.mutate_rule
             )
         if args.timings and envelope.mode == "computed" and envelope.error is None:
             envelope.timings = {"total": round(time.perf_counter() - started, 3)}
         _write_output(_render(envelope, args.format), args.out_dir, filename)
         return code
 
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ScrollError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,6 +32,7 @@ from .facet_complex import (
     _leaf_set,
     _vertex_ids,
     _walk,
+    descending_order_key,
 )
 from .scroll_model import ScrollSpec, per_spec, require_complex
 
@@ -76,23 +77,6 @@ def dual_support(facet: Facet) -> tuple[Vertex, ...]:
     """Complement V \\ F listed from the greatest variable downwards."""
     vs = facet.vertices
     return tuple(v for v in _vertex_ids(facet.spec) if v not in vs)
-
-
-def descending_order_key(facet: Facet):
-    """Sort key that lists facets greatest-first.
-
-    Within a group the dual supports, read from the greatest variable down,
-    are compared position by position with the greater variable winning.
-    The smallest vertex id in the symmetric difference decides that; it is
-    the highest differing bit of the facets' masks with id i at bit top - i,
-    and the facet holding it comes later.
-    """
-    vid = _vertex_ids(facet.spec)
-    top = len(vid) - 1
-    mask = 0
-    for v in facet.vertices:
-        mask |= 1 << (top - vid[v])
-    return (-facet.alpha, mask)
 
 
 def _swapped_groups_key(facet: Facet):

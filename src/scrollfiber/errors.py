@@ -27,8 +27,8 @@ class StructuralError(ScrollError):
 
 
 class CapacityError(ScrollError):
-    """A configured size guard was exceeded; raise the limit explicitly
-    to proceed."""
+    """A work budget was exceeded.  Each budget is a module constant next to
+    the layer it bounds, checked before that work starts or while it runs."""
 
 
 class VerificationError(ScrollError):

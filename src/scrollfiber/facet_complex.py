@@ -179,12 +179,12 @@ def facet_tree(facet: Facet) -> FacetTree:
 def _subtrees(
     a: int,
     b: int,
-    leaf_starts: frozenset[int],
+    leaves: frozenset[Vertex],
     memo: dict[tuple[int, int], tuple[frozenset[Vertex], ...]],
 ) -> tuple[frozenset[Vertex], ...]:
     """All valid subtree vertex sets rooted at the interval (a, b).
 
-    A unit interval is a subtree iff it is a designated leaf; a longer
+    A unit interval is a subtree iff it is in the leaf set; a longer
     interval either drops a non-leaf unit off one end or splits in two.
     """
     key = (a, b)
@@ -193,20 +193,18 @@ def _subtrees(
         return cached
     me = (a, b)
     if b - a == 1:
-        result: tuple[frozenset[Vertex], ...] = (
-            (frozenset((me,)),) if a in leaf_starts else ()
-        )
+        result: tuple[frozenset[Vertex], ...] = (frozenset((me,)),) if me in leaves else ()
     else:
         acc: list[frozenset[Vertex]] = []
-        if a not in leaf_starts:
-            acc.extend(s | {me} for s in _subtrees(a + 1, b, leaf_starts, memo))
-        if (b - 1) not in leaf_starts:
-            acc.extend(s | {me} for s in _subtrees(a, b - 1, leaf_starts, memo))
+        if (a, a + 1) not in leaves:
+            acc.extend(s | {me} for s in _subtrees(a + 1, b, leaves, memo))
+        if (b - 1, b) not in leaves:
+            acc.extend(s | {me} for s in _subtrees(a, b - 1, leaves, memo))
         for mid in range(a + 1, b):
-            lefts = _subtrees(a, mid, leaf_starts, memo)
+            lefts = _subtrees(a, mid, leaves, memo)
             if not lefts:
                 continue
-            rights = _subtrees(mid, b, leaf_starts, memo)
+            rights = _subtrees(mid, b, leaves, memo)
             for s1 in lefts:
                 for s2 in rights:
                     acc.append(s1 | s2 | {me})
@@ -216,25 +214,25 @@ def _subtrees(
 
 
 def _count_subtrees(
-    a: int, b: int, leaf_starts: frozenset[int], memo: dict[tuple[int, int], int]
+    a: int, b: int, leaves: frozenset[Vertex], memo: dict[tuple[int, int], int]
 ) -> int:
-    """``len(_subtrees(a, b, leaf_starts, ...))`` by the same recursion."""
+    """``len(_subtrees(a, b, leaves, ...))`` by the same recursion."""
     key = (a, b)
     cached = memo.get(key)
     if cached is not None:
         return cached
     if b - a == 1:
-        count = int(a in leaf_starts)
+        count = int((a, b) in leaves)
     else:
         count = 0
-        if a not in leaf_starts:
-            count += _count_subtrees(a + 1, b, leaf_starts, memo)
-        if (b - 1) not in leaf_starts:
-            count += _count_subtrees(a, b - 1, leaf_starts, memo)
+        if (a, a + 1) not in leaves:
+            count += _count_subtrees(a + 1, b, leaves, memo)
+        if (b - 1, b) not in leaves:
+            count += _count_subtrees(a, b - 1, leaves, memo)
         for mid in range(a + 1, b):
-            lefts = _count_subtrees(a, mid, leaf_starts, memo)
+            lefts = _count_subtrees(a, mid, leaves, memo)
             if lefts:
-                count += lefts * _count_subtrees(mid, b, leaf_starts, memo)
+                count += lefts * _count_subtrees(mid, b, leaves, memo)
     memo[key] = count
     return count
 
@@ -247,17 +245,13 @@ def count_facets(spec: ScrollSpec) -> int:
     take more than ``MAX_COUNTING_STEPS`` split steps.
     """
     require_complex(spec)
-    steps = len(spec.alphas) * math.comb(spec.c, 3)
+    steps = (spec.c - spec.d - 2) * math.comb(spec.c, 3)
     if steps > MAX_COUNTING_STEPS:
         raise CapacityError(
             f"{spec} needs {steps:,} steps to count its facets, over the counting "
             f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
         )
-    return sum(_count_subtrees(1, spec.c, _leaf_starts(spec, a), {}) for a in spec.alphas)
-
-
-def _leaf_starts(spec: ScrollSpec, alpha: int) -> frozenset[int]:
-    return frozenset(a for a, _ in leaves_profile(spec, alpha).leaves)
+    return sum(_count_subtrees(1, spec.c, _leaf_set(spec, a), {}) for a in spec.alphas)
 
 
 def _enumerated(spec: ScrollSpec) -> tuple[Facet, ...]:
@@ -275,10 +269,24 @@ def _facet_index(spec: ScrollSpec) -> list[int]:
     return per_spec(spec, "index", lambda: _bitset_index(_enumerated(spec)))
 
 
-def _enumerate(spec: ScrollSpec) -> tuple[Facet, ...]:
-    # Imported late: the ordering module needs Facet from this module.
-    from .dual_quotients import descending_order_key
+def descending_order_key(facet: Facet):
+    """Sort key that lists facets greatest-first.
 
+    Within a group the dual supports, read from the greatest variable down,
+    are compared position by position with the greater variable winning.
+    The smallest vertex id in the symmetric difference decides that; it is
+    the highest differing bit of the facets' masks with id i at bit top - i,
+    and the facet holding it comes later.
+    """
+    vid = _vertex_ids(facet.spec)
+    top = len(vid) - 1
+    mask = 0
+    for v in facet.vertices:
+        mask |= 1 << (top - vid[v])
+    return (-facet.alpha, mask)
+
+
+def _enumerate(spec: ScrollSpec) -> tuple[Facet, ...]:
     expected = count_facets(spec)
     if expected > MAX_ENUMERATED_FACETS:
         raise CapacityError(
@@ -288,7 +296,7 @@ def _enumerate(spec: ScrollSpec) -> tuple[Facet, ...]:
     facets: list[Facet] = []
     for alpha in spec.alphas:
         memo: dict[tuple[int, int], tuple[frozenset[Vertex], ...]] = {}
-        for vertices in _subtrees(1, spec.c, _leaf_starts(spec, alpha), memo):
+        for vertices in _subtrees(1, spec.c, _leaf_set(spec, alpha), memo):
             facets.append(Facet(vertices=vertices, alpha=alpha, spec=spec))
     if len(facets) != expected:
         raise InternalError(f"enumerated {len(facets)} facets for {spec}, counted {expected}")
@@ -311,10 +319,11 @@ def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
 
     Scans the enumeration, which lists facets greatest first, and returns
     the first facet of the group.  Raises for a spec without a complex and
-    for alpha outside [1, c-d-2].
+    for alpha outside [1, c-d-2], after the guarded enumeration.
     """
+    facets = _enumerated(spec)
     leaves_profile(spec, alpha)
-    for facet in _enumerated(spec):
+    for facet in facets:
         if facet.alpha == alpha:
             return facet
     raise InternalError(f"empty facet group for {spec} at alpha={alpha}")

@@ -20,7 +20,9 @@ from .errors import CapacityError, InternalError, PreconditionError, Verificatio
 from .facet_complex import Facet, _bitset_index, _enumerated, _facet_index
 from .scroll_model import ScrollSpec, complex_regime
 
-DEFAULT_FACE_NODE_CAPACITY = 20_000_000
+#: The face walk refuses to visit more faces than this (``CapacityError``);
+#: it counts the faces as it visits them.
+MAX_FACE_NODES = 20_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,12 +86,7 @@ def h_vector_from_quotients(reports: Sequence[ColonReport]) -> HVector:
     return HVector(h=tuple(h))
 
 
-def face_counts(
-    facets: Sequence[Facet],
-    max_size: int,
-    *,
-    capacity: int = DEFAULT_FACE_NODE_CAPACITY,
-) -> tuple[int, ...]:
+def face_counts(facets: Sequence[Facet], max_size: int) -> tuple[int, ...]:
     """Count distinct faces of each size 1..max_size below the given facets.
 
     Faces are generated once each by a lexicographic depth-first walk: a face
@@ -101,12 +98,12 @@ def face_counts(
 
     Raises:
         PreconditionError: ``max_size`` is below 1.
-        CapacityError: more than ``capacity`` faces would be visited.
+        CapacityError: more than ``MAX_FACE_NODES`` faces would be visited.
     """
-    return _face_walk(_bitset_index(facets), max_size, capacity)
+    return _face_walk(_bitset_index(facets), max_size)
 
 
-def _face_walk(index: list[int], max_size: int, capacity: int) -> tuple[int, ...]:
+def _face_walk(index: list[int], max_size: int) -> tuple[int, ...]:
     """``face_counts`` over a ``_bitset_index``.  A face's cover is the bitset
     of facets containing it (-1 for the empty face); adding w narrows it to
     ``cover & index[w]``.  A vertex that extends no face extends none of its
@@ -120,9 +117,10 @@ def _face_walk(index: list[int], max_size: int, capacity: int) -> tuple[int, ...
         nonlocal visited
         hits = [(w, sub) for w in candidates if (sub := cover & index[w])]
         visited += len(hits)
-        if visited > capacity:
+        if visited > MAX_FACE_NODES:
             raise CapacityError(
-                f"face walk exceeded {capacity} nodes; raise the capacity to proceed"
+                f"face walk exceeded its capacity of {MAX_FACE_NODES:,} nodes; "
+                "lower the Hilbert window or choose a smaller scroll type"
             )
         counts[size + 1] += len(hits)
         if size + 1 < max_size:
@@ -142,19 +140,13 @@ def _hf_from_counts(f: Sequence[int], t: int) -> int:
     return sum(f[k - 1] * math.comb(t - 1, k - 1) for k in range(1, t + 1))
 
 
-def hilbert_function_by_faces(
-    spec: ScrollSpec,
-    facets: Sequence[Facet],
-    t: int,
-    *,
-    capacity: int = DEFAULT_FACE_NODE_CAPACITY,
-) -> int:
+def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int) -> int:
     """Number of degree-t monomials whose support is a face of the complex."""
     if t < 0:
         raise PreconditionError(f"degree must be non-negative, got {t}")
     if t == 0:
         return 1
-    return _hf_from_counts(face_counts(facets, t, capacity=capacity), t)
+    return _hf_from_counts(face_counts(facets, t), t)
 
 
 def hilbert_function_from_h(h: Sequence[int], dim: int, t: int) -> int:
@@ -211,12 +203,7 @@ def closed_form(c: int, d: int) -> InvariantReport:
     )
 
 
-def hilbert_data(
-    spec: ScrollSpec,
-    *,
-    window: int = 5,
-    face_capacity: int = DEFAULT_FACE_NODE_CAPACITY,
-) -> HilbertData:
+def hilbert_data(spec: ScrollSpec, *, window: int = 5) -> HilbertData:
     """Hilbert window computed two independent ways; the face count is the
     authority and any disagreement with the h-expansion is a hard failure."""
     result = verify_linear_quotients(spec)
@@ -224,7 +211,7 @@ def hilbert_data(
         raise VerificationError(f"linear-quotients certification failed for {spec}")
     hv = h_vector_from_quotients(result.reports)
     dim = spec.c + spec.d
-    f = _face_walk(_facet_index(spec), window, face_capacity)
+    f = _face_walk(_facet_index(spec), window)
     hf: dict[int, int] = {}
     for t in range(window + 1):
         by_faces = _hf_from_counts(f, t)
@@ -238,12 +225,7 @@ def hilbert_data(
     return HilbertData(dim=dim, h_polynomial=hv, hf=hf)
 
 
-def full_report(
-    spec: ScrollSpec,
-    *,
-    hilbert_window: int = 5,
-    face_capacity: int = DEFAULT_FACE_NODE_CAPACITY,
-) -> InvariantReport:
+def full_report(spec: ScrollSpec, *, hilbert_window: int = 5) -> InvariantReport:
     """Computed invariants for ``spec``, checked against the closed forms.
 
     For c < d + 4 no complex is built and the closed-form predictions are
@@ -255,7 +237,7 @@ def full_report(
     if not spec.has_complex:
         return predicted
 
-    data = hilbert_data(spec, window=hilbert_window, face_capacity=face_capacity)
+    data = hilbert_data(spec, window=hilbert_window)
     facets = _enumerated(spec)
     if any(len(f.vertices) != c + d for f in facets):
         raise InternalError(f"facet of size != {c + d} enumerated for {spec}")

@@ -17,11 +17,14 @@ from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
 from .facet_complex import _facet_index
-from .invariants import DEFAULT_FACE_NODE_CAPACITY, _face_walk, _hf_from_counts
-from .scroll_model import EntryName, ScrollSpec, minor, require_complex
+from .invariants import _face_walk, _hf_from_counts
+from .scroll_model import ScrollSpec, minor, require_complex
 
 DEFAULT_MODULUS = (1 << 31) - 1
-DEFAULT_ROW_CAPACITY = 100_000
+
+#: The rank oracle refuses a degree with more product rows than this
+#: (``CapacityError``), before building anything.
+MAX_PRODUCT_ROWS = 100_000
 
 # Rational confirmation of a suspicious modular rank is only attempted below
 # this row count; larger problems report the suspicion unresolved.
@@ -37,10 +40,6 @@ class ExpandedPolynomial:
 
     terms: dict[Monomial, int]
 
-    @property
-    def degree(self) -> int:
-        return len(next(iter(self.terms)))
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class RankProblem:
@@ -48,7 +47,6 @@ class RankProblem:
 
     spec: ScrollSpec
     degree: int
-    variables: tuple[EntryName, ...]
     rows: tuple[ExpandedPolynomial, ...]
     monomial_index: dict[Monomial, int]
 
@@ -57,13 +55,11 @@ class RankProblem:
         return (len(self.rows), len(self.monomial_index))
 
 
-def _generators(spec: ScrollSpec) -> tuple[tuple[EntryName, ...], tuple[dict[Monomial, int], ...]]:
+def _generators(spec: ScrollSpec) -> tuple[dict[Monomial, int], ...]:
     """The C(c,2) expanded minors over an id-indexed variable alphabet."""
     c = spec.c
-    variables = tuple(
-        sorted((i, j) for i in range(1, spec.d + 1) for j in range(spec.n[i - 1] + 1))
-    )
-    vid = {entry: i for i, entry in enumerate(variables)}
+    entries = ((i, j) for i in range(1, spec.d + 1) for j in range(spec.n[i - 1] + 1))
+    vid = {entry: k for k, entry in enumerate(entries)}
     gens: list[dict[Monomial, int]] = []
     for a in range(1, c + 1):
         for b in range(a + 1, c + 1):
@@ -74,7 +70,7 @@ def _generators(spec: ScrollSpec) -> tuple[tuple[EntryName, ...], tuple[dict[Mon
                     mono.extend([vid[entry]] * power)
                 terms[tuple(sorted(mono))] = coeff
             gens.append(terms)
-    return variables, tuple(gens)
+    return tuple(gens)
 
 
 def _product(t1: dict[Monomial, int], t2: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -90,9 +86,18 @@ def _product(t1: dict[Monomial, int], t2: dict[Monomial, int]) -> dict[Monomial,
     return out
 
 
-def build_rank_problem(
-    spec: ScrollSpec, t: int, *, capacity: int = DEFAULT_ROW_CAPACITY
-) -> RankProblem:
+def _check_rows(spec: ScrollSpec, t: int) -> None:
+    """Refuse degree t when its C(C(c,2) + t - 1, t) product rows, one per
+    multiset of t minors, exceed ``MAX_PRODUCT_ROWS``."""
+    rows = math.comb(math.comb(spec.c, 2) + t - 1, t)
+    if rows > MAX_PRODUCT_ROWS:
+        raise CapacityError(
+            f"degree {t} needs {rows:,} product rows, over the row capacity of "
+            f"{MAX_PRODUCT_ROWS:,} rows; lower the degree"
+        )
+
+
+def build_rank_problem(spec: ScrollSpec, t: int) -> RankProblem:
     """Expand every multiset of t minors into a coefficient-matrix row.
 
     Rows run over combinations with repetition in lexicographic order and
@@ -101,14 +106,9 @@ def build_rank_problem(
     """
     if t < 1:
         raise PreconditionError(f"rank problems need degree >= 1, got {t}")
-    variables, gens = _generators(spec)
+    _check_rows(spec, t)
+    gens = _generators(spec)
     n_gens = len(gens)
-    row_count = math.comb(n_gens + t - 1, t)
-    if row_count > capacity:
-        raise CapacityError(
-            f"degree {t} needs {row_count} product rows (> {capacity}); "
-            "lower the degree or raise the row capacity"
-        )
 
     prefixes: dict[tuple[int, ...], dict[Monomial, int]] = {(): {(): 1}}
 
@@ -127,7 +127,6 @@ def build_rank_problem(
     return RankProblem(
         spec=spec,
         degree=t,
-        variables=variables,
         rows=rows,
         monomial_index={mono: i for i, mono in enumerate(monomials)},
     )
@@ -211,7 +210,6 @@ def fiber_hilbert_function(
     t: int,
     *,
     modulus: int | str = DEFAULT_MODULUS,
-    capacity: int = DEFAULT_ROW_CAPACITY,
 ) -> int:
     """Dimension of the degree-t graded piece of the minor subalgebra."""
     if t < 0:
@@ -220,7 +218,7 @@ def fiber_hilbert_function(
         _check_prime(int(modulus))
     if t == 0:
         return 1
-    return _rank(build_rank_problem(spec, t, capacity=capacity), modulus)
+    return _rank(build_rank_problem(spec, t), modulus)
 
 
 def _rank(problem: RankProblem, modulus: int | str) -> int:
@@ -252,9 +250,11 @@ def cross_check(
     t_max: int,
     *,
     modulus: int | str = DEFAULT_MODULUS,
-    capacity: int = DEFAULT_ROW_CAPACITY,
 ) -> CrossCheckResult:
     """Compare the rank oracle against the face-count Hilbert function.
+
+    The row count grows with the degree, so the row budget is checked at
+    ``t_max`` before the face walk and before any degree is built.
 
     A mismatch under a prime modulus is re-checked rationally when the
     problem is small enough: a genuinely modular discrepancy is flagged as a
@@ -265,13 +265,14 @@ def cross_check(
         raise PreconditionError(f"t_max must be non-negative, got {t_max}")
     if modulus != "rational":
         _check_prime(int(modulus))
+    _check_rows(spec, t_max)
 
-    faces = _face_walk(_facet_index(spec), max(t_max, 1), DEFAULT_FACE_NODE_CAPACITY)
+    faces = _face_walk(_facet_index(spec), max(t_max, 1))
     # Degree 0 is the ground field on both sides.
     rows: list[CrossCheckRow] = [CrossCheckRow(t=0, fiber_rank=1, face_count=1, equal=True)]
     notes: list[str] = []
     for t in range(1, t_max + 1):
-        problem = build_rank_problem(spec, t, capacity=capacity)
+        problem = build_rank_problem(spec, t)
         fiber = _rank(problem, modulus)
         expected = _hf_from_counts(faces, t)
         if fiber != expected and modulus != "rational":

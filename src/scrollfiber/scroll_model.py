@@ -162,10 +162,6 @@ def leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
     require_complex(spec)
     if alpha not in spec.alphas:
         raise PreconditionError(f"alpha must lie in [1, {spec.alphas[-1]}], got {alpha}")
-    return per_spec(spec, ("leaves", alpha), lambda: _leaves_profile(spec, alpha))
-
-
-def _leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
     c, d = spec.c, spec.d
     matrix = build_matrix(spec)
     gamma: dict[int, int] = {}

@@ -13,7 +13,11 @@ from conftest import tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrollfiber import invariants, oracle
 from scrollfiber.cli import ReportEnvelope, main
+
+
+HUGE = "99999999999999999999"
 
 
 def run(capsys, *argv):
@@ -77,8 +81,9 @@ class TestInvariantsCommand:
             assert out == ""
             assert "max_size" in err
 
-    def test_face_capacity_guard(self, capsys):
-        code, _, err = run(capsys, "invariants", "--n", "2,4", "--face-capacity", "5")
+    def test_face_capacity_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(invariants, "MAX_FACE_NODES", 5)
+        code, _, err = run(capsys, "invariants", "--n", "2,4")
         assert code == 2
         assert "capacity" in err
 
@@ -91,13 +96,21 @@ class TestInvariantsCommand:
         assert "475,456 facets" in err and "200,000" in err
 
     def test_counting_budget_guard(self, capsys):
-        for n in ("120", "1100"):
+        # c - d - 2 >= 2**63 for the 20-digit degree; c = 99999999999 would
+        # build its c-column matrix if alpha were validated first.
+        invocations = [("invariants", "--n", n) for n in ("120", "1100", HUGE)] + [
+            ("verify", "--n", HUGE),
+            ("facets", "--n", HUGE),
+            ("facets", "--n", "99999999999", "--alpha", "1"),
+        ]
+        for argv in invocations:
             started = time.perf_counter()
-            code, out, err = run(capsys, "invariants", "--n", n)
+            code, out, err = run(capsys, *argv)
             assert time.perf_counter() - started < 2
             assert code == 2
             assert out == ""
             assert "counting budget of 1,000,000 steps" in err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_schema(self, capsys):
         code, out, _ = run(capsys, "invariants", "--n", "5", "--format", "csv")
@@ -158,8 +171,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "d+4" in err
 
-    def test_capacity_guidance(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "5", "--t-max", "3", "--capacity", "10")
+    def test_row_budget_is_checked_before_any_degree(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--n", "13", "--t-max", "4")
+        assert time.perf_counter() - started < 2
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: degree 4 needs 1,663,740 product rows, over the row capacity "
+            "of 100,000 rows; lower the degree\n"
+        )
+
+    def test_capacity_guidance(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_PRODUCT_ROWS", 10)
+        code, _, err = run(capsys, "verify", "--n", "5", "--t-max", "3")
         assert code == 2
         assert "capacity" in err
 
@@ -245,13 +269,14 @@ class TestBatchCommand:
         assert "475,456 facets" in err
 
     def test_over_counting_budget_line_is_isolated(self, capsys, tmp_path):
-        batch = tmp_path / "huge.txt"
-        batch.write_text("5\n1100\n6\n", encoding="utf-8")
-        code, out, err = run(capsys, "batch", str(batch))
-        assert code == 2
-        rows = out.strip().splitlines()[1:]
-        assert [row.rsplit(",", 1)[1] for row in rows] == ["true", "error", "true"]
-        assert "counting budget" in err
+        for line in ("1100", HUGE):
+            batch = tmp_path / "huge.txt"
+            batch.write_text(f"5\n{line}\n6\n", encoding="utf-8")
+            code, out, err = run(capsys, "batch", str(batch))
+            assert code == 2
+            rows = out.strip().splitlines()[1:]
+            assert [row.rsplit(",", 1)[1] for row in rows] == ["true", "error", "true"]
+            assert "counting budget" in err
 
     def test_undecodable_file_is_a_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "binary.txt"

@@ -206,7 +206,9 @@ class TestFacetCount:
             enumerate_facets(ScrollSpec((4, 4, 4, 4)))
         assert count_facets(ScrollSpec((16,))) <= MAX_ENUMERATED_FACETS
 
-    @pytest.mark.parametrize("n", [(52,), (120,), (1100,), (20, 20, 20)])
+    @pytest.mark.parametrize(
+        "n", [(52,), (120,), (1100,), (20, 20, 20), (99999999999999999999,)]
+    )
     def test_over_budget_count_is_refused_before_counting(self, n, monkeypatch):
         def no_counting(*args):
             raise AssertionError("the counting DP ran")

@@ -26,6 +26,7 @@ from scrollfiber import (
     verify_linear_quotients,
     vertex_set,
 )
+from scrollfiber import invariants
 
 
 def quotient_h(n):
@@ -89,10 +90,11 @@ class TestFaceCounting:
         f = face_counts(enumerate_facets(spec), dim)
         assert numerator_from_face_counts(f, dim) == quotient_h(n).h
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
+        monkeypatch.setattr(invariants, "MAX_FACE_NODES", 100)
         spec = ScrollSpec((2, 2, 4, 4))
         with pytest.raises(CapacityError):
-            face_counts(enumerate_facets(spec), 3, capacity=100)
+            face_counts(enumerate_facets(spec), 3)
 
     @pytest.mark.parametrize(
         "spec", [s for s in desk_specs_with_complex() if s.c <= 9], ids=str

@@ -17,8 +17,10 @@ from scrollfiber import (
     ScrollSpec,
     UnsupportedRegimeError,
     build_rank_problem,
+    closed_form,
     cross_check,
     fiber_hilbert_function,
+    hilbert_function_from_h,
     rank_mod_prime,
     rank_rational,
 )
@@ -38,9 +40,10 @@ class TestRankProblem:
                 assert {len(mono) for mono in row.terms} == {2 * t}
                 assert all(coeff != 0 for coeff in row.terms.values())
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_PRODUCT_ROWS", 1000)
         with pytest.raises(CapacityError):
-            build_rank_problem(ScrollSpec((2, 2, 4, 4)), 3, capacity=1000)
+            build_rank_problem(ScrollSpec((2, 2, 4, 4)), 3)
 
     def test_rejects_degree_zero(self):
         with pytest.raises(PreconditionError):
@@ -92,6 +95,32 @@ class TestFiberHilbertFunction:
         assert values == sorted(values)
 
 
+class TestGrassmannianRegime:
+    """For c < d + 4 the fiber cone is the coordinate ring of G(2, c), of
+    dimension 2c - 3.  The exact rational ranks at t <= 3 are pinned against
+    the Plücker Hilbert function and against the h-vectors below."""
+
+    H_VECTORS = {
+        (1, 1, 1, 1): (1, 1),
+        (1, 1, 1, 2): (1, 3, 1),
+        (1, 1, 1, 1, 1): (1, 3, 1),
+        (1, 1, 1, 1, 2): (1, 6, 6, 1),
+        (1, 1, 1, 1, 1, 1): (1, 6, 6, 1),
+    }
+
+    @pytest.mark.parametrize("n", sorted(H_VECTORS), ids=str)
+    def test_rational_ranks_are_the_pluecker_hilbert_function(self, n):
+        spec = ScrollSpec(n)
+        c, h = spec.c, self.H_VECTORS[n]
+        for t in range(4):
+            rank = fiber_hilbert_function(spec, t, modulus="rational")
+            assert rank == math.comb(c + t - 1, t) * math.comb(c + t - 2, t) // (t + 1)
+            assert rank == hilbert_function_from_h(h, 2 * c - 3, t)
+        predicted = closed_form(c, spec.d)
+        assert predicted.reg == len(h) - 1
+        assert predicted.dim == 2 * c - 3
+
+
 class TestCrossCheck:
     def test_small_block_passes(self):
         result = cross_check(ScrollSpec((5,)), 4)
@@ -141,9 +170,21 @@ class TestCrossCheck:
         with pytest.raises(UnsupportedRegimeError):
             cross_check(ScrollSpec((2, 2, 2)), 2)
 
-    def test_capacity_surcharge_guidance(self):
+    def test_row_budget_is_checked_before_any_work(self, monkeypatch):
+        # C(78 + 3, 4) = 1,663,740 rows at t_max = 4 for c = 13: refused
+        # before the face walk and before degrees 1..3 are built.
+        def no_work(*args):
+            raise AssertionError("work started before the row check")
+
+        monkeypatch.setattr(oracle, "_face_walk", no_work)
+        monkeypatch.setattr(oracle, "build_rank_problem", no_work)
+        with pytest.raises(CapacityError, match="degree 4 needs 1,663,740 product rows"):
+            cross_check(ScrollSpec((13,)), 4)
+
+    def test_capacity_surcharge_guidance(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_PRODUCT_ROWS", 10)
         with pytest.raises(CapacityError):
-            cross_check(ScrollSpec((5,)), 3, capacity=10)
+            cross_check(ScrollSpec((5,)), 3)
 
 
 def test_import_does_not_load_numpy():

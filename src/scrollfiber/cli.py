@@ -399,6 +399,11 @@ def cmd_selftest() -> int:
         for t in range(3)
     )
     checks.append(("rank oracle agrees (5), t <= 2", oracle_ok))
+    rational_ok = all(
+        fiber_hilbert_function(spec5, t, modulus="rational") == fiber_hilbert_function(spec5, t)
+        for t in (1, 2, 3)
+    )
+    checks.append(("rational rank equals modular rank (5), t <= 3", rational_ok))
 
     failed = 0
     for name, ok in checks:

@@ -24,6 +24,10 @@ from .scroll_model import ScrollSpec, complex_regime
 #: it counts the faces as it visits them.
 MAX_FACE_NODES = 20_000_000
 
+#: ``hilbert_data`` refuses a Hilbert window above this degree
+#: (``CapacityError``), before any work.
+MAX_HILBERT_WINDOW = 100_000
+
 
 @dataclass(frozen=True, slots=True)
 class HVector:
@@ -133,11 +137,11 @@ def _face_walk(index: list[int], max_size: int) -> tuple[int, ...]:
 
 
 def _hf_from_counts(f: Sequence[int], t: int) -> int:
+    """Degree-t monomials supported on faces, from f[k-1] faces of size k;
+    f lists every size up to t, or every size that occurs."""
     if t == 0:
         return 1
-    if t > len(f):
-        raise PreconditionError(f"face counts only go up to size {len(f)}, need {t}")
-    return sum(f[k - 1] * math.comb(t - 1, k - 1) for k in range(1, t + 1))
+    return sum(count * math.comb(t - 1, k) for k, count in enumerate(f[:t]))
 
 
 def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int) -> int:
@@ -205,16 +209,27 @@ def closed_form(c: int, d: int) -> InvariantReport:
 
 def hilbert_data(spec: ScrollSpec, *, window: int = 5) -> HilbertData:
     """Hilbert window computed two independent ways; the face count is the
-    authority and any disagreement with the h-expansion is a hard failure."""
+    authority and any disagreement with the h-expansion is a hard failure.
+
+    Raises:
+        CapacityError: ``window`` exceeds ``MAX_HILBERT_WINDOW``.
+    """
+    if window > MAX_HILBERT_WINDOW:
+        raise CapacityError(
+            f"Hilbert window {window:,} is over its capacity of {MAX_HILBERT_WINDOW:,} "
+            "degrees; lower the Hilbert window"
+        )
     result = verify_linear_quotients(spec)
     if not result.passed:
         raise VerificationError(f"linear-quotients certification failed for {spec}")
     hv = h_vector_from_quotients(result.reports)
     dim = spec.c + spec.d
     f = _face_walk(_facet_index(spec), window)
+    # A subset of a face is a face, so the sizes that occur run from 1 up.
+    sizes = f[: f.index(0)] if 0 in f else f
     hf: dict[int, int] = {}
     for t in range(window + 1):
-        by_faces = _hf_from_counts(f, t)
+        by_faces = _hf_from_counts(sizes, t)
         by_h = hilbert_function_from_h(hv.h, dim, t)
         if by_faces != by_h:
             raise VerificationError(

@@ -3,9 +3,15 @@
 The degree-t graded piece of the subalgebra generated by the 2x2 minors is
 spanned by the products of t minors; its dimension is the rank of the
 coefficient matrix of those products, computed exactly by sparse row
-reduction over a prime field (default) or over the rationals.  Nothing here looks at facets or colon
-ideals, so agreement with the face-count Hilbert function is a genuine
-cross-check of the combinatorial pipeline.
+reduction over a prime field (default) or over the rationals, the latter in
+integer arithmetic alone.  Nothing here looks at facets or colon ideals, so
+agreement with the face-count Hilbert function is a genuine cross-check of
+the combinatorial pipeline.
+
+A monomial is packed into one integer, one bit field per matrix entry, so a
+product adds monomials with one integer addition and integer order is lex
+order; the columns run from the lex-greatest monomial down, so a row's
+smallest column is its leading term.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
 from .facet_complex import _facet_index
@@ -26,12 +31,9 @@ DEFAULT_MODULUS = (1 << 31) - 1
 #: (``CapacityError``), before building anything.
 MAX_PRODUCT_ROWS = 100_000
 
-# Rational confirmation of a suspicious modular rank is only attempted below
-# this row count; larger problems report the suspicion unresolved.
-RATIONAL_SPOT_CHECK_ROWS = 2_500
-
-# A degree-2t monomial in the matrix entries: sorted tuple of variable ids.
-Monomial = tuple[int, ...]
+# A degree-2t monomial in the matrix entries, packed by ``_generators``: the
+# exponent of each entry in its own bit field, the greatest entry highest.
+Monomial = int
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -55,29 +57,35 @@ class RankProblem:
         return (len(self.rows), len(self.monomial_index))
 
 
-def _generators(spec: ScrollSpec) -> tuple[dict[Monomial, int], ...]:
-    """The C(c,2) expanded minors over an id-indexed variable alphabet."""
-    c = spec.c
-    entries = ((i, j) for i in range(1, spec.d + 1) for j in range(spec.n[i - 1] + 1))
-    vid = {entry: k for k, entry in enumerate(entries)}
-    gens: list[dict[Monomial, int]] = []
-    for a in range(1, c + 1):
-        for b in range(a + 1, c + 1):
-            terms: dict[Monomial, int] = {}
-            for coeff, expo in minor(spec, a, b).terms:
-                mono: list[int] = []
-                for entry, power in expo:
-                    mono.extend([vid[entry]] * power)
-                terms[tuple(sorted(mono))] = coeff
-            gens.append(terms)
-    return tuple(gens)
+def _generators(spec: ScrollSpec, t: int) -> tuple[dict[Monomial, int], ...]:
+    """The C(c,2) expanded minors, packed for products of t of them.
+
+    The entries are ordered x[i,j] > x[i',j'] when j > j', or j = j' and
+    i < i', and the k-th least owns bits k*w .. k*w + w - 1 with
+    w = (2t).bit_length().  A degree-2t monomial has no exponent above 2t,
+    so no field carries into the next when monomials are added.
+    """
+    width = (2 * t).bit_length()
+    entries = sorted(
+        ((i, j) for i in range(1, spec.d + 1) for j in range(spec.n[i - 1] + 1)),
+        key=lambda entry: (entry[1], -entry[0]),
+    )
+    unit = {entry: 1 << (width * k) for k, entry in enumerate(entries)}
+    return tuple(
+        {
+            sum(unit[entry] * power for entry, power in expo): coeff
+            for coeff, expo in minor(spec, a, b).terms
+        }
+        for a in range(1, spec.c + 1)
+        for b in range(a + 1, spec.c + 1)
+    )
 
 
 def _product(t1: dict[Monomial, int], t2: dict[Monomial, int]) -> dict[Monomial, int]:
     out: dict[Monomial, int] = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            mono = tuple(sorted(m1 + m2))
+            mono = m1 + m2
             value = out.get(mono, 0) + c1 * c2
             if value:
                 out[mono] = value
@@ -101,16 +109,16 @@ def build_rank_problem(spec: ScrollSpec, t: int) -> RankProblem:
     """Expand every multiset of t minors into a coefficient-matrix row.
 
     Rows run over combinations with repetition in lexicographic order and
-    share memoized prefix products; columns are the occurring monomials in
-    sorted order, so the matrix is fully deterministic.
+    share memoized prefix products; columns are the occurring monomials from
+    the lex-greatest down, so the matrix is fully deterministic.
     """
     if t < 1:
         raise PreconditionError(f"rank problems need degree >= 1, got {t}")
     _check_rows(spec, t)
-    gens = _generators(spec)
+    gens = _generators(spec, t)
     n_gens = len(gens)
 
-    prefixes: dict[tuple[int, ...], dict[Monomial, int]] = {(): {(): 1}}
+    prefixes: dict[tuple[int, ...], dict[Monomial, int]] = {(): {0: 1}}
 
     def prefix_product(combo: tuple[int, ...]) -> dict[Monomial, int]:
         known = prefixes.get(combo)
@@ -123,7 +131,7 @@ def build_rank_problem(spec: ScrollSpec, t: int) -> RankProblem:
         ExpandedPolynomial(terms=_product(prefix_product(combo[:-1]), gens[combo[-1]]))
         for combo in itertools.combinations_with_replacement(range(n_gens), t)
     )
-    monomials = sorted({mono for row in rows for mono in row.terms})
+    monomials = sorted({mono for row in rows for mono in row.terms}, reverse=True)
     return RankProblem(
         spec=spec,
         degree=t,
@@ -136,29 +144,38 @@ def _echelon_rank(problem: RankProblem, p: int | None) -> int:
     """Sparse row reduction over GF(p), or over the rationals when p is None.
 
     Each row, as a dict column -> nonzero entry, is reduced against the stored
-    pivot rows (leading entry 1) from its smallest column up; what is left, if
-    anything, becomes the pivot of its leading column.  Every product of
+    pivot rows from its smallest column, its leading term, up; what is left,
+    if anything, becomes the pivot of its leading column.  Every product of
     minors is multihomogeneous, so a row only meets pivots of its own
     multidegree and fill-in stays inside that block of the matrix.
+
+    Over GF(p) a pivot is scaled to leading entry 1.  Over the rationals the
+    entries stay integers: with leading entries p_l of the pivot and w_l of
+    the row and g = gcd(p_l, w_l), the row becomes (p_l/g)*row - (w_l/g)*pivot
+    and is then divided by the gcd of its entries, which keeps them small.
     """
     index = problem.monomial_index
-    echelon: dict[int, dict[int, int | Fraction]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     for row in problem.rows:
         if p is None:
-            work = {index[mono]: Fraction(coeff) for mono, coeff in row.terms.items()}
+            work = {index[mono]: coeff for mono, coeff in row.terms.items()}
         else:
             work = {index[mono]: coeff % p for mono, coeff in row.terms.items() if coeff % p}
         while work:
             lead = min(work)
             pivot = echelon.get(lead)
             if pivot is None:
-                scale = 1 / work[lead] if p is None else pow(work[lead], -1, p)
-                echelon[lead] = {
-                    col: value * scale if p is None else value * scale % p
-                    for col, value in work.items()
-                }
+                if p is not None:
+                    scale = pow(work[lead], -1, p)
+                    work = {col: value * scale % p for col, value in work.items()}
+                echelon[lead] = work
                 break
             factor = work[lead]
+            if p is None:
+                g = math.gcd(pivot[lead], factor)
+                scale, factor = pivot[lead] // g, factor // g
+                if scale != 1:
+                    work = {col: scale * value for col, value in work.items()}
             for col, value in pivot.items():
                 updated = work.get(col, 0) - factor * value
                 if p is not None:
@@ -167,6 +184,10 @@ def _echelon_rank(problem: RankProblem, p: int | None) -> int:
                     work[col] = updated
                 else:
                     work.pop(col, None)
+            if p is None and work:
+                content = math.gcd(*work.values())
+                if content != 1:
+                    work = {col: value // content for col, value in work.items()}
     return len(echelon)
 
 
@@ -256,9 +277,9 @@ def cross_check(
     The row count grows with the degree, so the row budget is checked at
     ``t_max`` before the face walk and before any degree is built.
 
-    A mismatch under a prime modulus is re-checked rationally when the
-    problem is small enough: a genuinely modular discrepancy is flagged as a
-    suspected modulus collision instead of a mathematical failure.
+    A mismatch under a prime modulus is re-checked over the rationals: a
+    genuinely modular discrepancy is flagged as a suspected modulus collision
+    instead of a mathematical failure.
     """
     require_complex(spec)
     if t_max < 0:
@@ -276,16 +297,13 @@ def cross_check(
         fiber = _rank(problem, modulus)
         expected = _hf_from_counts(faces, t)
         if fiber != expected and modulus != "rational":
-            if len(problem.rows) <= RATIONAL_SPOT_CHECK_ROWS:
-                exact = rank_rational(problem)
-                if exact != fiber:
-                    notes.append(
-                        f"degree {t}: modular rank {fiber} != rational rank {exact}; "
-                        "suspected modulus collision, using the rational value"
-                    )
-                    fiber = exact
-            else:
-                notes.append(f"degree {t}: mismatch not rationally re-checked (too large)")
+            exact = rank_rational(problem)
+            if exact != fiber:
+                notes.append(
+                    f"degree {t}: modular rank {fiber} != rational rank {exact}; "
+                    "suspected modulus collision, using the rational value"
+                )
+                fiber = exact
         rows.append(CrossCheckRow(t=t, fiber_rank=fiber, face_count=expected, equal=fiber == expected))
     return CrossCheckResult(
         spec=spec,

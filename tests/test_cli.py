@@ -81,6 +81,16 @@ class TestInvariantsCommand:
             assert out == ""
             assert "max_size" in err
 
+    def test_hilbert_window_budget_guard(self, capsys):
+        window = str(invariants.MAX_HILBERT_WINDOW + 1)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)
+        assert time.perf_counter() - started < 2
+        assert code == 2
+        assert out == ""
+        assert "capacity of 100,000 degrees" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_face_capacity_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(invariants, "MAX_FACE_NODES", 5)
         code, _, err = run(capsys, "invariants", "--n", "2,4")
@@ -306,7 +316,8 @@ class TestSelftest:
     def test_runs_clean(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
-        assert "9/9" in out
+        assert "rational rank equals modular rank (5), t <= 3 ... ok" in out
+        assert "10/10" in out
 
 
 INVARIANTS_5_TEXT = """\

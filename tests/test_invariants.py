@@ -195,3 +195,20 @@ class TestFullReport:
         report = full_report(ScrollSpec((2, 4)), hilbert_window=6)
         assert report.mode == "computed"
         assert report.closed_form_match
+
+
+class TestHilbertWindow:
+    def test_long_window_sums_only_the_sizes_that_occur(self):
+        # (5,) has faces of sizes 1..6 only; degree 20,000 needs no more.
+        data = hilbert_data(ScrollSpec((5,)), window=20_000)
+        assert len(data.hf) == 20_001
+        assert data.hf[20_000] == hilbert_function_from_h((1, 4, 4, 1), 6, 20_000)
+
+    def test_window_budget_is_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the window check")
+
+        monkeypatch.setattr(invariants, "verify_linear_quotients", no_work)
+        monkeypatch.setattr(invariants, "_face_walk", no_work)
+        with pytest.raises(CapacityError, match="100,001"):
+            hilbert_data(ScrollSpec((5,)), window=invariants.MAX_HILBERT_WINDOW + 1)

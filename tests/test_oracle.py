@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,11 +24,86 @@ from scrollfiber import (
     cross_check,
     fiber_hilbert_function,
     hilbert_function_from_h,
+    minor,
     rank_mod_prime,
     rank_rational,
 )
 from scrollfiber import oracle
-from scrollfiber.oracle import _is_prime
+from scrollfiber.oracle import ExpandedPolynomial, RankProblem, _is_prime
+
+
+def _exponents(mono, t, n_vars):
+    """The bit fields of a packed degree-2t monomial, least variable first."""
+    width = (2 * t).bit_length()
+    assert mono >> (width * n_vars) == 0
+    return [(mono >> (width * k)) & ((1 << width) - 1) for k in range(n_vars)]
+
+
+def _reference_rank(dense, p=None):
+    """Dense Gaussian elimination over Q (``Fraction``) or over GF(p)."""
+    rows = [[Fraction(v) if p is None else v % p for v in row] for row in dense]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = 1 / rows[rank][col] if p is None else pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inverse
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            if p is not None:
+                rows[r] = [a % p for a in rows[r]]
+        rank += 1
+    return rank
+
+
+def _dense_problem(dense):
+    """A ``RankProblem`` whose monomial k is column k of ``dense``."""
+    rows = tuple(
+        ExpandedPolynomial(terms={col: v for col, v in enumerate(row) if v}) for row in dense
+    )
+    index = {col: col for col in range(len(dense[0]))}
+    return RankProblem(spec=ScrollSpec((5,)), degree=1, rows=rows, monomial_index=index)
+
+
+def _random_dense(rng):
+    """Sparse integer matrices up to 12 x 10 with entries up to +-30; every
+    other one is built from a few base rows, so that its rank falls short."""
+    n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 10)
+    if rng.random() < 0.5:
+        return [
+            [rng.randint(-30, 30) if rng.random() < 0.3 else 0 for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+    base = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(rng.randint(1, 4))]
+    dense = []
+    for _ in range(n_rows):
+        a, b = rng.sample(range(-2, 3), 2)
+        x, y = rng.choice(base), rng.choice(base)
+        dense.append([a * u + b * v for u, v in zip(x, y)])
+    return dense
+
+
+class TestEliminationKernel:
+    PRIMES = (2, 3, 5, (1 << 31) - 1)
+
+    def test_diagonal_two_three(self):
+        problem = _dense_problem([[2, 0], [0, 3]])
+        assert rank_rational(problem) == 2
+        assert rank_mod_prime(problem, 2) == 1
+        assert rank_mod_prime(problem, 3) == 1
+        assert rank_mod_prime(problem, 5) == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sparse_matrices_match_the_dense_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            dense = _random_dense(rng)
+            problem = _dense_problem(dense)
+            assert rank_rational(problem) == _reference_rank(dense), dense
+            for p in self.PRIMES:
+                assert rank_mod_prime(problem, p) == _reference_rank(dense, p), (dense, p)
 
 
 class TestRankProblem:
@@ -37,8 +115,49 @@ class TestRankProblem:
             assert len(problem.rows) == math.comb(n_minors + t - 1, t)
             for row in problem.rows:
                 assert row.terms
-                assert {len(mono) for mono in row.terms} == {2 * t}
+                assert {sum(_exponents(mono, t, spec.c + spec.d)) for mono in row.terms} == {2 * t}
                 assert all(coeff != 0 for coeff in row.terms.values())
+
+    def test_expansion_of_1_2_at_degree_two(self):
+        spec = ScrollSpec((1, 2))
+        problem = build_rank_problem(spec, 2)
+        # x[i,j] > x[i',j'] when j > j', or j = j' and i < i'; least first.
+        entries = [(2, 0), (1, 0), (2, 1), (1, 1), (2, 2)]
+
+        def decode(mono):
+            powers = _exponents(mono, 2, len(entries))
+            return tuple((entry, power) for entry, power in zip(entries, powers) if power)
+
+        def multiply(left, right):
+            out = {}
+            for e1, c1 in left.items():
+                for e2, c2 in right.items():
+                    expo = dict(e1)
+                    for entry, power in e2:
+                        expo[entry] = expo.get(entry, 0) + power
+                    key = tuple(sorted(expo.items(), key=lambda item: entries.index(item[0])))
+                    out[key] = out.get(key, 0) + c1 * c2
+            return {key: coeff for key, coeff in out.items() if coeff}
+
+        minors = [minor(spec, a, b).as_dict() for a, b in itertools.combinations(range(1, 4), 2)]
+        expected = [
+            multiply(minors[i], minors[j])
+            for i, j in itertools.combinations_with_replacement(range(3), 2)
+        ]
+        assert [{decode(m): coeff for m, coeff in row.terms.items()} for row in problem.rows] == expected
+        # Column 0 is the lex-greatest monomial.
+        monomials = sorted(problem.monomial_index, reverse=True)
+        assert [problem.monomial_index[m] for m in monomials] == list(range(len(monomials)))
+
+    @pytest.mark.parametrize(
+        "n, t, shape, nnz",
+        [((5,), 5, (2002, 2499), 39120), ((2, 3, 4), 3, (8436, 10122), 64656)],
+        ids=str,
+    )
+    def test_pinned_shapes(self, n, t, shape, nnz):
+        problem = build_rank_problem(ScrollSpec(n), t)
+        assert problem.shape == shape
+        assert sum(len(row.terms) for row in problem.rows) == nnz
 
     def test_capacity_guard(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_PRODUCT_ROWS", 1000)
@@ -161,6 +280,14 @@ class TestCrossCheck:
         assert len(result.notes) == 2
         assert all("suspected modulus collision" in note for note in result.notes)
         assert "modular rank 48 != rational rank 49" in result.notes[1]
+
+    def test_every_modular_mismatch_is_rechecked_rationally(self, monkeypatch):
+        # Degree 3 of (8,) has 4,060 product rows.
+        monkeypatch.setattr(oracle, "rank_mod_prime", lambda problem, p: rank_rational(problem) - 1)
+        result = cross_check(ScrollSpec((8,)), 3)
+        assert result.passed
+        assert len(result.notes) == 3
+        assert all("suspected modulus collision" in note for note in result.notes)
 
     def test_small_regime_pair_agrees_without_a_complex(self):
         # c < d + 4: no facets, but the rank oracle itself still applies.

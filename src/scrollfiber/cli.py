@@ -40,7 +40,7 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_PREDICTION_ONLY = 3
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CSV_COLUMNS = ("c", "d", "facets", "reg", "a", "gorenstein", "pass")
 MAX_REPORTED_FAILURES = 100
 
@@ -121,9 +121,10 @@ def _verification_dict(result: VerificationResult) -> dict:
         )
     return {
         "passed": result.passed,
-        "facets": len(result.reports),
+        "facets": result.facet_count,
         "mode": "indexed",
         "mutation": result.mutation,
+        "quadratic_fallbacks": result.quadratic_fallbacks,
         "failure_count": len(failures),
         "failures": entries,
     }
@@ -239,11 +240,15 @@ def _write_output(text: str, out_dir: str | None, filename: str) -> None:
 
 
 def cmd_invariants(
-    spec: ScrollSpec, normalized: bool, hilbert_window: int
+    spec: ScrollSpec,
+    normalized: bool,
+    hilbert_window: int,
+    timings: dict[str, float] | None = None,
 ) -> tuple[ReportEnvelope, int]:
-    """Full invariant report; prediction-only (exit 3) when c < d + 4."""
+    """Full invariant report; prediction-only (exit 3) when c < d + 4.
+    ``timings`` receives the stage times of ``full_report``."""
     try:
-        report = full_report(spec, hilbert_window=hilbert_window)
+        report = full_report(spec, hilbert_window=hilbert_window, timings=timings)
         if report.mode == "prediction-only":
             envelope = ReportEnvelope(
                 spec=_spec_dict(spec, normalized), mode=report.mode, invariants=asdict(report)
@@ -490,14 +495,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
 
         started = time.perf_counter()
+        stages: dict[str, float] = {}
         if args.command == "invariants":
-            envelope, code = cmd_invariants(spec, normalized, args.hilbert_window)
+            envelope, code = cmd_invariants(spec, normalized, args.hilbert_window, stages)
         else:  # verify
             envelope, code = cmd_verify(
                 spec, normalized, args.t_max, _parse_modulus(args.modulus), args.mutate_rule
             )
         if args.timings and envelope.mode == "computed" and envelope.error is None:
-            envelope.timings = {"total": round(time.perf_counter() - started, 3)}
+            envelope.timings = {**stages, "total": round(time.perf_counter() - started, 3)}
         _write_output(_render(envelope, args.format), args.out_dir, filename)
         return code
 

@@ -11,16 +11,19 @@ the combinatorial prediction ``predict_LG``.
 
 All facets have c + d vertices, so a singleton difference F \\ G = {u}
 means G = F \\ {u} + {w}: F and G share the swap key F \\ {u}.  One pass
-over the ordered facets with a dict of swap keys therefore finds every
+over the ordered facet masks with a set of swap keys therefore finds every
 singleton generator.  A generator of higher degree exists exactly when some
 earlier facet contains all singleton generators of F; the bitset index
-detects that, and only such facets fall back to the quadratic scan.
+detects that, and only such facets fall back to the quadratic scan.  The
+pass keeps counts, not one report per facet: ``VerificationResult`` holds
+the per-degree counts and the failing reports, and builds the full report
+list only when asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalError, PreconditionError
 from .facet_complex import (
@@ -29,10 +32,14 @@ from .facet_complex import (
     _bitset_index,
     _enumerated,
     _facet_index,
-    _leaf_set,
-    _vertex_ids,
+    _grid,
+    _leaf_mask,
+    _mask,
+    _vertices,
     _walk,
-    descending_order_key,
+    _walk_facet,
+    enumerate_facets,
+    vertex_set,
 )
 from .scroll_model import ScrollSpec, per_spec, require_complex
 
@@ -64,25 +71,54 @@ class ColonReport:
 
 @dataclass(frozen=True, slots=True)
 class VerificationResult:
+    """The outcome of one certification pass.
+
+    ``degree_counts[k]`` counts the facets whose colon ideal is generated by
+    exactly k variables (the h-vector when every quotient is linear);
+    ``quadratic_fallbacks`` counts the facets whose bitset witness forced the
+    quadratic scan.  Only the failing reports are kept; ``reports`` rebuilds
+    all of them, in the certified order, on first access.
+    """
+
     spec: ScrollSpec
-    reports: tuple[ColonReport, ...]
+    facet_count: int
+    degree_counts: tuple[int, ...]
+    quadratic_fallbacks: int
+    failing: tuple[ColonReport, ...]
     passed: bool
     mutation: str | None = None
+    _reports: tuple[ColonReport, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def reports(self) -> tuple[ColonReport, ...]:
+        if self._reports is None:
+            facets = enumerate_facets(self.spec)
+            ordered = [facets[rank] for rank in _facet_order(self.spec, self.mutation)]
+            result = _certify(self.spec, self.mutation, ordered)
+            object.__setattr__(self, "_reports", result.reports)
+        return self._reports
 
     def failures(self) -> tuple[ColonReport, ...]:
-        return tuple(r for r in self.reports if not (r.linear and r.matches_prediction))
+        return self.failing
 
 
 def dual_support(facet: Facet) -> tuple[Vertex, ...]:
     """Complement V \\ F listed from the greatest variable downwards."""
     vs = facet.vertices
-    return tuple(v for v in _vertex_ids(facet.spec) if v not in vs)
+    return tuple(v for v in vertex_set(facet.spec) if v not in vs)
 
 
-def _swapped_groups_key(facet: Facet):
-    top = facet.spec.alphas[-1]
-    alpha = {top: top - 1, top - 1: top}.get(facet.alpha, facet.alpha)
-    return (-alpha, descending_order_key(facet)[1])
+def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
+    """Enumeration ranks in the order certified under ``mutation``:
+    ``swap-groups`` moves the second alpha block ahead of the first."""
+    alphas = _enumerated(spec)[1]
+    if mutation != "swap-groups":
+        return range(len(alphas))
+    first = alphas.count(alphas[0])
+    second = first + alphas.count(alphas[0] - 1)
+    return [*range(first, second), *range(first), *range(second, len(alphas))]
 
 
 def precedes(f: Facet, g: Facet) -> bool:
@@ -106,6 +142,30 @@ def _check_mutation(mutation: str | None) -> None:
         )
 
 
+def _predict(
+    walk: Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]],
+    grid: list[list[int]],
+    alpha: int,
+    greatest: int,
+    mutation: str | None,
+) -> int:
+    """The mask of ``predict_LG`` over a facet's ``_walk``; ``greatest`` is
+    the alpha of the greatest group."""
+    unit_generates = alpha != greatest or mutation == "c2"
+    split_generates = mutation != "b2"
+    out = 0
+    for node, kids, top, sibling in walk:
+        if top:
+            continue
+        a, b = node
+        if not kids or kids[0][0] != a:  # bottom of its column
+            if b != a + 1 or (a == alpha and unit_generates):
+                out |= grid[a][b]
+        elif sibling or (split_generates and len(kids) == 2):
+            out |= grid[a][b]
+    return out
+
+
 def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex]:
     """Predicted linear colon generators of a facet, read off its tree.
 
@@ -123,33 +183,17 @@ def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex
     """
     _check_mutation(mutation)
     spec = facet.spec
-    alpha = facet.alpha
-    leaves = _leaf_set(spec, alpha)
-    unit_generates = alpha != spec.alphas[-1] or mutation == "c2"
-    split_generates = mutation != "b2"
-    out: set[Vertex] = set()
-    for node, kids, top, sibling in _walk(facet.vertices, spec.c, leaves):
-        if top:
-            continue
-        a, b = node
-        if not kids or kids[0][0] != a:  # bottom of its column
-            if b != a + 1 or (a == alpha and unit_generates):
-                out.add(node)
-        elif sibling or (split_generates and len(kids) == 2):
-            out.add(node)
-    return frozenset(out)
+    walk = _walk_facet(facet)
+    return _vertices(spec, _predict(walk, _grid(spec), facet.alpha, spec.alphas[-1], mutation))
 
 
-def _minimal_sets(sets: Iterable[frozenset[Vertex]]) -> frozenset[frozenset[Vertex]]:
-    kept: list[frozenset[Vertex]] = []
-    for s in sorted(set(sets), key=len):
-        if not any(k <= s for k in kept):
+def _minimal_masks(diffs: Iterable[int]) -> frozenset[int]:
+    """The inclusion-minimal masks among ``diffs``."""
+    kept: list[int] = []
+    for s in sorted(set(diffs), key=int.bit_count):
+        if not any(k & ~s == 0 for k in kept):
             kept.append(s)
     return frozenset(kept)
-
-
-def _minimal_diffs(facet: Facet, earlier: Iterable[Facet]) -> frozenset[frozenset[Vertex]]:
-    return _minimal_sets(facet.vertices - g.vertices for g in earlier)
 
 
 def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[frozenset[Vertex]]:
@@ -160,76 +204,108 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     sets through an inverted index.  The list must contain the globally
     greatest facet, otherwise it cannot be complete.
     """
-    greatest = _enumerated(facet.spec)[0]
-    if not any(f.vertices == greatest.vertices for f in all_facets):
+    spec = facet.spec
+    listed = [_mask(spec, g.vertices) for g in all_facets]
+    if _enumerated(spec)[0][0] not in listed:
         raise DomainError("facet list is missing the greatest facet; incomplete input")
-    return _minimal_diffs(facet, (g for g in all_facets if precedes(g, facet)))
+    f = _mask(spec, facet.vertices)
+    earlier = (m for g, m in zip(all_facets, listed) if precedes(g, facet))
+    return frozenset(_vertices(spec, d) for d in _minimal_masks(f & ~m for m in earlier))
 
 
-def _report_for(
-    facet: Facet,
-    computed: frozenset[frozenset[Vertex]],
-    mutation: str | None,
-) -> ColonReport:
-    predicted = predict_LG(facet, mutation=mutation)
-    linear = all(len(s) == 1 for s in computed)
-    singletons = frozenset(next(iter(s)) for s in computed if len(s) == 1)
-    return ColonReport(
-        facet=facet,
-        computed_generators=computed,
-        predicted_LG=predicted,
-        linear=linear,
-        matches_prediction=linear and singletons == predicted,
-    )
-
-
-def _singleton_generators(facets: Sequence[Facet]) -> list[list[int]]:
-    """Vertex ids u of each facet F for which {u} = F \\ G for an earlier G.
+def _colons(
+    spec: ScrollSpec, masks: Sequence[int], index: list[int]
+) -> Iterator[tuple[int, frozenset[int] | None]]:
+    """Per facet in the order of ``masks``: the mask of its singleton
+    generators, and its minimal difference masks when some earlier facet
+    contains every singleton generator (the quadratic scan), else None.
 
     Every facet has c + d vertices, so an earlier G containing F \\ {u} is
-    F \\ {u} + {w} for some vertex w, and F and G share the swap key: the
-    vertex-id mask of F \\ {u}.  The keys are kept in a dict, first facet
-    wins, for one pass; ``InternalError`` if a facet has another size.
+    F \\ {u} + {w} for some vertex w, and F and G share the swap key
+    F \\ {u}.  A facet never yields one key twice, so a key seen before came
+    from an earlier facet; ``InternalError`` if a facet has another size.
     """
-    spec = facets[0].spec
-    vid = _vertex_ids(spec)
     size = spec.c + spec.d
-    first: dict[int, int] = {}
-    out: list[list[int]] = []
-    for rank, f in enumerate(facets):
-        if len(f.vertices) != size:
-            raise InternalError(f"facet of size {len(f.vertices)} != {size} for {spec}")
-        ids = [vid[v] for v in f.vertices]
-        mask = 0
-        for u in ids:
-            mask |= 1 << u
-        out.append([u for u in ids if first.setdefault(mask ^ (1 << u), rank) != rank])
-    return out
-
-
-def _indexed_reports(facets: Sequence[Facet], mutation: str | None) -> list[ColonReport]:
-    """Reports from the swap-key singletons (``_singleton_generators``).
-
-    The singleton generators are all the minimal generators unless some
-    earlier facet contains every one of them, read off the bitset index;
-    only such facets fall back to the quadratic scan.
-    """
-    spec = facets[0].spec
-    vindex = _facet_index(spec) if facets is _enumerated(spec) else _bitset_index(facets)
-    singles = [frozenset((v,)) for v in _vertex_ids(spec)]
-    reports: list[ColonReport] = []
+    keys: set[int] = set()
     seen = 0
-    for rank, (f, gens) in enumerate(zip(facets, _singleton_generators(facets))):
+    for rank, f in enumerate(masks):
+        if f.bit_count() != size:
+            raise InternalError(f"facet of size {f.bit_count()} != {size} for {spec}")
+        gens = 0
         witness = seen
-        for g in gens:
-            witness &= vindex[g]
-        if witness:
-            computed = _minimal_diffs(f, facets[:rank])
-        else:
-            computed = frozenset(singles[g] for g in gens)
-        reports.append(_report_for(f, computed, mutation))
+        rest = f
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            key = f ^ u
+            if key in keys:
+                gens |= u
+                witness &= index[u.bit_length() - 1]
+            else:
+                keys.add(key)
+        yield gens, _minimal_masks(f & ~g for g in masks[:rank]) if witness else None
         seen |= 1 << rank
-    return reports
+
+
+def _run(
+    spec: ScrollSpec,
+    masks: Sequence[int],
+    alphas: Sequence[int],
+    index: list[int],
+    mutation: str | None,
+    views: Sequence[Facet] | None,
+) -> VerificationResult:
+    """Certify ``masks`` in their order; ``views`` given, keep a report for
+    every facet (in ``VerificationResult._reports``), else for failures only."""
+    grid, c, greatest = _grid(spec), spec.c, spec.alphas[-1]
+    leaves = {alpha: _leaf_mask(spec, alpha) for alpha in spec.alphas}
+    counts = [0] * (c + spec.d + 1)
+    reports: list[ColonReport] = []
+    fallbacks = 0
+    passed = True
+    for rank, (gens, diffs) in enumerate(_colons(spec, masks, index)):
+        alpha = alphas[rank]
+        walk = _walk(masks[rank], c, leaves[alpha], grid)
+        predicted = _predict(walk, grid, alpha, greatest, mutation)
+        linear = diffs is None or all(d.bit_count() == 1 for d in diffs)
+        ok = linear and gens == predicted
+        fallbacks += diffs is not None
+        if linear:
+            counts[gens.bit_count()] += 1
+        if ok and views is None:
+            continue
+        passed = passed and ok
+        if diffs is None:
+            computed = frozenset(frozenset((v,)) for v in _vertices(spec, gens))
+        else:
+            computed = frozenset(_vertices(spec, d) for d in diffs)
+        if views is None:
+            facet = Facet(_vertices(spec, masks[rank]), alpha, spec)
+        else:
+            facet = views[rank]
+        reports.append(
+            ColonReport(
+                facet=facet,
+                computed_generators=computed,
+                predicted_LG=_vertices(spec, predicted),
+                linear=linear,
+                matches_prediction=ok,
+            )
+        )
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    result = VerificationResult(
+        spec=spec,
+        facet_count=len(masks),
+        degree_counts=tuple(counts),
+        quadratic_fallbacks=fallbacks,
+        failing=tuple(r for r in reports if not r.matches_prediction),
+        passed=passed,
+        mutation=mutation,
+    )
+    if views is not None:
+        object.__setattr__(result, "_reports", tuple(reports))
+    return result
 
 
 def verify_linear_quotients(
@@ -248,10 +324,17 @@ def verify_linear_quotients(
     return _certify(spec, mutation)
 
 
-def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
-    facets = _enumerated(spec)
+def _certify(
+    spec: ScrollSpec, mutation: str | None, views: Sequence[Facet] | None = None
+) -> VerificationResult:
+    """Certify the facets in the order of ``mutation``; see ``_run`` for
+    ``views``."""
+    masks, alphas = _enumerated(spec)
     if mutation == "swap-groups":
-        facets = sorted(facets, key=_swapped_groups_key)
-    reports = _indexed_reports(facets, mutation)
-    passed = all(r.linear and r.matches_prediction for r in reports)
-    return VerificationResult(spec=spec, reports=tuple(reports), passed=passed, mutation=mutation)
+        order = _facet_order(spec, mutation)
+        masks = [masks[r] for r in order]
+        alphas = [alphas[r] for r in order]
+        index = _bitset_index(masks)
+    else:
+        index = _facet_index(spec)
+    return _run(spec, masks, alphas, index, mutation, views)

@@ -9,6 +9,12 @@ present, (a, a+1) absent) or drops its right unit ((a, b-1) present,
 (b-1, b) absent).  On a facet the split point is unique and the patterns
 exclude each other, so the walk meets every vertex; on any other set it
 fails a check.  Every facet has c + d vertices.
+
+Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
+the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
+largest id, so the greatest variable holds the highest bit and
+``(-alpha, mask)`` sorts facets greatest first (see ``_enumerate``).  The
+frozenset ``Facet`` is a view built only where the API hands one out.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 Vertex = tuple[int, int]
 
 #: Enumeration refuses specs with more facets than this (``CapacityError``):
-#: each facet costs a few KB, and certification a pass over all of them.
+#: each facet is kept as one int mask, about 50 bytes, and certification
+#: makes a pass over all of them with c + d swap keys per facet.
 MAX_ENUMERATED_FACETS = 200_000
 
 #: ``count_facets`` refuses specs whose counting DP would take more split
@@ -36,7 +43,11 @@ MAX_COUNTING_STEPS = 1_000_000
 
 @dataclass(frozen=True, slots=True)
 class Facet:
-    """A facet: its vertex set plus the window position of its leaf set."""
+    """A facet: its vertex set plus the window position of its leaf set.
+
+    The enumeration keeps facets as int masks; ``enumerate_facets`` and
+    ``first_facet`` build these views from them on request.
+    """
 
     vertices: frozenset[Vertex]
     alpha: int
@@ -65,38 +76,66 @@ def vertex_set(spec: ScrollSpec) -> tuple[Vertex, ...]:
     return tuple((a, b) for a in range(1, c + 1) for b in range(a + 1, c + 1))
 
 
-def _vertex_ids(spec: ScrollSpec) -> dict[Vertex, int]:
-    # Ascending (a, b) order is exactly descending variable order.
-    return per_spec(spec, "vertex_ids", lambda: {v: i for i, v in enumerate(vertex_set(spec))})
+def _grid(spec: ScrollSpec) -> list[list[int]]:
+    """The one-bit mask of every vertex, kept on the spec: ``grid[a][b]`` is
+    the bit of (a, b), vertex id i at bit top - i; 0 off the vertex set."""
+
+    def compute() -> list[list[int]]:
+        vertices = vertex_set(spec)
+        top = len(vertices) - 1
+        grid = [[0] * (spec.c + 1) for _ in range(spec.c + 1)]
+        for i, (a, b) in enumerate(vertices):
+            grid[a][b] = 1 << (top - i)
+        return grid
+
+    return per_spec(spec, "grid", compute)
 
 
-def _bitset_index(facets: Sequence[Facet]) -> list[int]:
-    """Incidence index over vertex ids: entry ``vid`` has bit ``rank`` set
-    exactly when ``facets[rank]`` contains that vertex."""
-    vid = _vertex_ids(facets[0].spec) if facets else {}
-    rows = [bytearray((len(facets) + 7) // 8) for _ in vid]
-    for rank, f in enumerate(facets):
-        byte, bit = rank >> 3, 1 << (rank & 7)
-        for v in f.vertices:
-            rows[vid[v]][byte] |= bit
-    return [int.from_bytes(row, "little") for row in rows]
-
-
-def _validate_vertices(spec: ScrollSpec, vertices: Iterable[Vertex]) -> frozenset[Vertex]:
-    c = spec.c
-    vs = frozenset(vertices)
-    for v in vs:
+def _mask(spec: ScrollSpec, vertices: Iterable[Vertex]) -> int:
+    """The mask of a vertex collection; ``InvalidVertexError`` for a vertex
+    outside 1 <= a < b <= c."""
+    c, grid = spec.c, _grid(spec)
+    mask = 0
+    for v in vertices:
         a, b = v
         if not (1 <= a < b <= c):
             raise InvalidVertexError(f"vertex {v} outside 1 <= a < b <= {c}")
-    return vs
+        mask |= grid[a][b]
+    return mask
 
 
-def _leaf_set(spec: ScrollSpec, alpha: int) -> frozenset[Vertex]:
-    """The leaf set at ``alpha``, from a table kept on the spec; raises
-    ``StructuralError`` for alpha outside [1, c-d-2]."""
+def _vertices(spec: ScrollSpec, mask: int) -> frozenset[Vertex]:
+    """The vertex set of a mask."""
+    by_bit = per_spec(spec, "by_bit", lambda: vertex_set(spec)[::-1])
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(by_bit[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+def _bitset_index(masks: Sequence[int]) -> list[int]:
+    """Incidence index over bit positions: entry ``pos`` has bit ``rank``
+    set exactly when ``masks[rank]`` has bit ``pos``."""
+    width = max(map(int.bit_length, masks), default=0)
+    rows = [bytearray((len(masks) + 7) // 8) for _ in range(width)]
+    for rank, mask in enumerate(masks):
+        byte, bit = rank >> 3, 1 << (rank & 7)
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1][byte] |= bit
+            mask ^= low
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def _leaf_mask(spec: ScrollSpec, alpha: int) -> int:
+    """The mask of the leaf set at ``alpha``, from a table kept on the spec;
+    raises ``StructuralError`` for alpha outside [1, c-d-2]."""
     table = per_spec(
-        spec, "leaf_sets", lambda: {a: leaves_profile(spec, a).leaves for a in spec.alphas}
+        spec,
+        "leaf_masks",
+        lambda: {a: _mask(spec, leaves_profile(spec, a).leaves) for a in spec.alphas},
     )
     if alpha not in table:
         raise StructuralError(f"leftmost unit start {alpha} outside [1, {len(table)}]")
@@ -104,18 +143,18 @@ def _leaf_set(spec: ScrollSpec, alpha: int) -> frozenset[Vertex]:
 
 
 def _walk(
-    vs: frozenset[Vertex], c: int, leaves: frozenset[Vertex]
+    mask: int, c: int, leaves: int, grid: list[list[int]]
 ) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
-    """Rebuild the tree of ``vs`` top-down from the root (1, c).
+    """Rebuild the tree of the vertex set ``mask`` top-down from (1, c).
 
     Yields ``(node, children, top, right_sibling)`` per node, children by
     left endpoint: ``top`` when the parent has another left endpoint (the
     node heads its column), ``right_sibling`` for a split's left child.
-    ``StructuralError`` unless ``vs`` is a facet with units ``leaves``,
+    ``StructuralError`` unless ``mask`` is a facet with units ``leaves``,
     possibly after the last node: consume the whole walk.
     """
     root = (1, c)
-    if root not in vs or not leaves <= vs:
+    if not mask & grid[1][c] or leaves & ~mask:
         raise StructuralError(f"root {root} or a leaf of the group is missing")
     stack = [(root, True, False)]
     visited = 0
@@ -123,22 +162,22 @@ def _walk(
         node, top, sibling = stack.pop()
         visited += 1
         a, b = node
+        row = grid[a]
         if b - a == 1:
-            if node not in leaves:
+            if not leaves & row[b]:
                 raise StructuralError(f"unit {node} is not in the leaf set")
             kids: tuple[Vertex, ...] = ()
         else:
             # The three node patterns; on a facet exactly one holds.
-            right, left = (a + 1, b), (a, b - 1)
-            if right in vs:  # drop the left unit, or split at a+1
-                unit = (a, a + 1)
-                kids = (unit, right) if unit in vs else (right,)
-            elif left in vs:  # drop the right unit, or split at b-1
-                unit = (b - 1, b)
-                kids = (left, unit) if unit in vs else (left,)
+            if mask & grid[a + 1][b]:  # drop the left unit, or split at a+1
+                right = (a + 1, b)
+                kids = ((a, a + 1), right) if mask & row[a + 1] else (right,)
+            elif mask & row[b - 1]:  # drop the right unit, or split at b-1
+                left = (a, b - 1)
+                kids = (left, (b - 1, b)) if mask & grid[b - 1][b] else (left,)
             else:
                 for k in range(a + 2, b - 1):
-                    if (a, k) in vs and (k, b) in vs:
+                    if mask & row[k] and mask & grid[k][b]:
                         kids = ((a, k), (k, b))
                         break
                 else:
@@ -149,17 +188,26 @@ def _walk(
             else:
                 stack.append((kids[0], kids[0][0] != a, False))
         yield node, kids, top, sibling
-    if visited != len(vs):
-        raise StructuralError(f"{len(vs) - visited} vertices lie off the tree from {root}")
+    size = mask.bit_count()
+    if visited != size:
+        raise StructuralError(f"{size - visited} vertices lie off the tree from {root}")
+
+
+def _walk_facet(facet: Facet) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
+    """``_walk`` of a ``Facet`` view against the leaf set at its alpha."""
+    spec = facet.spec
+    mask = _mask(spec, facet.vertices)
+    return _walk(mask, spec.c, _leaf_mask(spec, facet.alpha), _grid(spec))
 
 
 def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
     """Whether ``candidate`` is a facet of the initial complex of ``spec``."""
     require_complex(spec)
-    vs = _validate_vertices(spec, candidate)
+    vs = list(candidate)
+    mask = _mask(spec, vs)
     alpha = min((a for a, b in vs if b - a == 1), default=0)
     try:
-        for _ in _walk(vs, spec.c, _leaf_set(spec, alpha)):
+        for _ in _walk(mask, spec.c, _leaf_mask(spec, alpha), _grid(spec)):
             pass
     except StructuralError:
         return False
@@ -169,20 +217,19 @@ def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
 def facet_tree(facet: Facet) -> FacetTree:
     """Containment tree of a facet; ``StructuralError`` on non-facets and
     when ``facet.alpha`` is not the leftmost unit start."""
-    spec = facet.spec
-    walk = _walk(facet.vertices, spec.c, _leaf_set(spec, facet.alpha))
-    children = {node: kids for node, kids, _, _ in walk}
+    children = {node: kids for node, kids, _, _ in _walk_facet(facet)}
     parent = {kid: node for node, kids in children.items() for kid in kids}
-    return FacetTree(root=(1, spec.c), children=children, parent=parent)
+    return FacetTree(root=(1, facet.spec.c), children=children, parent=parent)
 
 
 def _subtrees(
     a: int,
     b: int,
-    leaves: frozenset[Vertex],
-    memo: dict[tuple[int, int], tuple[frozenset[Vertex], ...]],
-) -> tuple[frozenset[Vertex], ...]:
-    """All valid subtree vertex sets rooted at the interval (a, b).
+    leaves: int,
+    grid: list[list[int]],
+    memo: dict[tuple[int, int], tuple[int, ...]],
+) -> tuple[int, ...]:
+    """The masks of all valid subtrees rooted at the interval (a, b).
 
     A unit interval is a subtree iff it is in the leaf set; a longer
     interval either drops a non-leaf unit off one end or splits in two.
@@ -191,30 +238,30 @@ def _subtrees(
     cached = memo.get(key)
     if cached is not None:
         return cached
-    me = (a, b)
+    me = grid[a][b]
     if b - a == 1:
-        result: tuple[frozenset[Vertex], ...] = (frozenset((me,)),) if me in leaves else ()
+        result: tuple[int, ...] = (me,) if leaves & me else ()
     else:
-        acc: list[frozenset[Vertex]] = []
-        if (a, a + 1) not in leaves:
-            acc.extend(s | {me} for s in _subtrees(a + 1, b, leaves, memo))
-        if (b - 1, b) not in leaves:
-            acc.extend(s | {me} for s in _subtrees(a, b - 1, leaves, memo))
+        acc: list[int] = []
+        if not leaves & grid[a][a + 1]:
+            acc.extend(s | me for s in _subtrees(a + 1, b, leaves, grid, memo))
+        if not leaves & grid[b - 1][b]:
+            acc.extend(s | me for s in _subtrees(a, b - 1, leaves, grid, memo))
         for mid in range(a + 1, b):
-            lefts = _subtrees(a, mid, leaves, memo)
+            lefts = _subtrees(a, mid, leaves, grid, memo)
             if not lefts:
                 continue
-            rights = _subtrees(mid, b, leaves, memo)
+            rights = _subtrees(mid, b, leaves, grid, memo)
             for s1 in lefts:
-                for s2 in rights:
-                    acc.append(s1 | s2 | {me})
+                s1 |= me
+                acc.extend(s1 | s2 for s2 in rights)
         result = tuple(acc)
     memo[key] = result
     return result
 
 
 def _count_subtrees(
-    a: int, b: int, leaves: frozenset[Vertex], memo: dict[tuple[int, int], int]
+    a: int, b: int, leaves: int, grid: list[list[int]], memo: dict[tuple[int, int], int]
 ) -> int:
     """``len(_subtrees(a, b, leaves, ...))`` by the same recursion."""
     key = (a, b)
@@ -222,17 +269,17 @@ def _count_subtrees(
     if cached is not None:
         return cached
     if b - a == 1:
-        count = int((a, b) in leaves)
+        count = int(bool(leaves & grid[a][b]))
     else:
         count = 0
-        if (a, a + 1) not in leaves:
-            count += _count_subtrees(a + 1, b, leaves, memo)
-        if (b - 1, b) not in leaves:
-            count += _count_subtrees(a, b - 1, leaves, memo)
+        if not leaves & grid[a][a + 1]:
+            count += _count_subtrees(a + 1, b, leaves, grid, memo)
+        if not leaves & grid[b - 1][b]:
+            count += _count_subtrees(a, b - 1, leaves, grid, memo)
         for mid in range(a + 1, b):
-            lefts = _count_subtrees(a, mid, leaves, memo)
+            lefts = _count_subtrees(a, mid, leaves, grid, memo)
             if lefts:
-                count += lefts * _count_subtrees(mid, b, leaves, memo)
+                count += lefts * _count_subtrees(mid, b, leaves, grid, memo)
     memo[key] = count
     return count
 
@@ -251,11 +298,13 @@ def count_facets(spec: ScrollSpec) -> int:
             f"{spec} needs {steps:,} steps to count its facets, over the counting "
             f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
         )
-    return sum(_count_subtrees(1, spec.c, _leaf_set(spec, a), {}) for a in spec.alphas)
+    grid = _grid(spec)
+    return sum(_count_subtrees(1, spec.c, _leaf_mask(spec, a), grid, {}) for a in spec.alphas)
 
 
-def _enumerated(spec: ScrollSpec) -> tuple[Facet, ...]:
-    """The facets of ``spec`` in the facet order, kept on the spec.
+def _enumerated(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The facet masks of ``spec`` in the facet order and the alpha of each,
+    kept on the spec.
 
     Raises ``CapacityError`` when the spec has more than
     ``MAX_ENUMERATED_FACETS`` facets.
@@ -266,42 +315,34 @@ def _enumerated(spec: ScrollSpec) -> tuple[Facet, ...]:
 
 def _facet_index(spec: ScrollSpec) -> list[int]:
     """``_bitset_index`` of the ordered facets, kept on the spec."""
-    return per_spec(spec, "index", lambda: _bitset_index(_enumerated(spec)))
+    return per_spec(spec, "index", lambda: _bitset_index(_enumerated(spec)[0]))
 
 
-def descending_order_key(facet: Facet):
-    """Sort key that lists facets greatest-first.
+def _enumerate(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Facets greatest first: larger alpha first, then ascending mask.
 
     Within a group the dual supports, read from the greatest variable down,
     are compared position by position with the greater variable winning.
     The smallest vertex id in the symmetric difference decides that; it is
-    the highest differing bit of the facets' masks with id i at bit top - i,
-    and the facet holding it comes later.
+    the highest differing bit of the two masks, and the facet holding it
+    comes later.
     """
-    vid = _vertex_ids(facet.spec)
-    top = len(vid) - 1
-    mask = 0
-    for v in facet.vertices:
-        mask |= 1 << (top - vid[v])
-    return (-facet.alpha, mask)
-
-
-def _enumerate(spec: ScrollSpec) -> tuple[Facet, ...]:
     expected = count_facets(spec)
     if expected > MAX_ENUMERATED_FACETS:
         raise CapacityError(
             f"{spec} has {expected:,} facets, over the enumeration budget of "
             f"{MAX_ENUMERATED_FACETS:,} facets; choose a smaller scroll type"
         )
-    facets: list[Facet] = []
-    for alpha in spec.alphas:
-        memo: dict[tuple[int, int], tuple[frozenset[Vertex], ...]] = {}
-        for vertices in _subtrees(1, spec.c, _leaf_set(spec, alpha), memo):
-            facets.append(Facet(vertices=vertices, alpha=alpha, spec=spec))
-    if len(facets) != expected:
-        raise InternalError(f"enumerated {len(facets)} facets for {spec}, counted {expected}")
-    facets.sort(key=descending_order_key)
-    return tuple(facets)
+    grid = _grid(spec)
+    masks: list[int] = []
+    alphas: list[int] = []
+    for alpha in reversed(spec.alphas):
+        group = sorted(_subtrees(1, spec.c, _leaf_mask(spec, alpha), grid, {}))
+        masks += group
+        alphas += [alpha] * len(group)
+    if len(masks) != expected:
+        raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
+    return tuple(masks), tuple(alphas)
 
 
 def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
@@ -309,21 +350,28 @@ def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
 
     The list is grouped by window position (larger alpha first) and ordered
     within a group by the dual-monomial comparison of ``dual_quotients``.
-    The result is deterministic and kept on the spec object.
+    The result is deterministic; its ``Facet`` views are built on the first
+    call and kept on the spec object.
     """
-    return list(_enumerated(spec))
+
+    def views() -> tuple[Facet, ...]:
+        masks, alphas = _enumerated(spec)
+        return tuple(
+            Facet(vertices=_vertices(spec, m), alpha=a, spec=spec) for m, a in zip(masks, alphas)
+        )
+
+    return list(per_spec(spec, "facet_views", views))
 
 
 def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     """The greatest facet of the group at ``alpha``.
 
-    Scans the enumeration, which lists facets greatest first, and returns
-    the first facet of the group.  Raises for a spec without a complex and
-    for alpha outside [1, c-d-2], after the guarded enumeration.
+    The enumeration lists facets greatest first; the view of the first facet
+    of the group is built.  Raises for a spec without a complex and for
+    alpha outside [1, c-d-2], after the guarded enumeration.
     """
-    facets = _enumerated(spec)
+    masks, alphas = _enumerated(spec)
     leaves_profile(spec, alpha)
-    for facet in facets:
-        if facet.alpha == alpha:
-            return facet
-    raise InternalError(f"empty facet group for {spec} at alpha={alpha}")
+    if alpha not in alphas:
+        raise InternalError(f"empty facet group for {spec} at alpha={alpha}")
+    return Facet(vertices=_vertices(spec, masks[alphas.index(alpha)]), alpha=alpha, spec=spec)

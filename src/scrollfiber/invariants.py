@@ -12,12 +12,13 @@ palindromicity of the h-vector, all compared against closed forms in c and d.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dual_quotients import ColonReport, verify_linear_quotients
-from .errors import CapacityError, InternalError, PreconditionError, VerificationError
-from .facet_complex import Facet, _bitset_index, _enumerated, _facet_index
+from .errors import CapacityError, PreconditionError, VerificationError
+from .facet_complex import Facet, _bitset_index, _enumerated, _facet_index, _mask
 from .scroll_model import ScrollSpec, complex_regime
 
 #: The face walk refuses to visit more faces than this (``CapacityError``);
@@ -104,14 +105,16 @@ def face_counts(facets: Sequence[Facet], max_size: int) -> tuple[int, ...]:
         PreconditionError: ``max_size`` is below 1.
         CapacityError: more than ``MAX_FACE_NODES`` faces would be visited.
     """
-    return _face_walk(_bitset_index(facets), max_size)
+    masks = [_mask(f.spec, f.vertices) for f in facets]
+    return _face_walk(_bitset_index(masks), max_size)
 
 
 def _face_walk(index: list[int], max_size: int) -> tuple[int, ...]:
     """``face_counts`` over a ``_bitset_index``.  A face's cover is the bitset
     of facets containing it (-1 for the empty face); adding w narrows it to
     ``cover & index[w]``.  A vertex that extends no face extends none of its
-    supersets, so each face passes on only the extensions that hit."""
+    supersets, so each face passes on only the extensions that hit.  Faces
+    grow from the highest bit down, in ascending vertex order."""
     if max_size < 1:
         raise PreconditionError(f"face sizes start at 1, got max_size={max_size}")
     counts = [0] * (max_size + 1)
@@ -132,7 +135,7 @@ def _face_walk(index: list[int], max_size: int) -> tuple[int, ...]:
             for i, (_, sub) in enumerate(hits):
                 walk(extensions[i + 1 :], sub, size + 1)
 
-    walk(range(len(index)), -1, 0)
+    walk(range(len(index) - 1, -1, -1), -1, 0)
     return tuple(counts[1:])
 
 
@@ -207,9 +210,30 @@ def closed_form(c: int, d: int) -> InvariantReport:
     )
 
 
-def hilbert_data(spec: ScrollSpec, *, window: int = 5) -> HilbertData:
+def _stopwatch(timings: dict[str, float] | None) -> Callable[[str], None]:
+    """``lap(name)`` records under ``name`` the seconds since the previous
+    lap (or since this call), rounded to milliseconds, when ``timings`` is a
+    dict; otherwise it records nothing."""
+    last = time.perf_counter()
+
+    def lap(name: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        if timings is not None:
+            timings[name] = round(now - last, 3)
+        last = now
+
+    return lap
+
+
+def hilbert_data(
+    spec: ScrollSpec, *, window: int = 5, timings: dict[str, float] | None = None
+) -> HilbertData:
     """Hilbert window computed two independent ways; the face count is the
     authority and any disagreement with the h-expansion is a hard failure.
+
+    ``timings``, when given, receives the seconds of the stages
+    ``enumerate``, ``certify``, ``face_walk`` and ``hilbert_check``.
 
     Raises:
         CapacityError: ``window`` exceeds ``MAX_HILBERT_WINDOW``.
@@ -219,12 +243,18 @@ def hilbert_data(spec: ScrollSpec, *, window: int = 5) -> HilbertData:
             f"Hilbert window {window:,} is over its capacity of {MAX_HILBERT_WINDOW:,} "
             "degrees; lower the Hilbert window"
         )
+    lap = _stopwatch(timings)
+    _enumerated(spec)
+    lap("enumerate")
     result = verify_linear_quotients(spec)
     if not result.passed:
         raise VerificationError(f"linear-quotients certification failed for {spec}")
-    hv = h_vector_from_quotients(result.reports)
-    dim = spec.c + spec.d
+    lap("certify")
     f = _face_walk(_facet_index(spec), window)
+    lap("face_walk")
+    # Certified, so every quotient is linear and the counts are the h-vector.
+    hv = HVector(h=result.degree_counts)
+    dim = spec.c + spec.d
     # A subset of a face is a face, so the sizes that occur run from 1 up.
     sizes = f[: f.index(0)] if 0 in f else f
     hf: dict[int, int] = {}
@@ -237,26 +267,26 @@ def hilbert_data(spec: ScrollSpec, *, window: int = 5) -> HilbertData:
                 f"faces give {by_faces}, h-polynomial gives {by_h}"
             )
         hf[t] = by_faces
+    lap("hilbert_check")
     return HilbertData(dim=dim, h_polynomial=hv, hf=hf)
 
 
-def full_report(spec: ScrollSpec, *, hilbert_window: int = 5) -> InvariantReport:
+def full_report(
+    spec: ScrollSpec, *, hilbert_window: int = 5, timings: dict[str, float] | None = None
+) -> InvariantReport:
     """Computed invariants for ``spec``, checked against the closed forms.
 
     For c < d + 4 no complex is built and the closed-form predictions are
     returned as-is, flagged prediction-only.  Verification failures and
     Hilbert-path disagreements propagate as ``VerificationError``.
+    ``timings`` is passed to ``hilbert_data``.
     """
     c, d = spec.c, spec.d
     predicted = closed_form(c, d)
     if not spec.has_complex:
         return predicted
 
-    data = hilbert_data(spec, window=hilbert_window)
-    facets = _enumerated(spec)
-    if any(len(f.vertices) != c + d for f in facets):
-        raise InternalError(f"facet of size != {c + d} enumerated for {spec}")
-
+    data = hilbert_data(spec, window=hilbert_window, timings=timings)
     hv = data.h_polynomial
     reg = hv.degree
     dim = c + d
@@ -271,7 +301,7 @@ def full_report(spec: ScrollSpec, *, hilbert_window: int = 5) -> InvariantReport
     return InvariantReport(
         c=c,
         d=d,
-        facet_count=len(facets),
+        facet_count=verify_linear_quotients(spec).facet_count,
         h_vector=hv.h,
         dim=dim,
         reg=reg,

@@ -74,6 +74,21 @@ class TestInvariantsCommand:
         _, second, _ = run(capsys, "invariants", "--n", "1,5", "--format", "json")
         assert first == second
 
+    def test_timings_only_on_request_with_every_stage(self, capsys):
+        _, plain, _ = run(capsys, "invariants", "--n", "5", "--format", "json")
+        assert json.loads(plain)["timings"] is None
+        _, out, _ = run(capsys, "invariants", "--n", "5", "--format", "json", "--timings")
+        timings = json.loads(out)["timings"]
+        assert set(timings) == {"enumerate", "certify", "face_walk", "hilbert_check", "total"}
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+    def test_schema_two_counts_quadratic_fallbacks(self, capsys):
+        _, out, _ = run(capsys, "invariants", "--n", "2,4", "--format", "json")
+        payload = json.loads(out)
+        assert payload["schema_version"] == 2
+        assert payload["verification"]["quadratic_fallbacks"] == 0
+        assert payload["verification"]["facets"] == 28
+
     def test_hilbert_window_below_one_is_a_usage_error(self, capsys):
         for window in ("0", "-1"):
             code, out, err = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)

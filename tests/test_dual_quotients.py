@@ -21,7 +21,8 @@ from scrollfiber import (
     predict_LG,
     verify_linear_quotients,
 )
-from scrollfiber.dual_quotients import _indexed_reports, _minimal_diffs, _swapped_groups_key
+from scrollfiber.dual_quotients import _facet_order, _run
+from scrollfiber.facet_complex import _bitset_index, _mask
 
 # Shared desk spec objects keep their enumerations between tests.
 DESK_BY_N = {s.n: s for s in DESK_SPECS}
@@ -39,6 +40,22 @@ EXAMPLE_245 = Facet(
 )
 
 
+def _minimal_diffs(facet, earlier):
+    """Reference quadratic scan on frozensets: the inclusion-minimal
+    difference sets of ``facet`` against the ``earlier`` facets."""
+    diffs = sorted({facet.vertices - g.vertices for g in earlier}, key=len)
+    kept = []
+    for s in diffs:
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
+def _certified_order(spec, mutation):
+    facets = enumerate_facets(spec)
+    return [facets[rank] for rank in _facet_order(spec, mutation)]
+
+
 def _agreement_cases(specs):
     """(n, mutation) cases; the unmutated ones keep the ids n0, n1, ..."""
     return [
@@ -52,9 +69,7 @@ def _assert_engines_agree(spec, mutation):
     """Each indexed report against the quadratic scan over its prefix of the
     facet order; linearity, match, pass and failure count recomputed here."""
     indexed = verify_linear_quotients(spec, mutation=mutation)
-    facets = enumerate_facets(spec)
-    if mutation == "swap-groups":
-        facets = sorted(facets, key=_swapped_groups_key)
+    facets = _certified_order(spec, mutation)
     failures = 0
     for rank, (r, f) in enumerate(zip(indexed.reports, facets, strict=True)):
         computed = _minimal_diffs(f, facets[:rank])
@@ -97,7 +112,7 @@ class TestOrder:
     def test_swapped_order_transposes_the_two_greatest_groups(self):
         spec = DESK_BY_N[(2, 2, 4, 4)]
         facets = enumerate_facets(spec)
-        swapped = sorted(facets, key=_swapped_groups_key)
+        swapped = _certified_order(spec, "swap-groups")
         assert swapped != facets
         top = spec.c - spec.d - 2
         for alpha in range(1, top + 1):
@@ -202,6 +217,24 @@ class TestVerification:
     def test_indexed_engine_agrees_with_full_scan(self, n, mutation):
         _assert_engines_agree(ScrollSpec(n), mutation)
 
+    @pytest.mark.parametrize("n", [(5,), (2, 4), (2, 2, 2, 2)])
+    def test_lazy_reports_equal_the_audit_path(self, n):
+        spec = ScrollSpec(n)
+        result = verify_linear_quotients(spec)
+        facets = enumerate_facets(spec)
+        assert result._reports is None
+        assert [r.facet for r in result.reports] == facets
+        for report, facet in zip(result.reports, facets, strict=True):
+            computed = colon_generators(facet, facets)
+            assert report.computed_generators == computed
+            assert report.predicted_LG == predict_LG(facet)
+            assert report.linear and report.matches_prediction
+        assert result.reports is result.reports
+        assert result.facet_count == len(facets)
+        degrees = [len(r.computed_generators) for r in result.reports]
+        assert result.degree_counts == tuple(degrees.count(k) for k in range(max(degrees) + 1))
+        assert (result.failures(), result.quadratic_fallbacks) == ((), 0)
+
     def test_small_scroll_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
             verify_linear_quotients(ScrollSpec((2, 2, 2)))
@@ -251,10 +284,16 @@ class TestVerification:
     def test_quadratic_fallback_on_a_shuffled_order(self):
         # No order the public API offers has non-linear quotients on small
         # specs, so the fallback is reached through a shuffled facet list.
-        facets = enumerate_facets(ScrollSpec((6,)))
+        spec = ScrollSpec((6,))
+        facets = enumerate_facets(spec)
         random.Random(0).shuffle(facets)
-        reports = _indexed_reports(facets, None)
+        masks = [_mask(spec, f.vertices) for f in facets]
+        result = _run(spec, masks, [f.alpha for f in facets], _bitset_index(masks), None, facets)
+        reports = result.reports
         assert sum(not r.linear for r in reports) == 16
+        # A witness exists exactly when some minimal generator is not a singleton.
+        assert result.quadratic_fallbacks == 16
+        assert result.failures() == tuple(r for r in reports if not r.matches_prediction)
         assert [r.computed_generators for r in reports] == [
             _minimal_diffs(f, facets[:rank]) for rank, f in enumerate(facets)
         ]

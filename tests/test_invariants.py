@@ -11,6 +11,7 @@ from conftest import desk_specs_with_complex
 from scrollfiber import (
     CapacityError,
     ColonReport,
+    Facet,
     PreconditionError,
     ScrollSpec,
     VerificationError,
@@ -182,6 +183,17 @@ class TestFullReport:
         big = [full_report(ScrollSpec(n)) for n in [(1, 2, 2, 4), (2, 2, 2, 3)]]
         assert big[0].h_vector == big[1].h_vector
         assert big[0].facet_count == big[1].facet_count
+
+    def test_builds_no_facet_view_and_no_report(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-facet object was built")
+
+        monkeypatch.setattr(Facet, "__init__", refuse)
+        monkeypatch.setattr(ColonReport, "__init__", refuse)
+        report = full_report(ScrollSpec((2, 2, 4, 4)))
+        assert report.facet_count == 20696
+        assert report.h_vector == (1, 50, 710, 3746, 7836, 6412, 1820, 120, 1)
+        assert report.closed_form_match
 
     def test_prediction_only_below_threshold(self):
         report = full_report(ScrollSpec((1, 1, 1)))

@@ -14,10 +14,13 @@ means G = F \\ {u} + {w}: F and G share the swap key F \\ {u}.  One pass
 over the ordered facet masks with a set of swap keys therefore finds every
 singleton generator.  A generator of higher degree exists exactly when some
 earlier facet contains all singleton generators of F; the bitset index
-detects that, and only such facets fall back to the quadratic scan.  The
-pass keeps counts, not one report per facet: ``VerificationResult`` holds
-the per-degree counts and the failing reports, and builds the full report
-list only when asked.
+detects that, and only such facets fall back to the quadratic scan.
+
+One generator, ``_certified``, applies the certified order and yields every
+facet's colon data.  ``verify_linear_quotients`` folds it into per-degree
+counts and the failing reports, not one report per facet;
+``VerificationResult.reports`` maps it through the same report builder
+only when asked.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ class VerificationResult:
     ``degree_counts[k]`` counts the facets whose colon ideal is generated by
     exactly k variables (the h-vector when every quotient is linear);
     ``quadratic_fallbacks`` counts the facets whose bitset witness forced the
-    quadratic scan.  Only the failing reports are kept; ``reports`` rebuilds
-    all of them, in the certified order, on first access.
+    quadratic scan.  Only the failing reports are kept, and ``passed`` means
+    that there are none; ``reports`` rebuilds all of them, in the certified
+    order, on first access.
     """
 
     spec: ScrollSpec
@@ -85,19 +89,22 @@ class VerificationResult:
     degree_counts: tuple[int, ...]
     quadratic_fallbacks: int
     failing: tuple[ColonReport, ...]
-    passed: bool
     mutation: str | None = None
     _reports: tuple[ColonReport, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     @property
+    def passed(self) -> bool:
+        return not self.failing
+
+    @property
     def reports(self) -> tuple[ColonReport, ...]:
         if self._reports is None:
-            facets = enumerate_facets(self.spec)
-            ordered = [facets[rank] for rank in _facet_order(self.spec, self.mutation)]
-            result = _certify(self.spec, self.mutation, ordered)
-            object.__setattr__(self, "_reports", result.reports)
+            views = enumerate_facets(self.spec)
+            stream = _certified(self.spec, self.mutation)
+            reports = tuple(_report(views[rank], *colon) for rank, *colon in stream)
+            object.__setattr__(self, "_reports", reports)
         return self._reports
 
     def failures(self) -> tuple[ColonReport, ...]:
@@ -112,7 +119,9 @@ def dual_support(facet: Facet) -> tuple[Vertex, ...]:
 
 def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
     """Enumeration ranks in the order certified under ``mutation``:
-    ``swap-groups`` moves the second alpha block ahead of the first."""
+    ``swap-groups`` moves the second alpha block ahead of the first.  Only
+    the enumeration order is a ``range``; ``_certified`` indexes any other
+    order afresh."""
     alphas = _enumerated(spec)[1]
     if mutation != "swap-groups":
         return range(len(alphas))
@@ -247,65 +256,44 @@ def _colons(
         seen |= 1 << rank
 
 
-def _run(
-    spec: ScrollSpec,
-    masks: Sequence[int],
-    alphas: Sequence[int],
-    index: list[int],
-    mutation: str | None,
-    views: Sequence[Facet] | None,
-) -> VerificationResult:
-    """Certify ``masks`` in their order; ``views`` given, keep a report for
-    every facet (in ``VerificationResult._reports``), else for failures only."""
+def _certified(
+    spec: ScrollSpec, mutation: str | None
+) -> Iterator[tuple[int, int, frozenset[int] | None, int]]:
+    """Per facet in the order certified under ``mutation`` (``_facet_order``):
+    its enumeration rank, the mask of its singleton generators, its minimal
+    difference masks from the quadratic scan or None (``_colons``), and the
+    mask of its prediction (``_predict`` over its ``_walk``)."""
+    masks, alphas = _enumerated(spec)
+    order = _facet_order(spec, mutation)
+    if order == range(len(masks)):
+        index = _facet_index(spec)
+    else:
+        masks = [masks[rank] for rank in order]
+        index = _bitset_index(masks)
     grid, c, greatest = _grid(spec), spec.c, spec.alphas[-1]
     leaves = {alpha: _leaf_mask(spec, alpha) for alpha in spec.alphas}
-    counts = [0] * (c + spec.d + 1)
-    reports: list[ColonReport] = []
-    fallbacks = 0
-    passed = True
-    for rank, (gens, diffs) in enumerate(_colons(spec, masks, index)):
+    for rank, mask, (gens, diffs) in zip(order, masks, _colons(spec, masks, index)):
         alpha = alphas[rank]
-        walk = _walk(masks[rank], c, leaves[alpha], grid)
-        predicted = _predict(walk, grid, alpha, greatest, mutation)
-        linear = diffs is None or all(d.bit_count() == 1 for d in diffs)
-        ok = linear and gens == predicted
-        fallbacks += diffs is not None
-        if linear:
-            counts[gens.bit_count()] += 1
-        if ok and views is None:
-            continue
-        passed = passed and ok
-        if diffs is None:
-            computed = frozenset(frozenset((v,)) for v in _vertices(spec, gens))
-        else:
-            computed = frozenset(_vertices(spec, d) for d in diffs)
-        if views is None:
-            facet = Facet(_vertices(spec, masks[rank]), alpha, spec)
-        else:
-            facet = views[rank]
-        reports.append(
-            ColonReport(
-                facet=facet,
-                computed_generators=computed,
-                predicted_LG=_vertices(spec, predicted),
-                linear=linear,
-                matches_prediction=ok,
-            )
-        )
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    result = VerificationResult(
-        spec=spec,
-        facet_count=len(masks),
-        degree_counts=tuple(counts),
-        quadratic_fallbacks=fallbacks,
-        failing=tuple(r for r in reports if not r.matches_prediction),
-        passed=passed,
-        mutation=mutation,
+        walk = _walk(mask, c, leaves[alpha], grid)
+        yield rank, gens, diffs, _predict(walk, grid, alpha, greatest, mutation)
+
+
+def _report(facet: Facet, gens: int, diffs: frozenset[int] | None, predicted: int) -> ColonReport:
+    """The ``ColonReport`` of ``facet`` from its item of ``_certified``."""
+    spec = facet.spec
+    if diffs is None:
+        linear = True
+        computed = frozenset(frozenset((v,)) for v in _vertices(spec, gens))
+    else:
+        linear = all(d.bit_count() == 1 for d in diffs)
+        computed = frozenset(_vertices(spec, d) for d in diffs)
+    return ColonReport(
+        facet=facet,
+        computed_generators=computed,
+        predicted_LG=_vertices(spec, predicted),
+        linear=linear,
+        matches_prediction=linear and gens == predicted,
     )
-    if views is not None:
-        object.__setattr__(result, "_reports", tuple(reports))
-    return result
 
 
 def verify_linear_quotients(
@@ -324,17 +312,30 @@ def verify_linear_quotients(
     return _certify(spec, mutation)
 
 
-def _certify(
-    spec: ScrollSpec, mutation: str | None, views: Sequence[Facet] | None = None
-) -> VerificationResult:
-    """Certify the facets in the order of ``mutation``; see ``_run`` for
-    ``views``."""
-    masks, alphas = _enumerated(spec)
-    if mutation == "swap-groups":
-        order = _facet_order(spec, mutation)
-        masks = [masks[r] for r in order]
-        alphas = [alphas[r] for r in order]
-        index = _bitset_index(masks)
-    else:
-        index = _facet_index(spec)
-    return _run(spec, masks, alphas, index, mutation, views)
+def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
+    """Fold ``_certified`` into per-degree counts and the failing reports;
+    a facet builds its report only off the linear, as-predicted case."""
+    masks, alphas = _enumerated(spec)  # its guards refuse a huge c first
+    counts = [0] * (spec.c + spec.d + 1)
+    failing: list[ColonReport] = []
+    fallbacks = 0
+    for rank, gens, diffs, predicted in _certified(spec, mutation):
+        fallbacks += diffs is not None
+        if diffs is None and gens == predicted:
+            counts[gens.bit_count()] += 1
+            continue
+        facet = Facet(_vertices(spec, masks[rank]), alphas[rank], spec)
+        report = _report(facet, gens, diffs, predicted)
+        counts[gens.bit_count()] += report.linear
+        if not report.matches_prediction:
+            failing.append(report)
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return VerificationResult(
+        spec=spec,
+        facet_count=len(masks),
+        degree_counts=tuple(counts),
+        quadratic_fallbacks=fallbacks,
+        failing=tuple(failing),
+        mutation=mutation,
+    )

@@ -1,14 +1,19 @@
 """Facets of the initial complex and their binary interval trees.
 
 Vertices of the complex are open intervals (a, b) with integer endpoints
-1 <= a < b <= c.  A facet is a binary tree on the root (1, c), which
-``_walk`` rebuilds top-down: a unit node is a leaf and lies in one of the
-leaf sets of ``scroll_model.leaves_profile``; a longer node (a, b) splits
-at some k ((a, k) and (k, b) present), drops its left unit ((a+1, b)
-present, (a, a+1) absent) or drops its right unit ((a, b-1) present,
-(b-1, b) absent).  On a facet the split point is unique and the patterns
-exclude each other, so the walk meets every vertex; on any other set it
-fails a check.  Every facet has c + d vertices.
+1 <= a < b <= c.  A facet is a binary tree on the root (1, c): a unit node
+is a leaf and lies in one of the leaf sets of
+``scroll_model.leaves_profile``; a longer node (a, b) splits at some k
+((a, k) and (k, b) present), drops its left unit ((a+1, b) present,
+(a, a+1) absent) or drops its right unit ((a, b-1) present, (b-1, b)
+absent).  Every facet has c + d vertices.
+
+One grammar table per leaf set, ``_rules``, states these rules once; it
+generates the facets: ``count_facets`` folds it into counts and
+``_enumerate`` into masks.  ``_walk`` parses one vertex set top-down
+against the same rules: on a facet the split point is unique and the
+patterns exclude each other, so the walk meets every vertex; on any other
+set it fails a check.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
@@ -34,10 +39,10 @@ Vertex = tuple[int, int]
 #: makes a pass over all of them with c + d swap keys per facet.
 MAX_ENUMERATED_FACETS = 200_000
 
-#: ``count_facets`` refuses specs whose counting DP would take more split
-#: steps than this (``CapacityError``): at most C(c, 3) per group, c - d - 2
-#: groups.  Every spec with c <= 40 is counted: (40,) takes 365,560 steps;
-#: (51,), at 999,600, counts in about 0.4 s on a 2-core host.
+#: ``count_facets`` refuses specs whose grammar tables (``_rules``) would
+#: take more split steps than this (``CapacityError``): at most C(c, 3) per
+#: group, c - d - 2 groups.  Every spec with c <= 40 is counted: (40,) takes
+#: 365,560 steps; (51,), at 999,600, counts in about 0.4 s on a 2-core host.
 MAX_COUNTING_STEPS = 1_000_000
 
 
@@ -222,73 +227,38 @@ def facet_tree(facet: Facet) -> FacetTree:
     return FacetTree(root=(1, facet.spec.c), children=children, parent=parent)
 
 
-def _subtrees(
-    a: int,
-    b: int,
-    leaves: int,
-    grid: list[list[int]],
-    memo: dict[tuple[int, int], tuple[int, ...]],
-) -> tuple[int, ...]:
-    """The masks of all valid subtrees rooted at the interval (a, b).
+def _rules(spec: ScrollSpec, alpha: int) -> dict[Vertex, list[tuple[Vertex, ...]]]:
+    """The facet grammar of the group at ``alpha``.
 
-    A unit interval is a subtree iff it is in the leaf set; a longer
-    interval either drops a non-leaf unit off one end or splits in two.
+    Maps every interval that roots a valid subtree, shorter intervals first,
+    to the children of each way to build that subtree: ``()`` for a unit in
+    the leaf set, one child when a longer interval drops a non-leaf unit off
+    either end, two children for a split.  (A unit has neither: its drops
+    and splits name no interval.)
     """
-    key = (a, b)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    me = grid[a][b]
-    if b - a == 1:
-        result: tuple[int, ...] = (me,) if leaves & me else ()
-    else:
-        acc: list[int] = []
-        if not leaves & grid[a][a + 1]:
-            acc.extend(s | me for s in _subtrees(a + 1, b, leaves, grid, memo))
-        if not leaves & grid[b - 1][b]:
-            acc.extend(s | me for s in _subtrees(a, b - 1, leaves, grid, memo))
-        for mid in range(a + 1, b):
-            lefts = _subtrees(a, mid, leaves, grid, memo)
-            if not lefts:
-                continue
-            rights = _subtrees(mid, b, leaves, grid, memo)
-            for s1 in lefts:
-                s1 |= me
-                acc.extend(s1 | s2 for s2 in rights)
-        result = tuple(acc)
-    memo[key] = result
-    return result
-
-
-def _count_subtrees(
-    a: int, b: int, leaves: int, grid: list[list[int]], memo: dict[tuple[int, int], int]
-) -> int:
-    """``len(_subtrees(a, b, leaves, ...))`` by the same recursion."""
-    key = (a, b)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if b - a == 1:
-        count = int(bool(leaves & grid[a][b]))
-    else:
-        count = 0
-        if not leaves & grid[a][a + 1]:
-            count += _count_subtrees(a + 1, b, leaves, grid, memo)
-        if not leaves & grid[b - 1][b]:
-            count += _count_subtrees(a, b - 1, leaves, grid, memo)
-        for mid in range(a + 1, b):
-            lefts = _count_subtrees(a, mid, leaves, grid, memo)
-            if lefts:
-                count += lefts * _count_subtrees(mid, b, leaves, grid, memo)
-    memo[key] = count
-    return count
+    c, leaves, grid = spec.c, _leaf_mask(spec, alpha), _grid(spec)
+    rules: dict[Vertex, list[tuple[Vertex, ...]]] = {}
+    for length in range(1, c):
+        for a in range(1, c - length + 1):
+            b = a + length
+            ways: list[tuple[Vertex, ...]] = [()] if length == 1 and leaves & grid[a][b] else []
+            for (p, q), kid in (((a, a + 1), (a + 1, b)), ((b - 1, b), (a, b - 1))):
+                if not leaves & grid[p][q] and kid in rules:
+                    ways.append((kid,))
+            for k in range(a + 1, b):
+                if (a, k) in rules and (k, b) in rules:
+                    ways.append(((a, k), (k, b)))
+            if ways:
+                rules[(a, b)] = ways
+    return rules
 
 
 def count_facets(spec: ScrollSpec) -> int:
     """Number of facets of the initial complex, without enumerating them.
 
-    Runs in time polynomial in c; ``enumerate_facets`` lists exactly this
-    many facets.  Raises ``CapacityError`` before counting when the DP would
+    Folds each group's grammar table into subtree counts, in time
+    polynomial in c; ``enumerate_facets`` lists exactly this many facets.
+    Raises ``CapacityError`` before any table is built when the tables would
     take more than ``MAX_COUNTING_STEPS`` split steps.
     """
     require_complex(spec)
@@ -298,8 +268,13 @@ def count_facets(spec: ScrollSpec) -> int:
             f"{spec} needs {steps:,} steps to count its facets, over the counting "
             f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
         )
-    grid = _grid(spec)
-    return sum(_count_subtrees(1, spec.c, _leaf_mask(spec, a), grid, {}) for a in spec.alphas)
+    total = 0
+    for alpha in spec.alphas:
+        counts: dict[Vertex, int] = {}
+        for node, ways in _rules(spec, alpha).items():
+            counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids in ways)
+        total += counts.get((1, spec.c), 0)
+    return total
 
 
 def _enumerated(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -321,6 +296,8 @@ def _facet_index(spec: ScrollSpec) -> list[int]:
 def _enumerate(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Facets greatest first: larger alpha first, then ascending mask.
 
+    Each group's grammar table is folded into the masks of its subtrees,
+    every way of building a node ORing its children's masks into its bit.
     Within a group the dual supports, read from the greatest variable down,
     are compared position by position with the greater variable winning.
     The smallest vertex id in the symmetric difference decides that; it is
@@ -337,7 +314,15 @@ def _enumerate(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     masks: list[int] = []
     alphas: list[int] = []
     for alpha in reversed(spec.alphas):
-        group = sorted(_subtrees(1, spec.c, _leaf_mask(spec, alpha), grid, {}))
+        subtrees: dict[Vertex, list[int]] = {}
+        for (a, b), ways in _rules(spec, alpha).items():
+            subtrees[(a, b)] = built = []
+            for kids in ways:
+                partial = [grid[a][b]]
+                for kid in kids:
+                    partial = [p | s for p in partial for s in subtrees[kid]]
+                built += partial
+        group = sorted(subtrees.get((1, spec.c), ()))
         masks += group
         alphas += [alpha] * len(group)
     if len(masks) != expected:

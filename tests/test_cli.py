@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,12 +10,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from conftest import tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrollfiber import invariants, oracle
-from scrollfiber.cli import ReportEnvelope, main
+from scrollfiber.cli import ReportEnvelope, _build_parser, main
 
 
 HUGE = "99999999999999999999"
@@ -24,6 +26,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(capsys, *argv):
+    """(exit code, stdout, stderr) of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 class TestInvariantsCommand:
@@ -448,6 +458,49 @@ class TestOutputDirectory:
         assert err.startswith(f"error: cannot write the report to {taken / 'inside'}")
 
 
+class TestOptions:
+    """Each subcommand accepts only the options and formats it renders."""
+
+    OPTIONS = {
+        "invariants": ["--format", "--hilbert-window", "--n", "--out-dir", "--timings"],
+        "verify": [
+            "--format", "--modulus", "--mutate-rule", "--n", "--out-dir", "--t-max", "--timings"
+        ],
+        "facets": ["--alpha", "--format", "--limit", "--n", "--out-dir"],
+        "batch": ["--format", "--hilbert-window", "--out-dir"],
+        "selftest": [],
+    }
+
+    def test_verify_refuses_csv(self, capsys):
+        code, out, err = refused(capsys, "verify", "--n", "5", "--t-max", "2", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv'" in err
+
+    def test_facets_refuses_csv(self, capsys, tmp_path):
+        code, out, err = refused(
+            capsys, "facets", "--n", "5", "--format", "csv", "--out-dir", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_facets_refuses_timings(self, capsys):
+        code, out, err = refused(capsys, "facets", "--n", "5", "--timings")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --timings" in err
+
+    def test_options_and_formats_are_pinned(self):
+        parser = _build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options, formats = {}, {}
+        for name, sub in commands.choices.items():
+            actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            options[name] = sorted(o for a in actions for o in a.option_strings)
+            formats.update((name, a.choices) for a in actions if "--format" in a.option_strings)
+        assert options == self.OPTIONS
+        assert formats == COMMAND_FORMATS
+
+
 # Fuzzing main(argv): valid and garbage values for every value option, on
 # scrolls with c <= 8 and degrees t <= 3 so that each call stays cheap.
 GARBAGE = st.sampled_from(["", " ", "x", "-", "--", "1.5", "2,,4", "3,-1", "0", "1e2", "nan"])
@@ -472,6 +525,12 @@ COMMAND_OPTIONS = {
     "facets": ("--n", "--alpha", "--limit"),
     "batch": ("--hilbert-window",),
 }
+COMMAND_FORMATS = {
+    "invariants": ("text", "json", "csv"),
+    "verify": ("text", "json"),
+    "facets": ("text", "json"),
+    "batch": ("text", "json", "csv"),
+}
 
 
 @st.composite
@@ -494,7 +553,8 @@ def invocations(draw) -> tuple[list[str], list[str]]:
     for option in COMMAND_OPTIONS[command]:
         if option == "--n" or draw(st.booleans()):
             argv += [option, value(option)]
-    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    formats = st.sampled_from(COMMAND_FORMATS[command])
+    argv += ["--format", draw(GARBAGE if draw(ONE_IN_SIX) else formats)]
     return argv, lines
 
 

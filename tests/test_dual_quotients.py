@@ -21,8 +21,8 @@ from scrollfiber import (
     predict_LG,
     verify_linear_quotients,
 )
-from scrollfiber.dual_quotients import _facet_order, _run
-from scrollfiber.facet_complex import _bitset_index, _mask
+from scrollfiber import dual_quotients
+from scrollfiber.dual_quotients import _facet_order
 
 # Shared desk spec objects keep their enumerations between tests.
 DESK_BY_N = {s.n: s for s in DESK_SPECS}
@@ -281,14 +281,17 @@ class TestVerification:
         # scan under the mutated order and rules, where certification fails.
         _assert_engines_agree(ScrollSpec(n), mutation)
 
-    def test_quadratic_fallback_on_a_shuffled_order(self):
+    def test_quadratic_fallback_on_a_shuffled_order(self, monkeypatch):
         # No order the public API offers has non-linear quotients on small
-        # specs, so the fallback is reached through a shuffled facet list.
+        # specs, so the fallback is reached through a shuffled facet order,
+        # which both folds of the certified stream read.
         spec = ScrollSpec((6,))
-        facets = enumerate_facets(spec)
-        random.Random(0).shuffle(facets)
-        masks = [_mask(spec, f.vertices) for f in facets]
-        result = _run(spec, masks, [f.alpha for f in facets], _bitset_index(masks), None, facets)
+        enumerated = enumerate_facets(spec)
+        order = list(range(len(enumerated)))
+        random.Random(0).shuffle(order)
+        facets = [enumerated[rank] for rank in order]
+        monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
+        result = verify_linear_quotients(spec)
         reports = result.reports
         assert sum(not r.linear for r in reports) == 16
         # A witness exists exactly when some minimal generator is not a singleton.

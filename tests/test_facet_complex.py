@@ -58,7 +58,7 @@ class TestIsFacet:
                 assert not is_facet(facet.spec, facet.vertices - {v})
 
 
-# The enumeration (the ``_subtrees`` recursion, not the walk) is the oracle.
+# The enumeration (the ``_rules`` grammar table, not the walk) is the oracle.
 ORACLE_SPECS = [(5,), (6,), (2, 4), (1, 5), (7,), (2, 2, 2, 2)]
 
 
@@ -236,6 +236,8 @@ class TestFacetCount:
             ((2, 2, 4, 4), 20696),
             ((2, 2, 2, 2, 2, 2), 38012),
             ((4, 4, 4, 4), 475456),
+            ((5, 5, 5, 5), 8_242_832),
+            ((10, 10, 10), 4_294_832_318),
             ((30,), 1_073_740_952),
             ((40,), 1_099_511_626_214),
         ],
@@ -256,10 +258,10 @@ class TestFacetCount:
         "n", [(52,), (120,), (1100,), (20, 20, 20), (99999999999999999999,)]
     )
     def test_over_budget_count_is_refused_before_counting(self, n, monkeypatch):
-        def no_counting(*args):
-            raise AssertionError("the counting DP ran")
+        def no_table(*args):
+            raise AssertionError("a grammar table was built")
 
-        monkeypatch.setattr("scrollfiber.facet_complex._count_subtrees", no_counting)
+        monkeypatch.setattr("scrollfiber.facet_complex._rules", no_table)
         with pytest.raises(CapacityError, match="counting budget of 1,000,000 steps"):
             count_facets(ScrollSpec(n))
 

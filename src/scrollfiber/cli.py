@@ -31,7 +31,7 @@ from .dual_quotients import (
 )
 from .errors import PreconditionError, ScrollError, VerificationError
 from .facet_complex import Facet, enumerate_facets, facet_tree, first_facet, is_facet
-from .invariants import full_report, hilbert_function_by_faces
+from .invariants import _flag_skeleton, full_report, hilbert_function_by_faces
 from .oracle import DEFAULT_MODULUS, CrossCheckResult, cross_check, fiber_hilbert_function
 from .scroll_model import ScrollSpec, build_matrix, leaves_profile
 
@@ -275,9 +275,14 @@ def cmd_verify(
     modulus: int | str,
     mutation: str | None,
 ) -> tuple[ReportEnvelope, int]:
-    """Linear-quotients certification plus the rank-oracle cross-check."""
+    """Linear-quotients certification plus the rank-oracle cross-check; a
+    complex that fails its flag certificate is exit 1."""
     verification = verify_linear_quotients(spec, mutation=mutation)
-    oracle_result = cross_check(spec, t_max, modulus=modulus)
+    try:
+        oracle_result = cross_check(spec, t_max, modulus=modulus)
+    except VerificationError as exc:
+        envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="computed", error=str(exc))
+        return envelope, EXIT_MATH
     envelope = ReportEnvelope(
         spec=_spec_dict(spec, normalized),
         mode="computed",
@@ -376,6 +381,11 @@ def cmd_selftest() -> int:
     expected_first = frozenset((k, 12) for k in range(1, 11)) | expected_leaves
     checks.append(("first facet (2,2,4,4) alpha=2", first.vertices == expected_first))
     checks.append(("first facet is a facet", is_facet(spec, first.vertices)))
+    try:
+        flag = bool(_flag_skeleton(spec))
+    except VerificationError:
+        flag = False
+    checks.append(("complex is flag (2,2,4,4)", flag))
 
     spec245 = ScrollSpec((2, 4, 5))
     example = Facet(
@@ -483,6 +493,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(f"error: {envelope.error}", file=sys.stderr)
             return code
 
+        if args.command == "invariants" and args.format == "csv" and args.timings:
+            raise PreconditionError("--timings needs --format text or json: csv has no timing column")
         n, normalized = _parse_n(args.n)
         if normalized:
             print(f"note: n reordered non-decreasingly to {','.join(map(str, n))}", file=sys.stderr)

@@ -9,11 +9,11 @@ is a leaf and lies in one of the leaf sets of
 absent).  Every facet has c + d vertices.
 
 One grammar table per leaf set, ``_rules``, states these rules once; it
-generates the facets: ``count_facets`` folds it into counts and
-``_enumerate`` into masks.  ``_walk`` parses one vertex set top-down
-against the same rules: on a facet the split point is unique and the
-patterns exclude each other, so the walk meets every vertex; on any other
-set it fails a check.
+generates the facets: ``count_facets`` folds it into counts, ``_enumerate``
+into masks and ``_edges`` into the 1-skeleton.  ``_walk`` parses one vertex
+set top-down against the same rules: on a facet the split point is unique
+and the patterns exclude each other, so the walk meets every vertex; on any
+other set it fails a check.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
@@ -253,6 +253,18 @@ def _rules(spec: ScrollSpec, alpha: int) -> dict[Vertex, list[tuple[Vertex, ...]
     return rules
 
 
+def _check_tables(spec: ScrollSpec) -> None:
+    """Refuse ``spec`` (``CapacityError``) when its grammar tables would take
+    more than ``MAX_COUNTING_STEPS`` split steps, before any is built."""
+    require_complex(spec)
+    steps = (spec.c - spec.d - 2) * math.comb(spec.c, 3)
+    if steps > MAX_COUNTING_STEPS:
+        raise CapacityError(
+            f"{spec} needs {steps:,} steps to count its facets, over the counting "
+            f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
+        )
+
+
 def count_facets(spec: ScrollSpec) -> int:
     """Number of facets of the initial complex, without enumerating them.
 
@@ -261,13 +273,7 @@ def count_facets(spec: ScrollSpec) -> int:
     Raises ``CapacityError`` before any table is built when the tables would
     take more than ``MAX_COUNTING_STEPS`` split steps.
     """
-    require_complex(spec)
-    steps = (spec.c - spec.d - 2) * math.comb(spec.c, 3)
-    if steps > MAX_COUNTING_STEPS:
-        raise CapacityError(
-            f"{spec} needs {steps:,} steps to count its facets, over the counting "
-            f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
-        )
+    _check_tables(spec)
     total = 0
     for alpha in spec.alphas:
         counts: dict[Vertex, int] = {}
@@ -275,6 +281,50 @@ def count_facets(spec: ScrollSpec) -> int:
             counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids in ways)
         total += counts.get((1, spec.c), 0)
     return total
+
+
+def _edges(spec: ScrollSpec) -> list[int]:
+    """The 1-skeleton of the complex, without enumerating facets, kept on the
+    spec: entry ``pos`` is the mask of the neighbours of the vertex at bit
+    ``pos`` (0 for a vertex in no facet).
+
+    An inside-outside fold of each group's grammar table.  In(node) is every
+    vertex of some subtree rooted at the node: its bit ORed with In of its
+    children, over every way to build it.  Out(node) is every vertex of some
+    facet around such a subtree: from the root down, each way to build a
+    node passes Out(node), the node's bit and In of the other children to
+    each child.  The grammar is context-free, so any subtree fits any
+    context of its root, and u, v share a facet exactly when v lies in
+    In(u) | Out(u) for some group.  Raises ``CapacityError`` as
+    ``count_facets`` does.
+    """
+
+    def compute() -> list[int]:
+        _check_tables(spec)
+        grid = _grid(spec)
+        adj = [0] * math.comb(spec.c, 2)
+        for alpha in spec.alphas:
+            rules = _rules(spec, alpha)
+            inside: dict[Vertex, int] = {}
+            for (a, b), ways in rules.items():
+                inside[(a, b)] = grid[a][b]
+                for kids in ways:
+                    for kid in kids:
+                        inside[(a, b)] |= inside[kid]
+            outside = {(1, spec.c): 0} if (1, spec.c) in rules else {}
+            for (a, b), ways in reversed(rules.items()):
+                if (a, b) not in outside:
+                    continue  # in no facet of this group
+                bit = grid[a][b]
+                around = outside[(a, b)] | bit
+                adj[bit.bit_length() - 1] |= (inside[(a, b)] | around) & ~bit
+                for kids in ways:
+                    for i, kid in enumerate(kids):
+                        sibling = inside[kids[1 - i]] if len(kids) == 2 else 0
+                        outside[kid] = outside.get(kid, 0) | around | sibling
+        return adj
+
+    return per_spec(spec, "edges", compute)
 
 
 def _enumerated(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -3,8 +3,13 @@
 The h-vector is read off the certified quotient degrees and cross-checked
 against an independent face count of the complex: the number of degree-t
 monomials supported on faces must match the h-polynomial expansion in every
-window degree, otherwise the computation refuses to report.  Regularity is
-the h-degree, dimension is the facet size, the a-invariant their difference,
+window degree, otherwise the computation refuses to report.  The faces are
+counted as cliques of the complex's 1-skeleton, a graph on the C(c, 2)
+vertices that ``facet_complex._edges`` folds from the grammar.  That count
+is exact because the complex is flag: ``_certify_flag`` checks, once per
+spec, that the maximal cliques of the graph are exactly the enumerated
+facets, and a failure is a ``VerificationError``.  Regularity is the
+h-degree, dimension is the facet size, the a-invariant their difference,
 the reduction number equals the regularity, and Gorensteinness is decided by
 palindromicity of the h-vector, all compared against closed forms in c and d.
 """
@@ -18,12 +23,15 @@ from typing import Callable, Sequence
 
 from .dual_quotients import ColonReport, verify_linear_quotients
 from .errors import CapacityError, PreconditionError, VerificationError
-from .facet_complex import Facet, _bitset_index, _enumerated, _facet_index, _mask
-from .scroll_model import ScrollSpec, complex_regime
+from .facet_complex import Facet, _edges, _enumerated, _mask
+from .scroll_model import ScrollSpec, complex_regime, per_spec
 
 #: The face walk refuses to visit more faces than this (``CapacityError``);
-#: it counts the faces as it visits them.
-MAX_FACE_NODES = 20_000_000
+#: it counts them as it visits them.  The faces of the largest size are
+#: counted, not visited.  A visit costs about 0.2 us on a 2-core host
+#: ((16,) to size 6: 3.2M visits in 0.56 s), so a walk stops within about
+#: 20 s.
+MAX_FACE_NODES = 100_000_000
 
 #: ``hilbert_data`` refuses a Hilbert window above this degree
 #: (``CapacityError``), before any work.
@@ -94,48 +102,150 @@ def h_vector_from_quotients(reports: Sequence[ColonReport]) -> HVector:
 def face_counts(facets: Sequence[Facet], max_size: int) -> tuple[int, ...]:
     """Count distinct faces of each size 1..max_size below the given facets.
 
-    Faces are generated once each by a lexicographic depth-first walk: a face
-    extends only by vertices above its largest one, and the covering facets
-    are narrowed along the way, so no dedup set is needed.
+    The faces are counted as cliques of the facets' 1-skeleton, after
+    ``_certify_flag`` has certified that the maximal cliques of that graph
+    are exactly the given facets, so the clique complex is the complex the
+    facets generate.
 
     Returns:
         f where f[k-1] is the number of faces with k vertices.
 
     Raises:
         PreconditionError: ``max_size`` is below 1.
-        CapacityError: more than ``MAX_FACE_NODES`` faces would be visited.
+        VerificationError: the facets do not form a flag complex (or list a
+            face twice, or a face below another).
+        CapacityError: the walk would visit more than ``MAX_FACE_NODES``
+            faces.
     """
     masks = [_mask(f.spec, f.vertices) for f in facets]
-    return _face_walk(_bitset_index(masks), max_size)
+    adj = [0] * max(map(int.bit_length, masks), default=0)
+    for mask in masks:
+        rest = mask
+        while rest:
+            top = rest.bit_length() - 1
+            rest ^= 1 << top
+            adj[top] |= mask ^ (1 << top)
+    _certify_flag(adj, masks)
+    return _clique_walk(adj, max_size)
 
 
-def _face_walk(index: list[int], max_size: int) -> tuple[int, ...]:
-    """``face_counts`` over a ``_bitset_index``.  A face's cover is the bitset
-    of facets containing it (-1 for the empty face); adding w narrows it to
-    ``cover & index[w]``.  A vertex that extends no face extends none of its
-    supersets, so each face passes on only the extensions that hit.  Faces
-    grow from the highest bit down, in ascending vertex order."""
+def _present(adj: Sequence[int]) -> int:
+    """The mask of the vertices with a neighbour in ``adj``: every vertex
+    of a facet with two or more vertices."""
+    return sum(1 << pos for pos, nbrs in enumerate(adj) if nbrs)
+
+
+def _certify_flag(adj: Sequence[int], masks: Sequence[int]) -> None:
+    """Certify that the clique complex of the graph ``adj`` is the complex
+    with facets ``masks``: every maximal clique is one of the masks, and
+    there are as many maximal cliques as masks.
+
+    Both hold exactly when the maximal cliques are the masks, so a wrong
+    graph fails too: an extra edge yields a clique that is no mask, a
+    missing edge loses a mask.  The cliques come from Bron-Kerbosch with
+    the Tomita-Tanaka-Takahashi pivot over int bitsets, each maximal clique
+    once; ``VerificationError`` at the first clique that is no mask.
+    """
+    facets = set(masks)
+    found = 0
+    vertices = _present(adj)
+    # Each entry is (clique, candidates, excluded): the cliques that extend
+    # ``clique`` by candidates, maximal when no excluded vertex extends them.
+    stack = [(0, vertices, 0)] if vertices else []
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        while candidates:
+            # Pivot on a vertex with the most neighbours among the candidates;
+            # every maximal clique here holds it or one of its non-neighbours.
+            size = candidates.bit_count()
+            pool, best, pivot = candidates | excluded, -1, 0
+            while pool:
+                top = pool.bit_length() - 1
+                pool ^= 1 << top
+                k = (candidates & adj[top]).bit_count()
+                if k > best:
+                    best, pivot = k, adj[top]
+                    if k >= size - 1:
+                        break  # no vertex does better
+            if best == size:
+                break  # an excluded vertex extends every clique here
+            branch = candidates & ~pivot
+            while True:
+                top = branch.bit_length() - 1
+                bit = 1 << top
+                branch ^= bit
+                if not branch:
+                    break  # the last branch continues this loop
+                stack.append((clique | bit, candidates & adj[top], excluded & adj[top]))
+                candidates ^= bit
+                excluded |= bit
+            clique |= bit
+            candidates &= adj[top]
+            excluded &= adj[top]
+        if candidates or excluded:
+            continue  # not maximal
+        if clique not in facets:
+            raise VerificationError(
+                f"the complex is not flag: a maximal clique of {clique.bit_count()} "
+                "vertices of its 1-skeleton is no facet"
+            )
+        found += 1
+    if found != len(masks):
+        raise VerificationError(
+            f"the complex is not flag: its 1-skeleton has {found:,} maximal cliques "
+            f"for {len(masks):,} facets"
+        )
+
+
+def _flag_skeleton(spec: ScrollSpec) -> list[int]:
+    """``_edges`` of ``spec``, certified against the enumerated facets by
+    ``_certify_flag`` once per spec."""
+
+    def compute() -> list[int]:
+        adj = _edges(spec)
+        _certify_flag(adj, _enumerated(spec)[0])
+        return adj
+
+    return per_spec(spec, "flag", compute)
+
+
+def _clique_walk(adj: Sequence[int], max_size: int) -> tuple[int, ...]:
+    """Cliques of each size 1..max_size of the graph ``adj``, generated once
+    each: a clique grows from the highest bit down and extends only by
+    common neighbours of its vertices below its lowest bit, that is above
+    its largest vertex.  The cliques of the last size are counted with
+    ``bit_count()``, not visited; ``MAX_FACE_NODES`` bounds the cliques
+    that are visited."""
     if max_size < 1:
         raise PreconditionError(f"face sizes start at 1, got max_size={max_size}")
     counts = [0] * (max_size + 1)
     visited = 0
-
-    def walk(candidates: Sequence[int], cover: int, size: int) -> None:
-        nonlocal visited
-        hits = [(w, sub) for w in candidates if (sub := cover & index[w])]
-        visited += len(hits)
+    # Each entry is (candidates, size): a clique of ``size`` vertices and the
+    # vertices that extend it by one.
+    stack = [(_present(adj), 0)]
+    while stack:
+        candidates, size = stack.pop()
+        counts[size + 1] += candidates.bit_count()
+        if size + 1 == max_size:
+            continue
+        visited += candidates.bit_count()
         if visited > MAX_FACE_NODES:
             raise CapacityError(
                 f"face walk exceeded its capacity of {MAX_FACE_NODES:,} nodes; "
                 "lower the Hilbert window or choose a smaller scroll type"
             )
-        counts[size + 1] += len(hits)
-        if size + 1 < max_size:
-            extensions = [w for w, _ in hits]
-            for i, (_, sub) in enumerate(hits):
-                walk(extensions[i + 1 :], sub, size + 1)
-
-    walk(range(len(index) - 1, -1, -1), -1, 0)
+        if size + 2 == max_size:
+            last = 0
+            while candidates:
+                top = candidates.bit_length() - 1
+                candidates ^= 1 << top
+                last += (candidates & adj[top]).bit_count()
+            counts[max_size] += last
+            continue
+        while candidates:
+            top = candidates.bit_length() - 1
+            candidates ^= 1 << top
+            stack.append((candidates & adj[top], size + 1))
     return tuple(counts[1:])
 
 
@@ -233,7 +343,8 @@ def hilbert_data(
     authority and any disagreement with the h-expansion is a hard failure.
 
     ``timings``, when given, receives the seconds of the stages
-    ``enumerate``, ``certify``, ``face_walk`` and ``hilbert_check``.
+    ``enumerate``, ``certify``, ``flag_check``, ``face_walk`` and
+    ``hilbert_check``.
 
     Raises:
         CapacityError: ``window`` exceeds ``MAX_HILBERT_WINDOW``.
@@ -250,7 +361,9 @@ def hilbert_data(
     if not result.passed:
         raise VerificationError(f"linear-quotients certification failed for {spec}")
     lap("certify")
-    f = _face_walk(_facet_index(spec), window)
+    adj = _flag_skeleton(spec)
+    lap("flag_check")
+    f = _clique_walk(adj, window)
     lap("face_walk")
     # Certified, so every quotient is linear and the counts are the h-vector.
     hv = HVector(h=result.degree_counts)

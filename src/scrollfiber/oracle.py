@@ -4,8 +4,10 @@ The degree-t graded piece of the subalgebra generated by the 2x2 minors is
 spanned by the products of t minors; its dimension is the rank of the
 coefficient matrix of those products, computed exactly by sparse row
 reduction over a prime field (default) or over the rationals, the latter in
-integer arithmetic alone.  Nothing here looks at facets or colon ideals, so
-agreement with the face-count Hilbert function is a genuine cross-check of
+integer arithmetic alone.  The rank side looks at no facet, colon ideal or
+graph.  The face count it is compared with comes from the complex's
+1-skeleton, certified flag against the enumerated facets
+(``invariants._flag_skeleton``), so agreement is a genuine cross-check of
 the combinatorial pipeline.
 
 A monomial is packed into one integer, one bit field per matrix entry, so a
@@ -21,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, PreconditionError
-from .facet_complex import _facet_index
-from .invariants import _face_walk, _hf_from_counts
+from .invariants import _clique_walk, _flag_skeleton, _hf_from_counts
 from .scroll_model import ScrollSpec, minor, require_complex
 
 DEFAULT_MODULUS = (1 << 31) - 1
@@ -275,7 +276,8 @@ def cross_check(
     """Compare the rank oracle against the face-count Hilbert function.
 
     The row count grows with the degree, so the row budget is checked at
-    ``t_max`` before the face walk and before any degree is built.
+    ``t_max`` before the flag check, the face walk and any degree is built.
+    Raises ``VerificationError`` when the complex fails its flag check.
 
     A mismatch under a prime modulus is re-checked over the rationals: a
     genuinely modular discrepancy is flagged as a suspected modulus collision
@@ -288,7 +290,7 @@ def cross_check(
         _check_prime(int(modulus))
     _check_rows(spec, t_max)
 
-    faces = _face_walk(_facet_index(spec), max(t_max, 1))
+    faces = _clique_walk(_flag_skeleton(spec), max(t_max, 1))
     # Degree 0 is the ground field on both sides.
     rows: list[CrossCheckRow] = [CrossCheckRow(t=0, fiber_rank=1, face_count=1, equal=True)]
     notes: list[str] = []

@@ -15,7 +15,7 @@ from conftest import tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrollfiber import invariants, oracle
+from scrollfiber import facet_complex, invariants, oracle
 from scrollfiber.cli import ReportEnvelope, _build_parser, main
 
 
@@ -89,7 +89,9 @@ class TestInvariantsCommand:
         assert json.loads(plain)["timings"] is None
         _, out, _ = run(capsys, "invariants", "--n", "5", "--format", "json", "--timings")
         timings = json.loads(out)["timings"]
-        assert set(timings) == {"enumerate", "certify", "face_walk", "hilbert_check", "total"}
+        assert set(timings) == {
+            "enumerate", "certify", "flag_check", "face_walk", "hilbert_check", "total"
+        }
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
     def test_schema_two_counts_quadratic_fallbacks(self, capsys):
@@ -121,6 +123,26 @@ class TestInvariantsCommand:
         code, _, err = run(capsys, "invariants", "--n", "2,4")
         assert code == 2
         assert "capacity" in err
+
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    def test_extra_edge_fails_the_flag_certificate(self, capsys, monkeypatch, command):
+        # The crossing intervals (1,3) and (2,4) share no facet: a skeleton
+        # that joins them has a maximal clique that is no facet, exit 1.
+        real = invariants._edges
+
+        def with_extra_edge(spec):
+            adj = list(real(spec))
+            grid = facet_complex._grid(spec)
+            u, v = grid[1][3].bit_length() - 1, grid[2][4].bit_length() - 1
+            assert not adj[u] >> v & 1
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            return adj
+
+        monkeypatch.setattr(invariants, "_edges", with_extra_edge)
+        code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
+        assert code == 1
+        assert "is no facet" in json.loads(out)["error"]
 
     def test_facet_budget_guard(self, capsys):
         started = time.perf_counter()
@@ -342,7 +364,8 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "rational rank equals modular rank (5), t <= 3 ... ok" in out
-        assert "10/10" in out
+        assert "complex is flag (2,2,4,4) ... ok" in out
+        assert "11/11" in out
 
 
 INVARIANTS_5_TEXT = """\
@@ -483,6 +506,19 @@ class TestOptions:
         assert (code, out) == (2, "")
         assert "argument --format: invalid choice: 'csv'" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_invariants_refuses_csv_with_timings(self, capsys, tmp_path):
+        # The csv row has no timing column, so the timings would be dropped.
+        code, out, err = run(
+            capsys, "invariants", "--n", "5", "--format", "csv", "--timings",
+            "--out-dir", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --timings needs --format text or json")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        code, out, _ = run(capsys, "invariants", "--n", "5", "--format", "csv")
+        assert code == 0 and out.startswith("c,d,facets")
 
     def test_facets_refuses_timings(self, capsys):
         code, out, err = refused(capsys, "facets", "--n", "5", "--timings")

@@ -23,7 +23,12 @@ from scrollfiber import (
     predict_LG,
     vertex_set,
 )
-from scrollfiber.facet_complex import MAX_ENUMERATED_FACETS, _enumerated, count_facets
+from scrollfiber.facet_complex import (
+    MAX_ENUMERATED_FACETS,
+    _edges,
+    _enumerated,
+    count_facets,
+)
 
 SPEC_2244 = ScrollSpec((2, 2, 4, 4))
 LEAVES_2244_A2 = frozenset({(2, 3), (3, 4), (4, 5), (5, 6), (10, 11), (11, 12)})
@@ -273,6 +278,25 @@ class TestFacetCount:
     def test_small_scroll_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
             count_facets(ScrollSpec((2, 2, 2)))
+
+
+class TestEdges:
+    @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=str)
+    def test_fold_equals_the_skeleton_of_the_facets(self, spec):
+        skeleton = [0] * len(vertex_set(spec))
+        for mask in _enumerated(spec)[0]:
+            for pos in range(mask.bit_length()):
+                if mask >> pos & 1:
+                    skeleton[pos] |= mask & ~(1 << pos)
+        assert _edges(spec) == skeleton
+
+    def test_over_budget_is_refused_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a grammar table was built")
+
+        monkeypatch.setattr("scrollfiber.facet_complex._rules", no_table)
+        with pytest.raises(CapacityError, match="counting budget of 1,000,000 steps"):
+            _edges(ScrollSpec((52,)))
 
 
 class TestFirstFacet:

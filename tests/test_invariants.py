@@ -28,6 +28,7 @@ from scrollfiber import (
     vertex_set,
 )
 from scrollfiber import invariants
+from scrollfiber.facet_complex import _bitset_index, _edges, _enumerated
 
 
 def quotient_h(n):
@@ -115,6 +116,81 @@ class TestFaceCounting:
     def test_rejects_sizes_below_one(self, max_size):
         with pytest.raises(PreconditionError):
             face_counts(enumerate_facets(ScrollSpec((5,))), max_size)
+
+
+def _cover_walk(masks, max_size):
+    """Reference face count: the facet-cover walk the clique walk replaced.
+    A face's cover is the bitset of the facets containing it; a face
+    extends by a vertex above its largest one while the cover stays
+    non-empty."""
+    index = _bitset_index(masks)
+    counts = [0] * (max_size + 1)
+
+    def walk(candidates, cover, size):
+        hits = [(w, sub) for w in candidates if (sub := cover & index[w])]
+        counts[size + 1] += len(hits)
+        if size + 1 < max_size:
+            extensions = [w for w, _ in hits]
+            for i, (_, sub) in enumerate(hits):
+                walk(extensions[i + 1 :], sub, size + 1)
+
+    walk(range(len(index) - 1, -1, -1), -1, 0)
+    return tuple(counts[1:])
+
+
+class TestCliqueWalk:
+    @pytest.mark.parametrize(
+        "spec", [s for s in desk_specs_with_complex() if s.c <= 9], ids=str
+    )
+    def test_equals_the_cover_walk_up_to_dim(self, spec):
+        dim = spec.c + spec.d
+        expected = _cover_walk(_enumerated(spec)[0], dim)
+        assert invariants._clique_walk(invariants._flag_skeleton(spec), dim) == expected
+
+    @pytest.mark.parametrize("n", [(12,), (2, 2, 4, 4)])
+    def test_equals_the_cover_walk_at_window_five(self, n):
+        spec = ScrollSpec(n)
+        expected = _cover_walk(_enumerated(spec)[0], 5)
+        assert invariants._clique_walk(invariants._flag_skeleton(spec), 5) == expected
+
+    @pytest.mark.parametrize("n", [(5,), (2, 4), (2, 2, 2, 2), (1, 2, 2, 4)])
+    def test_certificate_fails_with_a_facet_dropped(self, n):
+        spec = ScrollSpec(n)
+        masks = _enumerated(spec)[0]
+        invariants._certify_flag(_edges(spec), masks)
+        for drop in (0, len(masks) // 2, len(masks) - 1):
+            kept = masks[:drop] + masks[drop + 1 :]
+            with pytest.raises(VerificationError, match="not flag"):
+                invariants._certify_flag(_edges(spec), kept)
+
+    def test_certificate_fails_with_an_edge_added_or_removed(self):
+        spec = ScrollSpec((2, 4))
+        masks = _enumerated(spec)[0]
+        adj = _edges(spec)
+        u, v = next(
+            (u, v)
+            for u, v in itertools.combinations(range(len(adj)), 2)
+            if adj[u] and adj[v] and not adj[u] >> v & 1
+        )
+        w = next(pos for pos in range(len(adj)) if adj[u] >> pos & 1)
+        for a, b, change in ((u, v, int.__or__), (u, w, lambda x, y: x & ~y)):
+            mutant = list(adj)
+            mutant[a] = change(mutant[a], 1 << b)
+            mutant[b] = change(mutant[b], 1 << a)
+            with pytest.raises(VerificationError, match="not flag"):
+                invariants._certify_flag(mutant, masks)
+
+    def test_face_counts_refuses_a_complex_that_is_not_flag(self):
+        # The hollow triangle on (1,2), (1,3), (2,3): every edge is a facet,
+        # so the triangle is a clique of the skeleton but not a face.
+        spec = ScrollSpec((5,))
+        hollow = [
+            Facet(vertices=frozenset(pair), alpha=1, spec=spec)
+            for pair in itertools.combinations([(1, 2), (1, 3), (2, 3)], 2)
+        ]
+        with pytest.raises(VerificationError, match="maximal clique of 3 vertices"):
+            face_counts(hollow, 3)
+        assert face_counts(hollow[:2], 3) == (3, 2, 0)
 
 
 class TestClosedForm:
@@ -221,6 +297,7 @@ class TestHilbertWindow:
             raise AssertionError("work started before the window check")
 
         monkeypatch.setattr(invariants, "verify_linear_quotients", no_work)
-        monkeypatch.setattr(invariants, "_face_walk", no_work)
+        monkeypatch.setattr(invariants, "_flag_skeleton", no_work)
+        monkeypatch.setattr(invariants, "_clique_walk", no_work)
         with pytest.raises(CapacityError, match="100,001"):
             hilbert_data(ScrollSpec((5,)), window=invariants.MAX_HILBERT_WINDOW + 1)

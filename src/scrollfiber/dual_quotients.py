@@ -34,10 +34,9 @@ from .facet_complex import (
     Vertex,
     _bitset_index,
     _enumerated,
-    _facet_index,
     _grid,
-    _leaf_mask,
     _mask,
+    _table,
     _vertices,
     _walk,
     _walk_facet,
@@ -119,9 +118,7 @@ def dual_support(facet: Facet) -> tuple[Vertex, ...]:
 
 def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
     """Enumeration ranks in the order certified under ``mutation``:
-    ``swap-groups`` moves the second alpha block ahead of the first.  Only
-    the enumeration order is a ``range``; ``_certified`` indexes any other
-    order afresh."""
+    ``swap-groups`` moves the second alpha block ahead of the first."""
     alphas = _enumerated(spec)[1]
     if mutation != "swap-groups":
         return range(len(alphas))
@@ -185,8 +182,9 @@ def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex
     and when it is the unit (a, a+1) it generates exactly for a = alpha in
     every group but the greatest.
 
-    The walk ``facet_complex._walk`` validates the facet against the leaf
-    set at ``facet.alpha`` (``StructuralError`` otherwise) and places every
+    The walk ``facet_complex._walk`` parses the facet with the grammar
+    table of ``facet.alpha`` (``StructuralError`` when it is no facet of
+    that group, ``CapacityError`` as ``count_facets`` does) and places every
     node: it heads its column unless it is a split's left child or a right
     drop's child, and it is the bottom when it is a leaf or a left drop.
     """
@@ -222,9 +220,7 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     return frozenset(_vertices(spec, d) for d in _minimal_masks(f & ~m for m in earlier))
 
 
-def _colons(
-    spec: ScrollSpec, masks: Sequence[int], index: list[int]
-) -> Iterator[tuple[int, frozenset[int] | None]]:
+def _colons(spec: ScrollSpec, masks: Sequence[int]) -> Iterator[tuple[int, frozenset[int] | None]]:
     """Per facet in the order of ``masks``: the mask of its singleton
     generators, and its minimal difference masks when some earlier facet
     contains every singleton generator (the quadratic scan), else None.
@@ -233,7 +229,10 @@ def _colons(
     F \\ {u} + {w} for some vertex w, and F and G share the swap key
     F \\ {u}.  A facet never yields one key twice, so a key seen before came
     from an earlier facet; ``InternalError`` if a facet has another size.
+    The witness, the earlier facets that hold every singleton generator, is
+    an AND of rows of ``_bitset_index(masks)``.
     """
+    index = _bitset_index(masks)
     size = spec.c + spec.d
     keys: set[int] = set()
     seen = 0
@@ -263,18 +262,13 @@ def _certified(
     its enumeration rank, the mask of its singleton generators, its minimal
     difference masks from the quadratic scan or None (``_colons``), and the
     mask of its prediction (``_predict`` over its ``_walk``)."""
-    masks, alphas = _enumerated(spec)
+    enumerated, alphas = _enumerated(spec)
     order = _facet_order(spec, mutation)
-    if order == range(len(masks)):
-        index = _facet_index(spec)
-    else:
-        masks = [masks[rank] for rank in order]
-        index = _bitset_index(masks)
-    grid, c, greatest = _grid(spec), spec.c, spec.alphas[-1]
-    leaves = {alpha: _leaf_mask(spec, alpha) for alpha in spec.alphas}
-    for rank, mask, (gens, diffs) in zip(order, masks, _colons(spec, masks, index)):
+    masks = [enumerated[rank] for rank in order]
+    grid, greatest = _grid(spec), spec.alphas[-1]
+    for rank, mask, (gens, diffs) in zip(order, masks, _colons(spec, masks)):
         alpha = alphas[rank]
-        walk = _walk(mask, c, leaves[alpha], grid)
+        walk = _walk(mask, _table(spec, alpha))
         yield rank, gens, diffs, _predict(walk, grid, alpha, greatest, mutation)
 
 

@@ -8,12 +8,12 @@ is a leaf and lies in one of the leaf sets of
 (a, a+1) absent) or drops its right unit ((a, b-1) present, (b-1, b)
 absent).  Every facet has c + d vertices.
 
-One grammar table per leaf set, ``_rules``, states these rules once; it
-generates the facets: ``count_facets`` folds it into counts, ``_enumerate``
-into masks and ``_edges`` into the 1-skeleton.  ``_walk`` parses one vertex
-set top-down against the same rules: on a facet the split point is unique
-and the patterns exclude each other, so the walk meets every vertex; on any
-other set it fails a check.
+One grammar table per group, ``_rules``, states these rules once; each
+is built on first use and kept on the spec (``_table``).  Three folds read
+it, ``count_facets`` into counts, ``_enumerate`` into masks and ``_edges``
+into the 1-skeleton, and one parser: ``_walk`` rebuilds the tree of a
+vertex set top-down by the table's ways, so ``is_facet``, ``facet_tree``
+and the predictions of ``dual_quotients`` follow the same rules.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
@@ -34,15 +34,21 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 # An open interval (a, b) on the line, equivalently the variable T[a, b].
 Vertex = tuple[int, int]
 
+# A grammar table (``_rules``): each buildable node, shorter first, to its
+# ways, each way its children and the mask of the node and its children.
+Rules = dict[Vertex, list[tuple[tuple[Vertex, ...], int]]]
+
 #: Enumeration refuses specs with more facets than this (``CapacityError``):
 #: each facet is kept as one int mask, about 50 bytes, and certification
 #: makes a pass over all of them with c + d swap keys per facet.
 MAX_ENUMERATED_FACETS = 200_000
 
-#: ``count_facets`` refuses specs whose grammar tables (``_rules``) would
-#: take more split steps than this (``CapacityError``): at most C(c, 3) per
-#: group, c - d - 2 groups.  Every spec with c <= 40 is counted: (40,) takes
-#: 365,560 steps; (51,), at 999,600, counts in about 0.4 s on a 2-core host.
+#: ``_table`` refuses specs whose grammar tables would take more split steps
+#: than this (``CapacityError``): at most C(c, 3) per group, c - d - 2
+#: groups.  The refusal reaches every reader of the tables: counting,
+#: enumeration, the 1-skeleton and the facet-level API.  Every spec with
+#: c <= 40 is counted: (40,) takes 365,560 steps; (51,), at 999,600, counts
+#: in about 0.4 s on a 2-core host.
 MAX_COUNTING_STEPS = 1_000_000
 
 
@@ -134,85 +140,60 @@ def _bitset_index(masks: Sequence[int]) -> list[int]:
     return [int.from_bytes(row, "little") for row in rows]
 
 
-def _leaf_mask(spec: ScrollSpec, alpha: int) -> int:
-    """The mask of the leaf set at ``alpha``, from a table kept on the spec;
-    raises ``StructuralError`` for alpha outside [1, c-d-2]."""
-    table = per_spec(
-        spec,
-        "leaf_masks",
-        lambda: {a: _mask(spec, leaves_profile(spec, a).leaves) for a in spec.alphas},
-    )
-    if alpha not in table:
-        raise StructuralError(f"leftmost unit start {alpha} outside [1, {len(table)}]")
-    return table[alpha]
+def _walk(mask: int, table: Rules) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
+    """Parse the vertex set ``mask`` top-down with a grammar table.
 
-
-def _walk(
-    mask: int, c: int, leaves: int, grid: list[list[int]]
-) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
-    """Rebuild the tree of the vertex set ``mask`` top-down from (1, c).
+    From the root (1, c), the table's last key, each node takes the first of
+    its ways whose mask lies in ``mask``; ``StructuralError`` when none
+    does, and at the end unless the nodes met are exactly ``mask``.  So the
+    walk accepts exactly the sets the table derives, the facets of its
+    group: no way drops a leaf, siblings are disjoint so no node is met
+    twice, and on a facet at most one way fits, so the first that fits is
+    the facet's own.
 
     Yields ``(node, children, top, right_sibling)`` per node, children by
     left endpoint: ``top`` when the parent has another left endpoint (the
     node heads its column), ``right_sibling`` for a split's left child.
-    ``StructuralError`` unless ``mask`` is a facet with units ``leaves``,
-    possibly after the last node: consume the whole walk.
+    The last check follows the last node: consume the whole walk.
     """
-    root = (1, c)
-    if not mask & grid[1][c] or leaves & ~mask:
-        raise StructuralError(f"root {root} or a leaf of the group is missing")
-    stack = [(root, True, False)]
+    stack = [(next(reversed(table)), True, False)]
     visited = 0
     while stack:
         node, top, sibling = stack.pop()
-        visited += 1
-        a, b = node
-        row = grid[a]
-        if b - a == 1:
-            if not leaves & row[b]:
-                raise StructuralError(f"unit {node} is not in the leaf set")
-            kids: tuple[Vertex, ...] = ()
+        for kids, need in table[node]:
+            if need & mask == need:
+                break
         else:
-            # The three node patterns; on a facet exactly one holds.
-            if mask & grid[a + 1][b]:  # drop the left unit, or split at a+1
-                right = (a + 1, b)
-                kids = ((a, a + 1), right) if mask & row[a + 1] else (right,)
-            elif mask & row[b - 1]:  # drop the right unit, or split at b-1
-                left = (a, b - 1)
-                kids = (left, (b - 1, b)) if mask & grid[b - 1][b] else (left,)
-            else:
-                for k in range(a + 2, b - 1):
-                    if mask & row[k] and mask & grid[k][b]:
-                        kids = ((a, k), (k, b))
-                        break
-                else:
-                    raise StructuralError(f"node {node} neither splits nor drops an absent unit")
-            if len(kids) == 2:
-                stack.append((kids[1], True, False))
-                stack.append((kids[0], False, True))
-            else:
-                stack.append((kids[0], kids[0][0] != a, False))
+            raise StructuralError(f"no way to build {node} lies in the vertex set")
+        visited |= need
+        if len(kids) == 2:
+            stack.append((kids[1], True, False))
+            stack.append((kids[0], False, True))
+        elif kids:
+            stack.append((kids[0], kids[0][0] != node[0], False))
         yield node, kids, top, sibling
-    size = mask.bit_count()
-    if visited != size:
-        raise StructuralError(f"{size - visited} vertices lie off the tree from {root}")
+    if visited != mask:
+        raise StructuralError(f"{(mask & ~visited).bit_count()} vertices lie off the tree")
 
 
 def _walk_facet(facet: Facet) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
-    """``_walk`` of a ``Facet`` view against the leaf set at its alpha."""
+    """``_walk`` of a ``Facet`` view against the table of its alpha."""
     spec = facet.spec
-    mask = _mask(spec, facet.vertices)
-    return _walk(mask, spec.c, _leaf_mask(spec, facet.alpha), _grid(spec))
+    return _walk(_mask(spec, facet.vertices), _table(spec, facet.alpha))
 
 
 def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
-    """Whether ``candidate`` is a facet of the initial complex of ``spec``."""
+    """Whether ``candidate`` is a facet of the initial complex of ``spec``.
+
+    Raises ``CapacityError`` as ``count_facets`` does: the parse reads the
+    grammar tables.
+    """
     require_complex(spec)
     vs = list(candidate)
     mask = _mask(spec, vs)
     alpha = min((a for a, b in vs if b - a == 1), default=0)
     try:
-        for _ in _walk(mask, spec.c, _leaf_mask(spec, alpha), _grid(spec)):
+        for _ in _walk(mask, _table(spec, alpha)):
             pass
     except StructuralError:
         return False
@@ -227,42 +208,62 @@ def facet_tree(facet: Facet) -> FacetTree:
     return FacetTree(root=(1, facet.spec.c), children=children, parent=parent)
 
 
-def _rules(spec: ScrollSpec, alpha: int) -> dict[Vertex, list[tuple[Vertex, ...]]]:
+def _rules(spec: ScrollSpec, alpha: int) -> Rules:
     """The facet grammar of the group at ``alpha``.
 
     Maps every interval that roots a valid subtree, shorter intervals first,
-    to the children of each way to build that subtree: ``()`` for a unit in
-    the leaf set, one child when a longer interval drops a non-leaf unit off
-    either end, two children for a split.  (A unit has neither: its drops
-    and splits name no interval.)
+    to each way to build that subtree: its children and the mask of the node
+    and its children.  A unit in the leaf set has the one way ``()``; a
+    longer interval drops a non-leaf unit off either end (one child) or
+    splits (two children).  (A unit has neither: its drops and splits name
+    no interval.)  The root (1, c) comes last: every group has a facet, the
+    chain of the (k, c) with each unit dropped or split off.
     """
-    c, leaves, grid = spec.c, _leaf_mask(spec, alpha), _grid(spec)
-    rules: dict[Vertex, list[tuple[Vertex, ...]]] = {}
+    c, grid = spec.c, _grid(spec)
+    leaves = _mask(spec, leaves_profile(spec, alpha).leaves)
+    rules: Rules = {}
     for length in range(1, c):
         for a in range(1, c - length + 1):
             b = a + length
-            ways: list[tuple[Vertex, ...]] = [()] if length == 1 and leaves & grid[a][b] else []
-            for (p, q), kid in (((a, a + 1), (a + 1, b)), ((b - 1, b), (a, b - 1))):
-                if not leaves & grid[p][q] and kid in rules:
-                    ways.append((kid,))
+            bit = grid[a][b]
+            ways = [((), bit)] if length == 1 and leaves & bit else []
+            for (p, q), (r, s) in (((a, a + 1), (a + 1, b)), ((b - 1, b), (a, b - 1))):
+                if not leaves & grid[p][q] and (r, s) in rules:
+                    ways.append((((r, s),), bit | grid[r][s]))
             for k in range(a + 1, b):
                 if (a, k) in rules and (k, b) in rules:
-                    ways.append(((a, k), (k, b)))
+                    ways.append((((a, k), (k, b)), bit | grid[a][k] | grid[k][b]))
             if ways:
                 rules[(a, b)] = ways
+    if (1, c) not in rules:
+        raise InternalError(f"no facet in the group at alpha={alpha} of {spec}")
     return rules
 
 
-def _check_tables(spec: ScrollSpec) -> None:
-    """Refuse ``spec`` (``CapacityError``) when its grammar tables would take
-    more than ``MAX_COUNTING_STEPS`` split steps, before any is built."""
-    require_complex(spec)
-    steps = (spec.c - spec.d - 2) * math.comb(spec.c, 3)
-    if steps > MAX_COUNTING_STEPS:
-        raise CapacityError(
-            f"{spec} needs {steps:,} steps to count its facets, over the counting "
-            f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
-        )
+def _table(spec: ScrollSpec, alpha: int) -> Rules:
+    """The grammar table (``_rules``) of the group at ``alpha``, built on
+    first use and kept on the spec.
+
+    Raises ``CapacityError`` before the first table when the tables would
+    take more than ``MAX_COUNTING_STEPS`` split steps (at most C(c, 3) per
+    group), and ``StructuralError`` for alpha outside [1, c-d-2].
+    """
+
+    def budget() -> dict[int, Rules]:
+        steps = (spec.c - spec.d - 2) * math.comb(spec.c, 3)
+        if steps > MAX_COUNTING_STEPS:
+            raise CapacityError(
+                f"{spec} needs {steps:,} steps to count its facets, over the counting "
+                f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
+            )
+        return {}
+
+    tables = per_spec(spec, "rules", budget)
+    if alpha not in tables:
+        if alpha not in spec.alphas:
+            raise StructuralError(f"leftmost unit start {alpha} outside [1, {len(spec.alphas)}]")
+        tables[alpha] = _rules(spec, alpha)
+    return tables[alpha]
 
 
 def count_facets(spec: ScrollSpec) -> int:
@@ -270,16 +271,15 @@ def count_facets(spec: ScrollSpec) -> int:
 
     Folds each group's grammar table into subtree counts, in time
     polynomial in c; ``enumerate_facets`` lists exactly this many facets.
-    Raises ``CapacityError`` before any table is built when the tables would
-    take more than ``MAX_COUNTING_STEPS`` split steps.
+    Raises ``CapacityError`` as ``_table`` does.
     """
-    _check_tables(spec)
+    require_complex(spec)
     total = 0
     for alpha in spec.alphas:
         counts: dict[Vertex, int] = {}
-        for node, ways in _rules(spec, alpha).items():
-            counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids in ways)
-        total += counts.get((1, spec.c), 0)
+        for node, ways in _table(spec, alpha).items():
+            counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids, _ in ways)
+        total += counts[(1, spec.c)]
     return total
 
 
@@ -295,30 +295,30 @@ def _edges(spec: ScrollSpec) -> list[int]:
     node passes Out(node), the node's bit and In of the other children to
     each child.  The grammar is context-free, so any subtree fits any
     context of its root, and u, v share a facet exactly when v lies in
-    In(u) | Out(u) for some group.  Raises ``CapacityError`` as
-    ``count_facets`` does.
+    In(u) | Out(u) for some group.  Raises ``CapacityError`` as ``_table``
+    does.
     """
 
     def compute() -> list[int]:
-        _check_tables(spec)
+        require_complex(spec)
         grid = _grid(spec)
         adj = [0] * math.comb(spec.c, 2)
         for alpha in spec.alphas:
-            rules = _rules(spec, alpha)
+            rules = _table(spec, alpha)
             inside: dict[Vertex, int] = {}
             for (a, b), ways in rules.items():
                 inside[(a, b)] = grid[a][b]
-                for kids in ways:
+                for kids, _ in ways:
                     for kid in kids:
                         inside[(a, b)] |= inside[kid]
-            outside = {(1, spec.c): 0} if (1, spec.c) in rules else {}
+            outside = {(1, spec.c): 0}
             for (a, b), ways in reversed(rules.items()):
                 if (a, b) not in outside:
                     continue  # in no facet of this group
                 bit = grid[a][b]
                 around = outside[(a, b)] | bit
                 adj[bit.bit_length() - 1] |= (inside[(a, b)] | around) & ~bit
-                for kids in ways:
+                for kids, _ in ways:
                     for i, kid in enumerate(kids):
                         sibling = inside[kids[1 - i]] if len(kids) == 2 else 0
                         outside[kid] = outside.get(kid, 0) | around | sibling
@@ -336,11 +336,6 @@ def _enumerated(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     require_complex(spec)
     return per_spec(spec, "facets", lambda: _enumerate(spec))
-
-
-def _facet_index(spec: ScrollSpec) -> list[int]:
-    """``_bitset_index`` of the ordered facets, kept on the spec."""
-    return per_spec(spec, "index", lambda: _bitset_index(_enumerated(spec)[0]))
 
 
 def _enumerate(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -365,14 +360,14 @@ def _enumerate(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     alphas: list[int] = []
     for alpha in reversed(spec.alphas):
         subtrees: dict[Vertex, list[int]] = {}
-        for (a, b), ways in _rules(spec, alpha).items():
+        for (a, b), ways in _table(spec, alpha).items():
             subtrees[(a, b)] = built = []
-            for kids in ways:
+            for kids, _ in ways:
                 partial = [grid[a][b]]
                 for kid in kids:
                     partial = [p | s for p in partial for s in subtrees[kid]]
                 built += partial
-        group = sorted(subtrees.get((1, spec.c), ()))
+        group = sorted(subtrees[(1, spec.c)])
         masks += group
         alphas += [alpha] * len(group)
     if len(masks) != expected:
@@ -407,6 +402,4 @@ def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     """
     masks, alphas = _enumerated(spec)
     leaves_profile(spec, alpha)
-    if alpha not in alphas:
-        raise InternalError(f"empty facet group for {spec} at alpha={alpha}")
     return Facet(vertices=_vertices(spec, masks[alphas.index(alpha)]), alpha=alpha, spec=spec)

@@ -84,8 +84,10 @@ class InvariantReport:
 def h_vector_from_quotients(reports: Sequence[ColonReport]) -> HVector:
     """h[k] = number of facets with exactly k (singleton) colon generators.
 
-    Refuses to compute from a non-linear certification.
+    Refuses to compute from a non-linear certification or from no reports.
     """
+    if not reports:
+        raise PreconditionError("no colon reports: the h-vector needs at least one facet")
     counts: dict[int, int] = {}
     for report in reports:
         if not report.linear:
@@ -347,8 +349,11 @@ def hilbert_data(
     ``hilbert_check``.
 
     Raises:
+        PreconditionError: ``window`` is below 1.
         CapacityError: ``window`` exceeds ``MAX_HILBERT_WINDOW``.
     """
+    if window < 1:
+        raise PreconditionError(f"the Hilbert window starts at degree 1, got {window}")
     if window > MAX_HILBERT_WINDOW:
         raise CapacityError(
             f"Hilbert window {window:,} is over its capacity of {MAX_HILBERT_WINDOW:,} "

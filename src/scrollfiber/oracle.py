@@ -120,23 +120,17 @@ def build_rank_problem(spec: ScrollSpec, t: int) -> RankProblem:
     n_gens = len(gens)
 
     prefixes: dict[tuple[int, ...], dict[Monomial, int]] = {(): {0: 1}}
-
-    def prefix_product(combo: tuple[int, ...]) -> dict[Monomial, int]:
-        known = prefixes.get(combo)
-        if known is None:
-            known = _product(prefix_product(combo[:-1]), gens[combo[-1]])
-            prefixes[combo] = known
-        return known
-
-    rows = tuple(
-        ExpandedPolynomial(terms=_product(prefix_product(combo[:-1]), gens[combo[-1]]))
-        for combo in itertools.combinations_with_replacement(range(n_gens), t)
-    )
+    rows = []
+    for combo in itertools.combinations_with_replacement(range(n_gens), t):
+        for k in range(1, t):
+            if combo[:k] not in prefixes:
+                prefixes[combo[:k]] = _product(prefixes[combo[: k - 1]], gens[combo[k - 1]])
+        rows.append(ExpandedPolynomial(terms=_product(prefixes[combo[:-1]], gens[combo[-1]])))
     monomials = sorted({mono for row in rows for mono in row.terms}, reverse=True)
     return RankProblem(
         spec=spec,
         degree=t,
-        rows=rows,
+        rows=tuple(rows),
         monomial_index={mono: i for i, mono in enumerate(monomials)},
     )
 

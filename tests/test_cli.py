@@ -106,7 +106,7 @@ class TestInvariantsCommand:
             code, out, err = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)
             assert code == 2
             assert out == ""
-            assert "max_size" in err
+            assert f"Hilbert window starts at degree 1, got {window}" in err
 
     def test_hilbert_window_budget_guard(self, capsys):
         window = str(invariants.MAX_HILBERT_WINDOW + 1)

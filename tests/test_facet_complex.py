@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import pytest
-from conftest import brute_force_facets, crossing, desk_specs_with_complex, tightest_covers
+from conftest import (
+    brute_force_facets,
+    crossing,
+    desk_specs_with_complex,
+    reference_is_facet,
+    tightest_covers,
+)
 
 from scrollfiber import (
     CapacityError,
@@ -23,12 +30,14 @@ from scrollfiber import (
     predict_LG,
     vertex_set,
 )
+from scrollfiber import facet_complex
 from scrollfiber.facet_complex import (
     MAX_ENUMERATED_FACETS,
     _edges,
     _enumerated,
     count_facets,
 )
+from scrollfiber.invariants import full_report
 
 SPEC_2244 = ScrollSpec((2, 2, 4, 4))
 LEAVES_2244_A2 = frozenset({(2, 3), (3, 4), (4, 5), (5, 6), (10, 11), (11, 12)})
@@ -63,7 +72,47 @@ class TestIsFacet:
                 assert not is_facet(facet.spec, facet.vertices - {v})
 
 
-# The enumeration (the ``_rules`` grammar table, not the walk) is the oracle.
+class TestOneGrammar:
+    # ``is_facet`` parses with the ``_rules`` tables; ``reference_is_facet``
+    # states the grammar a second time, by hand, as three node patterns.
+    @pytest.mark.parametrize("n", [(5,), (6,), (2, 4), (1, 5), (3, 3)])
+    def test_parse_equals_the_reference_on_near_facet_sizes(self, n):
+        spec = ScrollSpec(n)
+        size = spec.c + spec.d
+        for k in (size - 1, size, size + 1):
+            for candidate in itertools.combinations(vertex_set(spec), k):
+                assert is_facet(spec, candidate) == reference_is_facet(spec, candidate)
+
+    def test_one_report_builds_each_table_once(self, monkeypatch):
+        spec = ScrollSpec((2, 2, 4))
+        built = []
+        rules = facet_complex._rules
+
+        def counted(spec, alpha):
+            built.append(alpha)
+            return rules(spec, alpha)
+
+        monkeypatch.setattr(facet_complex, "_rules", counted)
+        full_report(spec)
+        assert sorted(built) == list(spec.alphas)
+
+    def test_facet_level_api_is_refused_over_budget(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a grammar table was built")
+
+        monkeypatch.setattr(facet_complex, "_rules", no_table)
+        spec = ScrollSpec((52,))
+        facet = Facet(frozenset({(1, 52), (1, 2)}), alpha=1, spec=spec)
+        budget = "counting budget of 1,000,000 steps"
+        with pytest.raises(CapacityError, match=budget):
+            is_facet(spec, facet.vertices)
+        with pytest.raises(CapacityError, match=budget):
+            facet_tree(facet)
+        with pytest.raises(CapacityError, match=budget):
+            predict_LG(facet)
+
+
+# The enumeration (a fold of the grammar tables) is the oracle of the parse.
 ORACLE_SPECS = [(5,), (6,), (2, 4), (1, 5), (7,), (2, 2, 2, 2)]
 
 

@@ -61,6 +61,10 @@ class TestHVector:
         with pytest.raises(VerificationError):
             h_vector_from_quotients(list(good) + [bad])
 
+    def test_refuses_no_reports(self):
+        with pytest.raises(PreconditionError, match="no colon reports"):
+            h_vector_from_quotients([])
+
 
 class TestFaceCounting:
     def test_degree_zero_and_one(self):
@@ -301,3 +305,5 @@ class TestHilbertWindow:
         monkeypatch.setattr(invariants, "_clique_walk", no_work)
         with pytest.raises(CapacityError, match="100,001"):
             hilbert_data(ScrollSpec((5,)), window=invariants.MAX_HILBERT_WINDOW + 1)
+        with pytest.raises(PreconditionError, match="Hilbert window starts at degree 1, got 0"):
+            hilbert_data(ScrollSpec((5,)), window=0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import os
@@ -169,6 +170,17 @@ class TestRankProblem:
     def test_rejects_degree_zero(self):
         with pytest.raises(PreconditionError):
             build_rank_problem(ScrollSpec((5,)), 0)
+
+    def test_leaves_no_garbage_behind(self):
+        # The prefix memo must be freed by reference counting alone, not
+        # wait for the cycle collector.
+        gc.collect()
+        gc.disable()
+        try:
+            build_rank_problem(ScrollSpec((8,)), 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFiberHilbertFunction:

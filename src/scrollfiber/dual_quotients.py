@@ -16,6 +16,14 @@ singleton generator.  A generator of higher degree exists exactly when some
 earlier facet contains all singleton generators of F; the bitset index
 detects that, and only such facets fall back to the quadratic scan.
 
+The prediction is local to a facet's tree: each node adds its vertex by
+its role in its column, which its parent's way fixes, and by its own way
+(``_rule``).  So it is a fold of each group's grammar table with the role
+as state, ``_predictions``, next to the folds of ``facet_complex`` that
+count, enumerate and connect the facets; certification parses no facet.
+``predict_LG`` applies the same rule over one facet's ``_walk``, so a
+mutation moves both.
+
 One generator, ``_certified``, applies the certified order and yields every
 facet's colon data.  ``verify_linear_quotients`` folds it into per-degree
 counts and the failing reports, not one report per facet;
@@ -25,6 +33,7 @@ only when asked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -38,7 +47,6 @@ from .facet_complex import (
     _mask,
     _table,
     _vertices,
-    _walk,
     _walk_facet,
     enumerate_facets,
     vertex_set,
@@ -148,27 +156,53 @@ def _check_mutation(mutation: str | None) -> None:
         )
 
 
+# The role of a node, fixed by the way its parent is built: the root, a
+# left drop's child and a split's right child head their column (TOP), a
+# split's left child has a right sibling (SIBLING), and a right drop's child
+# continues its parent's column (PLAIN).
+TOP, SIBLING, PLAIN = range(3)
+
+
+def _rule(
+    node: Vertex, kids: tuple[Vertex, ...], alpha: int, greatest: int, mutation: str | None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The prediction rule at ``node`` built from ``kids``: the roles of the
+    children, and the roles in which the node predicts its own vertex.
+
+    A node heading its column never generates.  Otherwise a leaf (the unit
+    (a, a+1)) generates exactly for a = alpha in every group but the
+    greatest (in every group under ``c2``); a left drop, the bottom of its
+    column, always does; a right drop does only with a right sibling; a
+    split does too without one, except under ``b2``.  Both ``predict_LG``
+    and the fold of ``_predictions`` apply this rule.
+    """
+    if len(kids) == 2:  # a split
+        return (SIBLING, TOP), (SIBLING,) if mutation == "b2" else (SIBLING, PLAIN)
+    if not kids:  # a leaf, the unit (a, a+1)
+        generates = node[0] == alpha and (alpha != greatest or mutation == "c2")
+        return (), (SIBLING, PLAIN) if generates else ()
+    if kids[0][0] == node[0]:  # a right drop
+        return (PLAIN,), (SIBLING,)
+    return (TOP,), (SIBLING, PLAIN)  # a left drop
+
+
 def _predict(
-    walk: Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]],
+    walk: Iterator[tuple[Vertex, tuple[Vertex, ...]]],
     grid: list[list[int]],
     alpha: int,
     greatest: int,
     mutation: str | None,
 ) -> int:
-    """The mask of ``predict_LG`` over a facet's ``_walk``; ``greatest`` is
-    the alpha of the greatest group."""
-    unit_generates = alpha != greatest or mutation == "c2"
-    split_generates = mutation != "b2"
+    """The mask of ``predict_LG`` over a facet's ``_walk``: ``_rule`` at
+    every node; ``greatest`` is the alpha of the greatest group."""
+    roles: dict[Vertex, int] = {}
     out = 0
-    for node, kids, top, sibling in walk:
-        if top:
-            continue
-        a, b = node
-        if not kids or kids[0][0] != a:  # bottom of its column
-            if b != a + 1 or (a == alpha and unit_generates):
-                out |= grid[a][b]
-        elif sibling or (split_generates and len(kids) == 2):
-            out |= grid[a][b]
+    for node, kids in walk:
+        role = roles.pop(node, TOP)  # the root is met first
+        kid_roles, generating = _rule(node, kids, alpha, greatest, mutation)
+        roles.update(zip(kids, kid_roles))
+        if role in generating:
+            out |= grid[node[0]][node[1]]
     return out
 
 
@@ -184,14 +218,72 @@ def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex
 
     The walk ``facet_complex._walk`` parses the facet with the grammar
     table of ``facet.alpha`` (``StructuralError`` when it is no facet of
-    that group, ``CapacityError`` as ``count_facets`` does) and places every
-    node: it heads its column unless it is a split's left child or a right
-    drop's child, and it is the bottom when it is a leaf or a left drop.
+    that group, ``CapacityError`` as ``count_facets`` does), and ``_rule``
+    places every node by its parent's way and applies the column rule.
+    Certification reads the same rule from ``_predictions``, a fold of the
+    table, and parses no facet.
     """
     _check_mutation(mutation)
     spec = facet.spec
     walk = _walk_facet(facet)
     return _vertices(spec, _predict(walk, _grid(spec), facet.alpha, spec.alphas[-1], mutation))
+
+
+def _predictions(spec: ScrollSpec, mutation: str | None) -> tuple[bytearray, int]:
+    """The mask of every facet's prediction, by enumeration rank: a fold of
+    each group's grammar table by ``_rule``, with the node's role as state.
+
+    Per node and per role some parent gives it, the fold lists every
+    subtree of the node as one int, its mask shifted above the vertex bits
+    ORed with its prediction, in the node's role, in the order of the
+    table's ways.  Roles in which the node adds its bit on the same ways
+    share one list, so a role that never adds it shares the list of the
+    node's descendants.  Each group is sorted by mask, as ``_enumerate``
+    sorts it; ``InternalError`` unless the masks are ``_enumerated``'s.
+
+    Returns the predictions packed ``width`` little-endian bytes a facet,
+    and ``width``: 9 bytes a facet at c = 12, where an int takes 40.
+    """
+    enumerated = _enumerated(spec)[0]
+    grid, greatest, root = _grid(spec), spec.alphas[-1], (1, spec.c)
+    shift = math.comb(spec.c, 2)
+    width, low = (shift + 7) // 8, ~(-1 << shift)
+    packed = bytearray()
+    for alpha in reversed(spec.alphas):
+        folded: dict[Vertex, dict[int, list[int]]] = {}
+        rules = {
+            node: [(kids, *_rule(node, kids, alpha, greatest, mutation)) for kids, _ in ways]
+            for node, ways in _table(spec, alpha).items()
+        }
+        wanted: dict[Vertex, set[int]] = {root: {TOP}}
+        for ways in rules.values():
+            for kids, kid_roles, _ in ways:
+                for kid, role in zip(kids, kid_roles):
+                    wanted.setdefault(kid, set()).add(role)
+        for (a, b), ways in rules.items():
+            bit = grid[a][b]
+            signs = {r: tuple(r in gen for *_, gen in ways) for r in wanted.get((a, b), ())}
+            lists: dict[tuple[bool, ...], list[int]] = {sign: [] for sign in signs.values()}
+            for i, (kids, kid_roles, _) in enumerate(ways):
+                partial = [bit << shift]
+                for kid, role in zip(kids, kid_roles):
+                    partial = [p | q for p in partial for q in folded[kid][role]]
+                for sign, entries in lists.items():
+                    entries += [p | bit for p in partial] if sign[i] else partial
+            folded[(a, b)] = {r: lists[sign] for r, sign in signs.items()}
+        # Sorted in place, then checked and packed one facet at a time: copies
+        # of the group here raised the peak RSS of certification by ~1 MB.
+        group = folded[root][TOP]
+        del folded
+        group.sort()
+        start = len(packed) // width
+        for e, mask in zip(group, enumerated[start : start + len(group)]):
+            if e >> shift != mask:
+                raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
+            packed += (e & low).to_bytes(width, "little")
+    if len(packed) != len(enumerated) * width:
+        raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
+    return packed, width
 
 
 def _minimal_masks(diffs: Iterable[int]) -> frozenset[int]:
@@ -261,15 +353,14 @@ def _certified(
     """Per facet in the order certified under ``mutation`` (``_facet_order``):
     its enumeration rank, the mask of its singleton generators, its minimal
     difference masks from the quadratic scan or None (``_colons``), and the
-    mask of its prediction (``_predict`` over its ``_walk``)."""
-    enumerated, alphas = _enumerated(spec)
+    mask of its prediction (``_predictions``)."""
+    enumerated = _enumerated(spec)[0]
     order = _facet_order(spec, mutation)
     masks = [enumerated[rank] for rank in order]
-    grid, greatest = _grid(spec), spec.alphas[-1]
-    for rank, mask, (gens, diffs) in zip(order, masks, _colons(spec, masks)):
-        alpha = alphas[rank]
-        walk = _walk(mask, _table(spec, alpha))
-        yield rank, gens, diffs, _predict(walk, grid, alpha, greatest, mutation)
+    packed, width = _predictions(spec, mutation)
+    for rank, (gens, diffs) in zip(order, _colons(spec, masks)):
+        predicted = int.from_bytes(packed[rank * width : (rank + 1) * width], "little")
+        yield rank, gens, diffs, predicted
 
 
 def _report(facet: Facet, gens: int, diffs: frozenset[int] | None, predicted: int) -> ColonReport:

@@ -10,10 +10,11 @@ absent).  Every facet has c + d vertices.
 
 One grammar table per group, ``_rules``, states these rules once; each
 is built on first use and kept on the spec (``_table``).  Three folds read
-it, ``count_facets`` into counts, ``_enumerate`` into masks and ``_edges``
-into the 1-skeleton, and one parser: ``_walk`` rebuilds the tree of a
-vertex set top-down by the table's ways, so ``is_facet``, ``facet_tree``
-and the predictions of ``dual_quotients`` follow the same rules.
+it here, ``count_facets`` into counts, ``_enumerate`` into masks and
+``_edges`` into the 1-skeleton, and a fourth in ``dual_quotients`` folds it
+into the predicted colon generators.  One parser reads it too: ``_walk``
+rebuilds the tree of a vertex set top-down by the table's ways, so
+``is_facet``, ``facet_tree`` and ``predict_LG`` follow the same rules.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
@@ -140,7 +141,7 @@ def _bitset_index(masks: Sequence[int]) -> list[int]:
     return [int.from_bytes(row, "little") for row in rows]
 
 
-def _walk(mask: int, table: Rules) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
+def _walk(mask: int, table: Rules) -> Iterator[tuple[Vertex, tuple[Vertex, ...]]]:
     """Parse the vertex set ``mask`` top-down with a grammar table.
 
     From the root (1, c), the table's last key, each node takes the first of
@@ -151,32 +152,27 @@ def _walk(mask: int, table: Rules) -> Iterator[tuple[Vertex, tuple[Vertex, ...],
     twice, and on a facet at most one way fits, so the first that fits is
     the facet's own.
 
-    Yields ``(node, children, top, right_sibling)`` per node, children by
-    left endpoint: ``top`` when the parent has another left endpoint (the
-    node heads its column), ``right_sibling`` for a split's left child.
-    The last check follows the last node: consume the whole walk.
+    Yields ``(node, children)`` per node, parents before their children and
+    children by left endpoint.  The last check follows the last node:
+    consume the whole walk.
     """
-    stack = [(next(reversed(table)), True, False)]
+    stack = [next(reversed(table))]
     visited = 0
     while stack:
-        node, top, sibling = stack.pop()
+        node = stack.pop()
         for kids, need in table[node]:
             if need & mask == need:
                 break
         else:
             raise StructuralError(f"no way to build {node} lies in the vertex set")
         visited |= need
-        if len(kids) == 2:
-            stack.append((kids[1], True, False))
-            stack.append((kids[0], False, True))
-        elif kids:
-            stack.append((kids[0], kids[0][0] != node[0], False))
-        yield node, kids, top, sibling
+        stack += reversed(kids)
+        yield node, kids
     if visited != mask:
         raise StructuralError(f"{(mask & ~visited).bit_count()} vertices lie off the tree")
 
 
-def _walk_facet(facet: Facet) -> Iterator[tuple[Vertex, tuple[Vertex, ...], bool, bool]]:
+def _walk_facet(facet: Facet) -> Iterator[tuple[Vertex, tuple[Vertex, ...]]]:
     """``_walk`` of a ``Facet`` view against the table of its alpha."""
     spec = facet.spec
     return _walk(_mask(spec, facet.vertices), _table(spec, facet.alpha))
@@ -203,7 +199,7 @@ def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
 def facet_tree(facet: Facet) -> FacetTree:
     """Containment tree of a facet; ``StructuralError`` on non-facets and
     when ``facet.alpha`` is not the leftmost unit start."""
-    children = {node: kids for node, kids, _, _ in _walk_facet(facet)}
+    children = dict(_walk_facet(facet))
     parent = {kid: node for node, kids in children.items() for kid in kids}
     return FacetTree(root=(1, facet.spec.c), children=children, parent=parent)
 

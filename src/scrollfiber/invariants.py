@@ -338,6 +338,17 @@ def _stopwatch(timings: dict[str, float] | None) -> Callable[[str], None]:
     return lap
 
 
+def _check_window(window: int) -> None:
+    """Refuse a Hilbert window below 1 or above ``MAX_HILBERT_WINDOW``."""
+    if window < 1:
+        raise PreconditionError(f"the Hilbert window starts at degree 1, got {window}")
+    if window > MAX_HILBERT_WINDOW:
+        raise CapacityError(
+            f"Hilbert window {window:,} is over its capacity of {MAX_HILBERT_WINDOW:,} "
+            "degrees; lower the Hilbert window"
+        )
+
+
 def hilbert_data(
     spec: ScrollSpec, *, window: int = 5, timings: dict[str, float] | None = None
 ) -> HilbertData:
@@ -352,13 +363,7 @@ def hilbert_data(
         PreconditionError: ``window`` is below 1.
         CapacityError: ``window`` exceeds ``MAX_HILBERT_WINDOW``.
     """
-    if window < 1:
-        raise PreconditionError(f"the Hilbert window starts at degree 1, got {window}")
-    if window > MAX_HILBERT_WINDOW:
-        raise CapacityError(
-            f"Hilbert window {window:,} is over its capacity of {MAX_HILBERT_WINDOW:,} "
-            "degrees; lower the Hilbert window"
-        )
+    _check_window(window)
     lap = _stopwatch(timings)
     _enumerated(spec)
     lap("enumerate")
@@ -395,10 +400,12 @@ def full_report(
     """Computed invariants for ``spec``, checked against the closed forms.
 
     For c < d + 4 no complex is built and the closed-form predictions are
-    returned as-is, flagged prediction-only.  Verification failures and
-    Hilbert-path disagreements propagate as ``VerificationError``.
-    ``timings`` is passed to ``hilbert_data``.
+    returned as-is, flagged prediction-only; the Hilbert window is checked
+    first in either regime, as ``hilbert_data`` checks it.  Verification
+    failures and Hilbert-path disagreements propagate as
+    ``VerificationError``.  ``timings`` is passed to ``hilbert_data``.
     """
+    _check_window(hilbert_window)
     c, d = spec.c, spec.d
     predicted = closed_form(c, d)
     if not spec.has_complex:

@@ -118,6 +118,17 @@ class TestInvariantsCommand:
         assert "capacity of 100,000 degrees" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("window", ["0", str(invariants.MAX_HILBERT_WINDOW + 1)])
+    def test_hilbert_window_is_checked_in_every_regime(self, capsys, window):
+        # A spec without a complex refuses the window as a computed one does,
+        # before its prediction-only report.
+        computed = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)
+        predicted = run(capsys, "invariants", "--n", "1,1,1", "--hilbert-window", window)
+        assert predicted == computed
+        code, out, err = predicted
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_face_capacity_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(invariants, "MAX_FACE_NODES", 5)
         code, _, err = run(capsys, "invariants", "--n", "2,4")
@@ -222,6 +233,17 @@ class TestVerifyCommand:
         assert verification["passed"] is False
         assert verification["failure_count"] > 0
         assert verification["failures"][0]["vertices"]
+
+    @pytest.mark.parametrize("mutation", ["b2", "swap-groups"])
+    def test_other_mutated_rules_fail_with_named_facets(self, capsys, mutation):
+        code, out, _ = run(
+            capsys, "verify", "--n", "2,4", "--mutate-rule", mutation, "--format", "json"
+        )
+        assert code == 1
+        verification = json.loads(out)["verification"]
+        assert verification["passed"] is False
+        assert verification["failure_count"] > 0
+        assert all(failure["vertices"] for failure in verification["failures"])
 
     def test_small_regime_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "1,1,1")

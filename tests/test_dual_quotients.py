@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import DESK_SPECS
+from conftest import DESK_SPECS, desk_specs_with_complex
 
 from scrollfiber import (
     DomainError,
     Facet,
+    InternalError,
     ScrollSpec,
     StructuralError,
     UnsupportedRegimeError,
@@ -21,8 +22,9 @@ from scrollfiber import (
     predict_LG,
     verify_linear_quotients,
 )
-from scrollfiber import dual_quotients
-from scrollfiber.dual_quotients import _facet_order
+from scrollfiber import dual_quotients, facet_complex
+from scrollfiber.dual_quotients import _facet_order, _predict, _predictions
+from scrollfiber.facet_complex import _enumerated, _grid, _table, _walk
 
 # Shared desk spec objects keep their enumerations between tests.
 DESK_BY_N = {s.n: s for s in DESK_SPECS}
@@ -201,6 +203,50 @@ class TestPredictLG:
             spec = ScrollSpec(n)
             biggest = max(len(predict_LG(f)) for f in enumerate_facets(spec))
             assert biggest == (spec.c + spec.d) // 2
+
+
+# Every desk spec with a complex, plus (12,); (2,2,4,4) is a desk spec.
+FOLD_SPECS = [*desk_specs_with_complex(), ScrollSpec((12,))]
+
+
+def _folded(spec, mutation):
+    """The predictions of ``_predictions``, unpacked, by enumeration rank."""
+    packed, width = _predictions(spec, mutation)
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+
+
+class TestPredictionFold:
+    @pytest.mark.parametrize("mutation", [None, "c2", "b2"])
+    @pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda spec: ",".join(map(str, spec.n)))
+    def test_fold_equals_the_walk_on_every_facet(self, spec, mutation):
+        # Certification no longer parses the facets, so every enumerated mask
+        # is parsed here, and its prediction over the walk is the fold's.
+        masks, alphas = _enumerated(spec)
+        grid, greatest = _grid(spec), spec.alphas[-1]
+        walked = [
+            _predict(_walk(mask, _table(spec, alpha)), grid, alpha, greatest, mutation)
+            for mask, alpha in zip(masks, alphas)
+        ]
+        assert _folded(spec, mutation) == walked
+
+    def test_certification_parses_no_facet(self, monkeypatch):
+        def no_walk(mask, table):
+            raise AssertionError("certification parsed a facet")
+
+        monkeypatch.setattr(facet_complex, "_walk", no_walk)
+        result = verify_linear_quotients(ScrollSpec((2, 2, 4, 4)))
+        assert result.passed
+        assert result.degree_counts == (1, 50, 710, 3746, 7836, 6412, 1820, 120, 1)
+
+    def test_fold_is_checked_against_the_enumeration(self, monkeypatch):
+        spec = ScrollSpec((2, 4))
+        masks, alphas = _enumerated(spec)
+        swapped = list(masks)
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        assert alphas[1] == alphas[2]
+        monkeypatch.setattr(dual_quotients, "_enumerated", lambda spec: (tuple(swapped), alphas))
+        with pytest.raises(InternalError, match="prediction fold"):
+            verify_linear_quotients(spec)
 
 
 class TestVerification:

@@ -15,9 +15,10 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -81,10 +82,15 @@ class ReportEnvelope:
 
 
 def _parse_n(text: str) -> tuple[tuple[int, ...], bool]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    """Block degrees from comma-separated ASCII decimals, each with optional
+    surrounding spaces; ``int`` alone would also take ``1_2``, ``+5`` and
+    non-ASCII digits.  A minus sign parses, so that a negative degree is
+    refused as not positive.  Returns the sorted degrees and whether sorting
+    moved any."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
         raise PreconditionError(f"cannot parse block degrees from {text!r}")
+    values = tuple(map(int, parts))
     if not values or any(v < 1 for v in values):
         raise PreconditionError(f"block degrees must be positive integers: {text!r}")
     ordered = tuple(sorted(values))
@@ -329,7 +335,9 @@ def cmd_facets(
     return "\n".join(lines) + "\n"
 
 
-def _batch_line(line: str, hilbert_window: int) -> tuple[ReportEnvelope, int]:
+def _batch_line(
+    line: str, hilbert_window: int, reports: dict[tuple[int, ...], tuple[ReportEnvelope, int]]
+) -> tuple[ReportEnvelope, int]:
     try:
         n, normalized = _parse_n(line)
     except PreconditionError as exc:
@@ -339,24 +347,32 @@ def _batch_line(line: str, hilbert_window: int) -> tuple[ReportEnvelope, int]:
             error=str(exc),
         )
         return envelope, EXIT_USAGE
-    spec = ScrollSpec(n)
-    try:
-        return cmd_invariants(spec, normalized, hilbert_window)
-    except ScrollError as exc:
-        envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="error", error=str(exc))
-        return envelope, EXIT_USAGE
+    if n not in reports:
+        spec = ScrollSpec(n)
+        try:
+            reports[n] = cmd_invariants(spec, normalized, hilbert_window)
+        except ScrollError as exc:
+            envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="error", error=str(exc))
+            reports[n] = envelope, EXIT_USAGE
+    envelope, code = reports[n]
+    return replace(envelope, spec={**envelope.spec, "normalized": normalized}), code
 
 
 def cmd_batch(path: str, hilbert_window: int) -> tuple[list[ReportEnvelope], int]:
     """One invariant envelope per input line, in input order; errors never stop
-    the run.  A line's results are freed before the next line starts."""
+    the run.  Each distinct scroll type is computed once per run: a line whose
+    degrees equal an earlier line's after sorting gets a copy of that line's
+    report with its own ``normalized`` flag.  Only the reports are kept; a
+    line's spec and its intermediate results are freed before the next line
+    starts."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read batch file {path}: {exc}")
     lines = [line.strip() for line in raw.splitlines()]
     lines = [line for line in lines if line]
-    results = [_batch_line(line, hilbert_window) for line in lines]
+    reports: dict[tuple[int, ...], tuple[ReportEnvelope, int]] = {}
+    results = [_batch_line(line, hilbert_window, reports) for line in lines]
     codes = {code for _, code in results}
     exit_code = next((code for code in (EXIT_USAGE, EXIT_MATH) if code in codes), EXIT_OK)
     return [envelope for envelope, _ in results], exit_code

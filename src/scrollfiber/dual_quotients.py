@@ -327,12 +327,11 @@ def _colons(spec: ScrollSpec, masks: Sequence[int]) -> Iterator[tuple[int, froze
     index = _bitset_index(masks)
     size = spec.c + spec.d
     keys: set[int] = set()
-    seen = 0
     for rank, f in enumerate(masks):
         if f.bit_count() != size:
             raise InternalError(f"facet of size {f.bit_count()} != {size} for {spec}")
         gens = 0
-        witness = seen
+        witness = (1 << rank) - 1
         rest = f
         while rest:
             u = rest & -rest
@@ -344,7 +343,6 @@ def _colons(spec: ScrollSpec, masks: Sequence[int]) -> Iterator[tuple[int, froze
             else:
                 keys.add(key)
         yield gens, _minimal_masks(f & ~g for g in masks[:rank]) if witness else None
-        seen |= 1 << rank
 
 
 def _certified(

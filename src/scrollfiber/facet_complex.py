@@ -52,6 +52,11 @@ MAX_ENUMERATED_FACETS = 200_000
 #: in about 0.4 s on a 2-core host.
 MAX_COUNTING_STEPS = 1_000_000
 
+#: ``_bitset_index`` transposes this many masks at a time.  One string over
+#: all facets would add its size (C(c, 2) characters a facet) to the
+#: certification peak.
+INDEX_BLOCK = 512
+
 
 @dataclass(frozen=True, slots=True)
 class Facet:
@@ -129,16 +134,22 @@ def _vertices(spec: ScrollSpec, mask: int) -> frozenset[Vertex]:
 
 def _bitset_index(masks: Sequence[int]) -> list[int]:
     """Incidence index over bit positions: entry ``pos`` has bit ``rank``
-    set exactly when ``masks[rank]`` has bit ``pos``."""
+    set exactly when ``masks[rank]`` has bit ``pos``.
+
+    A transposition by strings, not a loop over set bits: a block of masks
+    written out as one binary string of fixed-width rows and reversed holds
+    in ``text[pos::width]`` the block's bit ``pos`` of every mask, the last
+    mask first, so that string read in base 2 is the block's share of entry
+    ``pos``.  Blocks of ``INDEX_BLOCK`` masks keep the string small next to
+    the masks."""
     width = max(map(int.bit_length, masks), default=0)
-    rows = [bytearray((len(masks) + 7) // 8) for _ in range(width)]
-    for rank, mask in enumerate(masks):
-        byte, bit = rank >> 3, 1 << (rank & 7)
-        while mask:
-            low = mask & -mask
-            rows[low.bit_length() - 1][byte] |= bit
-            mask ^= low
-    return [int.from_bytes(row, "little") for row in rows]
+    rows = [0] * width
+    row = f"{{:0{width}b}}".format
+    for base in range(0, len(masks), INDEX_BLOCK):
+        text = "".join(map(row, masks[base : base + INDEX_BLOCK]))[::-1]
+        for pos in range(width):
+            rows[pos] |= int(text[pos::width], 2) << base
+    return rows
 
 
 def _walk(mask: int, table: Rules) -> Iterator[tuple[Vertex, tuple[Vertex, ...]]]:

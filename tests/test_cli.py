@@ -15,8 +15,8 @@ from conftest import tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrollfiber import facet_complex, invariants, oracle
-from scrollfiber.cli import ReportEnvelope, _build_parser, main
+from scrollfiber import cli, facet_complex, invariants, oracle
+from scrollfiber.cli import ReportEnvelope, _build_parser, cmd_batch, main
 
 
 HUGE = "99999999999999999999"
@@ -73,6 +73,19 @@ class TestInvariantsCommand:
         code, _, err = run(capsys, "invariants", "--n", "2,x")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["1_2", "+5", "\u0665", "2,\uff14", "2,4_0"])
+    def test_only_ascii_decimal_degrees_parse(self, capsys, text):
+        # int() alone takes each of these, and 1_2 would be computed as (12,).
+        expected = (2, "", f"error: cannot parse block degrees from {text!r}\n")
+        assert run(capsys, "invariants", "--n", text) == expected
+
+    def test_spaces_and_signs_around_degrees(self, capsys):
+        code, out, _ = run(capsys, "invariants", "--n", " 4 , 2 ", "--format", "csv")
+        assert (code, out.splitlines()[1]) == (0, "6,2,28,4,-4,true,true")
+        code, out, err = run(capsys, "invariants", "--n", "2,-3")
+        assert (code, out) == (2, "")
+        assert err == "error: block degrees must be positive integers: '2,-3'\n"
 
     def test_json_round_trips(self, capsys):
         _, out, _ = run(capsys, "invariants", "--n", "5", "--format", "json")
@@ -479,6 +492,156 @@ class TestPinnedBytes:
             + PREDICTED_3_TEXT
         )
         assert run(capsys, "batch", str(batch), "--format", "text") == (2, expected, PARSE_ERROR)
+
+
+REPEATS = "12\n2,10\n12\n4,2\n2,4\n3\n4,4,4,4\n4,4,4,4\n"
+BUDGET_ERROR = (
+    "(4,4,4,4) has 475,456 facets, over the enumeration budget of 200,000 facets; "
+    "choose a smaller scroll type"
+)
+INVARIANTS = {
+    (12,): {
+        "a_invariant": -7, "c": 12, "closed_form_match": True, "d": 1, "dim": 13,
+        "facet_count": 3962, "gorenstein": False, "h_vector": [1, 53, 606, 1716, 1287, 286, 13],
+        "mode": "computed", "reduction_number": 6, "reg": 6,
+    },
+    (2, 10): {
+        "a_invariant": -7, "c": 12, "closed_form_match": True, "d": 2, "dim": 14,
+        "facet_count": 7384, "gorenstein": False,
+        "h_vector": [1, 52, 673, 2562, 3003, 1001, 91, 1],
+        "mode": "computed", "reduction_number": 7, "reg": 7,
+    },
+    (2, 4): {
+        "a_invariant": -4, "c": 6, "closed_form_match": True, "d": 2, "dim": 8,
+        "facet_count": 28, "gorenstein": True, "h_vector": [1, 7, 12, 7, 1],
+        "mode": "computed", "reduction_number": 4, "reg": 4,
+    },
+    (3,): {
+        "a_invariant": -3, "c": 3, "closed_form_match": True, "d": 1, "dim": 3,
+        "facet_count": None, "gorenstein": True, "h_vector": None,
+        "mode": "prediction-only", "reduction_number": 0, "reg": 0,
+    },
+}
+
+
+def _repeats_json() -> str:
+    """The batch's JSON lines, one record per input line of ``REPEATS``."""
+    lines = []
+    for line in REPEATS.split():
+        n = tuple(sorted(map(int, line.split(","))))
+        inv = INVARIANTS.get(n)
+        record = {
+            "error": None if inv else BUDGET_ERROR,
+            "invariants": inv,
+            "mode": inv["mode"] if inv else "error",
+            "oracle": None,
+            "schema_version": 2,
+            "spec": {"c": sum(n), "d": len(n), "n": list(n), "normalized": line == "4,2"},
+            "timings": None,
+            "tool": {"name": "scrollfiber", "version": "0.1.0"},
+            "verification": None,
+        }
+        if inv and inv["mode"] == "computed":
+            record["verification"] = {
+                "facets": inv["facet_count"], "failure_count": 0, "failures": [],
+                "mode": "indexed", "mutation": None, "passed": True, "quadratic_fallbacks": 0,
+            }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def _invariants_text(n: tuple[int, ...], normalized: bool = False) -> str:
+    inv = INVARIANTS[n]
+    return (
+        f"spec: n=({','.join(map(str, n))}) c={inv['c']} d={inv['d']}\n"
+        + ("note: block degrees were reordered non-decreasingly\n" if normalized else "")
+        + f"mode: computed\nfacets: {inv['facet_count']}\n"
+        + f"h-vector: {' '.join(map(str, inv['h_vector']))}\n"
+        + f"dim: {inv['dim']}\nreg: {inv['reg']}\na-invariant: {inv['a_invariant']}\n"
+        + f"reduction number: {inv['reduction_number']}\n"
+        + f"gorenstein: {'true' if inv['gorenstein'] else 'false'}\nclosed-form match: true\n"
+        + f"linear quotients: pass over {inv['facet_count']} facets\n"
+    )
+
+
+class TestBatchReuse:
+    """A scroll type repeated in one batch, verbatim or reordered, is computed
+    once; every line still gets its own report, pinned to the bytes that
+    computing each line afresh prints."""
+
+    @pytest.fixture
+    def batch(self, tmp_path):
+        path = tmp_path / "repeats.txt"
+        path.write_text(REPEATS, encoding="utf-8")
+        return str(path)
+
+    def test_each_distinct_type_is_computed_once(self, monkeypatch, batch):
+        computed = []
+
+        def counted(spec, **kwargs):
+            computed.append(spec.n)
+            return full_report(spec, **kwargs)
+
+        full_report = cli.full_report
+        monkeypatch.setattr(cli, "full_report", counted)
+        envelopes, code = cmd_batch(batch, 5)
+        assert computed == [(12,), (2, 10), (2, 4), (3,), (4, 4, 4, 4)]
+        assert code == 2
+        assert len({id(e) for e in envelopes}) == len(envelopes) == 8
+        assert len({id(e.spec) for e in envelopes}) == 8
+
+    def test_normalized_flag_is_per_line(self, batch):
+        envelopes, _ = cmd_batch(batch, 5)
+        reordered, verbatim = envelopes[3], envelopes[4]
+        assert reordered.spec == {"n": [2, 4], "c": 6, "d": 2, "normalized": True}
+        assert verbatim.spec == {"n": [2, 4], "c": 6, "d": 2, "normalized": False}
+        assert reordered.invariants == verbatim.invariants
+        assert reordered.invariants["h_vector"] == (1, 7, 12, 7, 1)
+        assert reordered.verification == verbatim.verification
+
+    def test_csv(self, capsys, batch):
+        expected = (
+            "c,d,facets,reg,a,gorenstein,pass\n"
+            "12,1,3962,6,-7,false,true\n"
+            "12,2,7384,7,-7,false,true\n"
+            "12,1,3962,6,-7,false,true\n"
+            "6,2,28,4,-4,true,true\n"
+            "6,2,28,4,-4,true,true\n"
+            "3,1,,0,-3,true,prediction-only\n"
+            ",,,,,,error\n"
+            ",,,,,,error\n"
+        )
+        errors = f"error: {BUDGET_ERROR}\n" * 2
+        assert run(capsys, "batch", batch) == (2, expected, errors)
+
+    def test_json(self, capsys, batch):
+        errors = f"error: {BUDGET_ERROR}\n" * 2
+        assert run(capsys, "batch", batch, "--format", "json") == (2, _repeats_json(), errors)
+
+    def test_text(self, capsys, batch):
+        over_budget = f"spec: n=(4,4,4,4) c=16 d=4\nmode: error\nerror: {BUDGET_ERROR}\n"
+        expected = (
+            _invariants_text((12,))
+            + _invariants_text((2, 10))
+            + _invariants_text((12,))
+            + _invariants_text((2, 4), normalized=True)
+            + _invariants_text((2, 4))
+            + PREDICTED_3_TEXT
+            + over_budget * 2
+        )
+        errors = f"error: {BUDGET_ERROR}\n" * 2
+        assert run(capsys, "batch", batch, "--format", "text") == (2, expected, errors)
+
+    def test_typos_are_not_taken_for_a_computed_type(self, capsys, tmp_path):
+        batch = tmp_path / "typos.txt"
+        batch.write_text("5\n+5\n0_5\n", encoding="utf-8")
+        code, out, err = run(capsys, "batch", str(batch))
+        assert code == 2
+        assert out.splitlines()[1:] == ["5,1,10,3,-3,true,true", ",,,,,,error", ",,,,,,error"]
+        assert err == (
+            "error: cannot parse block degrees from '+5'\n"
+            "error: cannot parse block degrees from '0_5'\n"
+        )
 
 
 class TestOutputDirectory:

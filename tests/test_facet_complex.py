@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     brute_force_facets,
     crossing,
@@ -33,6 +36,7 @@ from scrollfiber import (
 from scrollfiber import facet_complex
 from scrollfiber.facet_complex import (
     MAX_ENUMERATED_FACETS,
+    _bitset_index,
     _edges,
     _enumerated,
     count_facets,
@@ -346,6 +350,24 @@ class TestEdges:
         monkeypatch.setattr("scrollfiber.facet_complex._rules", no_table)
         with pytest.raises(CapacityError, match="counting budget of 1,000,000 steps"):
             _edges(ScrollSpec((52,)))
+
+
+class TestBitsetIndex:
+    """The transposition against a per-bit reference, on both sides of the
+    block edges and on masks of every bit length, zero among them."""
+
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1500])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(width=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_per_bit_reference(self, count, width, seed):
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(rng.randint(0, width)) for _ in range(count)]
+        rows = [0] * max(map(int.bit_length, masks), default=0)
+        for rank, mask in enumerate(masks):
+            for pos in range(mask.bit_length()):
+                if mask >> pos & 1:
+                    rows[pos] |= 1 << rank
+        assert _bitset_index(masks) == rows
 
 
 class TestFirstFacet:

@@ -27,11 +27,13 @@ from .dual_quotients import (
     MUTATIONS,
     VerificationResult,
     colon_generators,
+    enumerate_facets,
+    first_facet,
     predict_LG,
     verify_linear_quotients,
 )
 from .errors import PreconditionError, ScrollError, VerificationError
-from .facet_complex import Facet, enumerate_facets, facet_tree, first_facet, is_facet
+from .facet_complex import Facet, facet_tree, is_facet
 from .invariants import _flag_skeleton, full_report, hilbert_function_by_faces
 from .oracle import DEFAULT_MODULUS, CrossCheckResult, cross_check, fiber_hilbert_function
 from .scroll_model import ScrollSpec, build_matrix, leaves_profile
@@ -63,32 +65,31 @@ class ReportEnvelope:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReportEnvelope":
-        return cls(
-            spec=data["spec"],
-            mode=data["mode"],
-            invariants=data.get("invariants"),
-            verification=data.get("verification"),
-            oracle=data.get("oracle"),
-            timings=data.get("timings"),
-            error=data.get("error"),
-            schema_version=data.get("schema_version", SCHEMA_VERSION),
-            tool=data.get("tool", {}),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+# An integer option: ASCII decimal digits after an optional minus sign, with
+# optional surrounding spaces.  ``int`` alone would also take ``1_2``, ``+5``
+# and non-ASCII digits.  The minus sign parses, so that a negative value is
+# refused by the check of its option, with that option's message.
+DECIMAL = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """The argparse ``type`` of every integer option: ``DECIMAL``, refused
+    with argparse's own message for a value that is no int."""
+    if not DECIMAL.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_n(text: str) -> tuple[tuple[int, ...], bool]:
-    """Block degrees from comma-separated ASCII decimals, each with optional
-    surrounding spaces; ``int`` alone would also take ``1_2``, ``+5`` and
-    non-ASCII digits.  A minus sign parses, so that a negative degree is
-    refused as not positive.  Returns the sorted degrees and whether sorting
-    moved any."""
+    """Block degrees from comma-separated ``DECIMAL`` values; a negative
+    degree is refused as not positive.  Returns the sorted degrees and
+    whether sorting moved any."""
     parts = [part.strip() for part in text.split(",")]
-    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+    if not all(DECIMAL.fullmatch(part) for part in parts):
         raise PreconditionError(f"cannot parse block degrees from {text!r}")
     values = tuple(map(int, parts))
     if not values or any(v < 1 for v in values):
@@ -100,10 +101,9 @@ def _parse_n(text: str) -> tuple[tuple[int, ...], bool]:
 def _parse_modulus(text: str) -> int | str:
     if text == "rational":
         return text
-    try:
-        return int(text)
-    except ValueError:
+    if not DECIMAL.fullmatch(text.strip()):
         raise PreconditionError(f"modulus must be an integer or 'rational': {text!r}")
+    return int(text)
 
 
 def _spec_dict(spec: ScrollSpec, normalized: bool) -> dict:
@@ -459,12 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="compute and check all invariants")
     add_common(p_inv, ("text", "json", "csv"))
-    p_inv.add_argument("--hilbert-window", type=int, default=5, metavar="T",
+    p_inv.add_argument("--hilbert-window", type=_parse_int, default=5, metavar="T",
                        help="check the two Hilbert paths up to this degree (default 5)")
 
     p_ver = sub.add_parser("verify", help="certify linear quotients and run the rank oracle")
     add_common(p_ver)
-    p_ver.add_argument("--t-max", type=int, default=3)
+    p_ver.add_argument("--t-max", type=_parse_int, default=3)
     p_ver.add_argument("--modulus", default=str(DEFAULT_MODULUS),
                        help="prime modulus for the rank oracle, or 'rational'")
     p_ver.add_argument("--mutate-rule", choices=sorted(MUTATIONS), default=None,
@@ -474,14 +474,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fac = sub.add_parser("facets", help="dump the facet list")
     add_common(p_fac)
-    p_fac.add_argument("--alpha", type=int, default=None, help="restrict to one group")
-    p_fac.add_argument("--limit", type=int, default=0, help="emit at most this many facets")
+    p_fac.add_argument("--alpha", type=_parse_int, default=None, help="restrict to one group")
+    p_fac.add_argument("--limit", type=_parse_int, default=0, help="emit at most this many facets")
 
     p_bat = sub.add_parser("batch", help="one report per line of a file of block-degree lists")
     p_bat.add_argument("file", help="input file, one comma-separated n per line")
     p_bat.add_argument("--format", choices=("text", "json", "csv"), default="csv")
     p_bat.add_argument("--out-dir", default=None)
-    p_bat.add_argument("--hilbert-window", type=int, default=5)
+    p_bat.add_argument("--hilbert-window", type=_parse_int, default=5)
 
     sub.add_parser("selftest", help="run the built-in example checks")
     return parser

@@ -18,11 +18,13 @@ detects that, and only such facets fall back to the quadratic scan.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
-(``_rule``).  So it is a fold of each group's grammar table with the role
-as state, ``_predictions``, next to the folds of ``facet_complex`` that
-count, enumerate and connect the facets; certification parses no facet.
-``predict_LG`` applies the same rule over one facet's ``_walk``, so a
-mutation moves both.
+(``_rule``).  So one fold of each group's grammar table with the role as
+state, ``_fold``, lists every facet together with its prediction, next to
+the folds of ``facet_complex`` that count and connect the facets.  Its
+unmutated run is the enumeration (``_enumerated``, ``enumerate_facets``,
+``first_facet``), kept on the spec; only the rule mutations fold again.
+Certification parses no facet.  ``predict_LG`` applies the same rule over
+one facet's ``_walk``, so a mutation moves both.
 
 One generator, ``_certified``, applies the certified order and yields every
 facet's colon data.  ``verify_linear_quotients`` folds it into per-degree
@@ -37,21 +39,31 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, InternalError, PreconditionError
+from .errors import CapacityError, DomainError, InternalError, PreconditionError
 from .facet_complex import (
     Facet,
     Vertex,
     _bitset_index,
-    _enumerated,
     _grid,
     _mask,
     _table,
     _vertices,
-    _walk_facet,
-    enumerate_facets,
+    _walk,
+    count_facets,
     vertex_set,
 )
-from .scroll_model import ScrollSpec, per_spec, require_complex
+from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
+
+#: Enumeration refuses specs with more facets than this (``CapacityError``):
+#: each facet is kept as one int mask, about 50 bytes, with its packed
+#: prediction, and certification makes a pass over all of them with c + d
+#: swap keys per facet.
+MAX_ENUMERATED_FACETS = 200_000
+
+# The facets greatest first (``_fold``): their masks, the alpha of each, and
+# their predictions packed ``width`` little-endian bytes a facet (9 bytes at
+# c = 12, where an int takes 40).
+Enumeration = tuple[tuple[int, ...], tuple[int, ...], bytearray]
 
 #: Named rule mutations for mutation-testing the checker.  Only for
 #: diagnostics; production verification uses ``mutation=None``.
@@ -174,7 +186,7 @@ def _rule(
     greatest (in every group under ``c2``); a left drop, the bottom of its
     column, always does; a right drop does only with a right sibling; a
     split does too without one, except under ``b2``.  Both ``predict_LG``
-    and the fold of ``_predictions`` apply this rule.
+    and ``_fold`` apply this rule.
     """
     if len(kids) == 2:  # a split
         return (SIBLING, TOP), (SIBLING,) if mutation == "b2" else (SIBLING, PLAIN)
@@ -220,39 +232,41 @@ def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex
     table of ``facet.alpha`` (``StructuralError`` when it is no facet of
     that group, ``CapacityError`` as ``count_facets`` does), and ``_rule``
     places every node by its parent's way and applies the column rule.
-    Certification reads the same rule from ``_predictions``, a fold of the
-    table, and parses no facet.
+    Certification reads the same rule from ``_fold``, a fold of the table,
+    and parses no facet.
     """
     _check_mutation(mutation)
     spec = facet.spec
-    walk = _walk_facet(facet)
+    walk = _walk(spec, _mask(spec, facet.vertices), facet.alpha)
     return _vertices(spec, _predict(walk, _grid(spec), facet.alpha, spec.alphas[-1], mutation))
 
 
-def _predictions(spec: ScrollSpec, mutation: str | None) -> tuple[bytearray, int]:
-    """The mask of every facet's prediction, by enumeration rank: a fold of
-    each group's grammar table by ``_rule``, with the node's role as state.
+def _fold(spec: ScrollSpec, mutation: str | None) -> Enumeration:
+    """Every facet greatest first, with its prediction: a fold of each
+    group's grammar table by ``_rule``, with the node's role as state.
 
     Per node and per role some parent gives it, the fold lists every
     subtree of the node as one int, its mask shifted above the vertex bits
     ORed with its prediction, in the node's role, in the order of the
     table's ways.  Roles in which the node adds its bit on the same ways
     share one list, so a role that never adds it shares the list of the
-    node's descendants.  Each group is sorted by mask, as ``_enumerate``
-    sorts it; ``InternalError`` unless the masks are ``_enumerated``'s.
-
-    Returns the predictions packed ``width`` little-endian bytes a facet,
-    and ``width``: 9 bytes a facet at c = 12, where an int takes 40.
+    node's descendants.  Groups come larger alpha first, each sorted once
+    by mask: within a group the dual supports, read from the greatest
+    variable down, are compared position by position with the greater
+    variable winning.  The smallest vertex id in the symmetric difference
+    decides that; it is the highest differing bit of the two masks, and the
+    facet holding it comes later.
     """
-    enumerated = _enumerated(spec)[0]
     grid, greatest, root = _grid(spec), spec.alphas[-1], (1, spec.c)
     shift = math.comb(spec.c, 2)
     width, low = (shift + 7) // 8, ~(-1 << shift)
+    masks: list[int] = []
+    alphas: list[int] = []
     packed = bytearray()
     for alpha in reversed(spec.alphas):
         folded: dict[Vertex, dict[int, list[int]]] = {}
         rules = {
-            node: [(kids, *_rule(node, kids, alpha, greatest, mutation)) for kids, _ in ways]
+            node: [(kids, *_rule(node, kids, alpha, greatest, mutation)) for kids in ways]
             for node, ways in _table(spec, alpha).items()
         }
         wanted: dict[Vertex, set[int]] = {root: {TOP}}
@@ -271,19 +285,72 @@ def _predictions(spec: ScrollSpec, mutation: str | None) -> tuple[bytearray, int
                 for sign, entries in lists.items():
                     entries += [p | bit for p in partial] if sign[i] else partial
             folded[(a, b)] = {r: lists[sign] for r, sign in signs.items()}
-        # Sorted in place, then checked and packed one facet at a time: copies
-        # of the group here raised the peak RSS of certification by ~1 MB.
+        # Sorted in place, then split one facet at a time: copies of the
+        # group here raised the peak RSS of certification by ~1 MB.
         group = folded[root][TOP]
         del folded
         group.sort()
-        start = len(packed) // width
-        for e, mask in zip(group, enumerated[start : start + len(group)]):
-            if e >> shift != mask:
-                raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
+        for e in group:
+            masks.append(e >> shift)
             packed += (e & low).to_bytes(width, "little")
-    if len(packed) != len(enumerated) * width:
-        raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
-    return packed, width
+        alphas += [alpha] * len(group)
+    return tuple(masks), tuple(alphas), packed
+
+
+def _enumerated(spec: ScrollSpec) -> Enumeration:
+    """The unmutated ``_fold`` of ``spec``, kept on the spec: the facet
+    masks in the facet order, the alpha of each and their packed
+    predictions.
+
+    Raises ``CapacityError`` before the fold when the spec has more than
+    ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` unless the fold
+    lists as many facets as ``count_facets`` counts.
+    """
+    require_complex(spec)
+
+    def compute() -> Enumeration:
+        expected = count_facets(spec)
+        if expected > MAX_ENUMERATED_FACETS:
+            raise CapacityError(
+                f"{spec} has {expected:,} facets, over the enumeration budget of "
+                f"{MAX_ENUMERATED_FACETS:,} facets; choose a smaller scroll type"
+            )
+        masks, alphas, packed = _fold(spec, None)
+        if len(masks) != expected:
+            raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
+        return masks, alphas, packed
+
+    return per_spec(spec, "facets", compute)
+
+
+def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
+    """All facets of the initial complex, greatest first in the facet order.
+
+    The list is grouped by window position (larger alpha first) and ordered
+    within a group by the dual-monomial comparison of ``precedes``.  The
+    result is deterministic; its ``Facet`` views are built on the first
+    call and kept on the spec object.
+    """
+
+    def views() -> tuple[Facet, ...]:
+        masks, alphas, _ = _enumerated(spec)
+        return tuple(
+            Facet(vertices=_vertices(spec, m), alpha=a, spec=spec) for m, a in zip(masks, alphas)
+        )
+
+    return list(per_spec(spec, "facet_views", views))
+
+
+def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
+    """The greatest facet of the group at ``alpha``.
+
+    The enumeration lists facets greatest first; the view of the first facet
+    of the group is built.  Raises for a spec without a complex and for
+    alpha outside [1, c-d-2], after the guarded enumeration.
+    """
+    masks, alphas, _ = _enumerated(spec)
+    leaves_profile(spec, alpha)
+    return Facet(vertices=_vertices(spec, masks[alphas.index(alpha)]), alpha=alpha, spec=spec)
 
 
 def _minimal_masks(diffs: Iterable[int]) -> frozenset[int]:
@@ -351,11 +418,17 @@ def _certified(
     """Per facet in the order certified under ``mutation`` (``_facet_order``):
     its enumeration rank, the mask of its singleton generators, its minimal
     difference masks from the quadratic scan or None (``_colons``), and the
-    mask of its prediction (``_predictions``)."""
-    enumerated = _enumerated(spec)[0]
+    mask of its prediction: the enumeration's, or under a rule mutation a
+    fresh ``_fold``, whose masks must be the enumeration's (``InternalError``
+    otherwise)."""
+    enumerated, _, packed = _enumerated(spec)
+    if mutation in ("c2", "b2"):  # swap-groups only reorders the facets
+        folded, _, packed = _fold(spec, mutation)
+        if folded != enumerated:
+            raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
+    width = len(packed) // len(enumerated)
     order = _facet_order(spec, mutation)
     masks = [enumerated[rank] for rank in order]
-    packed, width = _predictions(spec, mutation)
     for rank, (gens, diffs) in zip(order, _colons(spec, masks)):
         predicted = int.from_bytes(packed[rank * width : (rank + 1) * width], "little")
         yield rank, gens, diffs, predicted
@@ -398,7 +471,7 @@ def verify_linear_quotients(
 def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
     """Fold ``_certified`` into per-degree counts and the failing reports;
     a facet builds its report only off the linear, as-predicted case."""
-    masks, alphas = _enumerated(spec)  # its guards refuse a huge c first
+    masks, alphas, _ = _enumerated(spec)  # its guards refuse a huge c first
     counts = [0] * (spec.c + spec.d + 1)
     failing: list[ColonReport] = []
     fallbacks = 0

@@ -10,17 +10,17 @@ absent).  Every facet has c + d vertices.
 
 One grammar table per group, ``_rules``, states these rules once; each
 is built on first use and kept on the spec (``_table``).  Three folds read
-it here, ``count_facets`` into counts, ``_enumerate`` into masks and
-``_edges`` into the 1-skeleton, and a fourth in ``dual_quotients`` folds it
-into the predicted colon generators.  One parser reads it too: ``_walk``
+it: ``count_facets`` into counts and ``_edges`` into the 1-skeleton here,
+and ``dual_quotients._fold`` into every facet with its predicted colon
+generators, which is the enumeration.  One parser reads it too: ``_walk``
 rebuilds the tree of a vertex set top-down by the table's ways, so
 ``is_facet``, ``facet_tree`` and ``predict_LG`` follow the same rules.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
 largest id, so the greatest variable holds the highest bit and
-``(-alpha, mask)`` sorts facets greatest first (see ``_enumerate``).  The
-frozenset ``Facet`` is a view built only where the API hands one out.
+``(-alpha, mask)`` sorts facets greatest first (see ``dual_quotients``).
+The frozenset ``Facet`` is a view built only where the API hands one out.
 """
 
 from __future__ import annotations
@@ -36,18 +36,13 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 Vertex = tuple[int, int]
 
 # A grammar table (``_rules``): each buildable node, shorter first, to its
-# ways, each way its children and the mask of the node and its children.
-Rules = dict[Vertex, list[tuple[tuple[Vertex, ...], int]]]
-
-#: Enumeration refuses specs with more facets than this (``CapacityError``):
-#: each facet is kept as one int mask, about 50 bytes, and certification
-#: makes a pass over all of them with c + d swap keys per facet.
-MAX_ENUMERATED_FACETS = 200_000
+# ways, each way the tuple of its children.
+Rules = dict[Vertex, list[tuple[Vertex, ...]]]
 
 #: ``_table`` refuses specs whose grammar tables would take more split steps
 #: than this (``CapacityError``): at most C(c, 3) per group, c - d - 2
 #: groups.  The refusal reaches every reader of the tables: counting,
-#: enumeration, the 1-skeleton and the facet-level API.  Every spec with
+#: the 1-skeleton, the enumeration and the facet-level API.  Every spec with
 #: c <= 40 is counted: (40,) takes 365,560 steps; (51,), at 999,600, counts
 #: in about 0.4 s on a 2-core host.
 MAX_COUNTING_STEPS = 1_000_000
@@ -63,7 +58,7 @@ class Facet:
     """A facet: its vertex set plus the window position of its leaf set.
 
     The enumeration keeps facets as int masks; ``enumerate_facets`` and
-    ``first_facet`` build these views from them on request.
+    ``first_facet`` of ``dual_quotients`` build these views on request.
     """
 
     vertices: frozenset[Vertex]
@@ -152,26 +147,32 @@ def _bitset_index(masks: Sequence[int]) -> list[int]:
     return rows
 
 
-def _walk(mask: int, table: Rules) -> Iterator[tuple[Vertex, tuple[Vertex, ...]]]:
-    """Parse the vertex set ``mask`` top-down with a grammar table.
+def _walk(spec: ScrollSpec, mask: int, alpha: int) -> Iterator[tuple[Vertex, tuple[Vertex, ...]]]:
+    """Parse the vertex set ``mask`` top-down with the grammar table of the
+    group at ``alpha``.
 
     From the root (1, c), the table's last key, each node takes the first of
-    its ways whose mask lies in ``mask``; ``StructuralError`` when none
-    does, and at the end unless the nodes met are exactly ``mask``.  So the
-    walk accepts exactly the sets the table derives, the facets of its
-    group: no way drops a leaf, siblings are disjoint so no node is met
-    twice, and on a facet at most one way fits, so the first that fits is
-    the facet's own.
+    its ways whose vertices, the node and its children, lie in ``mask``;
+    ``StructuralError`` when none does, and at the end unless the nodes met
+    are exactly ``mask``.  So the walk accepts exactly the sets the table
+    derives, the facets of its group: no way drops a leaf, siblings are
+    disjoint so no node is met twice, and on a facet at most one way fits,
+    so the first that fits is the facet's own.  ``_table`` raises for the
+    spec and alpha when the walk starts.
 
     Yields ``(node, children)`` per node, parents before their children and
     children by left endpoint.  The last check follows the last node:
     consume the whole walk.
     """
+    grid, table = _grid(spec), _table(spec, alpha)
     stack = [next(reversed(table))]
     visited = 0
     while stack:
         node = stack.pop()
-        for kids, need in table[node]:
+        for kids in table[node]:
+            need = grid[node[0]][node[1]]
+            for a, b in kids:
+                need |= grid[a][b]
             if need & mask == need:
                 break
         else:
@@ -181,12 +182,6 @@ def _walk(mask: int, table: Rules) -> Iterator[tuple[Vertex, tuple[Vertex, ...]]
         yield node, kids
     if visited != mask:
         raise StructuralError(f"{(mask & ~visited).bit_count()} vertices lie off the tree")
-
-
-def _walk_facet(facet: Facet) -> Iterator[tuple[Vertex, tuple[Vertex, ...]]]:
-    """``_walk`` of a ``Facet`` view against the table of its alpha."""
-    spec = facet.spec
-    return _walk(_mask(spec, facet.vertices), _table(spec, facet.alpha))
 
 
 def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
@@ -200,7 +195,7 @@ def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
     mask = _mask(spec, vs)
     alpha = min((a for a, b in vs if b - a == 1), default=0)
     try:
-        for _ in _walk(mask, _table(spec, alpha)):
+        for _ in _walk(spec, mask, alpha):
             pass
     except StructuralError:
         return False
@@ -210,38 +205,40 @@ def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
 def facet_tree(facet: Facet) -> FacetTree:
     """Containment tree of a facet; ``StructuralError`` on non-facets and
     when ``facet.alpha`` is not the leftmost unit start."""
-    children = dict(_walk_facet(facet))
+    spec = facet.spec
+    children = dict(_walk(spec, _mask(spec, facet.vertices), facet.alpha))
     parent = {kid: node for node, kids in children.items() for kid in kids}
-    return FacetTree(root=(1, facet.spec.c), children=children, parent=parent)
+    return FacetTree(root=(1, spec.c), children=children, parent=parent)
 
 
 def _rules(spec: ScrollSpec, alpha: int) -> Rules:
     """The facet grammar of the group at ``alpha``.
 
     Maps every interval that roots a valid subtree, shorter intervals first,
-    to each way to build that subtree: its children and the mask of the node
-    and its children.  A unit in the leaf set has the one way ``()``; a
-    longer interval drops a non-leaf unit off either end (one child) or
-    splits (two children).  (A unit has neither: its drops and splits name
-    no interval.)  The root (1, c) comes last: every group has a facet, the
-    chain of the (k, c) with each unit dropped or split off.
+    to each way to build that subtree, the tuple of its children.  A unit in
+    the leaf set has the one way ``()``; a longer interval drops a non-leaf
+    unit off either end (one child) or splits (two children).  (A unit has
+    neither: its drops and splits name no interval.)  The root (1, c) comes
+    last: every group has a facet, the chain of the (k, c) with each unit
+    dropped or split off.  Every way names the one tuple ``vx[a][b]`` of a
+    vertex, so the kept table holds one tuple per vertex and per way.
     """
-    c, grid = spec.c, _grid(spec)
-    leaves = _mask(spec, leaves_profile(spec, alpha).leaves)
+    c = spec.c
+    vx = [[(a, b) for b in range(c + 1)] for a in range(c + 1)]
+    leaves = leaves_profile(spec, alpha).leaves
     rules: Rules = {}
     for length in range(1, c):
         for a in range(1, c - length + 1):
             b = a + length
-            bit = grid[a][b]
-            ways = [((), bit)] if length == 1 and leaves & bit else []
-            for (p, q), (r, s) in (((a, a + 1), (a + 1, b)), ((b - 1, b), (a, b - 1))):
-                if not leaves & grid[p][q] and (r, s) in rules:
-                    ways.append((((r, s),), bit | grid[r][s]))
+            ways: list[tuple[Vertex, ...]] = [()] if length == 1 and (a, b) in leaves else []
+            for unit, rest in ((vx[a][a + 1], vx[a + 1][b]), (vx[b - 1][b], vx[a][b - 1])):
+                if unit not in leaves and rest in rules:
+                    ways.append((rest,))
             for k in range(a + 1, b):
-                if (a, k) in rules and (k, b) in rules:
-                    ways.append((((a, k), (k, b)), bit | grid[a][k] | grid[k][b]))
+                if vx[a][k] in rules and vx[k][b] in rules:
+                    ways.append((vx[a][k], vx[k][b]))
             if ways:
-                rules[(a, b)] = ways
+                rules[vx[a][b]] = ways
     if (1, c) not in rules:
         raise InternalError(f"no facet in the group at alpha={alpha} of {spec}")
     return rules
@@ -277,7 +274,8 @@ def count_facets(spec: ScrollSpec) -> int:
     """Number of facets of the initial complex, without enumerating them.
 
     Folds each group's grammar table into subtree counts, in time
-    polynomial in c; ``enumerate_facets`` lists exactly this many facets.
+    polynomial in c; ``dual_quotients.enumerate_facets`` lists exactly this
+    many facets.
     Raises ``CapacityError`` as ``_table`` does.
     """
     require_complex(spec)
@@ -285,7 +283,7 @@ def count_facets(spec: ScrollSpec) -> int:
     for alpha in spec.alphas:
         counts: dict[Vertex, int] = {}
         for node, ways in _table(spec, alpha).items():
-            counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids, _ in ways)
+            counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids in ways)
         total += counts[(1, spec.c)]
     return total
 
@@ -315,7 +313,7 @@ def _edges(spec: ScrollSpec) -> list[int]:
             inside: dict[Vertex, int] = {}
             for (a, b), ways in rules.items():
                 inside[(a, b)] = grid[a][b]
-                for kids, _ in ways:
+                for kids in ways:
                     for kid in kids:
                         inside[(a, b)] |= inside[kid]
             outside = {(1, spec.c): 0}
@@ -325,88 +323,10 @@ def _edges(spec: ScrollSpec) -> list[int]:
                 bit = grid[a][b]
                 around = outside[(a, b)] | bit
                 adj[bit.bit_length() - 1] |= (inside[(a, b)] | around) & ~bit
-                for kids, _ in ways:
+                for kids in ways:
                     for i, kid in enumerate(kids):
                         sibling = inside[kids[1 - i]] if len(kids) == 2 else 0
                         outside[kid] = outside.get(kid, 0) | around | sibling
         return adj
 
     return per_spec(spec, "edges", compute)
-
-
-def _enumerated(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The facet masks of ``spec`` in the facet order and the alpha of each,
-    kept on the spec.
-
-    Raises ``CapacityError`` when the spec has more than
-    ``MAX_ENUMERATED_FACETS`` facets.
-    """
-    require_complex(spec)
-    return per_spec(spec, "facets", lambda: _enumerate(spec))
-
-
-def _enumerate(spec: ScrollSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Facets greatest first: larger alpha first, then ascending mask.
-
-    Each group's grammar table is folded into the masks of its subtrees,
-    every way of building a node ORing its children's masks into its bit.
-    Within a group the dual supports, read from the greatest variable down,
-    are compared position by position with the greater variable winning.
-    The smallest vertex id in the symmetric difference decides that; it is
-    the highest differing bit of the two masks, and the facet holding it
-    comes later.
-    """
-    expected = count_facets(spec)
-    if expected > MAX_ENUMERATED_FACETS:
-        raise CapacityError(
-            f"{spec} has {expected:,} facets, over the enumeration budget of "
-            f"{MAX_ENUMERATED_FACETS:,} facets; choose a smaller scroll type"
-        )
-    grid = _grid(spec)
-    masks: list[int] = []
-    alphas: list[int] = []
-    for alpha in reversed(spec.alphas):
-        subtrees: dict[Vertex, list[int]] = {}
-        for (a, b), ways in _table(spec, alpha).items():
-            subtrees[(a, b)] = built = []
-            for kids, _ in ways:
-                partial = [grid[a][b]]
-                for kid in kids:
-                    partial = [p | s for p in partial for s in subtrees[kid]]
-                built += partial
-        group = sorted(subtrees[(1, spec.c)])
-        masks += group
-        alphas += [alpha] * len(group)
-    if len(masks) != expected:
-        raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
-    return tuple(masks), tuple(alphas)
-
-
-def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
-    """All facets of the initial complex, greatest first in the facet order.
-
-    The list is grouped by window position (larger alpha first) and ordered
-    within a group by the dual-monomial comparison of ``dual_quotients``.
-    The result is deterministic; its ``Facet`` views are built on the first
-    call and kept on the spec object.
-    """
-
-    def views() -> tuple[Facet, ...]:
-        masks, alphas = _enumerated(spec)
-        return tuple(
-            Facet(vertices=_vertices(spec, m), alpha=a, spec=spec) for m, a in zip(masks, alphas)
-        )
-
-    return list(per_spec(spec, "facet_views", views))
-
-
-def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
-    """The greatest facet of the group at ``alpha``.
-
-    The enumeration lists facets greatest first; the view of the first facet
-    of the group is built.  Raises for a spec without a complex and for
-    alpha outside [1, c-d-2], after the guarded enumeration.
-    """
-    masks, alphas = _enumerated(spec)
-    leaves_profile(spec, alpha)
-    return Facet(vertices=_vertices(spec, masks[alphas.index(alpha)]), alpha=alpha, spec=spec)

@@ -21,9 +21,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dual_quotients import ColonReport, verify_linear_quotients
-from .errors import CapacityError, PreconditionError, VerificationError
-from .facet_complex import Facet, _edges, _enumerated, _mask
+from .dual_quotients import ColonReport, _enumerated, verify_linear_quotients
+from .errors import CapacityError, DomainError, PreconditionError, VerificationError
+from .facet_complex import Facet, _edges, _mask
 from .scroll_model import ScrollSpec, complex_regime, per_spec
 
 #: The face walk refuses to visit more faces than this (``CapacityError``);
@@ -113,12 +113,15 @@ def face_counts(facets: Sequence[Facet], max_size: int) -> tuple[int, ...]:
         f where f[k-1] is the number of faces with k vertices.
 
     Raises:
+        DomainError: the facets belong to different scrolls.
         PreconditionError: ``max_size`` is below 1.
         VerificationError: the facets do not form a flag complex (or list a
             face twice, or a face below another).
         CapacityError: the walk would visit more than ``MAX_FACE_NODES``
             faces.
     """
+    if any(f.spec != facets[0].spec for f in facets):
+        raise DomainError("cannot count the faces of facets of several scrolls")
     masks = [_mask(f.spec, f.vertices) for f in facets]
     adj = [0] * max(map(int.bit_length, masks), default=0)
     for mask in masks:
@@ -260,7 +263,11 @@ def _hf_from_counts(f: Sequence[int], t: int) -> int:
 
 
 def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int) -> int:
-    """Number of degree-t monomials whose support is a face of the complex."""
+    """Number of degree-t monomials whose support is a face of the complex
+    of ``spec``, generated by ``facets``; ``DomainError`` for a facet of
+    another scroll."""
+    if any(f.spec != spec for f in facets):
+        raise DomainError(f"facets of another scroll given for {spec}")
     if t < 0:
         raise PreconditionError(f"degree must be non-negative, got {t}")
     if t == 0:

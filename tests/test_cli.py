@@ -89,7 +89,7 @@ class TestInvariantsCommand:
 
     def test_json_round_trips(self, capsys):
         _, out, _ = run(capsys, "invariants", "--n", "5", "--format", "json")
-        envelope = ReportEnvelope.from_dict(json.loads(out))
+        envelope = ReportEnvelope(**json.loads(out))
         assert envelope.to_json() == out
 
     def test_byte_identical_reruns(self, capsys):
@@ -234,7 +234,7 @@ class TestVerifyCommand:
 
     def test_verify_envelope_round_trips(self, capsys):
         _, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
-        envelope = ReportEnvelope.from_dict(json.loads(out))
+        envelope = ReportEnvelope(**json.loads(out))
         assert envelope.to_json() == out
 
     def test_mutated_rule_fails_with_named_facets(self, capsys):
@@ -704,6 +704,34 @@ class TestOptions:
         assert list(tmp_path.iterdir()) == []
         code, out, _ = run(capsys, "invariants", "--n", "5", "--format", "csv")
         assert code == 0 and out.startswith("c,d,facets")
+
+    INVALID_INT = "error: argument {option}: invalid int value: {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["1_0", "+7", "\u0667"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("invariants", "--n", "5", "--hilbert-window"), INVALID_INT),
+            (("batch", "lines.txt", "--hilbert-window"), INVALID_INT),
+            (("verify", "--n", "5", "--t-max"), INVALID_INT),
+            (("facets", "--n", "5", "--alpha"), INVALID_INT),
+            (("facets", "--n", "5", "--limit"), INVALID_INT),
+            (
+                ("verify", "--n", "5", "--t-max", "1", "--modulus"),
+                "error: modulus must be an integer or 'rational': {value!r}\n",
+            ),
+        ],
+    )
+    def test_integer_options_follow_the_n_rule(self, capsys, argv, message, value):
+        # int() alone takes each value: 1_0 as 10, +7 and the Arabic-Indic
+        # digit seven as 7.
+        try:
+            code = main([*argv, value])
+        except SystemExit as exc:  # argparse refuses the value
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith(message.format(option=argv[-1], value=value))
 
     def test_facets_refuses_timings(self, capsys):
         code, out, err = refused(capsys, "facets", "--n", "5", "--timings")

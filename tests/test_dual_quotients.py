@@ -23,8 +23,8 @@ from scrollfiber import (
     verify_linear_quotients,
 )
 from scrollfiber import dual_quotients, facet_complex
-from scrollfiber.dual_quotients import _facet_order, _predict, _predictions
-from scrollfiber.facet_complex import _enumerated, _grid, _table, _walk
+from scrollfiber.dual_quotients import _enumerated, _facet_order, _fold, _predict
+from scrollfiber.facet_complex import _grid, _walk
 
 # Shared desk spec objects keep their enumerations between tests.
 DESK_BY_N = {s.n: s for s in DESK_SPECS}
@@ -209,44 +209,63 @@ class TestPredictLG:
 FOLD_SPECS = [*desk_specs_with_complex(), ScrollSpec((12,))]
 
 
-def _folded(spec, mutation):
-    """The predictions of ``_predictions``, unpacked, by enumeration rank."""
-    packed, width = _predictions(spec, mutation)
-    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
-
-
 class TestPredictionFold:
     @pytest.mark.parametrize("mutation", [None, "c2", "b2"])
     @pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda spec: ",".join(map(str, spec.n)))
     def test_fold_equals_the_walk_on_every_facet(self, spec, mutation):
         # Certification no longer parses the facets, so every enumerated mask
         # is parsed here, and its prediction over the walk is the fold's.
-        masks, alphas = _enumerated(spec)
+        masks, alphas, _ = _enumerated(spec)
         grid, greatest = _grid(spec), spec.alphas[-1]
         walked = [
-            _predict(_walk(mask, _table(spec, alpha)), grid, alpha, greatest, mutation)
+            _predict(_walk(spec, mask, alpha), grid, alpha, greatest, mutation)
             for mask, alpha in zip(masks, alphas)
         ]
-        assert _folded(spec, mutation) == walked
+        folded_masks, folded_alphas, packed = _fold(spec, mutation)
+        assert (folded_masks, folded_alphas) == (masks, alphas)
+        width = len(packed) // len(masks)
+        unpacked = range(0, len(packed), width)
+        assert [int.from_bytes(packed[i : i + width], "little") for i in unpacked] == walked
 
     def test_certification_parses_no_facet(self, monkeypatch):
-        def no_walk(mask, table):
+        def no_walk(spec, mask, alpha):
             raise AssertionError("certification parsed a facet")
 
         monkeypatch.setattr(facet_complex, "_walk", no_walk)
+        monkeypatch.setattr(dual_quotients, "_walk", no_walk)
         result = verify_linear_quotients(ScrollSpec((2, 2, 4, 4)))
         assert result.passed
         assert result.degree_counts == (1, 50, 710, 3746, 7836, 6412, 1820, 120, 1)
 
+    def test_a_fresh_spec_folds_once_and_each_rule_mutation_once_more(self, monkeypatch):
+        calls = []
+        fold = dual_quotients._fold
+
+        def counted(spec, mutation):
+            calls.append(mutation)
+            return fold(spec, mutation)
+
+        monkeypatch.setattr(dual_quotients, "_fold", counted)
+        spec = ScrollSpec((2, 4))
+        assert verify_linear_quotients(spec).passed
+        enumerate_facets(spec)
+        first_facet(spec, 1)
+        assert calls == [None]
+        for mutation in ("swap-groups", "c2", "b2"):
+            assert not verify_linear_quotients(spec, mutation=mutation).passed
+        assert calls == [None, "c2", "b2"]
+
     def test_fold_is_checked_against_the_enumeration(self, monkeypatch):
         spec = ScrollSpec((2, 4))
-        masks, alphas = _enumerated(spec)
+        masks, alphas, packed = _enumerated(spec)
         swapped = list(masks)
         swapped[1], swapped[2] = swapped[2], swapped[1]
         assert alphas[1] == alphas[2]
-        monkeypatch.setattr(dual_quotients, "_enumerated", lambda spec: (tuple(swapped), alphas))
+        monkeypatch.setattr(
+            dual_quotients, "_enumerated", lambda spec: (tuple(swapped), alphas, packed)
+        )
         with pytest.raises(InternalError, match="prediction fold"):
-            verify_linear_quotients(spec)
+            verify_linear_quotients(spec, mutation="c2")
 
 
 class TestVerification:

@@ -34,13 +34,8 @@ from scrollfiber import (
     vertex_set,
 )
 from scrollfiber import facet_complex
-from scrollfiber.facet_complex import (
-    MAX_ENUMERATED_FACETS,
-    _bitset_index,
-    _edges,
-    _enumerated,
-    count_facets,
-)
+from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS, _enumerated
+from scrollfiber.facet_complex import _bitset_index, _edges, count_facets
 from scrollfiber.invariants import full_report
 
 SPEC_2244 = ScrollSpec((2, 2, 4, 4))
@@ -99,6 +94,20 @@ class TestOneGrammar:
         monkeypatch.setattr(facet_complex, "_rules", counted)
         full_report(spec)
         assert sorted(built) == list(spec.alphas)
+
+    def test_kept_tables_stay_small(self):
+        # Measured 1.7 MB for the 28 tables of (30,) (Python 3.11): a way is
+        # its tuple of children, and every way names one tuple per vertex.
+        spec = ScrollSpec((30,))
+        facet_complex._grid(spec)
+        tracemalloc.start()
+        try:
+            for alpha in spec.alphas:
+                facet_complex._table(spec, alpha)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 3_000_000
 
     def test_facet_level_api_is_refused_over_budget(self, monkeypatch):
         def no_table(*args):
@@ -268,15 +277,16 @@ class TestFacetOrder:
 
 
 class TestCompactEnumeration:
-    # Measured 68 bytes per facet at the peak and 49 kept (Python 3.11):
-    # one int mask per facet plus its alpha, no per-facet frozenset.
+    # Measured 89 bytes per facet at the peak and 66 kept (Python 3.11):
+    # one int mask per facet, its alpha and its packed prediction, no
+    # per-facet frozenset.
     BYTES_PER_FACET = 100
 
     def test_enumeration_stays_under_the_per_facet_byte_bound(self):
         spec = ScrollSpec((2, 2, 4, 4))
         tracemalloc.start()
         try:
-            masks, alphas = _enumerated(spec)
+            masks, alphas, _ = _enumerated(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,7 +334,7 @@ class TestFacetCount:
             count_facets(ScrollSpec(n))
 
     def test_count_mismatch_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr("scrollfiber.facet_complex.count_facets", lambda spec: 11)
+        monkeypatch.setattr("scrollfiber.dual_quotients.count_facets", lambda spec: 11)
         with pytest.raises(InternalError, match="enumerated 10 facets"):
             enumerate_facets(ScrollSpec((5,)))
 

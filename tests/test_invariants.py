@@ -11,6 +11,7 @@ from conftest import desk_specs_with_complex
 from scrollfiber import (
     CapacityError,
     ColonReport,
+    DomainError,
     Facet,
     PreconditionError,
     ScrollSpec,
@@ -28,7 +29,8 @@ from scrollfiber import (
     vertex_set,
 )
 from scrollfiber import invariants
-from scrollfiber.facet_complex import _bitset_index, _edges, _enumerated
+from scrollfiber.dual_quotients import _enumerated
+from scrollfiber.facet_complex import _bitset_index, _edges
 
 
 def quotient_h(n):
@@ -115,6 +117,16 @@ class TestFaceCounting:
         }
         expected = tuple(sum(len(face) == k for face in faces) for k in range(1, 5))
         assert face_counts(enumerate_facets(spec), 4) == expected
+
+    def test_facets_of_another_scroll_are_refused(self):
+        five = enumerate_facets(ScrollSpec((5,)))
+        six = enumerate_facets(ScrollSpec((6,)))
+        # Equal specs are one scroll, whichever object holds them.
+        assert hilbert_function_by_faces(ScrollSpec((5,)), five, 2) == 49
+        with pytest.raises(DomainError, match=r"another scroll given for \(5\)"):
+            hilbert_function_by_faces(ScrollSpec((5,)), six, 2)
+        with pytest.raises(DomainError, match="facets of several scrolls"):
+            face_counts(five + enumerate_facets(ScrollSpec((2, 4))), 2)
 
     @pytest.mark.parametrize("max_size", [0, -1])
     def test_rejects_sizes_below_one(self, max_size):

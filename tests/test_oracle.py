@@ -30,7 +30,8 @@ from scrollfiber import (
     rank_rational,
 )
 from scrollfiber import oracle
-from scrollfiber.facet_complex import MAX_ENUMERATED_FACETS, _edges, count_facets
+from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS
+from scrollfiber.facet_complex import _edges, count_facets
 from scrollfiber.invariants import _clique_walk, _hf_from_counts
 from scrollfiber.oracle import ExpandedPolynomial, RankProblem, _is_prime
 

@@ -34,7 +34,7 @@ from .dual_quotients import (
 )
 from .errors import PreconditionError, ScrollError, VerificationError
 from .facet_complex import Facet, facet_tree, is_facet
-from .invariants import _flag_skeleton, full_report, hilbert_function_by_faces
+from .invariants import _certified_faces, full_report, hilbert_function_by_faces
 from .oracle import DEFAULT_MODULUS, CrossCheckResult, cross_check, fiber_hilbert_function
 from .scroll_model import ScrollSpec, build_matrix, leaves_profile
 
@@ -246,15 +246,12 @@ def _write_output(text: str, out_dir: str | None, filename: str) -> None:
 
 
 def cmd_invariants(
-    spec: ScrollSpec,
-    normalized: bool,
-    hilbert_window: int,
-    timings: dict[str, float] | None = None,
+    spec: ScrollSpec, normalized: bool, timings: dict[str, float] | None = None
 ) -> tuple[ReportEnvelope, int]:
     """Full invariant report; prediction-only (exit 3) when c < d + 4.
     ``timings`` receives the stage times of ``full_report``."""
     try:
-        report = full_report(spec, hilbert_window=hilbert_window, timings=timings)
+        report = full_report(spec, timings=timings)
         if report.mode == "prediction-only":
             envelope = ReportEnvelope(
                 spec=_spec_dict(spec, normalized), mode=report.mode, invariants=asdict(report)
@@ -282,7 +279,7 @@ def cmd_verify(
     mutation: str | None,
 ) -> tuple[ReportEnvelope, int]:
     """Linear-quotients certification plus the rank-oracle cross-check; a
-    complex that fails its flag certificate is exit 1."""
+    face count that fails its certificate is exit 1."""
     verification = verify_linear_quotients(spec, mutation=mutation)
     try:
         oracle_result = cross_check(spec, t_max, modulus=modulus)
@@ -336,7 +333,7 @@ def cmd_facets(
 
 
 def _batch_line(
-    line: str, hilbert_window: int, reports: dict[tuple[int, ...], tuple[ReportEnvelope, int]]
+    line: str, reports: dict[tuple[int, ...], tuple[ReportEnvelope, int]]
 ) -> tuple[ReportEnvelope, int]:
     try:
         n, normalized = _parse_n(line)
@@ -350,7 +347,7 @@ def _batch_line(
     if n not in reports:
         spec = ScrollSpec(n)
         try:
-            reports[n] = cmd_invariants(spec, normalized, hilbert_window)
+            reports[n] = cmd_invariants(spec, normalized)
         except ScrollError as exc:
             envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="error", error=str(exc))
             reports[n] = envelope, EXIT_USAGE
@@ -358,7 +355,7 @@ def _batch_line(
     return replace(envelope, spec={**envelope.spec, "normalized": normalized}), code
 
 
-def cmd_batch(path: str, hilbert_window: int) -> tuple[list[ReportEnvelope], int]:
+def cmd_batch(path: str) -> tuple[list[ReportEnvelope], int]:
     """One invariant envelope per input line, in input order; errors never stop
     the run.  Each distinct scroll type is computed once per run: a line whose
     degrees equal an earlier line's after sorting gets a copy of that line's
@@ -372,7 +369,7 @@ def cmd_batch(path: str, hilbert_window: int) -> tuple[list[ReportEnvelope], int
     lines = [line.strip() for line in raw.splitlines()]
     lines = [line for line in lines if line]
     reports: dict[tuple[int, ...], tuple[ReportEnvelope, int]] = {}
-    results = [_batch_line(line, hilbert_window, reports) for line in lines]
+    results = [_batch_line(line, reports) for line in lines]
     codes = {code for _, code in results}
     exit_code = next((code for code in (EXIT_USAGE, EXIT_MATH) if code in codes), EXIT_OK)
     return [envelope for envelope, _ in results], exit_code
@@ -398,10 +395,10 @@ def cmd_selftest() -> int:
     checks.append(("first facet (2,2,4,4) alpha=2", first.vertices == expected_first))
     checks.append(("first facet is a facet", is_facet(spec, first.vertices)))
     try:
-        flag = bool(_flag_skeleton(spec))
+        faces = bool(_certified_faces(spec))
     except VerificationError:
-        flag = False
-    checks.append(("complex is flag (2,2,4,4)", flag))
+        faces = False
+    checks.append(("face count equals certified h (2,2,4,4)", faces))
 
     spec245 = ScrollSpec((2, 4, 5))
     example = Facet(
@@ -459,8 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="compute and check all invariants")
     add_common(p_inv, ("text", "json", "csv"))
-    p_inv.add_argument("--hilbert-window", type=_parse_int, default=5, metavar="T",
-                       help="check the two Hilbert paths up to this degree (default 5)")
 
     p_ver = sub.add_parser("verify", help="certify linear quotients and run the rank oracle")
     add_common(p_ver)
@@ -481,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bat.add_argument("file", help="input file, one comma-separated n per line")
     p_bat.add_argument("--format", choices=("text", "json", "csv"), default="csv")
     p_bat.add_argument("--out-dir", default=None)
-    p_bat.add_argument("--hilbert-window", type=_parse_int, default=5)
 
     sub.add_parser("selftest", help="run the built-in example checks")
     return parser
@@ -494,7 +488,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_selftest()
 
         if args.command == "batch":
-            envelopes, code = cmd_batch(args.file, args.hilbert_window)
+            envelopes, code = cmd_batch(args.file)
             if args.format == "json":
                 text = "".join(
                     json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in envelopes
@@ -525,7 +519,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         started = time.perf_counter()
         stages: dict[str, float] = {}
         if args.command == "invariants":
-            envelope, code = cmd_invariants(spec, normalized, args.hilbert_window, stages)
+            envelope, code = cmd_invariants(spec, normalized, stages)
         else:  # verify
             envelope, code = cmd_verify(
                 spec, normalized, args.t_max, _parse_modulus(args.modulus), args.mutate_rule

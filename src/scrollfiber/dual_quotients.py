@@ -20,7 +20,7 @@ The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
 (``_rule``).  So one fold of each group's grammar table with the role as
 state, ``_fold``, lists every facet together with its prediction, next to
-the folds of ``facet_complex`` that count and connect the facets.  Its
+the fold of ``facet_complex`` that counts the facets.  Its
 unmutated run is the enumeration (``_enumerated``, ``enumerate_facets``,
 ``first_facet``), kept on the spec; only the rule mutations fold again.
 Certification parses no facet.  ``predict_LG`` applies the same rule over
@@ -294,6 +294,7 @@ def _fold(spec: ScrollSpec, mutation: str | None) -> Enumeration:
             masks.append(e >> shift)
             packed += (e & low).to_bytes(width, "little")
         alphas += [alpha] * len(group)
+        del group
     return tuple(masks), tuple(alphas), packed
 
 

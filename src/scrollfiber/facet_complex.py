@@ -9,12 +9,13 @@ is a leaf and lies in one of the leaf sets of
 absent).  Every facet has c + d vertices.
 
 One grammar table per group, ``_rules``, states these rules once; each
-is built on first use and kept on the spec (``_table``).  Three folds read
-it: ``count_facets`` into counts and ``_edges`` into the 1-skeleton here,
-and ``dual_quotients._fold`` into every facet with its predicted colon
-generators, which is the enumeration.  One parser reads it too: ``_walk``
-rebuilds the tree of a vertex set top-down by the table's ways, so
-``is_facet``, ``facet_tree`` and ``predict_LG`` follow the same rules.
+is built on first use and kept on the spec (``_table``).  Two folds read
+it: ``count_facets`` into counts here, and ``dual_quotients._fold`` into
+every facet with its predicted colon generators, which is the enumeration.
+One parser reads it too: ``_walk`` rebuilds the tree of a vertex set
+top-down by the table's ways, so ``is_facet``, ``facet_tree`` and
+``predict_LG`` follow the same rules.  ``_face_vector`` counts the faces
+without the table, by an interval DP over the leaf sets.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
@@ -41,8 +42,8 @@ Rules = dict[Vertex, list[tuple[Vertex, ...]]]
 
 #: ``_table`` refuses specs whose grammar tables would take more split steps
 #: than this (``CapacityError``): at most C(c, 3) per group, c - d - 2
-#: groups.  The refusal reaches every reader of the tables: counting,
-#: the 1-skeleton, the enumeration and the facet-level API.  Every spec with
+#: groups.  The refusal reaches every reader of the tables: counting, the
+#: enumeration and the facet-level API; the face DP checks it too.  Every spec with
 #: c <= 40 is counted: (40,) takes 365,560 steps; (51,), at 999,600, counts
 #: in about 0.4 s on a 2-core host.
 MAX_COUNTING_STEPS = 1_000_000
@@ -244,22 +245,27 @@ def _rules(spec: ScrollSpec, alpha: int) -> Rules:
     return rules
 
 
+def _check_steps(spec: ScrollSpec) -> None:
+    """``CapacityError`` when the grammar tables would take more than
+    ``MAX_COUNTING_STEPS`` split steps, at most C(c, 3) per group."""
+    steps = (spec.c - spec.d - 2) * math.comb(spec.c, 3)
+    if steps > MAX_COUNTING_STEPS:
+        raise CapacityError(
+            f"{spec} needs {steps:,} steps to count its facets, over the counting "
+            f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
+        )
+
+
 def _table(spec: ScrollSpec, alpha: int) -> Rules:
     """The grammar table (``_rules``) of the group at ``alpha``, built on
     first use and kept on the spec.
 
-    Raises ``CapacityError`` before the first table when the tables would
-    take more than ``MAX_COUNTING_STEPS`` split steps (at most C(c, 3) per
-    group), and ``StructuralError`` for alpha outside [1, c-d-2].
+    Raises ``CapacityError`` from ``_check_steps`` before the first table,
+    and ``StructuralError`` for alpha outside [1, c-d-2].
     """
 
     def budget() -> dict[int, Rules]:
-        steps = (spec.c - spec.d - 2) * math.comb(spec.c, 3)
-        if steps > MAX_COUNTING_STEPS:
-            raise CapacityError(
-                f"{spec} needs {steps:,} steps to count its facets, over the counting "
-                f"budget of {MAX_COUNTING_STEPS:,} steps; choose a smaller scroll type"
-            )
+        _check_steps(spec)
         return {}
 
     tables = per_spec(spec, "rules", budget)
@@ -288,45 +294,66 @@ def count_facets(spec: ScrollSpec) -> int:
     return total
 
 
-def _edges(spec: ScrollSpec) -> list[int]:
-    """The 1-skeleton of the complex, without enumerating facets, kept on the
-    spec: entry ``pos`` is the mask of the neighbours of the vertex at bit
-    ``pos`` (0 for a vertex in no facet).
+def _good_groups(spec: ScrollSpec) -> dict[Vertex, int]:
+    """Per interval, kept on the spec, bit alpha set when it is good for the
+    group at alpha: it contains a unit of the group's leaf set.
+    ``InternalError`` unless each interval's groups form a range."""
 
-    An inside-outside fold of each group's grammar table.  In(node) is every
-    vertex of some subtree rooted at the node: its bit ORed with In of its
-    children, over every way to build it.  Out(node) is every vertex of some
-    facet around such a subtree: from the root down, each way to build a
-    node passes Out(node), the node's bit and In of the other children to
-    each child.  The grammar is context-free, so any subtree fits any
-    context of its root, and u, v share a facet exactly when v lies in
-    In(u) | Out(u) for some group.  Raises ``CapacityError`` as ``_table``
-    does.
+    def compute() -> dict[Vertex, int]:
+        leaves = {alpha: leaves_profile(spec, alpha).leaves for alpha in spec.alphas}
+        groups = {
+            (a, b): sum(any(a <= u < b for u, _ in leaves[alpha]) << alpha for alpha in leaves)
+            for a, b in vertex_set(spec)
+        }
+        for v, bits in groups.items():
+            run = bits // (bits & -bits or 1)
+            if run & (run + 1):
+                raise InternalError(f"the groups of {v} form no range in {spec}")
+        return groups
+
+    return per_spec(spec, "groups", compute)
+
+
+def _laminar(c: int, groups: dict[Vertex, int], need: int, width: int) -> int:
+    """The laminar families of the intervals v with ``groups[v] & need ==
+    need`` by size, packed: coefficient k in bits k * width and up.
+
+    G(a, b) counts the families inside [a, b], M(a, b) those that hold
+    (a, b).  A family without (a, b) has no interval starting at a,
+    G(a+1, b), or a longest one (a, e), e < b, which nothing crosses:
+    M(a, e) G(e, b).  M(a, b) is x times their sum if (a, b) is good.
+    """
+    G = [[1] * (c + 1) for _ in range(c + 1)]  # G(b, b) = 1
+    M = [[0] * (c + 1) for _ in range(c + 1)]
+    for length in range(1, c):
+        for a in range(1, c - length + 1):
+            b = a + length
+            without = G[a + 1][b] + sum(M[a][e] * G[e][b] for e in range(a + 1, b))
+            if groups[(a, b)] & need == need:
+                M[a][b] = without << width
+            G[a][b] = without + M[a][b]
+    return G[1][c]
+
+
+def _face_vector(spec: ScrollSpec) -> tuple[int, ...]:
+    """The f-vector, kept on the spec, of the complex Γ whose faces are the
+    laminar families of intervals good for one group (``_good_groups``): any
+    two nested or disjoint, a shared endpoint counting as disjoint.  Entry
+    k - 1 counts the faces of k vertices; no facet or grammar table is read.
+
+    A face's groups form a range, so f = sum f_alpha - sum f_{alpha, alpha+1}
+    counts it once (``_laminar``).  A coefficient counts vertex sets of one
+    size, below 2^C(c, 2) per group, so fields of C(c, 2) + c.bit_length()
+    bits never carry.  ``CapacityError`` from ``_check_steps`` first.
     """
 
-    def compute() -> list[int]:
-        require_complex(spec)
-        grid = _grid(spec)
-        adj = [0] * math.comb(spec.c, 2)
-        for alpha in spec.alphas:
-            rules = _table(spec, alpha)
-            inside: dict[Vertex, int] = {}
-            for (a, b), ways in rules.items():
-                inside[(a, b)] = grid[a][b]
-                for kids in ways:
-                    for kid in kids:
-                        inside[(a, b)] |= inside[kid]
-            outside = {(1, spec.c): 0}
-            for (a, b), ways in reversed(rules.items()):
-                if (a, b) not in outside:
-                    continue  # in no facet of this group
-                bit = grid[a][b]
-                around = outside[(a, b)] | bit
-                adj[bit.bit_length() - 1] |= (inside[(a, b)] | around) & ~bit
-                for kids in ways:
-                    for i, kid in enumerate(kids):
-                        sibling = inside[kids[1 - i]] if len(kids) == 2 else 0
-                        outside[kid] = outside.get(kid, 0) | around | sibling
-        return adj
+    def compute() -> tuple[int, ...]:
+        _check_steps(spec)
+        c, groups = spec.c, _good_groups(spec)
+        width = math.comb(c, 2) + c.bit_length()
+        packed = sum(_laminar(c, groups, 1 << alpha, width) for alpha in spec.alphas)
+        packed -= sum(_laminar(c, groups, 3 << alpha, width) for alpha in spec.alphas[:-1])
+        field, sizes = (1 << width) - 1, -(-packed.bit_length() // width)
+        return tuple(packed >> (k * width) & field for k in range(1, sizes))
 
-    return per_spec(spec, "edges", compute)
+    return per_spec(spec, "face_vector", compute)

@@ -1,21 +1,16 @@
 """Numerical invariants of the fiber cone via the certified facet order.
 
-The h-vector is read off the certified quotient degrees and cross-checked
-against an independent face count of the complex: the number of degree-t
-monomials supported on faces must match the h-polynomial expansion in every
-window degree, otherwise the computation refuses to report.  The faces are
-counted as cliques of the complex's 1-skeleton, a graph on the C(c, 2)
-vertices that ``facet_complex._edges`` folds from the grammar.  That count
-is exact because the complex is flag: ``_certify_flag`` checks, once per
-spec, that the maximal cliques of the graph are exactly the enumerated
-facets, and a failure is a ``VerificationError``.  Regularity is the
-h-degree, dimension is the facet size, the a-invariant their difference,
-the reduction number equals the regularity, and Gorensteinness is decided by
-palindromicity of the h-vector, all compared against closed forms in c and d.
+The h-vector is read off the certified quotient degrees.  ``_certified_faces``
+checks it at every degree against the face count of ``facet_complex``, which
+reads no facet, and refuses to report (``VerificationError``) on a mismatch.
+Regularity is the h-degree, dimension is the facet size, the a-invariant their
+difference, the reduction number equals the regularity, and Gorensteinness is
+decided by palindromicity of the h-vector, all compared against closed forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -23,19 +18,15 @@ from typing import Callable, Sequence
 
 from .dual_quotients import ColonReport, _enumerated, verify_linear_quotients
 from .errors import CapacityError, DomainError, PreconditionError, VerificationError
-from .facet_complex import Facet, _edges, _mask
+from .facet_complex import Facet, _bitset_index, _face_vector, _good_groups, _mask, vertex_set
 from .scroll_model import ScrollSpec, complex_regime, per_spec
 
-#: The face walk refuses to visit more faces than this (``CapacityError``);
-#: it counts them as it visits them.  The faces of the largest size are
+#: ``face_counts`` refuses to visit more faces than this (``CapacityError``);
+#: its walk counts them as it visits them.  The faces of the largest size are
 #: counted, not visited.  A visit costs about 0.2 us on a 2-core host
 #: ((16,) to size 6: 3.2M visits in 0.56 s), so a walk stops within about
 #: 20 s.
 MAX_FACE_NODES = 100_000_000
-
-#: ``hilbert_data`` refuses a Hilbert window above this degree
-#: (``CapacityError``), before any work.
-MAX_HILBERT_WINDOW = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +50,12 @@ class HVector:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class HilbertData:
-    """Hilbert function window of the face ring, with its h-polynomial."""
+    """The face ring's certified h-polynomial and f-vector: ``f[k-1]``
+    counts the faces of k vertices."""
 
     dim: int
     h_polynomial: HVector
-    hf: dict[int, int]
+    f: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,18 +194,6 @@ def _certify_flag(adj: Sequence[int], masks: Sequence[int]) -> None:
         )
 
 
-def _flag_skeleton(spec: ScrollSpec) -> list[int]:
-    """``_edges`` of ``spec``, certified against the enumerated facets by
-    ``_certify_flag`` once per spec."""
-
-    def compute() -> list[int]:
-        adj = _edges(spec)
-        _certify_flag(adj, _enumerated(spec)[0])
-        return adj
-
-    return per_spec(spec, "flag", compute)
-
-
 def _clique_walk(adj: Sequence[int], max_size: int) -> tuple[int, ...]:
     """Cliques of each size 1..max_size of the graph ``adj``, generated once
     each: a clique grows from the highest bit down and extends only by
@@ -237,7 +217,7 @@ def _clique_walk(adj: Sequence[int], max_size: int) -> tuple[int, ...]:
         if visited > MAX_FACE_NODES:
             raise CapacityError(
                 f"face walk exceeded its capacity of {MAX_FACE_NODES:,} nodes; "
-                "lower the Hilbert window or choose a smaller scroll type"
+                "lower the face size or choose a smaller scroll type"
             )
         if size + 2 == max_size:
             last = 0
@@ -345,80 +325,73 @@ def _stopwatch(timings: dict[str, float] | None) -> Callable[[str], None]:
     return lap
 
 
-def _check_window(window: int) -> None:
-    """Refuse a Hilbert window below 1 or above ``MAX_HILBERT_WINDOW``."""
-    if window < 1:
-        raise PreconditionError(f"the Hilbert window starts at degree 1, got {window}")
-    if window > MAX_HILBERT_WINDOW:
-        raise CapacityError(
-            f"Hilbert window {window:,} is over its capacity of {MAX_HILBERT_WINDOW:,} "
-            "degrees; lower the Hilbert window"
-        )
-
-
-def hilbert_data(
-    spec: ScrollSpec, *, window: int = 5, timings: dict[str, float] | None = None
-) -> HilbertData:
-    """Hilbert window computed two independent ways; the face count is the
-    authority and any disagreement with the h-expansion is a hard failure.
-
-    ``timings``, when given, receives the seconds of the stages
-    ``enumerate``, ``certify``, ``flag_check``, ``face_walk`` and
-    ``hilbert_check``.
-
-    Raises:
-        PreconditionError: ``window`` is below 1.
-        CapacityError: ``window`` exceeds ``MAX_HILBERT_WINDOW``.
+def _certified_faces(spec: ScrollSpec) -> tuple[int, ...]:
+    """``_face_vector`` of ``spec``, certified once per spec to count the
+    faces of the enumerated complex Δ; ``VerificationError`` otherwise.
+    Δ lies in the DP's complex Γ when no enumerated facet holds two crossing
+    intervals a < a' < b < b' or a vertex not good for its group: one AND of
+    ``_bitset_index`` rows per crossing pair and per vertex.  Then Γ = Δ
+    exactly when Γ has no face above size c + d and the numerator of its
+    Hilbert series is the certified h-vector.
     """
-    _check_window(window)
+
+    def compute() -> tuple[int, ...]:
+        result = verify_linear_quotients(spec)
+        if not result.passed:
+            raise VerificationError(f"linear-quotients certification failed for {spec}")
+        masks, alphas, _ = _enumerated(spec)
+        f, groups = _face_vector(spec), _good_groups(spec)
+        row = dict(zip(vertex_set(spec), reversed(_bitset_index(masks))))
+        ranks = {  # the ranks of each group's facets, one block of bits
+            alpha: ((1 << alphas.count(alpha)) - 1) << alphas.index(alpha) for alpha in spec.alphas
+        }
+        for (a, b), (a2, b2) in itertools.combinations(row, 2):
+            if a < a2 < b < b2 and row[(a, b)] & row[(a2, b2)]:
+                raise VerificationError(
+                    f"a facet of {spec} holds ({a}, {b}) and ({a2}, {b2}), which cross"
+                )
+        for v, bits in row.items():
+            if bits & sum(block for alpha, block in ranks.items() if not groups[v] >> alpha & 1):
+                raise VerificationError(f"a facet of {spec} holds {v}, not good for its group")
+        h = numerator_from_face_counts(f, spec.c + spec.d)
+        if len(f) != spec.c + spec.d or h != result.degree_counts:
+            raise VerificationError(
+                f"the faces of {spec} give h = {h} in {len(f)} sizes, not {result.degree_counts}"
+            )
+        return f
+
+    return per_spec(spec, "faces", compute)
+
+
+def hilbert_data(spec: ScrollSpec, *, timings: dict[str, float] | None = None) -> HilbertData:
+    """The certified h-polynomial and the face count that confirms it at
+    every degree (``_certified_faces``).  ``timings``, when given, receives
+    the seconds of the stages ``enumerate``, ``certify`` and ``faces``."""
     lap = _stopwatch(timings)
     _enumerated(spec)
     lap("enumerate")
     result = verify_linear_quotients(spec)
-    if not result.passed:
-        raise VerificationError(f"linear-quotients certification failed for {spec}")
     lap("certify")
-    adj = _flag_skeleton(spec)
-    lap("flag_check")
-    f = _clique_walk(adj, window)
-    lap("face_walk")
+    f = _certified_faces(spec)
+    lap("faces")
     # Certified, so every quotient is linear and the counts are the h-vector.
-    hv = HVector(h=result.degree_counts)
-    dim = spec.c + spec.d
-    # A subset of a face is a face, so the sizes that occur run from 1 up.
-    sizes = f[: f.index(0)] if 0 in f else f
-    hf: dict[int, int] = {}
-    for t in range(window + 1):
-        by_faces = _hf_from_counts(sizes, t)
-        by_h = hilbert_function_from_h(hv.h, dim, t)
-        if by_faces != by_h:
-            raise VerificationError(
-                f"Hilbert paths disagree for {spec} at degree {t}: "
-                f"faces give {by_faces}, h-polynomial gives {by_h}"
-            )
-        hf[t] = by_faces
-    lap("hilbert_check")
-    return HilbertData(dim=dim, h_polynomial=hv, hf=hf)
+    return HilbertData(dim=spec.c + spec.d, h_polynomial=HVector(h=result.degree_counts), f=f)
 
 
-def full_report(
-    spec: ScrollSpec, *, hilbert_window: int = 5, timings: dict[str, float] | None = None
-) -> InvariantReport:
+def full_report(spec: ScrollSpec, *, timings: dict[str, float] | None = None) -> InvariantReport:
     """Computed invariants for ``spec``, checked against the closed forms.
 
     For c < d + 4 no complex is built and the closed-form predictions are
-    returned as-is, flagged prediction-only; the Hilbert window is checked
-    first in either regime, as ``hilbert_data`` checks it.  Verification
-    failures and Hilbert-path disagreements propagate as
-    ``VerificationError``.  ``timings`` is passed to ``hilbert_data``.
+    returned as-is, flagged prediction-only.  Verification failures and
+    face-count disagreements propagate as ``VerificationError``.
+    ``timings`` is passed to ``hilbert_data``.
     """
-    _check_window(hilbert_window)
     c, d = spec.c, spec.d
     predicted = closed_form(c, d)
     if not spec.has_complex:
         return predicted
 
-    data = hilbert_data(spec, window=hilbert_window, timings=timings)
+    data = hilbert_data(spec, timings=timings)
     hv = data.h_polynomial
     reg = hv.degree
     dim = c + d

@@ -5,9 +5,9 @@ spanned by the products of t minors; its dimension is the rank of the
 coefficient matrix of those products, computed exactly by sparse row
 reduction over a prime field (default) or over the rationals, the latter in
 integer arithmetic alone.  The rank side looks at no facet, colon ideal or
-graph.  The face count it is compared with comes from the complex's
-1-skeleton, certified flag against the enumerated facets
-(``invariants._flag_skeleton``), so agreement is a genuine cross-check of
+graph.  The face count it is compared with comes from the interval DP,
+certified against the enumerated facets and the certified h-vector
+(``invariants._certified_faces``), so agreement is a genuine cross-check of
 the combinatorial pipeline.
 
 A monomial is packed into one integer, one bit field per matrix entry, so a
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, PreconditionError
-from .invariants import _clique_walk, _flag_skeleton, _hf_from_counts
+from .invariants import _certified_faces, _hf_from_counts
 from .scroll_model import ScrollSpec, minor, require_complex
 
 DEFAULT_MODULUS = (1 << 31) - 1
@@ -270,8 +270,8 @@ def cross_check(
     """Compare the rank oracle against the face-count Hilbert function.
 
     The row count grows with the degree, so the row budget is checked at
-    ``t_max`` before the flag check, the face walk and any degree is built.
-    Raises ``VerificationError`` when the complex fails its flag check.
+    ``t_max`` before the face count and any degree is built.  Raises
+    ``VerificationError`` when the face count fails its certificate.
 
     A mismatch under a prime modulus is re-checked over the rationals: a
     genuinely modular discrepancy is flagged as a suspected modulus collision
@@ -284,7 +284,7 @@ def cross_check(
         _check_prime(int(modulus))
     _check_rows(spec, t_max)
 
-    faces = _clique_walk(_flag_skeleton(spec), max(t_max, 1))
+    faces = _certified_faces(spec)
     # Degree 0 is the ground field on both sides.
     rows: list[CrossCheckRow] = [CrossCheckRow(t=0, fiber_rank=1, face_count=1, equal=True)]
     notes: list[str] = []

@@ -26,7 +26,9 @@ from scrollfiber import (
     h_vector_from_quotients,
     hilbert_data,
     hilbert_function_by_faces,
+    hilbert_function_from_h,
     leaves_profile,
+    numerator_from_face_counts,
     predict_LG,
     verify_linear_quotients,
 )
@@ -129,16 +131,18 @@ def test_criterion_06_gorenstein_reproduction():
 
 
 def test_criterion_07_two_path_hilbert_agreement():
-    with criterion(7, "face counts equal the h-polynomial expansion, t <= 5"):
+    with criterion(7, "face counts equal the h-polynomial expansion at every degree"):
         for spec in desk_specs_with_complex():
-            data = hilbert_data(spec, window=5)  # raises on any disagreement
-            assert sorted(data.hf) == [0, 1, 2, 3, 4, 5]
+            data = hilbert_data(spec)  # raises on any disagreement
+            dim = spec.c + spec.d
+            assert numerator_from_face_counts(data.f, dim) == data.h_polynomial.h
         # independent spot check through the public face-count entry point
         spec = ScrollSpec((2, 4))
         facets = enumerate_facets(spec)
-        data = hilbert_data(spec, window=5)
+        data = hilbert_data(spec)
         for t in range(6):
-            assert hilbert_function_by_faces(spec, facets, t) == data.hf[t]
+            by_h = hilbert_function_from_h(data.h_polynomial.h, spec.c + spec.d, t)
+            assert hilbert_function_by_faces(spec, facets, t) == by_h
 
 
 def test_criterion_08_oracle_equality():

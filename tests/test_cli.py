@@ -15,7 +15,7 @@ from conftest import tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrollfiber import cli, facet_complex, invariants, oracle
+from scrollfiber import cli, facet_complex, invariants, leaves_profile, oracle
 from scrollfiber.cli import ReportEnvelope, _build_parser, cmd_batch, main
 
 
@@ -34,6 +34,20 @@ def refused(capsys, *argv):
         main(list(argv))
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err
+
+
+def _add_crossing_interval(spec, masks, alphas):
+    """A facet that holds (1, 3) gains (2, 4), which crosses it."""
+    grid = facet_complex._grid(spec)
+    return next(r for r, m in enumerate(masks) if m & grid[1][3]), grid[2][4]
+
+
+def _add_unit_off_the_leaves(spec, masks, alphas):
+    """The first facet gains a unit outside its group's leaf set; a unit is
+    good for a group only when it is one of its leaves."""
+    leaves = leaves_profile(spec, alphas[0]).leaves
+    u = next(u for u in range(1, spec.c) if (u, u + 1) not in leaves)
+    return 0, facet_complex._grid(spec)[u][u + 1]
 
 
 class TestInvariantsCommand:
@@ -102,9 +116,7 @@ class TestInvariantsCommand:
         assert json.loads(plain)["timings"] is None
         _, out, _ = run(capsys, "invariants", "--n", "5", "--format", "json", "--timings")
         timings = json.loads(out)["timings"]
-        assert set(timings) == {
-            "enumerate", "certify", "flag_check", "face_walk", "hilbert_check", "total"
-        }
+        assert set(timings) == {"enumerate", "certify", "faces", "total"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
     def test_schema_two_counts_quadratic_fallbacks(self, capsys):
@@ -114,59 +126,61 @@ class TestInvariantsCommand:
         assert payload["verification"]["quadratic_fallbacks"] == 0
         assert payload["verification"]["facets"] == 28
 
-    def test_hilbert_window_below_one_is_a_usage_error(self, capsys):
-        for window in ("0", "-1"):
-            code, out, err = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)
-            assert code == 2
-            assert out == ""
-            assert f"Hilbert window starts at degree 1, got {window}" in err
-
-    def test_hilbert_window_budget_guard(self, capsys):
-        window = str(invariants.MAX_HILBERT_WINDOW + 1)
-        started = time.perf_counter()
-        code, out, err = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)
-        assert time.perf_counter() - started < 2
-        assert code == 2
-        assert out == ""
-        assert "capacity of 100,000 degrees" in err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("window", ["0", str(invariants.MAX_HILBERT_WINDOW + 1)])
-    def test_hilbert_window_is_checked_in_every_regime(self, capsys, window):
-        # A spec without a complex refuses the window as a computed one does,
-        # before its prediction-only report.
-        computed = run(capsys, "invariants", "--n", "5", "--hilbert-window", window)
-        predicted = run(capsys, "invariants", "--n", "1,1,1", "--hilbert-window", window)
-        assert predicted == computed
-        code, out, err = predicted
+    @pytest.mark.parametrize("argv", [("invariants", "--n", "5"), ("batch", "lines.txt")])
+    def test_hilbert_window_is_refused(self, capsys, argv):
+        # The face count covers every degree, so there is no window to set.
+        code, out, err = refused(capsys, *argv, "--hilbert-window", "5")
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_face_capacity_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(invariants, "MAX_FACE_NODES", 5)
-        code, _, err = run(capsys, "invariants", "--n", "2,4")
-        assert code == 2
-        assert "capacity" in err
+        assert "unrecognized arguments: --hilbert-window 5" in err
 
     @pytest.mark.parametrize("command", ["invariants", "verify"])
-    def test_extra_edge_fails_the_flag_certificate(self, capsys, monkeypatch, command):
-        # The crossing intervals (1,3) and (2,4) share no facet: a skeleton
-        # that joins them has a maximal clique that is no facet, exit 1.
-        real = invariants._edges
+    @pytest.mark.parametrize(
+        "mutant, message",
+        [
+            (_add_crossing_interval, "holds (1, 3) and (2, 4), which cross"),
+            (_add_unit_off_the_leaves, "holds (1, 2), not good for its group"),
+        ],
+        ids=["crossing", "not-good"],
+    )
+    def test_an_enumerated_facet_off_the_counted_complex_exits_one(
+        self, capsys, monkeypatch, command, mutant, message
+    ):
+        # The certification still sees the true facets; only the face
+        # certificate reads the mutant.
+        real = invariants._enumerated
 
-        def with_extra_edge(spec):
-            adj = list(real(spec))
-            grid = facet_complex._grid(spec)
-            u, v = grid[1][3].bit_length() - 1, grid[2][4].bit_length() - 1
-            assert not adj[u] >> v & 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            return adj
+        def with_extra_vertex(spec):
+            masks, alphas, packed = real(spec)
+            rank, bit = mutant(spec, masks, alphas)
+            return masks[:rank] + (masks[rank] | bit,) + masks[rank + 1 :], alphas, packed
 
-        monkeypatch.setattr(invariants, "_edges", with_extra_edge)
+        monkeypatch.setattr(invariants, "_enumerated", with_extra_vertex)
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
-        assert "is no facet" in json.loads(out)["error"]
+        assert message in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    @pytest.mark.parametrize(
+        "perturb",
+        [lambda f: f[:-1] + (f[-1] + 1,), lambda f: f + (1,)],
+        ids=["facet-size", "above-facet-size"],
+    )
+    def test_a_face_count_off_at_or_above_the_facet_size_exits_one(
+        self, capsys, monkeypatch, command, perturb
+    ):
+        # (5,) has facet size c + d = 6: only a comparison at degree 6 or
+        # above sees the first change, and the h-vector of f ignores size 7.
+        real = invariants._face_vector
+
+        def perturbed(spec):
+            f = real(spec)
+            assert len(f) == spec.c + spec.d
+            return perturb(f)
+
+        monkeypatch.setattr(invariants, "_face_vector", perturbed)
+        code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
+        assert code == 1
+        assert "the faces of (5) give h =" in json.loads(out)["error"]
 
     def test_facet_budget_guard(self, capsys):
         started = time.perf_counter()
@@ -399,7 +413,7 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "rational rank equals modular rank (5), t <= 3 ... ok" in out
-        assert "complex is flag (2,2,4,4) ... ok" in out
+        assert "face count equals certified h (2,2,4,4) ... ok" in out
         assert "11/11" in out
 
 
@@ -584,14 +598,14 @@ class TestBatchReuse:
 
         full_report = cli.full_report
         monkeypatch.setattr(cli, "full_report", counted)
-        envelopes, code = cmd_batch(batch, 5)
+        envelopes, code = cmd_batch(batch)
         assert computed == [(12,), (2, 10), (2, 4), (3,), (4, 4, 4, 4)]
         assert code == 2
         assert len({id(e) for e in envelopes}) == len(envelopes) == 8
         assert len({id(e.spec) for e in envelopes}) == 8
 
     def test_normalized_flag_is_per_line(self, batch):
-        envelopes, _ = cmd_batch(batch, 5)
+        envelopes, _ = cmd_batch(batch)
         reordered, verbatim = envelopes[3], envelopes[4]
         assert reordered.spec == {"n": [2, 4], "c": 6, "d": 2, "normalized": True}
         assert verbatim.spec == {"n": [2, 4], "c": 6, "d": 2, "normalized": False}
@@ -670,12 +684,12 @@ class TestOptions:
     """Each subcommand accepts only the options and formats it renders."""
 
     OPTIONS = {
-        "invariants": ["--format", "--hilbert-window", "--n", "--out-dir", "--timings"],
+        "invariants": ["--format", "--n", "--out-dir", "--timings"],
         "verify": [
             "--format", "--modulus", "--mutate-rule", "--n", "--out-dir", "--t-max", "--timings"
         ],
         "facets": ["--alpha", "--format", "--limit", "--n", "--out-dir"],
-        "batch": ["--format", "--hilbert-window", "--out-dir"],
+        "batch": ["--format", "--out-dir"],
         "selftest": [],
     }
 
@@ -711,8 +725,6 @@ class TestOptions:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("invariants", "--n", "5", "--hilbert-window"), INVALID_INT),
-            (("batch", "lines.txt", "--hilbert-window"), INVALID_INT),
             (("verify", "--n", "5", "--t-max"), INVALID_INT),
             (("facets", "--n", "5", "--alpha"), INVALID_INT),
             (("facets", "--n", "5", "--limit"), INVALID_INT),
@@ -763,16 +775,15 @@ OPTION_VALUES = {
     "--t-max": st.integers(-2, 3).map(str),
     "--modulus": st.sampled_from(["rational", "2", "3", "4", "1", "0", "-7", "2147483647"]),
     "--mutate-rule": st.sampled_from(["c2", "b2", "swap-groups"]),
-    "--hilbert-window": st.integers(-2, 3).map(str),
     "--limit": st.integers(-2, 5).map(str),
     "--alpha": st.integers(-1, 6).map(str),
 }
 ONE_IN_SIX = st.sampled_from([False] * 5 + [True])
 COMMAND_OPTIONS = {
-    "invariants": ("--n", "--hilbert-window"),
+    "invariants": ("--n",),
     "verify": ("--n", "--t-max", "--modulus", "--mutate-rule"),
     "facets": ("--n", "--alpha", "--limit"),
-    "batch": ("--hilbert-window",),
+    "batch": (),
 }
 COMMAND_FORMATS = {
     "invariants": ("text", "json", "csv"),

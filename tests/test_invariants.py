@@ -30,7 +30,7 @@ from scrollfiber import (
 )
 from scrollfiber import invariants
 from scrollfiber.dual_quotients import _enumerated
-from scrollfiber.facet_complex import _bitset_index, _edges
+from scrollfiber.facet_complex import _bitset_index
 
 
 def quotient_h(n):
@@ -81,13 +81,12 @@ class TestFaceCounting:
     @pytest.mark.parametrize("n", [(5,), (6,), (1, 5), (3, 3), (2, 2, 2, 2)])
     def test_two_paths_agree_up_to_five(self, n):
         spec = ScrollSpec(n)
-        data = hilbert_data(spec, window=5)
+        data = hilbert_data(spec)
         facets = enumerate_facets(spec)
         for t in range(6):
-            assert data.hf[t] == hilbert_function_by_faces(spec, facets, t)
-            assert data.hf[t] == hilbert_function_from_h(
-                data.h_polynomial.h, spec.c + spec.d, t
-            )
+            by_faces = invariants._hf_from_counts(data.f, t)
+            assert by_faces == hilbert_function_by_faces(spec, facets, t)
+            assert by_faces == hilbert_function_from_h(data.h_polynomial.h, spec.c + spec.d, t)
 
     @pytest.mark.parametrize("n", [(5,), (6,), (7,), (1, 5), (2, 4), (3, 3)])
     def test_numerator_from_full_face_vector(self, n):
@@ -134,6 +133,17 @@ class TestFaceCounting:
             face_counts(enumerate_facets(ScrollSpec((5,))), max_size)
 
 
+def _skeleton(masks):
+    """The 1-skeleton of the facets ``masks``: entry ``pos`` is the mask of
+    the neighbours of the vertex at bit ``pos``."""
+    adj = [0] * max(map(int.bit_length, masks))
+    for mask in masks:
+        for pos in range(mask.bit_length()):
+            if mask >> pos & 1:
+                adj[pos] |= mask & ~(1 << pos)
+    return adj
+
+
 def _cover_walk(masks, max_size):
     """Reference face count: the facet-cover walk the clique walk replaced.
     A face's cover is the bitset of the facets containing it; a face
@@ -161,28 +171,28 @@ class TestCliqueWalk:
     def test_equals_the_cover_walk_up_to_dim(self, spec):
         dim = spec.c + spec.d
         expected = _cover_walk(_enumerated(spec)[0], dim)
-        assert invariants._clique_walk(invariants._flag_skeleton(spec), dim) == expected
+        assert face_counts(enumerate_facets(spec), dim) == expected
 
     @pytest.mark.parametrize("n", [(12,), (2, 2, 4, 4)])
     def test_equals_the_cover_walk_at_window_five(self, n):
         spec = ScrollSpec(n)
         expected = _cover_walk(_enumerated(spec)[0], 5)
-        assert invariants._clique_walk(invariants._flag_skeleton(spec), 5) == expected
+        assert face_counts(enumerate_facets(spec), 5) == expected
 
     @pytest.mark.parametrize("n", [(5,), (2, 4), (2, 2, 2, 2), (1, 2, 2, 4)])
     def test_certificate_fails_with_a_facet_dropped(self, n):
         spec = ScrollSpec(n)
         masks = _enumerated(spec)[0]
-        invariants._certify_flag(_edges(spec), masks)
+        invariants._certify_flag(_skeleton(masks), masks)
         for drop in (0, len(masks) // 2, len(masks) - 1):
             kept = masks[:drop] + masks[drop + 1 :]
             with pytest.raises(VerificationError, match="not flag"):
-                invariants._certify_flag(_edges(spec), kept)
+                invariants._certify_flag(_skeleton(masks), kept)
 
     def test_certificate_fails_with_an_edge_added_or_removed(self):
         spec = ScrollSpec((2, 4))
         masks = _enumerated(spec)[0]
-        adj = _edges(spec)
+        adj = _skeleton(masks)
         u, v = next(
             (u, v)
             for u, v in itertools.combinations(range(len(adj)), 2)
@@ -270,8 +280,8 @@ class TestFullReport:
         reports = [full_report(ScrollSpec(n)) for n in [(1, 5), (2, 4), (3, 3)]]
         assert len({r.h_vector for r in reports}) == 1
         assert len({r.facet_count for r in reports}) == 1
-        windows = [hilbert_data(ScrollSpec(n), window=4).hf for n in [(1, 5), (2, 4), (3, 3)]]
-        assert windows[0] == windows[1] == windows[2]
+        f_vectors = [hilbert_data(ScrollSpec(n)).f for n in [(1, 5), (2, 4), (3, 3)]]
+        assert f_vectors[0] == f_vectors[1] == f_vectors[2]
         big = [full_report(ScrollSpec(n)) for n in [(1, 2, 2, 4), (2, 2, 2, 3)]]
         assert big[0].h_vector == big[1].h_vector
         assert big[0].facet_count == big[1].facet_count
@@ -296,7 +306,7 @@ class TestFullReport:
         assert report.a_invariant == -3
 
     def test_full_window_matches(self):
-        report = full_report(ScrollSpec((2, 4)), hilbert_window=6)
+        report = full_report(ScrollSpec((2, 4)))
         assert report.mode == "computed"
         assert report.closed_form_match
 
@@ -304,18 +314,7 @@ class TestFullReport:
 class TestHilbertWindow:
     def test_long_window_sums_only_the_sizes_that_occur(self):
         # (5,) has faces of sizes 1..6 only; degree 20,000 needs no more.
-        data = hilbert_data(ScrollSpec((5,)), window=20_000)
-        assert len(data.hf) == 20_001
-        assert data.hf[20_000] == hilbert_function_from_h((1, 4, 4, 1), 6, 20_000)
-
-    def test_window_budget_is_checked_before_any_work(self, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("work started before the window check")
-
-        monkeypatch.setattr(invariants, "verify_linear_quotients", no_work)
-        monkeypatch.setattr(invariants, "_flag_skeleton", no_work)
-        monkeypatch.setattr(invariants, "_clique_walk", no_work)
-        with pytest.raises(CapacityError, match="100,001"):
-            hilbert_data(ScrollSpec((5,)), window=invariants.MAX_HILBERT_WINDOW + 1)
-        with pytest.raises(PreconditionError, match="Hilbert window starts at degree 1, got 0"):
-            hilbert_data(ScrollSpec((5,)), window=0)
+        data = hilbert_data(ScrollSpec((5,)))
+        assert len(data.f) == 6
+        by_faces = invariants._hf_from_counts(data.f, 20_000)
+        assert by_faces == hilbert_function_from_h((1, 4, 4, 1), 6, 20_000)

@@ -31,8 +31,8 @@ from scrollfiber import (
 )
 from scrollfiber import oracle
 from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS
-from scrollfiber.facet_complex import _edges, count_facets
-from scrollfiber.invariants import _clique_walk, _hf_from_counts
+from scrollfiber.facet_complex import _face_vector, count_facets
+from scrollfiber.invariants import _hf_from_counts
 from scrollfiber.oracle import ExpandedPolynomial, RankProblem, _is_prime
 
 
@@ -314,21 +314,19 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("n, hf2", [((4, 4, 4, 4), 4945), ((20,), 9424)])
     def test_degree_two_from_the_fold_past_the_enumeration_budget(self, n, hf2):
-        # HF(2) = f1 + f2 counts vertices and edges, which are faces of any
-        # complex: no flag certificate and no facet enumeration is needed.
+        # HF(2) = f1 + f2 from the face DP, which enumerates no facet.
         spec = ScrollSpec(n)
         assert count_facets(spec) > MAX_ENUMERATED_FACETS
-        f = _clique_walk(_edges(spec), 2)
+        f = _face_vector(spec)
         assert _hf_from_counts(f, 2) == hf2 == fiber_hilbert_function(spec, 2)
 
     def test_row_budget_is_checked_before_any_work(self, monkeypatch):
         # C(78 + 3, 4) = 1,663,740 rows at t_max = 4 for c = 13: refused
-        # before the face walk and before degrees 1..3 are built.
+        # before the face count and before degrees 1..3 are built.
         def no_work(*args):
             raise AssertionError("work started before the row check")
 
-        monkeypatch.setattr(oracle, "_flag_skeleton", no_work)
-        monkeypatch.setattr(oracle, "_clique_walk", no_work)
+        monkeypatch.setattr(oracle, "_certified_faces", no_work)
         monkeypatch.setattr(oracle, "build_rank_problem", no_work)
         with pytest.raises(CapacityError, match="degree 4 needs 1,663,740 product rows"):
             cross_check(ScrollSpec((13,)), 4)

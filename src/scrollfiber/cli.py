@@ -43,7 +43,7 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_PREDICTION_ONLY = 3
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CSV_COLUMNS = ("c", "d", "facets", "reg", "a", "gorenstein", "pass")
 MAX_REPORTED_FAILURES = 100
 
@@ -143,6 +143,7 @@ def _oracle_dict(result: CrossCheckResult) -> dict:
         "passed": result.passed,
         "notes": list(result.notes),
         "rows": [[row.t, row.fiber_rank, row.face_count, row.equal] for row in result.rows],
+        "blocks": [list(entry) for entry in result.blocks],
     }
 
 

@@ -14,15 +14,23 @@ A monomial is packed into one integer, one bit field per matrix entry, so a
 product adds monomials with one integer addition and integer order is lex
 order; the columns run from the lex-greatest monomial down, so a row's
 smallest column is its leading term.
+
+The minors are homogeneous in a Z^d x Z grading: the minor on columns (i, j)
+and (k, l) of the blocks has degree e_i + e_k in the blocks and j + l + 1 in
+the index.  So the coefficient matrix of a degree is block diagonal, one
+block per multidegree, and its rank is the sum of the block ranks.  Each
+degree is built and eliminated one block at a time (``rank_blocks``), so
+the rows of only one block are in memory at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, InternalError, PreconditionError
 from .invariants import _certified_faces, _hf_from_counts
 from .scroll_model import ScrollSpec, minor, require_complex
 
@@ -58,13 +66,22 @@ class RankProblem:
         return (len(self.rows), len(self.monomial_index))
 
 
-def _generators(spec: ScrollSpec, t: int) -> tuple[dict[Monomial, int], ...]:
-    """The C(c,2) expanded minors, packed for products of t of them.
+def _generators(
+    spec: ScrollSpec, t: int
+) -> tuple[tuple[dict[Monomial, int], ...], tuple[int, ...]]:
+    """The C(c,2) expanded minors, packed for products of t of them, and
+    their packed multidegrees.
 
     The entries are ordered x[i,j] > x[i',j'] when j > j', or j = j' and
     i < i', and the k-th least owns bits k*w .. k*w + w - 1 with
     w = (2t).bit_length().  A degree-2t monomial has no exponent above 2t,
     so no field carries into the next when monomials are added.
+
+    The multidegree of a monomial counts its entries in each block i and sums
+    their indices j; block i owns bits (i-1)*v .. i*v - 1 and the index sum
+    the field above the blocks, with v = (2t * max(n)).bit_length(), so the
+    multidegree of a product of t minors is the sum of theirs.  A minor whose
+    terms disagree in multidegree raises ``InternalError``.
     """
     width = (2 * t).bit_length()
     entries = sorted(
@@ -72,14 +89,23 @@ def _generators(spec: ScrollSpec, t: int) -> tuple[dict[Monomial, int], ...]:
         key=lambda entry: (entry[1], -entry[0]),
     )
     unit = {entry: 1 << (width * k) for k, entry in enumerate(entries)}
-    return tuple(
-        {
-            sum(unit[entry] * power for entry, power in expo): coeff
-            for coeff, expo in minor(spec, a, b).terms
-        }
-        for a in range(1, spec.c + 1)
-        for b in range(a + 1, spec.c + 1)
-    )
+    field = (2 * t * max(spec.n)).bit_length()
+    gens, weights = [], []
+    for a in range(1, spec.c + 1):
+        for b in range(a + 1, spec.c + 1):
+            terms = minor(spec, a, b).terms
+            degrees = {
+                sum((power << field * (i - 1)) + (power * j << field * spec.d)
+                    for (i, j), power in expo)
+                for _, expo in terms
+            }
+            if len(degrees) != 1:
+                raise InternalError(f"the minor on columns {a} and {b} is not multihomogeneous")
+            gens.append(
+                {sum(unit[entry] * power for entry, power in expo): coeff for coeff, expo in terms}
+            )
+            weights.append(degrees.pop())
+    return tuple(gens), tuple(weights)
 
 
 def _product(t1: dict[Monomial, int], t2: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -106,26 +132,47 @@ def _check_rows(spec: ScrollSpec, t: int) -> None:
         )
 
 
-def build_rank_problem(spec: ScrollSpec, t: int) -> RankProblem:
-    """Expand every multiset of t minors into a coefficient-matrix row.
+def rank_blocks(spec: ScrollSpec, t: int) -> Iterator[RankProblem]:
+    """The degree-t coefficient matrix, one multidegree block at a time.
 
-    Rows run over combinations with repetition in lexicographic order and
-    share memoized prefix products; columns are the occurring monomials from
-    the lex-greatest down, so the matrix is fully deterministic.
+    The multisets of t minors are grouped by multidegree, the sum of their
+    minors' packed ones; the blocks come in the order of their first
+    multiset in lexicographic order.  Each block is expanded when the
+    iterator reaches it: its rows in the lexicographic order of their
+    multisets, its columns its own monomials from the lex-greatest down.
+    The memo of prefix products, each a product of fewer than t minors, is
+    shared by the blocks of the degree, so each prefix is multiplied out
+    once.  The degree and the row budget are checked on the call, before
+    any work.
     """
     if t < 1:
         raise PreconditionError(f"rank problems need degree >= 1, got {t}")
     _check_rows(spec, t)
-    gens = _generators(spec, t)
-    n_gens = len(gens)
-
+    gens, weights = _generators(spec, t)
+    by_key: dict[int, list[tuple[int, ...]]] = {}
+    for combo in itertools.combinations_with_replacement(range(len(gens)), t):
+        by_key.setdefault(sum(map(weights.__getitem__, combo)), []).append(combo)
     prefixes: dict[tuple[int, ...], dict[Monomial, int]] = {(): {0: 1}}
+    return (_expand(spec, t, gens, prefixes, combos) for combos in by_key.values())
+
+
+def _expand(
+    spec: ScrollSpec,
+    t: int,
+    gens: tuple[dict[Monomial, int], ...],
+    prefixes: dict[tuple[int, ...], dict[Monomial, int]],
+    combos: list[tuple[int, ...]],
+) -> RankProblem:
     rows = []
-    for combo in itertools.combinations_with_replacement(range(n_gens), t):
+    for combo in combos:
         for k in range(1, t):
             if combo[:k] not in prefixes:
                 prefixes[combo[:k]] = _product(prefixes[combo[: k - 1]], gens[combo[k - 1]])
         rows.append(ExpandedPolynomial(terms=_product(prefixes[combo[:-1]], gens[combo[-1]])))
+    return _problem(spec, t, rows)
+
+
+def _problem(spec: ScrollSpec, t: int, rows: list[ExpandedPolynomial]) -> RankProblem:
     monomials = sorted({mono for row in rows for mono in row.terms}, reverse=True)
     return RankProblem(
         spec=spec,
@@ -135,14 +182,25 @@ def build_rank_problem(spec: ScrollSpec, t: int) -> RankProblem:
     )
 
 
+def build_rank_problem(spec: ScrollSpec, t: int) -> RankProblem:
+    """Every multiset of t minors expanded into a coefficient-matrix row.
+
+    The blocks of ``rank_blocks`` one after the other: the rows run block by
+    block, and the columns are all occurring monomials from the lex-greatest
+    down, so the matrix is fully deterministic.
+    """
+    return _problem(spec, t, [row for block in rank_blocks(spec, t) for row in block.rows])
+
+
 def _echelon_rank(problem: RankProblem, p: int | None) -> int:
     """Sparse row reduction over GF(p), or over the rationals when p is None.
 
     Each row, as a dict column -> nonzero entry, is reduced against the stored
     pivot rows from its smallest column, its leading term, up; what is left,
-    if anything, becomes the pivot of its leading column.  Every product of
-    minors is multihomogeneous, so a row only meets pivots of its own
-    multidegree and fill-in stays inside that block of the matrix.
+    if anything, becomes the pivot of its leading column.  The oracle runs it
+    on one multidegree block at a time.  On several blocks together, as in
+    ``build_rank_problem``, a row only meets pivots of its own block and
+    fill-in stays inside it, so the work is the same as block by block.
 
     Over GF(p) a pivot is scaled to leading entry 1.  Over the rationals the
     entries stay integers: with leading entries p_l of the pivot and w_l of
@@ -234,13 +292,25 @@ def fiber_hilbert_function(
         _check_prime(int(modulus))
     if t == 0:
         return 1
-    return _rank(build_rank_problem(spec, t), modulus)
+    return _degree_rank(spec, t, modulus)[0]
 
 
 def _rank(problem: RankProblem, modulus: int | str) -> int:
     if modulus == "rational":
         return rank_rational(problem)
     return rank_mod_prime(problem, int(modulus))
+
+
+def _degree_rank(spec: ScrollSpec, t: int, modulus: int | str) -> tuple[int, int, int]:
+    """The rank of degree t, summed over its blocks, with the number of
+    blocks and the rows of the largest."""
+    rank = count = largest = 0
+    for block in rank_blocks(spec, t):
+        rank += _rank(block, modulus)
+        count += 1
+        largest = max(largest, len(block.rows))
+        del block  # freed before the next block is built
+    return rank, count, largest
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,6 +329,8 @@ class CrossCheckResult:
     rows: tuple[CrossCheckRow, ...]
     passed: bool
     notes: tuple[str, ...]
+    #: (t, number of blocks, rows of the largest block) for t = 1 .. t_max.
+    blocks: tuple[tuple[int, int, int], ...]
 
 
 def cross_check(
@@ -273,9 +345,10 @@ def cross_check(
     ``t_max`` before the face count and any degree is built.  Raises
     ``VerificationError`` when the face count fails its certificate.
 
-    A mismatch under a prime modulus is re-checked over the rationals: a
-    genuinely modular discrepancy is flagged as a suspected modulus collision
-    instead of a mathematical failure.
+    Each degree is ranked block by block (``rank_blocks``).  A mismatch
+    under a prime modulus is re-checked over the rationals, every block of
+    that degree again: a genuinely modular discrepancy is flagged as a
+    suspected modulus collision instead of a mathematical failure.
     """
     require_complex(spec)
     if t_max < 0:
@@ -288,12 +361,13 @@ def cross_check(
     # Degree 0 is the ground field on both sides.
     rows: list[CrossCheckRow] = [CrossCheckRow(t=0, fiber_rank=1, face_count=1, equal=True)]
     notes: list[str] = []
+    blocks: list[tuple[int, int, int]] = []
     for t in range(1, t_max + 1):
-        problem = build_rank_problem(spec, t)
-        fiber = _rank(problem, modulus)
+        fiber, count, largest = _degree_rank(spec, t, modulus)
+        blocks.append((t, count, largest))
         expected = _hf_from_counts(faces, t)
         if fiber != expected and modulus != "rational":
-            exact = rank_rational(problem)
+            exact = _degree_rank(spec, t, "rational")[0]
             if exact != fiber:
                 notes.append(
                     f"degree {t}: modular rank {fiber} != rational rank {exact}; "
@@ -308,4 +382,5 @@ def cross_check(
         rows=tuple(rows),
         passed=all(r.equal for r in rows),
         notes=tuple(notes),
+        blocks=tuple(blocks),
     )

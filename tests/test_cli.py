@@ -15,7 +15,15 @@ from conftest import tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrollfiber import cli, facet_complex, invariants, leaves_profile, oracle
+from scrollfiber import (
+    ScrollSpec,
+    cli,
+    facet_complex,
+    invariants,
+    leaves_profile,
+    oracle,
+    rank_blocks,
+)
 from scrollfiber.cli import ReportEnvelope, _build_parser, cmd_batch, main
 
 
@@ -122,7 +130,7 @@ class TestInvariantsCommand:
     def test_schema_two_counts_quadratic_fallbacks(self, capsys):
         _, out, _ = run(capsys, "invariants", "--n", "2,4", "--format", "json")
         payload = json.loads(out)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["verification"]["quadratic_fallbacks"] == 0
         assert payload["verification"]["facets"] == 28
 
@@ -236,6 +244,16 @@ class TestVerifyCommand:
         assert code == 0
         rows = json.loads(out)["oracle"]["rows"]
         assert rows == [[0, 1, 1, True], [1, 10, 10, True], [2, 49, 49, True]]
+
+    def test_json_lists_the_blocks_of_each_degree(self, capsys):
+        _, out, _ = run(capsys, "verify", "--n", "5", "--t-max", "2", "--format", "json")
+        payload = json.loads(out)["oracle"]
+        assert payload["rows"] == [[0, 1, 1, True], [1, 10, 10, True], [2, 49, 49, True]]
+        assert payload["blocks"] == [[1, 7, 2], [2, 13, 9]]
+        spec = ScrollSpec((5,))
+        for t, count, largest in payload["blocks"]:
+            sizes = [len(block.rows) for block in rank_blocks(spec, t)]
+            assert [count, largest] == [len(sizes), max(sizes)]
 
     def test_composite_modulus_is_a_usage_error(self, capsys):
         for modulus in ("4", "2147483646"):
@@ -549,7 +567,7 @@ def _repeats_json() -> str:
             "invariants": inv,
             "mode": inv["mode"] if inv else "error",
             "oracle": None,
-            "schema_version": 2,
+            "schema_version": 3,
             "spec": {"c": sum(n), "d": len(n), "n": list(n), "normalized": line == "4,2"},
             "timings": None,
             "tool": {"name": "scrollfiber", "version": "0.1.0"},

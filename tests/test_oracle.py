@@ -9,14 +9,19 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from scrollfiber import (
+    DEFAULT_MODULUS,
     CapacityError,
     CrossCheckRow,
+    InternalError,
+    MinorPolynomial,
     PreconditionError,
     ScrollSpec,
     UnsupportedRegimeError,
@@ -26,6 +31,7 @@ from scrollfiber import (
     fiber_hilbert_function,
     hilbert_function_from_h,
     minor,
+    rank_blocks,
     rank_mod_prime,
     rank_rational,
 )
@@ -33,7 +39,14 @@ from scrollfiber import oracle
 from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS
 from scrollfiber.facet_complex import _face_vector, count_facets
 from scrollfiber.invariants import _hf_from_counts
-from scrollfiber.oracle import ExpandedPolynomial, RankProblem, _is_prime
+from scrollfiber.oracle import (
+    ExpandedPolynomial,
+    RankProblem,
+    _degree_rank,
+    _generators,
+    _is_prime,
+    _product,
+)
 
 
 def _exponents(mono, t, n_vars):
@@ -184,6 +197,104 @@ class TestRankProblem:
             gc.enable()
 
 
+class TestRankBlocks:
+    # d = 1, 2 and 3; (1, 2, 3) lies below c = d + 4, where the oracle still applies.
+    PAIRS = [((5,), 3), ((7,), 2), ((2, 4), 3), ((1, 6), 2), ((2, 3, 4), 2), ((1, 2, 3), 3)]
+
+    @pytest.mark.parametrize("n, t", PAIRS, ids=str)
+    def test_block_ranks_sum_to_the_whole_rank(self, n, t):
+        spec = ScrollSpec(n)
+        whole = build_rank_problem(spec, t)
+        blocks = list(rank_blocks(spec, t))
+        for p in (DEFAULT_MODULUS, 3):
+            assert sum(rank_mod_prime(block, p) for block in blocks) == rank_mod_prime(whole, p)
+        assert sum(rank_rational(block) for block in blocks) == rank_rational(whole)
+
+    @pytest.mark.parametrize("n, t", PAIRS, ids=str)
+    def test_blocks_partition_the_rows_and_the_columns(self, n, t):
+        spec = ScrollSpec(n)
+        gens, _ = _generators(spec, t)
+        # Distinct multisets of the irreducible minors give distinct products.
+        reference = {
+            tuple(sorted(reduce(_product, (gens[i] for i in combo), {0: 1}).items())): k
+            for k, combo in enumerate(itertools.combinations_with_replacement(range(len(gens)), t))
+        }
+        assert len(reference) == math.comb(math.comb(spec.c, 2) + t - 1, t)
+        seen, columns = [], set()
+        for block in rank_blocks(spec, t):
+            order = [reference[tuple(sorted(row.terms.items()))] for row in block.rows]
+            assert order == sorted(order)
+            seen += order
+            monomials = sorted(block.monomial_index, reverse=True)
+            assert [block.monomial_index[m] for m in monomials] == list(range(len(monomials)))
+            assert set(monomials) == {m for row in block.rows for m in row.terms}
+            assert columns.isdisjoint(monomials)
+            columns.update(monomials)
+        assert sorted(seen) == list(range(len(reference)))
+        assert len(columns) == build_rank_problem(spec, t).shape[1]
+
+    @pytest.mark.parametrize(
+        "n, t, count, largest", [((2, 3, 4), 3, 304, 208), ((5,), 5, 31, 174)], ids=str
+    )
+    def test_pinned_block_counts(self, n, t, count, largest):
+        sizes = [len(block.rows) for block in rank_blocks(ScrollSpec(n), t)]
+        assert (len(sizes), max(sizes)) == (count, largest)
+
+    def test_a_minor_that_is_not_multihomogeneous_is_an_internal_error(self, monkeypatch):
+        def skewed(spec, a, b):
+            if (a, b) != (1, 2):
+                return minor(spec, a, b)
+            # x[1,0]^2 - x[1,1]^2: index degrees 0 and 2.
+            return MinorPolynomial(terms=((-1, (((1, 1), 2),)), (1, (((1, 0), 2),))))
+
+        monkeypatch.setattr(oracle, "minor", skewed)
+        with pytest.raises(InternalError, match="not multihomogeneous"):
+            rank_blocks(ScrollSpec((5,)), 2)
+        with pytest.raises(InternalError, match="not multihomogeneous"):
+            fiber_hilbert_function(ScrollSpec((5,)), 2)
+
+    def test_checks_come_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the checks")
+
+        monkeypatch.setattr(oracle, "_generators", no_work)
+        with pytest.raises(PreconditionError):
+            rank_blocks(ScrollSpec((5,)), 0)
+        with pytest.raises(CapacityError):
+            rank_blocks(ScrollSpec((13,)), 4)
+
+    def test_block_by_block_peaks_under_a_quarter_of_the_whole_matrix(self):
+        spec = ScrollSpec((2, 3, 4))
+
+        def peak(work):
+            tracemalloc.start()
+            try:
+                value = work()
+                return value, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocks, block_peak = peak(lambda: _degree_rank(spec, 3, DEFAULT_MODULUS)[0])
+        whole, whole_peak = peak(
+            lambda: rank_mod_prime(build_rank_problem(spec, 3), DEFAULT_MODULUS)
+        )
+        assert blocks == whole == 4517
+        assert block_peak < whole_peak / 4
+
+    def test_leaves_no_garbage_behind(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in rank_blocks(ScrollSpec((8,)), 3):
+                pass
+            abandoned = rank_blocks(ScrollSpec((8,)), 3)
+            next(abandoned)
+            del abandoned
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestFiberHilbertFunction:
     def test_degree_zero_is_one(self):
         for n in [(5,), (1, 1), (2, 2, 2)]:
@@ -288,7 +399,15 @@ class TestCrossCheck:
         assert result.rows[3] == CrossCheckRow(t=3, fiber_rank=22722, face_count=22722, equal=True)
 
     def test_modulus_collision_falls_back_to_the_rational_rank(self, monkeypatch):
-        monkeypatch.setattr(oracle, "rank_mod_prime", lambda problem, p: rank_rational(problem) - 1)
+        # A fake collision in the first block of each degree only.
+        collided = set()
+
+        def first_block_collides(problem, p):
+            first = problem.degree not in collided
+            collided.add(problem.degree)
+            return rank_rational(problem) - first
+
+        monkeypatch.setattr(oracle, "rank_mod_prime", first_block_collides)
         result = cross_check(ScrollSpec((5,)), 2)
         assert result.passed
         assert [(row.t, row.fiber_rank) for row in result.rows] == [(0, 1), (1, 10), (2, 49)]
@@ -328,6 +447,7 @@ class TestCrossCheck:
 
         monkeypatch.setattr(oracle, "_certified_faces", no_work)
         monkeypatch.setattr(oracle, "build_rank_problem", no_work)
+        monkeypatch.setattr(oracle, "rank_blocks", no_work)
         with pytest.raises(CapacityError, match="degree 4 needs 1,663,740 product rows"):
             cross_check(ScrollSpec((13,)), 4)
 

@@ -11,10 +11,10 @@ the combinatorial prediction ``predict_LG``.
 
 All facets have c + d vertices, so a singleton difference F \\ G = {u}
 means G = F \\ {u} + {w}: F and G share the swap key F \\ {u}.  One pass
-over the ordered facet masks with a set of swap keys therefore finds every
-singleton generator.  A generator of higher degree exists exactly when some
-earlier facet contains all singleton generators of F; the bitset index
-detects that, and only such facets fall back to the quadratic scan.
+in the certified order with a set of swap keys finds every singleton
+generator.  A generator of higher degree exists exactly when some earlier
+facet holds all of F's; the AND of their rows in the kept incidence index
+``_incidence`` finds one, and only then is the quadratic scan made.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
@@ -26,9 +26,9 @@ unmutated run is the enumeration (``_enumerated``, ``enumerate_facets``,
 Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
-One generator, ``_certified``, applies the certified order and yields every
-facet's colon data.  ``verify_linear_quotients`` folds it into per-degree
-counts and the failing reports, not one report per facet;
+One generator, ``_certified``, walks the certified order once and yields
+every facet's colon data.  ``verify_linear_quotients`` folds it into
+per-degree counts and the failing reports, not one report per facet;
 ``VerificationResult.reports`` maps it through the same report builder
 only when asked.
 """
@@ -380,27 +380,41 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     return frozenset(_vertices(spec, d) for d in _minimal_masks(f & ~m for m in earlier))
 
 
-def _colons(spec: ScrollSpec, masks: Sequence[int]) -> Iterator[tuple[int, frozenset[int] | None]]:
-    """Per facet in the order of ``masks``: the mask of its singleton
-    generators, and its minimal difference masks when some earlier facet
-    contains every singleton generator (the quadratic scan), else None.
+def _incidence(spec: ScrollSpec) -> list[int]:
+    """The ``_bitset_index`` of the enumeration, kept on the spec."""
+    return per_spec(spec, "incidence", lambda: _bitset_index(_enumerated(spec)[0]))
 
-    Every facet has c + d vertices, so an earlier G containing F \\ {u} is
-    F \\ {u} + {w} for some vertex w, and F and G share the swap key
-    F \\ {u}.  A facet never yields one key twice, so a key seen before came
-    from an earlier facet; ``InternalError`` if a facet has another size.
-    The witness, the earlier facets that hold every singleton generator, is
-    an AND of rows of ``_bitset_index(masks)``.
+
+def _certified(
+    spec: ScrollSpec, mutation: str | None
+) -> Iterator[tuple[int, int, frozenset[int] | None, int]]:
+    """Per facet in the order certified under ``mutation`` (``_facet_order``):
+    its enumeration rank, the mask of its singleton generators, its minimal
+    difference masks from the quadratic scan or None, and the mask of its
+    prediction: the enumeration's, or under a rule mutation a fresh
+    ``_fold``, whose masks must be the enumeration's (``InternalError``
+    otherwise).  ``InternalError`` too for a facet not of c + d vertices.
+
+    A facet never yields one swap key twice, so a key seen before came from
+    an earlier facet.  The witness starts from the ranks already certified,
+    so every order reads the same ``_incidence`` and no reordered copy.
     """
-    index = _bitset_index(masks)
+    masks, _, packed = _enumerated(spec)
+    if mutation in ("c2", "b2"):  # swap-groups only reorders the facets
+        folded, _, packed = _fold(spec, mutation)
+        if folded != masks:
+            raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
+    index = _incidence(spec)
+    width = len(packed) // len(masks)
     size = spec.c + spec.d
+    order = _facet_order(spec, mutation)
     keys: set[int] = set()
-    for rank, f in enumerate(masks):
+    seen = 0  # the ranks certified so far
+    for i, rank in enumerate(order):
+        f = masks[rank]
         if f.bit_count() != size:
             raise InternalError(f"facet of size {f.bit_count()} != {size} for {spec}")
-        gens = 0
-        witness = (1 << rank) - 1
-        rest = f
+        gens, witness, rest = 0, seen, f
         while rest:
             u = rest & -rest
             rest ^= u
@@ -410,27 +424,8 @@ def _colons(spec: ScrollSpec, masks: Sequence[int]) -> Iterator[tuple[int, froze
                 witness &= index[u.bit_length() - 1]
             else:
                 keys.add(key)
-        yield gens, _minimal_masks(f & ~g for g in masks[:rank]) if witness else None
-
-
-def _certified(
-    spec: ScrollSpec, mutation: str | None
-) -> Iterator[tuple[int, int, frozenset[int] | None, int]]:
-    """Per facet in the order certified under ``mutation`` (``_facet_order``):
-    its enumeration rank, the mask of its singleton generators, its minimal
-    difference masks from the quadratic scan or None (``_colons``), and the
-    mask of its prediction: the enumeration's, or under a rule mutation a
-    fresh ``_fold``, whose masks must be the enumeration's (``InternalError``
-    otherwise)."""
-    enumerated, _, packed = _enumerated(spec)
-    if mutation in ("c2", "b2"):  # swap-groups only reorders the facets
-        folded, _, packed = _fold(spec, mutation)
-        if folded != enumerated:
-            raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
-    width = len(packed) // len(enumerated)
-    order = _facet_order(spec, mutation)
-    masks = [enumerated[rank] for rank in order]
-    for rank, (gens, diffs) in zip(order, _colons(spec, masks)):
+        seen |= 1 << rank
+        diffs = _minimal_masks(f & ~masks[r] for r in order[:i]) if witness else None
         predicted = int.from_bytes(packed[rank * width : (rank + 1) * width], "little")
         yield rank, gens, diffs, predicted
 

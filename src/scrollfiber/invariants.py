@@ -16,9 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dual_quotients import ColonReport, _enumerated, verify_linear_quotients
+from .dual_quotients import ColonReport, _enumerated, _incidence, verify_linear_quotients
 from .errors import CapacityError, DomainError, PreconditionError, VerificationError
-from .facet_complex import Facet, _bitset_index, _face_vector, _good_groups, _mask, vertex_set
+from .facet_complex import Facet, _face_vector, _good_groups, _mask, vertex_set
 from .scroll_model import ScrollSpec, complex_regime, per_spec
 
 #: ``face_counts`` refuses to visit more faces than this (``CapacityError``);
@@ -264,7 +264,9 @@ def hilbert_function_from_h(h: Sequence[int], dim: int, t: int) -> int:
 
 def numerator_from_face_counts(f: Sequence[int], dim: int) -> tuple[int, ...]:
     """Clear (1-t)^dim from the face-count Hilbert series; needs the full
-    f-vector (all sizes up to dim)."""
+    f-vector (all sizes up to dim) and refuses a longer one."""
+    if len(f) > dim:
+        raise PreconditionError(f"f counts faces of {len(f)} vertices, above dim={dim}")
     full = (1,) + tuple(f)
     coeffs = [
         sum(
@@ -283,10 +285,13 @@ def closed_form(c: int, d: int) -> InvariantReport:
 
     Regularity is ceil((c+d-1)/2) for c >= d+4 and c-3 for 2 < c < d+4;
     dimension is c+d, respectively 2c-3.  The degenerate c = 2 scroll maps
-    onto a polynomial ring in one variable, so its regularity is 0.
+    onto a polynomial ring in one variable, so its regularity is 0.  No
+    scroll has c < d: each block has a column.
     """
     if c < 2 or d < 1:
         raise PreconditionError(f"need c >= 2 and d >= 1, got c={c}, d={d}")
+    if c < d:
+        raise PreconditionError(f"need c >= d, one column per block at least, got c={c}, d={d}")
     if complex_regime(c, d):
         reg = (c + d) // 2  # = ceil((c + d - 1) / 2)
         dim = c + d
@@ -330,18 +335,18 @@ def _certified_faces(spec: ScrollSpec) -> tuple[int, ...]:
     faces of the enumerated complex Δ; ``VerificationError`` otherwise.
     Δ lies in the DP's complex Γ when no enumerated facet holds two crossing
     intervals a < a' < b < b' or a vertex not good for its group: one AND of
-    ``_bitset_index`` rows per crossing pair and per vertex.  Then Γ = Δ
-    exactly when Γ has no face above size c + d and the numerator of its
-    Hilbert series is the certified h-vector.
+    rows of ``_incidence``, certification's index, per crossing pair and per
+    vertex.  Then Γ = Δ exactly when Γ has no face above size c + d and the
+    numerator of its Hilbert series is the certified h-vector.
     """
 
     def compute() -> tuple[int, ...]:
         result = verify_linear_quotients(spec)
         if not result.passed:
             raise VerificationError(f"linear-quotients certification failed for {spec}")
-        masks, alphas, _ = _enumerated(spec)
+        alphas = _enumerated(spec)[1]
         f, groups = _face_vector(spec), _good_groups(spec)
-        row = dict(zip(vertex_set(spec), reversed(_bitset_index(masks))))
+        row = dict(zip(vertex_set(spec), reversed(_incidence(spec))))
         ranks = {  # the ranks of each group's facets, one block of bits
             alpha: ((1 << alphas.count(alpha)) - 1) << alphas.index(alpha) for alpha in spec.alphas
         }
@@ -353,11 +358,12 @@ def _certified_faces(spec: ScrollSpec) -> tuple[int, ...]:
         for v, bits in row.items():
             if bits & sum(block for alpha, block in ranks.items() if not groups[v] >> alpha & 1):
                 raise VerificationError(f"a facet of {spec} holds {v}, not good for its group")
-        h = numerator_from_face_counts(f, spec.c + spec.d)
-        if len(f) != spec.c + spec.d or h != result.degree_counts:
-            raise VerificationError(
-                f"the faces of {spec} give h = {h} in {len(f)} sizes, not {result.degree_counts}"
-            )
+        size = spec.c + spec.d
+        if len(f) != size:
+            raise VerificationError(f"the faces of {spec} come in {len(f)} sizes, not {size}")
+        h = numerator_from_face_counts(f, size)
+        if h != result.degree_counts:
+            raise VerificationError(f"the faces of {spec} give h = {h}, not {result.degree_counts}")
         return f
 
     return per_spec(spec, "faces", compute)

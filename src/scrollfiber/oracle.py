@@ -244,10 +244,9 @@ def _echelon_rank(problem: RankProblem, p: int | None) -> int:
     return len(echelon)
 
 
-def rank_mod_prime(problem: RankProblem, p: int) -> int:
-    """Exact rank over GF(p) for a prime p <= 2**31 - 1."""
-    _check_prime(p)
-    return _echelon_rank(problem, p)
+def rank_mod_prime(problem: RankProblem, p: int | str) -> int:
+    """Exact rank over GF(p), p a prime <= 2**31 - 1, or over Q for ``"rational"``."""
+    return _echelon_rank(problem, _field(p))
 
 
 def rank_rational(problem: RankProblem) -> int:
@@ -274,9 +273,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
-    if not (2 <= p <= DEFAULT_MODULUS and _is_prime(p)):
-        raise PreconditionError(f"modulus must be 'rational' or a prime <= 2^31 - 1, got {p}")
+def _field(modulus: int | str) -> int | None:
+    """The prime of ``modulus``, None for ``"rational"``; anything but an
+    ``int`` prime <= 2^31 - 1 (a float, a string, a bool) is refused."""
+    if modulus == "rational":
+        return None
+    if type(modulus) is not int or not (2 <= modulus <= DEFAULT_MODULUS and _is_prime(modulus)):
+        raise PreconditionError(f"modulus must be 'rational' or a prime <= 2^31 - 1, got {modulus!r}")
+    return modulus
 
 
 def fiber_hilbert_function(
@@ -288,25 +292,18 @@ def fiber_hilbert_function(
     """Dimension of the degree-t graded piece of the minor subalgebra."""
     if t < 0:
         raise PreconditionError(f"degree must be non-negative, got {t}")
-    if modulus != "rational":
-        _check_prime(int(modulus))
+    p = _field(modulus)
     if t == 0:
         return 1
-    return _degree_rank(spec, t, modulus)[0]
+    return _degree_rank(spec, t, p)[0]
 
 
-def _rank(problem: RankProblem, modulus: int | str) -> int:
-    if modulus == "rational":
-        return rank_rational(problem)
-    return rank_mod_prime(problem, int(modulus))
-
-
-def _degree_rank(spec: ScrollSpec, t: int, modulus: int | str) -> tuple[int, int, int]:
-    """The rank of degree t, summed over its blocks, with the number of
-    blocks and the rows of the largest."""
+def _degree_rank(spec: ScrollSpec, t: int, p: int | None) -> tuple[int, int, int]:
+    """The rank of degree t over GF(p), or over Q when p is None, summed
+    over its blocks, with the number of blocks and the rows of the largest."""
     rank = count = largest = 0
     for block in rank_blocks(spec, t):
-        rank += _rank(block, modulus)
+        rank += _echelon_rank(block, p)
         count += 1
         largest = max(largest, len(block.rows))
         del block  # freed before the next block is built
@@ -353,8 +350,7 @@ def cross_check(
     require_complex(spec)
     if t_max < 0:
         raise PreconditionError(f"t_max must be non-negative, got {t_max}")
-    if modulus != "rational":
-        _check_prime(int(modulus))
+    p = _field(modulus)
     _check_rows(spec, t_max)
 
     faces = _certified_faces(spec)
@@ -363,11 +359,11 @@ def cross_check(
     notes: list[str] = []
     blocks: list[tuple[int, int, int]] = []
     for t in range(1, t_max + 1):
-        fiber, count, largest = _degree_rank(spec, t, modulus)
+        fiber, count, largest = _degree_rank(spec, t, p)
         blocks.append((t, count, largest))
         expected = _hf_from_counts(faces, t)
-        if fiber != expected and modulus != "rational":
-            exact = _degree_rank(spec, t, "rational")[0]
+        if fiber != expected and p is not None:
+            exact = _degree_rank(spec, t, None)[0]
             if exact != fiber:
                 notes.append(
                     f"degree {t}: modular rank {fiber} != rational rank {exact}; "

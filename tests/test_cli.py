@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scrollfiber import (
     ScrollSpec,
     cli,
+    dual_quotients,
     facet_complex,
     invariants,
     leaves_profile,
@@ -154,30 +155,35 @@ class TestInvariantsCommand:
         self, capsys, monkeypatch, command, mutant, message
     ):
         # The certification still sees the true facets; only the face
-        # certificate reads the mutant.
-        real = invariants._enumerated
+        # certificate reads the mutant, through its name for the kept index.
+        real = invariants._incidence
 
         def with_extra_vertex(spec):
-            masks, alphas, packed = real(spec)
+            masks, alphas, _ = invariants._enumerated(spec)
             rank, bit = mutant(spec, masks, alphas)
-            return masks[:rank] + (masks[rank] | bit,) + masks[rank + 1 :], alphas, packed
+            rows = list(real(spec))  # the kept index stays as it is
+            rows[bit.bit_length() - 1] |= 1 << rank
+            return rows
 
-        monkeypatch.setattr(invariants, "_enumerated", with_extra_vertex)
+        monkeypatch.setattr(invariants, "_incidence", with_extra_vertex)
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
         assert message in json.loads(out)["error"]
 
     @pytest.mark.parametrize("command", ["invariants", "verify"])
     @pytest.mark.parametrize(
-        "perturb",
-        [lambda f: f[:-1] + (f[-1] + 1,), lambda f: f + (1,)],
+        "perturb, message",
+        [
+            (lambda f: f[:-1] + (f[-1] + 1,), "the faces of (5) give h ="),
+            (lambda f: f + (1,), "the faces of (5) come in 7 sizes, not 6"),
+        ],
         ids=["facet-size", "above-facet-size"],
     )
     def test_a_face_count_off_at_or_above_the_facet_size_exits_one(
-        self, capsys, monkeypatch, command, perturb
+        self, capsys, monkeypatch, command, perturb, message
     ):
         # (5,) has facet size c + d = 6: only a comparison at degree 6 or
-        # above sees the first change, and the h-vector of f ignores size 7.
+        # above sees the first change, and the h-vector has no size 7.
         real = invariants._face_vector
 
         def perturbed(spec):
@@ -188,7 +194,28 @@ class TestInvariantsCommand:
         monkeypatch.setattr(invariants, "_face_vector", perturbed)
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
-        assert "the faces of (5) give h =" in json.loads(out)["error"]
+        assert message in json.loads(out)["error"]
+
+    def test_one_incidence_index_per_spec_on_every_command(self, monkeypatch):
+        # invariants, verify and verify under both kinds of rule mutation
+        # read one incidence index, transposed once per spec object.
+        calls = []
+        real = facet_complex._bitset_index
+
+        def counted(masks):
+            calls.append(len(masks))
+            return real(masks)
+
+        for module in (facet_complex, dual_quotients, invariants):
+            if hasattr(module, "_bitset_index"):
+                monkeypatch.setattr(module, "_bitset_index", counted)
+        spec = ScrollSpec((2, 4))
+        codes = [cli.cmd_invariants(spec, False)[1]] + [
+            cli.cmd_verify(spec, False, 2, oracle.DEFAULT_MODULUS, mutation)[1]
+            for mutation in (None, "swap-groups", "c2")
+        ]
+        assert codes == [0, 0, 1, 1]
+        assert calls == [28]
 
     def test_facet_budget_guard(self, capsys):
         started = time.perf_counter()

@@ -97,6 +97,12 @@ class TestFaceCounting:
         f = face_counts(enumerate_facets(spec), dim)
         assert numerator_from_face_counts(f, dim) == quotient_h(n).h
 
+    def test_numerator_refuses_faces_above_dim(self):
+        # Three sizes of faces do not fit under (1-t)^2; none is dropped.
+        with pytest.raises(PreconditionError, match="faces of 3 vertices, above dim=2"):
+            numerator_from_face_counts((3, 3, 1), 2)
+        assert numerator_from_face_counts((3, 3), 2) == (1, 1, 1)
+
     def test_capacity_guard(self, monkeypatch):
         monkeypatch.setattr(invariants, "MAX_FACE_NODES", 100)
         spec = ScrollSpec((2, 2, 4, 4))
@@ -252,6 +258,16 @@ class TestClosedForm:
     def test_rejects_tiny(self):
         with pytest.raises(PreconditionError):
             closed_form(1, 1)
+
+    @pytest.mark.parametrize("c, d", [(3, 5), (4, 5), (2, 3)])
+    def test_rejects_fewer_columns_than_blocks(self, c, d):
+        # Every block of a scroll has a column, so no scroll has c < d.
+        with pytest.raises(PreconditionError, match=f"need c >= d, .* got c={c}, d={d}"):
+            closed_form(c, d)
+
+    def test_keeps_the_message_for_c_below_two(self):
+        with pytest.raises(PreconditionError, match=r"need c >= 2 and d >= 1, got c=1, d=3"):
+            closed_form(1, 3)
 
 
 class TestFullReport:

@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -326,6 +327,28 @@ class TestFiberHilbertFunction:
         with pytest.raises(PreconditionError):
             rank_mod_prime(build_rank_problem(ScrollSpec((5,)), 1), modulus)
 
+    @pytest.mark.parametrize(
+        "modulus, shown",
+        [(2.5, "2.5"), (3.0, "3.0"), ("3", "'3'"), (True, "True"), (None, "None")],
+        ids=["float", "integral-float", "digit-string", "bool", "none"],
+    )
+    def test_only_rational_or_an_int_prime_is_a_modulus(self, modulus, shown):
+        # A float is not truncated to a prime, a digit string is not parsed,
+        # and a bool is no int here; every entry point refuses them alike.
+        spec = ScrollSpec((5,))
+        message = f"modulus must be 'rational' or a prime <= 2\\^31 - 1, got {re.escape(shown)}$"
+        with pytest.raises(PreconditionError, match=message):
+            fiber_hilbert_function(spec, 2, modulus=modulus)
+        with pytest.raises(PreconditionError, match=message):
+            cross_check(spec, 1, modulus=modulus)
+        with pytest.raises(PreconditionError, match=message):
+            rank_mod_prime(build_rank_problem(spec, 1), modulus)
+
+    def test_rational_and_an_int_prime_are_taken_as_given(self):
+        problem = build_rank_problem(ScrollSpec((5,)), 2)
+        assert rank_mod_prime(problem, "rational") == rank_rational(problem) == 49
+        assert cross_check(ScrollSpec((5,)), 1, modulus=3).modulus == 3
+
     def test_primality_matches_trial_division(self):
         def trial(n):
             return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
@@ -401,13 +424,16 @@ class TestCrossCheck:
     def test_modulus_collision_falls_back_to_the_rational_rank(self, monkeypatch):
         # A fake collision in the first block of each degree only.
         collided = set()
+        real = oracle._echelon_rank
 
         def first_block_collides(problem, p):
+            if p is None:
+                return real(problem, None)
             first = problem.degree not in collided
             collided.add(problem.degree)
-            return rank_rational(problem) - first
+            return real(problem, None) - first
 
-        monkeypatch.setattr(oracle, "rank_mod_prime", first_block_collides)
+        monkeypatch.setattr(oracle, "_echelon_rank", first_block_collides)
         result = cross_check(ScrollSpec((5,)), 2)
         assert result.passed
         assert [(row.t, row.fiber_rank) for row in result.rows] == [(0, 1), (1, 10), (2, 49)]
@@ -417,7 +443,10 @@ class TestCrossCheck:
 
     def test_every_modular_mismatch_is_rechecked_rationally(self, monkeypatch):
         # Degree 3 of (8,) has 4,060 product rows.
-        monkeypatch.setattr(oracle, "rank_mod_prime", lambda problem, p: rank_rational(problem) - 1)
+        real = oracle._echelon_rank
+        monkeypatch.setattr(
+            oracle, "_echelon_rank", lambda problem, p: real(problem, None) - (p is not None)
+        )
         result = cross_check(ScrollSpec((8,)), 3)
         assert result.passed
         assert len(result.notes) == 3

@@ -364,7 +364,7 @@ def cmd_batch(path: str) -> tuple[list[ReportEnvelope], int]:
     line's spec and its intermediate results are freed before the next line
     starts."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read batch file {path}: {exc}")
     lines = [line.strip() for line in raw.splitlines()]

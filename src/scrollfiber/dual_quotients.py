@@ -20,9 +20,11 @@ The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
 (``_rule``).  So one fold of each group's grammar table with the role as
 state, ``_fold``, lists every facet together with its prediction, next to
-the fold of ``facet_complex`` that counts the facets.  Its
-unmutated run is the enumeration (``_enumerated``, ``enumerate_facets``,
-``first_facet``), kept on the spec; only the rule mutations fold again.
+the fold of ``facet_complex`` that counts the facets.  Its unmutated run is
+the enumeration (``_enumerated``, ``enumerate_facets``, ``first_facet``),
+kept on the spec; only the rule mutations fold again.  It keeps no alpha
+per facet: each group's facets take one range of enumeration ranks, larger
+alpha first, and a facet's alpha is that of the range holding it.
 Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
@@ -60,10 +62,10 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 #: swap keys per facet.
 MAX_ENUMERATED_FACETS = 200_000
 
-# The facets greatest first (``_fold``): their masks, the alpha of each, and
-# their predictions packed ``width`` little-endian bytes a facet (9 bytes at
-# c = 12, where an int takes 40).
-Enumeration = tuple[tuple[int, ...], tuple[int, ...], bytearray]
+# The facets greatest first (``_fold``): their masks, each group's range of
+# their ranks (larger alpha first), and their predictions packed ``width``
+# little-endian bytes a facet (9 bytes at c = 12, where an int takes 40).
+Enumeration = tuple[tuple[int, ...], dict[int, range], bytearray]
 
 #: Named rule mutations for mutation-testing the checker.  Only for
 #: diagnostics; production verification uses ``mutation=None``.
@@ -138,13 +140,12 @@ def dual_support(facet: Facet) -> tuple[Vertex, ...]:
 
 def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
     """Enumeration ranks in the order certified under ``mutation``:
-    ``swap-groups`` moves the second alpha block ahead of the first."""
-    alphas = _enumerated(spec)[1]
+    ``swap-groups`` moves the second group's range ahead of the first's."""
+    masks, groups, _ = _enumerated(spec)
     if mutation != "swap-groups":
-        return range(len(alphas))
-    first = alphas.count(alphas[0])
-    second = first + alphas.count(alphas[0] - 1)
-    return [*range(first, second), *range(first), *range(second, len(alphas))]
+        return range(len(masks))
+    first, second, *_ = groups.values()
+    return [*second, *first, *range(second.stop, len(masks))]
 
 
 def precedes(f: Facet, g: Facet) -> bool:
@@ -251,7 +252,8 @@ def _fold(spec: ScrollSpec, mutation: str | None) -> Enumeration:
     table's ways.  Roles in which the node adds its bit on the same ways
     share one list, so a role that never adds it shares the list of the
     node's descendants.  Groups come larger alpha first, each sorted once
-    by mask: within a group the dual supports, read from the greatest
+    by mask and given the next range of ranks, so the ranges tile the
+    enumeration: within a group the dual supports, read from the greatest
     variable down, are compared position by position with the greater
     variable winning.  The smallest vertex id in the symmetric difference
     decides that; it is the highest differing bit of the two masks, and the
@@ -261,7 +263,7 @@ def _fold(spec: ScrollSpec, mutation: str | None) -> Enumeration:
     shift = math.comb(spec.c, 2)
     width, low = (shift + 7) // 8, ~(-1 << shift)
     masks: list[int] = []
-    alphas: list[int] = []
+    groups: dict[int, range] = {}
     packed = bytearray()
     for alpha in reversed(spec.alphas):
         folded: dict[Vertex, dict[int, list[int]]] = {}
@@ -290,18 +292,18 @@ def _fold(spec: ScrollSpec, mutation: str | None) -> Enumeration:
         group = folded[root][TOP]
         del folded
         group.sort()
+        groups[alpha] = range(len(masks), len(masks) + len(group))
         for e in group:
             masks.append(e >> shift)
             packed += (e & low).to_bytes(width, "little")
-        alphas += [alpha] * len(group)
         del group
-    return tuple(masks), tuple(alphas), packed
+    return tuple(masks), groups, packed
 
 
 def _enumerated(spec: ScrollSpec) -> Enumeration:
     """The unmutated ``_fold`` of ``spec``, kept on the spec: the facet
-    masks in the facet order, the alpha of each and their packed
-    predictions.
+    masks in the facet order, each group's range of their ranks (larger
+    alpha first) and their packed predictions.
 
     Raises ``CapacityError`` before the fold when the spec has more than
     ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` unless the fold
@@ -316,10 +318,10 @@ def _enumerated(spec: ScrollSpec) -> Enumeration:
                 f"{spec} has {expected:,} facets, over the enumeration budget of "
                 f"{MAX_ENUMERATED_FACETS:,} facets; choose a smaller scroll type"
             )
-        masks, alphas, packed = _fold(spec, None)
+        masks, groups, packed = _fold(spec, None)
         if len(masks) != expected:
             raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
-        return masks, alphas, packed
+        return masks, groups, packed
 
     return per_spec(spec, "facets", compute)
 
@@ -334,9 +336,11 @@ def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
     """
 
     def views() -> tuple[Facet, ...]:
-        masks, alphas, _ = _enumerated(spec)
+        masks, groups, _ = _enumerated(spec)
         return tuple(
-            Facet(vertices=_vertices(spec, m), alpha=a, spec=spec) for m, a in zip(masks, alphas)
+            Facet(vertices=_vertices(spec, masks[r]), alpha=alpha, spec=spec)
+            for alpha, ranks in groups.items()
+            for r in ranks
         )
 
     return list(per_spec(spec, "facet_views", views))
@@ -346,12 +350,13 @@ def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     """The greatest facet of the group at ``alpha``.
 
     The enumeration lists facets greatest first; the view of the first facet
-    of the group is built.  Raises for a spec without a complex and for
-    alpha outside [1, c-d-2], after the guarded enumeration.
+    of the group, at the start of its range, is built.  Raises for a spec
+    without a complex and for an alpha that is not an ``int`` in
+    [1, c-d-2], after the guarded enumeration.
     """
-    masks, alphas, _ = _enumerated(spec)
+    masks, groups, _ = _enumerated(spec)
     leaves_profile(spec, alpha)
-    return Facet(vertices=_vertices(spec, masks[alphas.index(alpha)]), alpha=alpha, spec=spec)
+    return Facet(vertices=_vertices(spec, masks[groups[alpha].start]), alpha=alpha, spec=spec)
 
 
 def _minimal_masks(diffs: Iterable[int]) -> frozenset[int]:
@@ -467,7 +472,7 @@ def verify_linear_quotients(
 def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
     """Fold ``_certified`` into per-degree counts and the failing reports;
     a facet builds its report only off the linear, as-predicted case."""
-    masks, alphas, _ = _enumerated(spec)  # its guards refuse a huge c first
+    masks, groups, _ = _enumerated(spec)  # its guards refuse a huge c first
     counts = [0] * (spec.c + spec.d + 1)
     failing: list[ColonReport] = []
     fallbacks = 0
@@ -476,7 +481,8 @@ def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
         if diffs is None and gens == predicted:
             counts[gens.bit_count()] += 1
             continue
-        facet = Facet(_vertices(spec, masks[rank]), alphas[rank], spec)
+        alpha = next(a for a, ranks in groups.items() if rank in ranks)
+        facet = Facet(_vertices(spec, masks[rank]), alpha, spec)
         report = _report(facet, gens, diffs, predicted)
         counts[gens.bit_count()] += report.linear
         if not report.matches_prediction:

@@ -30,7 +30,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, InternalError, InvalidVertexError, StructuralError
+from .errors import (
+    CapacityError,
+    InternalError,
+    InvalidVertexError,
+    PreconditionError,
+    StructuralError,
+)
 from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 
 # An open interval (a, b) on the line, equivalently the variable T[a, b].
@@ -205,7 +211,8 @@ def is_facet(spec: ScrollSpec, candidate: Iterable[Vertex]) -> bool:
 
 def facet_tree(facet: Facet) -> FacetTree:
     """Containment tree of a facet; ``StructuralError`` on non-facets and
-    when ``facet.alpha`` is not the leftmost unit start."""
+    when ``facet.alpha`` is not the leftmost unit start, and
+    ``PreconditionError`` when it is not an ``int``."""
     spec = facet.spec
     children = dict(_walk(spec, _mask(spec, facet.vertices), facet.alpha))
     parent = {kid: node for node, kids in children.items() for kid in kids}
@@ -260,9 +267,13 @@ def _table(spec: ScrollSpec, alpha: int) -> Rules:
     """The grammar table (``_rules``) of the group at ``alpha``, built on
     first use and kept on the spec.
 
-    Raises ``CapacityError`` from ``_check_steps`` before the first table,
-    and ``StructuralError`` for alpha outside [1, c-d-2].
+    Raises ``PreconditionError`` for an alpha that is not an ``int`` (1.0
+    and True would find the table of 1), ``CapacityError`` from
+    ``_check_steps`` before the first table, and ``StructuralError`` for
+    alpha outside [1, c-d-2].
     """
+    if type(alpha) is not int:
+        raise PreconditionError(f"alpha must lie in [1, {len(spec.alphas)}], got {alpha!r}")
 
     def budget() -> dict[int, Rules]:
         _check_steps(spec)

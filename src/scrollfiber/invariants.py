@@ -86,11 +86,7 @@ def h_vector_from_quotients(reports: Sequence[ColonReport]) -> HVector:
             raise VerificationError("non-linear colon report present; h-vector undefined")
         k = len(report.computed_generators)
         counts[k] = counts.get(k, 0) + 1
-    top = max(counts)
-    h = [counts.get(k, 0) for k in range(top + 1)]
-    while len(h) > 1 and h[-1] == 0:
-        h.pop()
-    return HVector(h=tuple(h))
+    return HVector(h=tuple(counts.get(k, 0) for k in range(max(counts) + 1)))
 
 
 def face_counts(facets: Sequence[Facet], max_size: int) -> tuple[int, ...]:
@@ -256,7 +252,12 @@ def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int)
 
 
 def hilbert_function_from_h(h: Sequence[int], dim: int, t: int) -> int:
-    """Expand the Hilbert series numerator h over (1-t)^dim at degree t."""
+    """Expand the Hilbert series numerator h over (1-t)^dim at degree t;
+    ``PreconditionError`` for dim < 1 or t < 0."""
+    if dim < 1:
+        raise PreconditionError(f"dimension must be positive, got {dim}")
+    if t < 0:
+        raise PreconditionError(f"degree must be non-negative, got {t}")
     return sum(
         h[j] * math.comb(t - j + dim - 1, dim - 1) for j in range(min(t, len(h) - 1) + 1)
     )
@@ -344,11 +345,10 @@ def _certified_faces(spec: ScrollSpec) -> tuple[int, ...]:
         result = verify_linear_quotients(spec)
         if not result.passed:
             raise VerificationError(f"linear-quotients certification failed for {spec}")
-        alphas = _enumerated(spec)[1]
         f, groups = _face_vector(spec), _good_groups(spec)
         row = dict(zip(vertex_set(spec), reversed(_incidence(spec))))
         ranks = {  # the ranks of each group's facets, one block of bits
-            alpha: ((1 << alphas.count(alpha)) - 1) << alphas.index(alpha) for alpha in spec.alphas
+            alpha: ((1 << len(r)) - 1) << r.start for alpha, r in _enumerated(spec)[1].items()
         }
         for (a, b), (a2, b2) in itertools.combinations(row, 2):
             if a < a2 < b < b2 and row[(a, b)] & row[(a2, b2)]:

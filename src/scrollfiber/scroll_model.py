@@ -160,8 +160,8 @@ def leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
     would mean the column arrangement is broken and raises ``InternalError``.
     """
     require_complex(spec)
-    if alpha not in spec.alphas:
-        raise PreconditionError(f"alpha must lie in [1, {spec.alphas[-1]}], got {alpha}")
+    if type(alpha) is not int or alpha not in spec.alphas:  # bool is an int subclass
+        raise PreconditionError(f"alpha must lie in [1, {spec.alphas[-1]}], got {alpha!r}")
     c, d = spec.c, spec.d
     matrix = build_matrix(spec)
     gamma: dict[int, int] = {}

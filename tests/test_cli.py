@@ -45,16 +45,16 @@ def refused(capsys, *argv):
     return exc.value.code, captured.out, captured.err
 
 
-def _add_crossing_interval(spec, masks, alphas):
+def _add_crossing_interval(spec, masks, groups):
     """A facet that holds (1, 3) gains (2, 4), which crosses it."""
     grid = facet_complex._grid(spec)
     return next(r for r, m in enumerate(masks) if m & grid[1][3]), grid[2][4]
 
 
-def _add_unit_off_the_leaves(spec, masks, alphas):
+def _add_unit_off_the_leaves(spec, masks, groups):
     """The first facet gains a unit outside its group's leaf set; a unit is
     good for a group only when it is one of its leaves."""
-    leaves = leaves_profile(spec, alphas[0]).leaves
+    leaves = leaves_profile(spec, next(iter(groups))).leaves
     u = next(u for u in range(1, spec.c) if (u, u + 1) not in leaves)
     return 0, facet_complex._grid(spec)[u][u + 1]
 
@@ -159,8 +159,8 @@ class TestInvariantsCommand:
         real = invariants._incidence
 
         def with_extra_vertex(spec):
-            masks, alphas, _ = invariants._enumerated(spec)
-            rank, bit = mutant(spec, masks, alphas)
+            masks, groups, _ = invariants._enumerated(spec)
+            rank, bit = mutant(spec, masks, groups)
             rows = list(real(spec))  # the kept index stays as it is
             rows[bit.bit_length() - 1] |= 1 << rank
             return rows
@@ -436,6 +436,14 @@ class TestBatchCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot read batch file {batch}")
+
+    def test_a_leading_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"2,4\n5\n")
+        marked.write_bytes(b"\xef\xbb\xbf2,4\n5\n")
+        code, out, _ = run(capsys, "batch", str(marked))
+        assert (code, out) == run(capsys, "batch", str(plain))[:2]
+        assert code == 0
 
     def test_json_lines(self, capsys, tmp_path):
         batch = tmp_path / "two.txt"

@@ -11,6 +11,7 @@ from scrollfiber import (
     DomainError,
     Facet,
     InternalError,
+    PreconditionError,
     ScrollSpec,
     StructuralError,
     UnsupportedRegimeError,
@@ -190,6 +191,13 @@ class TestPredictLG:
         with pytest.raises(StructuralError):
             predict_LG(Facet(facet.vertices, alpha=6, spec=spec))
 
+    def test_alpha_that_is_not_an_int_raises(self):
+        # The table of 1 is built, and 1.0 == 1 would find it.
+        spec = ScrollSpec((5,))
+        facet = first_facet(spec, 1)
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \[1, 2\], got 1.0"):
+            predict_LG(Facet(facet.vertices, alpha=1.0, spec=spec))
+
     def test_prediction_stays_inside_the_facet(self):
         for facet in enumerate_facets(ScrollSpec((2, 2, 2, 2))):
             predicted = predict_LG(facet)
@@ -215,17 +223,33 @@ class TestPredictionFold:
     def test_fold_equals_the_walk_on_every_facet(self, spec, mutation):
         # Certification no longer parses the facets, so every enumerated mask
         # is parsed here, and its prediction over the walk is the fold's.
-        masks, alphas, _ = _enumerated(spec)
+        masks, groups, _ = _enumerated(spec)
         grid, greatest = _grid(spec), spec.alphas[-1]
         walked = [
-            _predict(_walk(spec, mask, alpha), grid, alpha, greatest, mutation)
-            for mask, alpha in zip(masks, alphas)
+            _predict(_walk(spec, masks[rank], alpha), grid, alpha, greatest, mutation)
+            for alpha, ranks in groups.items()
+            for rank in ranks
         ]
-        folded_masks, folded_alphas, packed = _fold(spec, mutation)
-        assert (folded_masks, folded_alphas) == (masks, alphas)
+        folded_masks, folded_groups, packed = _fold(spec, mutation)
+        assert (folded_masks, folded_groups) == (masks, groups)
         width = len(packed) // len(masks)
         unpacked = range(0, len(packed), width)
         assert [int.from_bytes(packed[i : i + width], "little") for i in unpacked] == walked
+
+    @pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda spec: ",".join(map(str, spec.n)))
+    def test_each_group_is_one_range_of_ranks(self, spec):
+        # Greatest alpha first, consecutive, together every rank once.
+        masks, groups, _ = _enumerated(spec)
+        assert list(groups) == list(reversed(spec.alphas))
+        assert all(type(ranks) is range and ranks.step == 1 for ranks in groups.values())
+        stops = [0, *(ranks.stop for ranks in groups.values())]
+        assert [ranks.start for ranks in groups.values()] == stops[:-1]
+        assert stops[-1] == len(masks)
+        views = enumerate_facets(spec)
+        for alpha, ranks in groups.items():
+            assert ranks, f"the group at {alpha} is empty"
+            assert all(views[rank].alpha == alpha for rank in ranks)
+            assert first_facet(spec, alpha) == views[ranks.start]
 
     def test_certification_parses_no_facet(self, monkeypatch):
         def no_walk(spec, mask, alpha):
@@ -257,12 +281,12 @@ class TestPredictionFold:
 
     def test_fold_is_checked_against_the_enumeration(self, monkeypatch):
         spec = ScrollSpec((2, 4))
-        masks, alphas, packed = _enumerated(spec)
+        masks, groups, packed = _enumerated(spec)
         swapped = list(masks)
         swapped[1], swapped[2] = swapped[2], swapped[1]
-        assert alphas[1] == alphas[2]
+        assert any(1 in ranks and 2 in ranks for ranks in groups.values())
         monkeypatch.setattr(
-            dual_quotients, "_enumerated", lambda spec: (tuple(swapped), alphas, packed)
+            dual_quotients, "_enumerated", lambda spec: (tuple(swapped), groups, packed)
         )
         with pytest.raises(InternalError, match="prediction fold"):
             verify_linear_quotients(spec, mutation="c2")

@@ -334,3 +334,13 @@ class TestHilbertWindow:
         assert len(data.f) == 6
         by_faces = invariants._hf_from_counts(data.f, 20_000)
         assert by_faces == hilbert_function_from_h((1, 4, 4, 1), 6, 20_000)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_from_h_refuses_a_dimension_below_one(self, dim):
+        with pytest.raises(PreconditionError, match=f"dimension must be positive, got {dim}"):
+            hilbert_function_from_h((1, 4, 4, 1), dim, 3)
+
+    def test_from_h_refuses_a_negative_degree(self):
+        # As hilbert_function_by_faces and fiber_hilbert_function do.
+        with pytest.raises(PreconditionError, match="degree must be non-negative, got -1"):
+            hilbert_function_from_h((1, 4, 4, 1), 6, -1)

@@ -147,6 +147,12 @@ class TestLeavesProfile:
             with pytest.raises(PreconditionError):
                 leaves_profile(spec, alpha)
 
+    @pytest.mark.parametrize("alpha", [True, 1.0])
+    def test_alpha_that_is_not_an_int(self, alpha):
+        # bool counts as not an int, as for the block degrees.
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \[1, 6\], got"):
+            leaves_profile(ScrollSpec((2, 2, 4, 4)), alpha)
+
     def test_small_scroll_rejected(self):
         with pytest.raises(PreconditionError):
             leaves_profile(ScrollSpec((1, 1, 1)), 1)

@@ -10,11 +10,15 @@ facets F'; the certification checks that these are all singletons and match
 the combinatorial prediction ``predict_LG``.
 
 All facets have c + d vertices, so a singleton difference F \\ G = {u}
-means G = F \\ {u} + {w}: F and G share the swap key F \\ {u}.  One pass
-in the certified order with a set of swap keys finds every singleton
-generator.  A generator of higher degree exists exactly when some earlier
-facet holds all of F's; the AND of their rows in the kept incidence index
-``_incidence`` finds one, and only then is the quadratic scan made.
+means G = F \\ {u} + {w}: G holds the ridge F \\ {u}.  Only the ridges of
+a facet's candidate generators are looked up, mostly those of its
+prediction: a backward pass over the certified order keeps the ridges that
+still wait for an earlier facet to hold them, not every ridge certified so
+far (at most 11,159 of the 502,242 distinct ridges of (2,2,2,2,2,2)).  A
+generator of higher degree, or a true one the candidates miss, exists
+exactly when some earlier facet holds all of the generators found; the AND
+of their rows in the kept incidence index ``_incidence`` finds one, and
+only then is the quadratic scan made.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
@@ -28,11 +32,11 @@ alpha first, and a facet's alpha is that of the range holding it.
 Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
-One generator, ``_certified``, walks the certified order once and yields
-every facet's colon data.  ``verify_linear_quotients`` folds it into
-per-degree counts and the failing reports, not one report per facet;
-``VerificationResult.reports`` maps it through the same report builder
-only when asked.
+One generator, ``_certified``, walks the certified order backward once
+for the pending ridges, then forward once, and yields every facet's colon
+data.  ``verify_linear_quotients`` folds it into per-degree counts and the
+failing reports, not one report per facet; ``VerificationResult.reports``
+maps it through the same report builder only when asked.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 
 #: Enumeration refuses specs with more facets than this (``CapacityError``):
 #: each facet is kept as one int mask, about 50 bytes, with its packed
-#: prediction, and certification makes a pass over all of them with c + d
-#: swap keys per facet.
+#: prediction, and certification decodes each prediction once, keeps it as
+#: an int while it makes two passes over all of them, and keeps only the
+#: ridges still waiting for a partner.
 MAX_ENUMERATED_FACETS = 200_000
 
 # The facets greatest first (``_fold``): their masks, each group's range of
@@ -149,9 +154,13 @@ def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
 
 
 def precedes(f: Facet, g: Facet) -> bool:
-    """Whether f strictly precedes g (f is greater in the facet order)."""
+    """Whether f strictly precedes g (f is greater in the facet order);
+    ``PreconditionError`` for an alpha that is not an ``int``."""
     if f.spec != g.spec:
         raise DomainError(f"cannot compare facets of {f.spec} and {g.spec}")
+    for alpha in (f.alpha, g.alpha):
+        if type(alpha) is not int:  # bool is an int subclass
+            raise PreconditionError(f"alpha must be an int, got {alpha!r}")
     if f.alpha != g.alpha:
         return f.alpha > g.alpha
     sym = (f.vertices - g.vertices) | (g.vertices - f.vertices)
@@ -390,6 +399,22 @@ def _incidence(spec: ScrollSpec) -> list[int]:
     return per_spec(spec, "incidence", lambda: _bitset_index(_enumerated(spec)[0]))
 
 
+def _decoded(packed: bytearray, width: int) -> list[int]:
+    """The predictions packed ``width`` bytes a facet, as masks by rank."""
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+
+
+def _ridges(f: int, vertices: int) -> list[int]:
+    """The ridges f - u of the facet mask ``f``, one per set bit u of
+    ``vertices``."""
+    ridges = []
+    while vertices:
+        u = vertices & -vertices
+        vertices ^= u
+        ridges.append(f ^ u)
+    return ridges
+
+
 def _certified(
     spec: ScrollSpec, mutation: str | None
 ) -> Iterator[tuple[int, int, frozenset[int] | None, int]]:
@@ -400,39 +425,68 @@ def _certified(
     ``_fold``, whose masks must be the enumeration's (``InternalError``
     otherwise).  ``InternalError`` too for a facet not of c + d vertices.
 
-    A facet never yields one swap key twice, so a key seen before came from
-    an earlier facet.  The witness starts from the ranks already certified,
-    so every order reads the same ``_incidence`` and no reordered copy.
+    Only a facet's candidate generators are tested: the enumeration's
+    unmutated prediction where the facets before it are exactly the lower
+    ranks, every vertex elsewhere (the two ranges ``swap-groups`` moves, any
+    other order).  A candidate u of F is a generator when an earlier facet
+    holds the ridge F - u.  A backward pass finds them: each facet first
+    removes its own ridges from ``pending``, which resolves the candidates
+    of later facets that it holds, then adds the ridges of its candidates.
+    A ridge still pending at the end is held by no facet before its earliest
+    owner, whose candidate it fails; every later owner's passes.  So
+    ``pending`` holds only the ridges still waiting for a partner, not
+    every ridge certified so far.
+
+    The result is exact whatever the prediction.  Every reported generator u
+    has an earlier facet holding F - u.  The witness ANDs, over those
+    generators, the rows of ``_incidence`` from the ranks already certified:
+    when it is empty, every earlier facet misses one of them, so no other
+    difference is minimal.  When it is not, the quadratic scan gives the
+    minimal differences, and its singletons replace the reported generators,
+    so a prediction that misses a generator fails to match.
     """
     masks, _, packed = _enumerated(spec)
+    predicted = _decoded(packed, len(packed) // len(masks))
+    order = _facet_order(spec, mutation)
+    candidates: list[int] = []  # per position in ``order``
+    last = -1  # the highest rank before this position
+    for i, rank in enumerate(order):
+        exact = rank == i and last < i  # the earlier facets are the lower ranks
+        candidates.append(predicted[rank] if exact else masks[rank])
+        last = max(last, rank)
     if mutation in ("c2", "b2"):  # swap-groups only reorders the facets
         folded, _, packed = _fold(spec, mutation)
         if folded != masks:
             raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
+        predicted = _decoded(packed, len(packed) // len(masks))
+    pending: set[int] = set()
+    for i in reversed(range(len(order))):
+        f = masks[order[i]]
+        pending.difference_update(_ridges(f, f))
+        pending.update(_ridges(f, candidates[i]))
     index = _incidence(spec)
-    width = len(packed) // len(masks)
     size = spec.c + spec.d
-    order = _facet_order(spec, mutation)
-    keys: set[int] = set()
     seen = 0  # the ranks certified so far
     for i, rank in enumerate(order):
         f = masks[rank]
         if f.bit_count() != size:
             raise InternalError(f"facet of size {f.bit_count()} != {size} for {spec}")
-        gens, witness, rest = 0, seen, f
+        gens, witness, rest = 0, seen, candidates[i]
         while rest:
             u = rest & -rest
             rest ^= u
             key = f ^ u
-            if key in keys:
+            if key in pending:  # this facet is the ridge's earliest owner
+                pending.remove(key)
+            else:
                 gens |= u
                 witness &= index[u.bit_length() - 1]
-            else:
-                keys.add(key)
         seen |= 1 << rank
-        diffs = _minimal_masks(f & ~masks[r] for r in order[:i]) if witness else None
-        predicted = int.from_bytes(packed[rank * width : (rank + 1) * width], "little")
-        yield rank, gens, diffs, predicted
+        diffs = None
+        if witness:
+            diffs = _minimal_masks(f & ~masks[r] for r in order[:i])
+            gens = sum(d for d in diffs if d.bit_count() == 1)
+        yield rank, gens, diffs, predicted[rank]
 
 
 def _report(facet: Facet, gens: int, diffs: frozenset[int] | None, predicted: int) -> ColonReport:

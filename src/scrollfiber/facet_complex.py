@@ -112,11 +112,15 @@ def _grid(spec: ScrollSpec) -> list[list[int]]:
 
 def _mask(spec: ScrollSpec, vertices: Iterable[Vertex]) -> int:
     """The mask of a vertex collection; ``InvalidVertexError`` for a vertex
-    outside 1 <= a < b <= c."""
+    that is not a pair of ``int``s or lies outside 1 <= a < b <= c."""
     c, grid = spec.c, _grid(spec)
     mask = 0
     for v in vertices:
+        if not isinstance(v, tuple) or len(v) != 2:
+            raise InvalidVertexError(f"vertex {v!r} is not a pair of ints")
         a, b = v
+        if type(a) is not int or type(b) is not int:  # bool is an int subclass
+            raise InvalidVertexError(f"vertex {v!r} is not a pair of ints")
         if not (1 <= a < b <= c):
             raise InvalidVertexError(f"vertex {v} outside 1 <= a < b <= {c}")
         mask |= grid[a][b]

@@ -253,7 +253,13 @@ def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int)
 
 def hilbert_function_from_h(h: Sequence[int], dim: int, t: int) -> int:
     """Expand the Hilbert series numerator h over (1-t)^dim at degree t;
-    ``PreconditionError`` for dim < 1 or t < 0."""
+    ``PreconditionError`` for an empty h, for a dim or t that is not an
+    ``int``, and for dim < 1 or t < 0."""
+    if not h:
+        raise PreconditionError(f"h must have at least one coefficient, got {h!r}")
+    for name, value in (("dimension", dim), ("degree", t)):
+        if type(value) is not int:  # bool is an int subclass
+            raise PreconditionError(f"{name} must be an int, got {value!r}")
     if dim < 1:
         raise PreconditionError(f"dimension must be positive, got {dim}")
     if t < 0:

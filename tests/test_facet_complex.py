@@ -22,6 +22,7 @@ from scrollfiber import (
     CapacityError,
     Facet,
     InternalError,
+    InvalidVertexError,
     PreconditionError,
     ScrollSpec,
     StructuralError,
@@ -71,6 +72,15 @@ class TestIsFacet:
     def test_small_scroll_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
             is_facet(ScrollSpec((1, 1, 1)), {(1, 3)})
+
+    @pytest.mark.parametrize("vertex", ["x", (1,), (1.0, 2), (True, 2), (1, 2, 3), [1, 2]])
+    def test_a_vertex_that_is_not_a_pair_of_ints_is_refused(self, vertex):
+        with pytest.raises(InvalidVertexError, match=r"is not a pair of ints"):
+            is_facet(SPEC_2244, [(1, 2), vertex])
+
+    def test_a_vertex_outside_the_range_is_refused(self):
+        with pytest.raises(InvalidVertexError, match=r"vertex \(0, 2\) outside 1 <= a < b <= 12"):
+            is_facet(SPEC_2244, [(1, 2), (0, 2)])
 
     def test_removing_any_vertex_never_gives_a_facet(self):
         for facet in enumerate_facets(ScrollSpec((6,)))[:8]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import pytest
 from conftest import desk_specs_with_complex
@@ -339,6 +340,22 @@ class TestHilbertWindow:
     def test_from_h_refuses_a_dimension_below_one(self, dim):
         with pytest.raises(PreconditionError, match=f"dimension must be positive, got {dim}"):
             hilbert_function_from_h((1, 4, 4, 1), dim, 3)
+
+    @pytest.mark.parametrize("dim", [6.0, True, "6", None])
+    def test_from_h_refuses_a_dimension_that_is_not_an_int(self, dim):
+        with pytest.raises(PreconditionError, match=f"dimension must be an int, got {dim!r}"):
+            hilbert_function_from_h((1, 4, 4, 1), dim, 3)
+
+    @pytest.mark.parametrize("t", [3.0, False, "3", None])
+    def test_from_h_refuses_a_degree_that_is_not_an_int(self, t):
+        with pytest.raises(PreconditionError, match=f"degree must be an int, got {t!r}"):
+            hilbert_function_from_h((1, 4, 4, 1), 6, t)
+
+    @pytest.mark.parametrize("h", [(), []])
+    def test_from_h_refuses_an_empty_numerator(self, h):
+        message = f"h must have at least one coefficient, got {h!r}"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            hilbert_function_from_h(h, 3, 2)
 
     def test_from_h_refuses_a_negative_degree(self):
         # As hilbert_function_by_faces and fiber_hilbert_function do.

@@ -43,7 +43,7 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_PREDICTION_ONLY = 3
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 CSV_COLUMNS = ("c", "d", "facets", "reg", "a", "gorenstein", "pass")
 MAX_REPORTED_FAILURES = 100
 
@@ -130,7 +130,6 @@ def _verification_dict(result: VerificationResult) -> dict:
         "facets": result.facet_count,
         "mode": "indexed",
         "mutation": result.mutation,
-        "quadratic_fallbacks": result.quadratic_fallbacks,
         "failure_count": len(failures),
         "failures": entries,
     }
@@ -279,10 +278,10 @@ def cmd_verify(
     modulus: int | str,
     mutation: str | None,
 ) -> tuple[ReportEnvelope, int]:
-    """Linear-quotients certification plus the rank-oracle cross-check; a
-    face count that fails its certificate is exit 1."""
-    verification = verify_linear_quotients(spec, mutation=mutation)
+    """Linear-quotients certification plus the rank-oracle cross-check; an
+    enumeration or face count that fails its certificate is exit 1."""
     try:
+        verification = verify_linear_quotients(spec, mutation=mutation)
         oracle_result = cross_check(spec, t_max, modulus=modulus)
     except VerificationError as exc:
         envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="computed", error=str(exc))

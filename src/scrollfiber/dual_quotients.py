@@ -14,11 +14,11 @@ means G = F \\ {u} + {w}: G holds the ridge F \\ {u}.  Only the ridges of
 a facet's candidate generators are looked up, mostly those of its
 prediction: a backward pass over the certified order keeps the ridges that
 still wait for an earlier facet to hold them, not every ridge certified so
-far (at most 11,159 of the 502,242 distinct ridges of (2,2,2,2,2,2)).  A
-generator of higher degree, or a true one the candidates miss, exists
-exactly when some earlier facet holds all of the generators found; the AND
-of their rows in the kept incidence index ``_incidence`` finds one, and
-only then is the quadratic scan made.
+far (at most 11,159 of the 502,242 distinct ridges of (2,2,2,2,2,2)).  The
+generators found this way are true ones, and the face identity decides
+that they are all of them: their degree counts equal the h-vector of the
+counted complex exactly when the order is a shelling (``_certify``).  Only
+when the identity fails does the quadratic scan name the failing facets.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
@@ -33,39 +33,52 @@ Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
 One generator, ``_certified``, walks the certified order backward once
-for the pending ridges, then forward once, and yields every facet's colon
-data.  ``verify_linear_quotients`` folds it into per-degree counts and the
-failing reports, not one report per facet; ``VerificationResult.reports``
+for the pending ridges, then forward once, and yields every facet's
+generators.  ``verify_linear_quotients`` folds it into per-degree counts and
+the failing reports, not one report per facet; ``VerificationResult.reports``
 maps it through the same report builder only when asked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, DomainError, InternalError, PreconditionError
+from .errors import (
+    CapacityError,
+    DomainError,
+    InternalError,
+    PreconditionError,
+    VerificationError,
+)
 from .facet_complex import (
     Facet,
     Vertex,
     _bitset_index,
+    _face_vector,
+    _good_groups,
     _grid,
     _mask,
     _table,
     _vertices,
     _walk,
     count_facets,
+    numerator_from_face_counts,
     vertex_set,
 )
 from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 
-#: Enumeration refuses specs with more facets than this (``CapacityError``):
-#: each facet is kept as one int mask, about 50 bytes, with its packed
-#: prediction, and certification decodes each prediction once, keeps it as
-#: an int while it makes two passes over all of them, and keeps only the
-#: ridges still waiting for a partner.
-MAX_ENUMERATED_FACETS = 200_000
+#: Enumeration refuses specs with more facets than this (``CapacityError``).
+#: Each facet is kept as one int mask, about 50 bytes, with its packed
+#: prediction; certification decodes each prediction once and keeps it as
+#: an int over its two passes, with the incidence index of the face identity
+#: and the ridges still waiting for a partner.  ``invariants`` peaks at about
+#: 190 bytes a facet: 99 MB max RSS for (4,4,4,4), 475,456 facets, and
+#: 181 MB for (4,4,4,5), 982,889, in 10 and 21 s on a 2-core host.
+MAX_ENUMERATED_FACETS = 1_000_000
 
 # The facets greatest first (``_fold``): their masks, each group's range of
 # their ranks (larger alpha first), and their predictions packed ``width``
@@ -103,19 +116,20 @@ class VerificationResult:
     """The outcome of one certification pass.
 
     ``degree_counts[k]`` counts the facets whose colon ideal is generated by
-    exactly k variables (the h-vector when every quotient is linear);
-    ``quadratic_fallbacks`` counts the facets whose bitset witness forced the
-    quadratic scan.  Only the failing reports are kept, and ``passed`` means
-    that there are none; ``reports`` rebuilds all of them, in the certified
-    order, on first access.
+    exactly k variables (the h-vector when every quotient is linear).  Only
+    the failing reports are kept, and ``passed`` means that there are none:
+    no facet's generators differ from its prediction, and the face identity
+    holds.  ``scanned`` says that the identity failed, so every facet's
+    colon ideal came from the quadratic scan.  ``reports`` rebuilds all of
+    them, in the certified order, on first access.
     """
 
     spec: ScrollSpec
     facet_count: int
     degree_counts: tuple[int, ...]
-    quadratic_fallbacks: int
     failing: tuple[ColonReport, ...]
     mutation: str | None = None
+    scanned: bool = False
     _reports: tuple[ColonReport, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -128,7 +142,10 @@ class VerificationResult:
     def reports(self) -> tuple[ColonReport, ...]:
         if self._reports is None:
             views = enumerate_facets(self.spec)
-            stream = _certified(self.spec, self.mutation)
+            if self.scanned:
+                stream = _scanned(self.spec, self.mutation)
+            else:
+                stream = ((r, gens, None, p) for r, gens, p in _certified(self.spec, self.mutation))
             reports = tuple(_report(views[rank], *colon) for rank, *colon in stream)
             object.__setattr__(self, "_reports", reports)
         return self._reports
@@ -316,7 +333,9 @@ def _enumerated(spec: ScrollSpec) -> Enumeration:
 
     Raises ``CapacityError`` before the fold when the spec has more than
     ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` unless the fold
-    lists as many facets as ``count_facets`` counts.
+    lists as many facets as ``count_facets`` counts, each once.  That is
+    part of the certificate (``_certify``), and ``_check_distinct`` checks
+    it.
     """
     require_complex(spec)
 
@@ -330,9 +349,31 @@ def _enumerated(spec: ScrollSpec) -> Enumeration:
         masks, groups, packed = _fold(spec, None)
         if len(masks) != expected:
             raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
+        _check_distinct(spec, masks, groups)
         return masks, groups, packed
 
     return per_spec(spec, "facets", compute)
+
+
+def _check_distinct(spec: ScrollSpec, masks: Sequence[int], groups: dict[int, range]) -> None:
+    """``InternalError`` unless every facet is listed once: within a group's
+    range the masks strictly increase, and a facet's units, the intervals
+    (a, a+1) it holds, are exactly its group's leaf set, which differs from
+    group to group.  One comparison and one AND a facet."""
+    grid = _grid(spec)
+    units = sum(grid[a][a + 1] for a in range(1, spec.c))
+    for alpha, ranks in groups.items():
+        first, stop = ranks.start, ranks.stop
+        ahead = itertools.islice(masks, first + 1, stop)
+        if not all(map(operator.lt, itertools.islice(masks, first, stop), ahead)):
+            raise InternalError(
+                f"the masks of the group at alpha={alpha} of {spec} do not strictly increase"
+            )
+        leaves = _mask(spec, leaves_profile(spec, alpha).leaves)
+        if set(map(units.__and__, itertools.islice(masks, first, stop))) != {leaves}:
+            raise InternalError(
+                f"a facet of the group at alpha={alpha} of {spec} holds other units than its leaves"
+            )
 
 
 def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
@@ -381,9 +422,10 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     """Inclusion-minimal difference sets of ``facet`` against all greater
     facets in ``all_facets`` -- the full quadratic scan.
 
-    This is the audit path; ``verify_linear_quotients`` reaches the same
-    sets through an inverted index.  The list must contain the globally
-    greatest facet, otherwise it cannot be complete.
+    This is the audit path, and the diagnostic scan of
+    ``verify_linear_quotients`` when its face identity fails.  The list
+    must contain the globally greatest facet, otherwise it cannot be
+    complete.
     """
     spec = facet.spec
     listed = [_mask(spec, g.vertices) for g in all_facets]
@@ -395,13 +437,27 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
 
 
 def _incidence(spec: ScrollSpec) -> list[int]:
-    """The ``_bitset_index`` of the enumeration, kept on the spec."""
+    """The ``_bitset_index`` of the enumeration, kept on the spec for the
+    check of ``_face_h`` that the enumerated complex lies in the counted
+    one."""
     return per_spec(spec, "incidence", lambda: _bitset_index(_enumerated(spec)[0]))
 
 
 def _decoded(packed: bytearray, width: int) -> list[int]:
     """The predictions packed ``width`` bytes a facet, as masks by rank."""
     return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+
+
+def _predictions(spec: ScrollSpec, mutation: str | None) -> list[int]:
+    """The prediction masks by rank: the enumeration's, or under a rule
+    mutation a fresh ``_fold``'s, whose masks must be the enumeration's
+    (``InternalError`` otherwise)."""
+    masks, _, packed = _enumerated(spec)
+    if mutation in ("c2", "b2"):  # swap-groups only reorders the facets
+        folded, _, packed = _fold(spec, mutation)
+        if folded != masks:
+            raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
+    return _decoded(packed, len(packed) // len(masks))
 
 
 def _ridges(f: int, vertices: int) -> list[int]:
@@ -415,15 +471,10 @@ def _ridges(f: int, vertices: int) -> list[int]:
     return ridges
 
 
-def _certified(
-    spec: ScrollSpec, mutation: str | None
-) -> Iterator[tuple[int, int, frozenset[int] | None, int]]:
+def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, int, int]]:
     """Per facet in the order certified under ``mutation`` (``_facet_order``):
-    its enumeration rank, the mask of its singleton generators, its minimal
-    difference masks from the quadratic scan or None, and the mask of its
-    prediction: the enumeration's, or under a rule mutation a fresh
-    ``_fold``, whose masks must be the enumeration's (``InternalError``
-    otherwise).  ``InternalError`` too for a facet not of c + d vertices.
+    its enumeration rank, the mask of its counted generators and the mask of
+    its prediction (``_predictions``).
 
     Only a facet's candidate generators are tested: the enumeration's
     unmutated prediction where the facets before it are exactly the lower
@@ -437,13 +488,9 @@ def _certified(
     ``pending`` holds only the ridges still waiting for a partner, not
     every ridge certified so far.
 
-    The result is exact whatever the prediction.  Every reported generator u
-    has an earlier facet holding F - u.  The witness ANDs, over those
-    generators, the rows of ``_incidence`` from the ranks already certified:
-    when it is empty, every earlier facet misses one of them, so no other
-    difference is minimal.  When it is not, the quadratic scan gives the
-    minimal differences, and its singletons replace the reported generators,
-    so a prediction that misses a generator fails to match.
+    Every counted generator u has an earlier facet holding F - u, so the
+    counted set is part of the true one, whatever the prediction;
+    ``_certify`` decides with the face identity that it is all of it.
     """
     masks, _, packed = _enumerated(spec)
     predicted = _decoded(packed, len(packed) // len(masks))
@@ -454,24 +501,15 @@ def _certified(
         exact = rank == i and last < i  # the earlier facets are the lower ranks
         candidates.append(predicted[rank] if exact else masks[rank])
         last = max(last, rank)
-    if mutation in ("c2", "b2"):  # swap-groups only reorders the facets
-        folded, _, packed = _fold(spec, mutation)
-        if folded != masks:
-            raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
-        predicted = _decoded(packed, len(packed) // len(masks))
+    if mutation in ("c2", "b2"):
+        predicted = _predictions(spec, mutation)
     pending: set[int] = set()
     for i in reversed(range(len(order))):
         f = masks[order[i]]
         pending.difference_update(_ridges(f, f))
         pending.update(_ridges(f, candidates[i]))
-    index = _incidence(spec)
-    size = spec.c + spec.d
-    seen = 0  # the ranks certified so far
     for i, rank in enumerate(order):
-        f = masks[rank]
-        if f.bit_count() != size:
-            raise InternalError(f"facet of size {f.bit_count()} != {size} for {spec}")
-        gens, witness, rest = 0, seen, candidates[i]
+        f, gens, rest = masks[rank], 0, candidates[i]
         while rest:
             u = rest & -rest
             rest ^= u
@@ -480,17 +518,29 @@ def _certified(
                 pending.remove(key)
             else:
                 gens |= u
-                witness &= index[u.bit_length() - 1]
-        seen |= 1 << rank
-        diffs = None
-        if witness:
-            diffs = _minimal_masks(f & ~masks[r] for r in order[:i])
-            gens = sum(d for d in diffs if d.bit_count() == 1)
-        yield rank, gens, diffs, predicted[rank]
+        yield rank, gens, predicted[rank]
+
+
+def _scanned(
+    spec: ScrollSpec, mutation: str | None
+) -> Iterator[tuple[int, int, frozenset[int], int]]:
+    """The diagnostic pass, quadratic in the facet count: per facet in the
+    order certified under ``mutation``, its enumeration rank, the mask of
+    its singleton generators, its minimal difference masks against every
+    earlier facet (the scan of ``colon_generators``) and the mask of its
+    prediction."""
+    masks = _enumerated(spec)[0]
+    predicted = _predictions(spec, mutation)
+    order = _facet_order(spec, mutation)
+    for i, rank in enumerate(order):
+        f = masks[rank]
+        diffs = _minimal_masks(f & ~masks[r] for r in order[:i])
+        yield rank, sum(d for d in diffs if d.bit_count() == 1), diffs, predicted[rank]
 
 
 def _report(facet: Facet, gens: int, diffs: frozenset[int] | None, predicted: int) -> ColonReport:
-    """The ``ColonReport`` of ``facet`` from its item of ``_certified``."""
+    """The ``ColonReport`` of ``facet`` from its generators, and its minimal
+    differences when they come from ``_scanned``."""
     spec = facet.spec
     if diffs is None:
         linear = True
@@ -514,7 +564,8 @@ def verify_linear_quotients(
 
     Every facet's minimal colon generators must be singletons equal to its
     prediction; the greatest facet's colon must be empty.  The unmutated
-    result is kept on ``spec``.
+    result is kept on ``spec``.  ``VerificationError`` when the enumerated
+    complex is not the counted one (``_face_h``).
     """
     require_complex(spec)
     _check_mutation(mutation)
@@ -523,31 +574,123 @@ def verify_linear_quotients(
     return _certify(spec, mutation)
 
 
-def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
-    """Fold ``_certified`` into per-degree counts and the failing reports;
-    a facet builds its report only off the linear, as-predicted case."""
-    masks, groups, _ = _enumerated(spec)  # its guards refuse a huge c first
-    counts = [0] * (spec.c + spec.d + 1)
-    failing: list[ColonReport] = []
-    fallbacks = 0
-    for rank, gens, diffs, predicted in _certified(spec, mutation):
-        fallbacks += diffs is not None
-        if diffs is None and gens == predicted:
-            counts[gens.bit_count()] += 1
-            continue
-        alpha = next(a for a, ranks in groups.items() if rank in ranks)
-        facet = Facet(_vertices(spec, masks[rank]), alpha, spec)
-        report = _report(facet, gens, diffs, predicted)
-        counts[gens.bit_count()] += report.linear
-        if not report.matches_prediction:
-            failing.append(report)
+def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
+    """The h-vector of the counted complex Γ (``_face_vector``), kept on the
+    spec once the enumerated complex Δ is checked to lie in Γ with facets of
+    c + d vertices; ``VerificationError`` or ``InternalError`` otherwise.
+
+    Γ is pure, and its facets are exactly the trees of the grammar.  Fix a
+    group, its leaf set L, and call an interval good when it holds a unit of
+    L; a face of Γ is a laminar family of good intervals.  Take a maximal
+    one, σ.  (1, c) lies in σ: it is good and crosses nothing.  The
+    children of a node (a, b) of σ, its maximal proper subintervals in σ,
+    number at most two, leave no gap and reach a and b: otherwise the union
+    of two adjacent children, or a child stretched to a or b, would be good,
+    laminar with σ and new.  So a node has no child, one child (a+1, b) or
+    (a, b-1), or two children (a, k) and (k, b).  A childless node is a unit
+    of L, since a longer one holds a good unit that could be added; a
+    one-child node drops a unit that is not in L, which could be added
+    otherwise.  So σ is a tree of ``facet_complex._rules``: every unit is a
+    leaf or dropped once, with one more leaf than splits, and |σ| =
+    c + |L| - 2 = c + d.  Conversely every tree is maximal: the smallest
+    node holding a would-be new interval leaves it only a non-leaf unit,
+    which is not good, or a node already present.
+
+    So Δ ⊆ Γ, checked here, and duplicate-free facets of c + d vertices
+    (``_enumerated`` and here) make Δ's facets facets of Γ; Δ = Γ exactly
+    when they are as many, which the identity of ``_certify`` implies.
+    Δ ⊆ Γ holds when no enumerated facet holds two crossing intervals
+    a < a' < b < b' or a vertex not good for its group: one AND of rows of
+    ``_incidence`` per crossing pair and per vertex.
+    """
+
+    def compute() -> tuple[int, ...]:
+        masks, ranks_of, _ = _enumerated(spec)
+        size = spec.c + spec.d
+        sizes = set(map(int.bit_count, masks))
+        if sizes != {size}:
+            raise InternalError(f"facets of sizes {sorted(sizes)}, not {size}, for {spec}")
+        groups = _good_groups(spec)
+        row = dict(zip(vertex_set(spec), reversed(_incidence(spec))))
+        ranks = {  # the ranks of each group's facets, one block of bits
+            alpha: ((1 << len(r)) - 1) << r.start for alpha, r in ranks_of.items()
+        }
+        for (a, b), (a2, b2) in itertools.combinations(row, 2):
+            if a < a2 < b < b2 and row[(a, b)] & row[(a2, b2)]:
+                raise VerificationError(
+                    f"a facet of {spec} holds ({a}, {b}) and ({a2}, {b2}), which cross"
+                )
+        for v, bits in row.items():
+            if bits & sum(block for alpha, block in ranks.items() if not groups[v] >> alpha & 1):
+                raise VerificationError(f"a facet of {spec} holds {v}, not good for its group")
+        f = _face_vector(spec)
+        if len(f) != size:
+            raise VerificationError(f"the faces of {spec} come in {len(f)} sizes, not {size}")
+        return numerator_from_face_counts(f, size)
+
+    return per_spec(spec, "face_h", compute)
+
+
+def _trimmed(counts: list[int]) -> tuple[int, ...]:
+    """``counts`` without its trailing zeros, one entry kept."""
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
+    return tuple(counts)
+
+
+def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
+    """Fold ``_certified`` into per-degree counts and the failing reports,
+    and certify by the face identity that the order is a shelling.
+
+    Let R_j be the vertices u of the j-th facet F_j whose ridge F_j - u lies
+    in an earlier facet, and R'_j ⊆ R_j the counted generators.  Every face
+    of Δ lies in the interval [R_j, F_j] of the first facet that holds it,
+    so S = sum_j x^|R_j| (1+x)^(c+d-|R_j|) >= f_Δ coefficientwise, with
+    equality exactly when the order is a shelling (Björner's partition
+    form); S' with R'_j in place of R_j is at least S, and equals it only
+    when R' = R.  The identity says that the counts of the |R'_j| are the
+    h-vector of Γ (``_face_h``), that is S' = f_Γ.  Its top coefficient
+    makes Δ's facets, which are distinct facets of Γ, all of Γ's, so Δ = Γ;
+    then S' = f_Δ forces R' = R and a shelling.  Each facet's colon ideal is
+    generated by its counted vertices, and a facet fails only when those
+    differ from its prediction.
+
+    When the identity fails, ``_scanned`` gives every facet's colon ideal
+    and the failing reports are exact; if the scan finds a shelling all the
+    same, Δ is not Γ (``VerificationError``).
+    """
+    masks, groups, _ = _enumerated(spec)  # its guards refuse a huge c first
+
+    def facet(rank: int) -> Facet:
+        alpha = next(a for a, ranks in groups.items() if rank in ranks)
+        return Facet(_vertices(spec, masks[rank]), alpha, spec)
+
+    size = spec.c + spec.d
+    counts = [0] * (size + 1)
+    failing: list[ColonReport] = []
+    for rank, gens, predicted in _certified(spec, mutation):
+        counts[gens.bit_count()] += 1
+        if gens != predicted:
+            failing.append(_report(facet(rank), gens, None, predicted))
+    h = _face_h(spec)  # after the passes, so that its index adds nothing to their peak
+    degree_counts = _trimmed(counts)
+    scanned = degree_counts != h
+    if scanned:
+        counts = [0] * (size + 1)
+        failing = []
+        for rank, gens, diffs, predicted in _scanned(spec, mutation):
+            report = _report(facet(rank), gens, diffs, predicted)
+            counts[gens.bit_count()] += report.linear
+            if not report.matches_prediction:
+                failing.append(report)
+        degree_counts = _trimmed(counts)
+        if all(report.linear for report in failing) and degree_counts != h:
+            raise VerificationError(f"the faces of {spec} give h = {h}, not {degree_counts}")
     return VerificationResult(
         spec=spec,
         facet_count=len(masks),
-        degree_counts=tuple(counts),
-        quadratic_fallbacks=fallbacks,
+        degree_counts=degree_counts,
         failing=tuple(failing),
         mutation=mutation,
+        scanned=scanned,
     )

@@ -15,7 +15,9 @@ every facet with its predicted colon generators, which is the enumeration.
 One parser reads it too: ``_walk`` rebuilds the tree of a vertex set
 top-down by the table's ways, so ``is_facet``, ``facet_tree`` and
 ``predict_LG`` follow the same rules.  ``_face_vector`` counts the faces
-without the table, by an interval DP over the leaf sets.
+without the table, by an interval DP over the leaf sets, and
+``numerator_from_face_counts`` turns that count into the h-vector that
+certification compares with its degree counts.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
@@ -372,3 +374,25 @@ def _face_vector(spec: ScrollSpec) -> tuple[int, ...]:
         return tuple(packed >> (k * width) & field for k in range(1, sizes))
 
     return per_spec(spec, "face_vector", compute)
+
+
+def numerator_from_face_counts(f: Sequence[int], dim: int) -> tuple[int, ...]:
+    """Clear (1-t)^dim from the face-count Hilbert series; needs the full
+    f-vector (all sizes up to dim) and refuses a longer one.
+    ``PreconditionError`` too for a dim or a count that is not an ``int``."""
+    for name, value in (("dimension", dim), *(("face count", count) for count in f)):
+        if type(value) is not int:  # bool is an int subclass
+            raise PreconditionError(f"{name} must be an int, got {value!r}")
+    if len(f) > dim:
+        raise PreconditionError(f"f counts faces of {len(f)} vertices, above dim={dim}")
+    full = (1,) + tuple(f)
+    coeffs = [
+        sum(
+            full[j] * (-1) ** (k - j) * math.comb(dim - j, k - j)
+            for j in range(0, min(k, len(full) - 1) + 1)
+        )
+        for k in range(dim + 1)
+    ]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)

@@ -1,8 +1,9 @@
 """Numerical invariants of the fiber cone via the certified facet order.
 
-The h-vector is read off the certified quotient degrees.  ``_certified_faces``
+The h-vector is read off the certified quotient degrees.  Certification
 checks it at every degree against the face count of ``facet_complex``, which
-reads no facet, and refuses to report (``VerificationError``) on a mismatch.
+reads no facet; ``_certified_faces`` hands out that count and refuses to
+report (``VerificationError``) when certification fails.
 Regularity is the h-degree, dimension is the facet size, the a-invariant their
 difference, the reduction number equals the regularity, and Gorensteinness is
 decided by palindromicity of the h-vector, all compared against closed forms.
@@ -10,16 +11,16 @@ decided by palindromicity of the h-vector, all compared against closed forms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dual_quotients import ColonReport, _enumerated, _incidence, verify_linear_quotients
+from .dual_quotients import ColonReport, _enumerated, verify_linear_quotients
 from .errors import CapacityError, DomainError, PreconditionError, VerificationError
-from .facet_complex import Facet, _face_vector, _good_groups, _mask, vertex_set
-from .scroll_model import ScrollSpec, complex_regime, per_spec
+from .facet_complex import Facet, _face_vector, _mask
+from .facet_complex import numerator_from_face_counts as numerator_from_face_counts
+from .scroll_model import ScrollSpec, complex_regime
 
 #: ``face_counts`` refuses to visit more faces than this (``CapacityError``);
 #: its walk counts them as it visits them.  The faces of the largest size are
@@ -253,11 +254,11 @@ def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int)
 
 def hilbert_function_from_h(h: Sequence[int], dim: int, t: int) -> int:
     """Expand the Hilbert series numerator h over (1-t)^dim at degree t;
-    ``PreconditionError`` for an empty h, for a dim or t that is not an
-    ``int``, and for dim < 1 or t < 0."""
+    ``PreconditionError`` for an empty h, for a coefficient, dim or t that
+    is not an ``int``, and for dim < 1 or t < 0."""
     if not h:
         raise PreconditionError(f"h must have at least one coefficient, got {h!r}")
-    for name, value in (("dimension", dim), ("degree", t)):
+    for name, value in (("dimension", dim), ("degree", t), *(("coefficient", v) for v in h)):
         if type(value) is not int:  # bool is an int subclass
             raise PreconditionError(f"{name} must be an int, got {value!r}")
     if dim < 1:
@@ -267,24 +268,6 @@ def hilbert_function_from_h(h: Sequence[int], dim: int, t: int) -> int:
     return sum(
         h[j] * math.comb(t - j + dim - 1, dim - 1) for j in range(min(t, len(h) - 1) + 1)
     )
-
-
-def numerator_from_face_counts(f: Sequence[int], dim: int) -> tuple[int, ...]:
-    """Clear (1-t)^dim from the face-count Hilbert series; needs the full
-    f-vector (all sizes up to dim) and refuses a longer one."""
-    if len(f) > dim:
-        raise PreconditionError(f"f counts faces of {len(f)} vertices, above dim={dim}")
-    full = (1,) + tuple(f)
-    coeffs = [
-        sum(
-            full[j] * (-1) ** (k - j) * math.comb(dim - j, k - j)
-            for j in range(0, min(k, len(full) - 1) + 1)
-        )
-        for k in range(dim + 1)
-    ]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def closed_form(c: int, d: int) -> InvariantReport:
@@ -338,41 +321,12 @@ def _stopwatch(timings: dict[str, float] | None) -> Callable[[str], None]:
 
 
 def _certified_faces(spec: ScrollSpec) -> tuple[int, ...]:
-    """``_face_vector`` of ``spec``, certified once per spec to count the
-    faces of the enumerated complex Δ; ``VerificationError`` otherwise.
-    Δ lies in the DP's complex Γ when no enumerated facet holds two crossing
-    intervals a < a' < b < b' or a vertex not good for its group: one AND of
-    rows of ``_incidence``, certification's index, per crossing pair and per
-    vertex.  Then Γ = Δ exactly when Γ has no face above size c + d and the
-    numerator of its Hilbert series is the certified h-vector.
-    """
-
-    def compute() -> tuple[int, ...]:
-        result = verify_linear_quotients(spec)
-        if not result.passed:
-            raise VerificationError(f"linear-quotients certification failed for {spec}")
-        f, groups = _face_vector(spec), _good_groups(spec)
-        row = dict(zip(vertex_set(spec), reversed(_incidence(spec))))
-        ranks = {  # the ranks of each group's facets, one block of bits
-            alpha: ((1 << len(r)) - 1) << r.start for alpha, r in _enumerated(spec)[1].items()
-        }
-        for (a, b), (a2, b2) in itertools.combinations(row, 2):
-            if a < a2 < b < b2 and row[(a, b)] & row[(a2, b2)]:
-                raise VerificationError(
-                    f"a facet of {spec} holds ({a}, {b}) and ({a2}, {b2}), which cross"
-                )
-        for v, bits in row.items():
-            if bits & sum(block for alpha, block in ranks.items() if not groups[v] >> alpha & 1):
-                raise VerificationError(f"a facet of {spec} holds {v}, not good for its group")
-        size = spec.c + spec.d
-        if len(f) != size:
-            raise VerificationError(f"the faces of {spec} come in {len(f)} sizes, not {size}")
-        h = numerator_from_face_counts(f, size)
-        if h != result.degree_counts:
-            raise VerificationError(f"the faces of {spec} give h = {h}, not {result.degree_counts}")
-        return f
-
-    return per_spec(spec, "faces", compute)
+    """``_face_vector`` of ``spec`` once its certification has passed, which
+    compares the face count with the certified h-vector at every degree
+    (``dual_quotients._certify``); ``VerificationError`` otherwise."""
+    if not verify_linear_quotients(spec).passed:
+        raise VerificationError(f"linear-quotients certification failed for {spec}")
+    return _face_vector(spec)
 
 
 def hilbert_data(spec: ScrollSpec, *, timings: dict[str, float] | None = None) -> HilbertData:

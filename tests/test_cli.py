@@ -128,11 +128,11 @@ class TestInvariantsCommand:
         assert set(timings) == {"enumerate", "certify", "faces", "total"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
-    def test_schema_two_counts_quadratic_fallbacks(self, capsys):
+    def test_schema_four_drops_quadratic_fallbacks(self, capsys):
         _, out, _ = run(capsys, "invariants", "--n", "2,4", "--format", "json")
         payload = json.loads(out)
-        assert payload["schema_version"] == 3
-        assert payload["verification"]["quadratic_fallbacks"] == 0
+        assert payload["schema_version"] == 4
+        assert "quadratic_fallbacks" not in payload["verification"]
         assert payload["verification"]["facets"] == 28
 
     @pytest.mark.parametrize("argv", [("invariants", "--n", "5"), ("batch", "lines.txt")])
@@ -154,18 +154,19 @@ class TestInvariantsCommand:
     def test_an_enumerated_facet_off_the_counted_complex_exits_one(
         self, capsys, monkeypatch, command, mutant, message
     ):
-        # The certification still sees the true facets; only the face
-        # certificate reads the mutant, through its name for the kept index.
-        real = invariants._incidence
+        # The ridge passes still see the true facets; only the check that
+        # the enumerated complex lies in the counted one reads the mutant,
+        # through the kept index.
+        real = dual_quotients._incidence
 
         def with_extra_vertex(spec):
-            masks, groups, _ = invariants._enumerated(spec)
+            masks, groups, _ = dual_quotients._enumerated(spec)
             rank, bit = mutant(spec, masks, groups)
             rows = list(real(spec))  # the kept index stays as it is
             rows[bit.bit_length() - 1] |= 1 << rank
             return rows
 
-        monkeypatch.setattr(invariants, "_incidence", with_extra_vertex)
+        monkeypatch.setattr(dual_quotients, "_incidence", with_extra_vertex)
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
         assert message in json.loads(out)["error"]
@@ -184,14 +185,14 @@ class TestInvariantsCommand:
     ):
         # (5,) has facet size c + d = 6: only a comparison at degree 6 or
         # above sees the first change, and the h-vector has no size 7.
-        real = invariants._face_vector
+        real = dual_quotients._face_vector
 
         def perturbed(spec):
             f = real(spec)
             assert len(f) == spec.c + spec.d
             return perturb(f)
 
-        monkeypatch.setattr(invariants, "_face_vector", perturbed)
+        monkeypatch.setattr(dual_quotients, "_face_vector", perturbed)
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
         assert message in json.loads(out)["error"]
@@ -219,11 +220,11 @@ class TestInvariantsCommand:
 
     def test_facet_budget_guard(self, capsys):
         started = time.perf_counter()
-        code, out, err = run(capsys, "invariants", "--n", "4,4,4,4")
+        code, out, err = run(capsys, "invariants", "--n", "20")
         assert time.perf_counter() - started < 5
         assert code == 2
         assert out == ""
-        assert "475,456 facets" in err and "200,000" in err
+        assert "1,048,194 facets" in err and "1,000,000" in err
 
     def test_counting_budget_guard(self, capsys):
         # c - d - 2 >= 2**63 for the 20-digit degree; c = 99999999999 would
@@ -411,13 +412,13 @@ class TestBatchCommand:
 
     def test_over_budget_line_is_isolated(self, capsys, tmp_path):
         batch = tmp_path / "big.txt"
-        batch.write_text("5\n4,4,4,4\n", encoding="utf-8")
+        batch.write_text("5\n20\n", encoding="utf-8")
         code, out, err = run(capsys, "batch", str(batch), "--format", "csv")
         assert code == 2
         rows = out.strip().splitlines()[1:]
         assert rows[0].startswith("5,1")
         assert rows[1] == ",,,,,,error"
-        assert "475,456 facets" in err
+        assert "1,048,194 facets" in err
 
     def test_over_counting_budget_line_is_isolated(self, capsys, tmp_path):
         for line in ("1100", HUGE):
@@ -561,9 +562,9 @@ class TestPinnedBytes:
         assert run(capsys, "batch", str(batch), "--format", "text") == (2, expected, PARSE_ERROR)
 
 
-REPEATS = "12\n2,10\n12\n4,2\n2,4\n3\n4,4,4,4\n4,4,4,4\n"
+REPEATS = "12\n2,10\n12\n4,2\n2,4\n3\n20\n20\n"
 BUDGET_ERROR = (
-    "(4,4,4,4) has 475,456 facets, over the enumeration budget of 200,000 facets; "
+    "(20) has 1,048,194 facets, over the enumeration budget of 1,000,000 facets; "
     "choose a smaller scroll type"
 )
 INVARIANTS = {
@@ -602,7 +603,7 @@ def _repeats_json() -> str:
             "invariants": inv,
             "mode": inv["mode"] if inv else "error",
             "oracle": None,
-            "schema_version": 3,
+            "schema_version": 4,
             "spec": {"c": sum(n), "d": len(n), "n": list(n), "normalized": line == "4,2"},
             "timings": None,
             "tool": {"name": "scrollfiber", "version": "0.1.0"},
@@ -611,7 +612,7 @@ def _repeats_json() -> str:
         if inv and inv["mode"] == "computed":
             record["verification"] = {
                 "facets": inv["facet_count"], "failure_count": 0, "failures": [],
-                "mode": "indexed", "mutation": None, "passed": True, "quadratic_fallbacks": 0,
+                "mode": "indexed", "mutation": None, "passed": True,
             }
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)
@@ -652,7 +653,7 @@ class TestBatchReuse:
         full_report = cli.full_report
         monkeypatch.setattr(cli, "full_report", counted)
         envelopes, code = cmd_batch(batch)
-        assert computed == [(12,), (2, 10), (2, 4), (3,), (4, 4, 4, 4)]
+        assert computed == [(12,), (2, 10), (2, 4), (3,), (20,)]
         assert code == 2
         assert len({id(e) for e in envelopes}) == len(envelopes) == 8
         assert len({id(e.spec) for e in envelopes}) == 8
@@ -686,7 +687,7 @@ class TestBatchReuse:
         assert run(capsys, "batch", batch, "--format", "json") == (2, _repeats_json(), errors)
 
     def test_text(self, capsys, batch):
-        over_budget = f"spec: n=(4,4,4,4) c=16 d=4\nmode: error\nerror: {BUDGET_ERROR}\n"
+        over_budget = f"spec: n=(20) c=20 d=1\nmode: error\nerror: {BUDGET_ERROR}\n"
         expected = (
             _invariants_text((12,))
             + _invariants_text((2, 10))

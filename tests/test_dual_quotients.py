@@ -32,8 +32,8 @@ from scrollfiber.dual_quotients import (
     _facet_order,
     _fold,
     _incidence,
-    _minimal_masks,
     _predict,
+    _scanned,
 )
 from scrollfiber.facet_complex import _grid, _mask, _walk
 
@@ -310,7 +310,50 @@ class TestPredictionFold:
             verify_linear_quotients(spec, mutation="c2")
 
 
+class TestEachFacetOnce:
+    """The enumeration lists each facet once, part of the certificate: the
+    masks strictly increase within a group's range, and a facet's units are
+    its group's leaf set."""
+
+    def test_a_duplicate_mask_is_an_internal_error(self, monkeypatch):
+        real = dual_quotients._fold
+
+        def duplicated(spec, mutation):
+            masks, groups, packed = real(spec, mutation)
+            ranks = next(r for r in groups.values() if len(r) > 1)
+            masks = list(masks)
+            masks[ranks.start + 1] = masks[ranks.start]
+            return tuple(masks), groups, packed
+
+        monkeypatch.setattr(dual_quotients, "_fold", duplicated)
+        with pytest.raises(InternalError, match=r"group at alpha=\d+ of \(6\) do not strictly"):
+            enumerate_facets(ScrollSpec((6,)))
+
+    def test_a_facet_under_another_group_is_an_internal_error(self):
+        # The greatest facet, claimed by each other group in turn.
+        spec = ScrollSpec((6,))
+        masks, groups, _ = _enumerated(spec)
+        dual_quotients._check_distinct(spec, masks, groups)
+        for alpha in spec.alphas[:-1]:
+            with pytest.raises(InternalError, match="holds other units than its leaves"):
+                dual_quotients._check_distinct(spec, masks, {alpha: range(1)})
+
+
 class TestVerification:
+    def test_a_facet_of_another_size_is_an_internal_error(self, monkeypatch):
+        # The root dropped from the first facet of the greatest group keeps
+        # the masks increasing and the units, so only the size check sees it.
+        real = dual_quotients._fold
+
+        def shrunk(spec, mutation):
+            masks, groups, packed = real(spec, mutation)
+            root = _grid(spec)[1][spec.c]
+            return (masks[0] ^ root, *masks[1:]), groups, packed
+
+        monkeypatch.setattr(dual_quotients, "_fold", shrunk)
+        with pytest.raises(InternalError, match=r"facets of sizes \[5, 6\], not 6"):
+            verify_linear_quotients(ScrollSpec((5,)))
+
     @pytest.mark.parametrize("n", [(5,), (6,), (1, 5), (2, 4), (3, 3), (2, 2, 2, 2)])
     def test_desk_specs_certify(self, n):
         result = verify_linear_quotients(ScrollSpec(n))
@@ -340,7 +383,7 @@ class TestVerification:
         assert result.facet_count == len(facets)
         degrees = [len(r.computed_generators) for r in result.reports]
         assert result.degree_counts == tuple(degrees.count(k) for k in range(max(degrees) + 1))
-        assert (result.failures(), result.quadratic_fallbacks) == ((), 0)
+        assert (result.failures(), result.scanned) == ((), False)
 
     def test_small_scroll_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -390,8 +433,8 @@ class TestVerification:
 
     def test_quadratic_fallback_on_a_shuffled_order(self, monkeypatch):
         # No order the public API offers has non-linear quotients on small
-        # specs, so the fallback is reached through a shuffled facet order,
-        # which both folds of the certified stream read.
+        # specs, so the diagnostic scan is reached through a shuffled facet
+        # order, which both the certified stream and the scan read.
         spec = ScrollSpec((6,))
         enumerated = enumerate_facets(spec)
         order = list(range(len(enumerated)))
@@ -401,8 +444,11 @@ class TestVerification:
         result = verify_linear_quotients(spec)
         reports = result.reports
         assert sum(not r.linear for r in reports) == 16
-        # A witness exists exactly when some minimal generator is not a singleton.
-        assert result.quadratic_fallbacks == 16
+        # The shuffled order is no shelling, so the face identity fails and
+        # every facet's colon ideal comes from the scan.
+        assert result.scanned
+        scan = list(_scanned(spec, None))
+        assert sum(len(diffs) > gens.bit_count() for _, gens, diffs, _ in scan) == 16
         assert result.failures() == tuple(r for r in reports if not r.matches_prediction)
         assert [r.computed_generators for r in reports] == [
             _minimal_diffs(f, facets[:rank]) for rank, f in enumerate(facets)
@@ -410,25 +456,22 @@ class TestVerification:
 
 
 def _all_ridges_certified(spec, mutation):
-    """Reference forward pass that keeps every ridge F - u of every facet
-    certified so far: a ridge seen before marks a singleton generator."""
+    """Reference forward pass that tests every vertex of every facet and
+    keeps every ridge F - u certified so far: a ridge seen before marks a
+    generator."""
     masks, _, packed = _enumerated(spec)
     if mutation in ("c2", "b2"):
         packed = _fold(spec, mutation)[2]
-    index, width = _incidence(spec), len(packed) // len(masks)
-    order = dual_quotients._facet_order(spec, mutation)
-    ridges, seen = set(), 0
-    for i, rank in enumerate(order):
-        f, gens, witness = masks[rank], 0, seen
+    width = len(packed) // len(masks)
+    ridges = set()
+    for rank in dual_quotients._facet_order(spec, mutation):
+        f, gens = masks[rank], 0
         for u in (1 << k for k in range(f.bit_length()) if f >> k & 1):
             if f ^ u in ridges:
                 gens |= u
-                witness &= index[u.bit_length() - 1]
             ridges.add(f ^ u)
-        seen |= 1 << rank
-        diffs = _minimal_masks(f & ~masks[r] for r in order[:i]) if witness else None
         predicted = int.from_bytes(packed[rank * width : (rank + 1) * width], "little")
-        yield rank, gens, diffs, predicted
+        yield rank, gens, predicted
 
 
 class TestPendingRidges:
@@ -437,26 +480,24 @@ class TestPendingRidges:
     def test_stream_equals_the_all_ridges_pass(self, spec, mutation):
         assert list(_certified(spec, mutation)) == list(_all_ridges_certified(spec, mutation))
 
-    # A shuffled order makes most facets non-linear, and each of those takes
-    # the quadratic scan, so the largest desk spec is left out.
-    @pytest.mark.parametrize(
-        "spec", desk_specs_with_complex()[:-1], ids=lambda spec: str(spec.n)
-    )
+    @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
     def test_stream_equals_the_all_ridges_pass_on_a_shuffled_order(self, spec, monkeypatch):
+        # Off the enumeration's order every vertex is a candidate, so the
+        # stream counts every vertex whose ridge an earlier facet holds.
         order = list(range(len(_enumerated(spec)[0])))
         random.Random(len(spec.n)).shuffle(order)
         monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
-        stream = list(_certified(spec, None))
-        assert stream == list(_all_ridges_certified(spec, None))
-        assert any(diffs is not None for _, _, diffs, _ in stream)
+        assert list(_certified(spec, None)) == list(_all_ridges_certified(spec, None))
 
-    def _doctored(self, choose):
-        """A fresh (6,) whose kept packed prediction of one facet has the bit
-        of ``choose(facet, predicted)`` flipped: the spec, its facets, that
+    def _doctored(self, choose, rank=None):
+        """A fresh (6,) whose kept packed prediction of the facet at ``rank``
+        (by default one with the most generators) has the bit of
+        ``choose(facet, predicted)`` flipped: the spec, its facets, that
         facet's rank and the chosen vertex."""
         spec = ScrollSpec((6,))
         facets = enumerate_facets(spec)
-        rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
+        if rank is None:
+            rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
         vertex = choose(facets[rank], predict_LG(facets[rank]))
         masks, _, packed = _enumerated(spec)
         width = len(packed) // len(masks)
@@ -474,8 +515,9 @@ class TestPendingRidges:
         assert report.computed_generators == colon_generators(facets[rank], facets)
         assert frozenset({missed}) in report.computed_generators
         assert report.linear and not report.matches_prediction
-        # The missed generator leaves a witness, so that facet takes the scan.
-        assert result.quadratic_fallbacks == 1
+        # The missed generator breaks the face identity, so the scan names
+        # the facet.
+        assert result.scanned
         assert result.degree_counts == verify_linear_quotients(ScrollSpec((6,))).degree_counts
 
     def test_a_prediction_with_a_non_generator_fails_that_facet(self):
@@ -488,7 +530,26 @@ class TestPendingRidges:
         assert report.predicted_LG == predict_LG(facets[rank]) | {extra}
         assert report.computed_generators == colon_generators(facets[rank], facets)
         assert report.linear and not report.matches_prediction
-        assert result.quadratic_fallbacks == 0
+        assert not result.scanned
+
+    @pytest.mark.parametrize(
+        "choose",
+        [
+            lambda facet, predicted: min(predicted),
+            lambda facet, predicted: min(facet.vertices - predicted),
+        ],
+        ids=["generator-cleared", "non-generator-set"],
+    )
+    def test_every_doctored_prediction_fails_its_facet(self, choose):
+        # Each of the 31 facets of (6,) with a generator, doctored once.
+        facets = enumerate_facets(ScrollSpec((6,)))
+        ranks = [rank for rank, facet in enumerate(facets) if predict_LG(facet)]
+        assert len(ranks) == 31
+        for rank in ranks:
+            spec, _, _, _ = self._doctored(choose, rank)
+            result = verify_linear_quotients(spec)
+            assert not result.passed
+            assert [report.facet for report in result.failures()] == [facets[rank]]
 
 
 class TestCompactCertification:

@@ -38,8 +38,15 @@ from scrollfiber import (
 )
 from scrollfiber import facet_complex
 from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS, _enumerated
-from scrollfiber.facet_complex import _bitset_index, _face_vector, count_facets
+from scrollfiber.facet_complex import (
+    _bitset_index,
+    _face_vector,
+    _good_groups,
+    _grid,
+    count_facets,
+)
 from scrollfiber.invariants import (
+    _certify_flag,
     closed_form,
     face_counts,
     full_report,
@@ -345,9 +352,9 @@ class TestFacetCount:
             assert count_facets(spec) == len(enumerate_facets(spec))
 
     def test_over_budget_enumeration_is_refused(self):
-        with pytest.raises(CapacityError, match="475,456 facets.*200,000"):
-            enumerate_facets(ScrollSpec((4, 4, 4, 4)))
-        assert count_facets(ScrollSpec((16,))) <= MAX_ENUMERATED_FACETS
+        with pytest.raises(CapacityError, match="1,048,194 facets.*1,000,000"):
+            enumerate_facets(ScrollSpec((20,)))
+        assert count_facets(ScrollSpec((4, 4, 4, 5))) <= MAX_ENUMERATED_FACETS
 
     @pytest.mark.parametrize(
         "n", [(52,), (120,), (1100,), (20, 20, 20), (99999999999999999999,)]
@@ -404,7 +411,7 @@ class TestFaceVector:
         assert len(f) == spec.c + spec.d
         assert f[:sizes] == face_counts(enumerate_facets(spec), sizes)
 
-    @pytest.mark.parametrize("n, facets", [((4, 4, 4, 4), 475_456), ((20,), 1_048_194)])
+    @pytest.mark.parametrize("n, facets", [((6, 6, 6), 1_031_054), ((20,), 1_048_194)])
     def test_top_size_counts_the_facets_past_the_enumeration_budget(self, n, facets):
         spec = ScrollSpec(n)
         assert count_facets(spec) == facets > MAX_ENUMERATED_FACETS
@@ -456,6 +463,27 @@ class TestFaceVector:
         monkeypatch.setattr(facet_complex, "_laminar", no_work)
         with pytest.raises(CapacityError, match="counting budget of 1,000,000 steps"):
             _face_vector(ScrollSpec((52,)))
+
+
+class TestCountedComplexIsPure:
+    """The lemma behind the face identity of certification: the maximal
+    laminar families of intervals good for a group are exactly that group's
+    facets, so the complex that ``_face_vector`` counts is pure and its
+    facets are the enumerated ones."""
+
+    @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=str)
+    def test_maximal_good_families_are_the_groups_facets(self, spec):
+        masks, groups, _ = _enumerated(spec)
+        grid, good = _grid(spec), _good_groups(spec)
+        for alpha, ranks in groups.items():
+            # Two good intervals are adjacent unless they cross.
+            vertices = [v for v in vertex_set(spec) if good[v] >> alpha & 1]
+            adj = [0] * len(vertex_set(spec))
+            for (a, b), (a2, b2) in itertools.combinations(vertices, 2):
+                if not crossing((a, b), (a2, b2)):
+                    adj[grid[a][b].bit_length() - 1] |= grid[a2][b2]
+                    adj[grid[a2][b2].bit_length() - 1] |= grid[a][b]
+            _certify_flag(adj, masks[ranks.start : ranks.stop])
 
 
 class TestBitsetIndex:

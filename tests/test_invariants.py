@@ -104,6 +104,16 @@ class TestFaceCounting:
             numerator_from_face_counts((3, 3, 1), 2)
         assert numerator_from_face_counts((3, 3), 2) == (1, 1, 1)
 
+    @pytest.mark.parametrize("dim", [6.0, True, "6", None])
+    def test_numerator_refuses_a_dimension_that_is_not_an_int(self, dim):
+        with pytest.raises(PreconditionError, match=f"dimension must be an int, got {dim!r}"):
+            numerator_from_face_counts((6, 15), dim)
+
+    @pytest.mark.parametrize("count", [6.0, True, "6", None])
+    def test_numerator_refuses_a_count_that_is_not_an_int(self, count):
+        with pytest.raises(PreconditionError, match=f"face count must be an int, got {count!r}"):
+            numerator_from_face_counts((count, 15), 6)
+
     def test_capacity_guard(self, monkeypatch):
         monkeypatch.setattr(invariants, "MAX_FACE_NODES", 100)
         spec = ScrollSpec((2, 2, 4, 4))
@@ -356,6 +366,15 @@ class TestHilbertWindow:
         message = f"h must have at least one coefficient, got {h!r}"
         with pytest.raises(PreconditionError, match=re.escape(message)):
             hilbert_function_from_h(h, 3, 2)
+
+    @pytest.mark.parametrize("coefficient", [1.5, True, "1", None])
+    def test_from_h_refuses_a_coefficient_that_is_not_an_int(self, coefficient):
+        with pytest.raises(
+            PreconditionError, match=f"coefficient must be an int, got {coefficient!r}"
+        ):
+            hilbert_function_from_h((1, coefficient), 3, 2)
+        with pytest.raises(PreconditionError):
+            hilbert_function_from_h((coefficient,), 3, 2)
 
     def test_from_h_refuses_a_negative_degree(self):
         # As hilbert_function_by_faces and fiber_hilbert_function do.

@@ -460,7 +460,7 @@ class TestCrossCheck:
         with pytest.raises(UnsupportedRegimeError):
             cross_check(ScrollSpec((2, 2, 2)), 2)
 
-    @pytest.mark.parametrize("n, hf2", [((4, 4, 4, 4), 4945), ((20,), 9424)])
+    @pytest.mark.parametrize("n, hf2", [((6, 6, 6), 7356), ((20,), 9424)])
     def test_degree_two_from_the_fold_past_the_enumeration_budget(self, n, hf2):
         # HF(2) = f1 + f2 from the face DP, which enumerates no facet.
         spec = ScrollSpec(n)

@@ -492,8 +492,8 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     counted set is part of the true one, whatever the prediction;
     ``_certify`` decides with the face identity that it is all of it.
     """
-    masks, _, packed = _enumerated(spec)
-    predicted = _decoded(packed, len(packed) // len(masks))
+    masks = _enumerated(spec)[0]
+    predicted = _predictions(spec, None)
     order = _facet_order(spec, mutation)
     candidates: list[int] = []  # per position in ``order``
     last = -1  # the highest rank before this position

@@ -34,7 +34,7 @@ from .dual_quotients import (
 )
 from .errors import PreconditionError, ScrollError, VerificationError
 from .facet_complex import Facet, facet_tree, is_facet
-from .invariants import _certified_faces, full_report, hilbert_function_by_faces
+from .invariants import _certified_faces, _stopwatch, full_report, hilbert_function_by_faces
 from .oracle import DEFAULT_MODULUS, CrossCheckResult, cross_check, fiber_hilbert_function
 from .scroll_model import ScrollSpec, build_matrix, leaves_profile
 
@@ -277,12 +277,18 @@ def cmd_verify(
     t_max: int,
     modulus: int | str,
     mutation: str | None,
+    timings: dict[str, float] | None = None,
 ) -> tuple[ReportEnvelope, int]:
     """Linear-quotients certification plus the rank-oracle cross-check; an
-    enumeration or face count that fails its certificate is exit 1."""
+    enumeration or face count that fails its certificate is exit 1.
+    ``timings`` receives the seconds of the stages ``certify`` and
+    ``oracle``."""
+    lap = _stopwatch(timings)
     try:
         verification = verify_linear_quotients(spec, mutation=mutation)
+        lap("certify")
         oracle_result = cross_check(spec, t_max, modulus=modulus)
+        lap("oracle")
     except VerificationError as exc:
         envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="computed", error=str(exc))
         return envelope, EXIT_MATH
@@ -522,7 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             envelope, code = cmd_invariants(spec, normalized, stages)
         else:  # verify
             envelope, code = cmd_verify(
-                spec, normalized, args.t_max, _parse_modulus(args.modulus), args.mutate_rule
+                spec, normalized, args.t_max, _parse_modulus(args.modulus), args.mutate_rule, stages
             )
         if args.timings and envelope.mode == "computed" and envelope.error is None:
             envelope.timings = {**stages, "total": round(time.perf_counter() - started, 3)}

@@ -332,14 +332,14 @@ def _certified_faces(spec: ScrollSpec) -> tuple[int, ...]:
 def hilbert_data(spec: ScrollSpec, *, timings: dict[str, float] | None = None) -> HilbertData:
     """The certified h-polynomial and the face count that confirms it at
     every degree (``_certified_faces``).  ``timings``, when given, receives
-    the seconds of the stages ``enumerate``, ``certify`` and ``faces``."""
+    the seconds of the stages ``enumerate`` and ``certify``; the face count
+    and its comparison run inside certification."""
     lap = _stopwatch(timings)
     _enumerated(spec)
     lap("enumerate")
     result = verify_linear_quotients(spec)
     lap("certify")
     f = _certified_faces(spec)
-    lap("faces")
     # Certified, so every quotient is linear and the counts are the h-vector.
     return HilbertData(dim=spec.c + spec.d, h_polynomial=HVector(h=result.degree_counts), f=f)
 

@@ -19,8 +19,12 @@ The minors are homogeneous in a Z^d x Z grading: the minor on columns (i, j)
 and (k, l) of the blocks has degree e_i + e_k in the blocks and j + l + 1 in
 the index.  So the coefficient matrix of a degree is block diagonal, one
 block per multidegree, and its rank is the sum of the block ranks.  Each
-degree is built and eliminated one block at a time (``rank_blocks``), so
-the rows of only one block are in memory at once.
+degree is built and eliminated one block at a time, so the rows of only one
+block are in memory at once.  Reversing the blocks and permuting blocks of
+equal degree map blocks to blocks of the same rank (``_degree_rank``), so
+the oracle expands and eliminates one block per symmetry orbit and counts
+its rank once per block of the orbit; ``rank_blocks`` still yields every
+block.
 """
 
 from __future__ import annotations
@@ -66,6 +70,13 @@ class RankProblem:
         return (len(self.rows), len(self.monomial_index))
 
 
+def _degree_bits(spec: ScrollSpec, t: int) -> int:
+    """The width of each field of a packed multidegree at degree t: the
+    bits of 2t * max(n), which bounds both an entry count and the index sum
+    of one block."""
+    return (2 * t * max(spec.n)).bit_length()
+
+
 def _generators(
     spec: ScrollSpec, t: int
 ) -> tuple[tuple[dict[Monomial, int], ...], tuple[int, ...]]:
@@ -79,7 +90,7 @@ def _generators(
 
     The multidegree of a monomial counts its entries in each block i and sums
     their indices j; block i owns bits (i-1)*v .. i*v - 1 and the index sum
-    the field above the blocks, with v = (2t * max(n)).bit_length(), so the
+    the field above the blocks, with v = ``_degree_bits(spec, t)``, so the
     multidegree of a product of t minors is the sum of theirs.  A minor whose
     terms disagree in multidegree raises ``InternalError``.
     """
@@ -89,7 +100,7 @@ def _generators(
         key=lambda entry: (entry[1], -entry[0]),
     )
     unit = {entry: 1 << (width * k) for k, entry in enumerate(entries)}
-    field = (2 * t * max(spec.n)).bit_length()
+    field = _degree_bits(spec, t)
     gens, weights = [], []
     for a in range(1, spec.c + 1):
         for b in range(a + 1, spec.c + 1):
@@ -132,18 +143,15 @@ def _check_rows(spec: ScrollSpec, t: int) -> None:
         )
 
 
-def rank_blocks(spec: ScrollSpec, t: int) -> Iterator[RankProblem]:
-    """The degree-t coefficient matrix, one multidegree block at a time.
+def _buckets(
+    spec: ScrollSpec, t: int
+) -> tuple[tuple[dict[Monomial, int], ...], dict[int, list[tuple[int, ...]]]]:
+    """The expanded minors and the multisets of t of them, as tuples of
+    minor indices, grouped by packed multidegree, the sum of their minors'.
 
-    The multisets of t minors are grouped by multidegree, the sum of their
-    minors' packed ones; the blocks come in the order of their first
-    multiset in lexicographic order.  Each block is expanded when the
-    iterator reaches it: its rows in the lexicographic order of their
-    multisets, its columns its own monomials from the lex-greatest down.
-    The memo of prefix products, each a product of fewer than t minors, is
-    shared by the blocks of the degree, so each prefix is multiplied out
-    once.  The degree and the row budget are checked on the call, before
-    any work.
+    The groups come in the order of their first multiset in lexicographic
+    order, each group's multisets in lexicographic order.  The degree and
+    the row budget are checked first, before any work.
     """
     if t < 1:
         raise PreconditionError(f"rank problems need degree >= 1, got {t}")
@@ -152,6 +160,21 @@ def rank_blocks(spec: ScrollSpec, t: int) -> Iterator[RankProblem]:
     by_key: dict[int, list[tuple[int, ...]]] = {}
     for combo in itertools.combinations_with_replacement(range(len(gens)), t):
         by_key.setdefault(sum(map(weights.__getitem__, combo)), []).append(combo)
+    return gens, by_key
+
+
+def rank_blocks(spec: ScrollSpec, t: int) -> Iterator[RankProblem]:
+    """The degree-t coefficient matrix, one multidegree block at a time.
+
+    The blocks are the groups of ``_buckets``, in its order.  Each block is
+    expanded when the iterator reaches it: its rows in the lexicographic
+    order of their multisets, its columns its own monomials from the
+    lex-greatest down.  The memo of prefix products, each a product of fewer
+    than t minors, is shared by the blocks of the degree, so each prefix is
+    multiplied out once.  The degree and the row budget are checked on the
+    call, before any work.
+    """
+    gens, by_key = _buckets(spec, t)
     prefixes: dict[tuple[int, ...], dict[Monomial, int]] = {(): {0: 1}}
     return (_expand(spec, t, gens, prefixes, combos) for combos in by_key.values())
 
@@ -298,16 +321,49 @@ def fiber_hilbert_function(
     return _degree_rank(spec, t, p)[0]
 
 
+def _orbit(spec: ScrollSpec, t: int, key: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The canonical key of the symmetry orbit of the block at the packed
+    multidegree ``key`` (``_generators``), (m, s): the pairs (n_i, m_i)
+    sorted, which sorts the counts within each run of equal n_i, and
+    min(s, sum m_i n_i - s)."""
+    bits = _degree_bits(spec, t)
+    counts = [key >> bits * i & ((1 << bits) - 1) for i in range(spec.d)]
+    s = key >> bits * spec.d
+    mirror = sum(m * n for m, n in zip(counts, spec.n)) - s
+    return tuple(sorted(zip(spec.n, counts))), min(s, mirror)
+
+
 def _degree_rank(spec: ScrollSpec, t: int, p: int | None) -> tuple[int, int, int]:
     """The rank of degree t over GF(p), or over Q when p is None, summed
-    over its blocks, with the number of blocks and the rows of the largest."""
-    rank = count = largest = 0
-    for block in rank_blocks(spec, t):
-        rank += _echelon_rank(block, p)
-        count += 1
-        largest = max(largest, len(block.rows))
+    over its blocks, with the number of blocks and the rows of the largest.
+
+    Two maps of the matrix entries are ring automorphisms over Z that send
+    each minor to plus or minus a minor, and each monomial to a monomial.
+    Reversing every block, x[i,j] -> x[i,n_i-j], sends column j of block i
+    to column n_i-1-j with its two rows swapped; permuting blocks of equal
+    degree n_i permutes the columns.  Both permute the minors up to sign,
+    so they send the multisets of t minors at multidegree (m, s) one to one
+    onto those at (σm, s) and at (m, sum m_i n_i - s), with σ a
+    permutation of equal-degree blocks, and each product to plus or minus
+    a product.  The entries only move, so the two blocks have coefficient
+    matrices equal up to the order and sign of rows and columns, and equal
+    ranks over every field.  The orbit of a block under these maps is the
+    set of blocks with its ``_orbit`` key, and its blocks have equal row
+    counts too.  So the first block of each orbit, in the order of
+    ``_buckets``, is expanded and eliminated, and its rank counts once per
+    block of the orbit; the group itself is never enumerated.
+    """
+    gens, by_key = _buckets(spec, t)
+    orbits: dict[tuple, list[list[tuple[int, ...]]]] = {}
+    for key, combos in by_key.items():
+        orbits.setdefault(_orbit(spec, t, key), []).append(combos)
+    prefixes: dict[tuple[int, ...], dict[Monomial, int]] = {(): {0: 1}}
+    rank = 0
+    for blocks in orbits.values():
+        block = _expand(spec, t, gens, prefixes, blocks[0])
+        rank += len(blocks) * _echelon_rank(block, p)
         del block  # freed before the next block is built
-    return rank, count, largest
+    return rank, len(by_key), max(map(len, by_key.values()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,10 +398,10 @@ def cross_check(
     ``t_max`` before the face count and any degree is built.  Raises
     ``VerificationError`` when the face count fails its certificate.
 
-    Each degree is ranked block by block (``rank_blocks``).  A mismatch
-    under a prime modulus is re-checked over the rationals, every block of
-    that degree again: a genuinely modular discrepancy is flagged as a
-    suspected modulus collision instead of a mathematical failure.
+    Each degree is ranked one block per symmetry orbit (``_degree_rank``).
+    A mismatch under a prime modulus is re-checked over the rationals, every
+    orbit of that degree again: a genuinely modular discrepancy is flagged
+    as a suspected modulus collision instead of a mathematical failure.
     """
     require_complex(spec)
     if t_max < 0:

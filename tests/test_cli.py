@@ -125,8 +125,21 @@ class TestInvariantsCommand:
         assert json.loads(plain)["timings"] is None
         _, out, _ = run(capsys, "invariants", "--n", "5", "--format", "json", "--timings")
         timings = json.loads(out)["timings"]
-        assert set(timings) == {"enumerate", "certify", "faces", "total"}
+        assert set(timings) == {"enumerate", "certify", "total"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+    def test_verify_timings_lap_certification_and_the_oracle(self, capsys):
+        argv = ("verify", "--n", "2,4", "--t-max", "2", "--format", "json")
+        _, plain, _ = run(capsys, *argv)
+        assert json.loads(plain)["timings"] is None
+        _, out, _ = run(capsys, *argv, "--timings")
+        timed = json.loads(out)
+        timings = timed.pop("timings")
+        assert list(timings) == ["certify", "oracle", "total"]
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+        assert timings["certify"] + timings["oracle"] <= timings["total"] + 0.002
+        # Apart from the timings, the report is the one without --timings.
+        assert {**timed, "timings": None} == json.loads(plain)
 
     def test_schema_four_drops_quadratic_fallbacks(self, capsys):
         _, out, _ = run(capsys, "invariants", "--n", "2,4", "--format", "json")
@@ -196,6 +209,26 @@ class TestInvariantsCommand:
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
         assert message in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    def test_a_failed_identity_over_the_scan_budget_exits_one(self, capsys, monkeypatch, command):
+        # (5,) has 10 facets; with a budget of 9 the failed identity is
+        # reported with both h-vectors and the scan never runs.
+        real = dual_quotients._face_vector
+
+        def no_scan(spec, mutation):
+            raise AssertionError("the diagnostic scan ran over its budget")
+
+        monkeypatch.setattr(
+            dual_quotients, "_face_vector", lambda spec: real(spec)[:-1] + (real(spec)[-1] + 1,)
+        )
+        monkeypatch.setattr(dual_quotients, "MAX_SCANNED_FACETS", 9)
+        monkeypatch.setattr(dual_quotients, "_scanned", no_scan)
+        code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error.startswith("the faces of (5) give h = (")
+        assert error.endswith("its 10 facets are over the diagnostic scan's budget of 9")
 
     def test_one_incidence_index_per_spec_on_every_command(self, monkeypatch):
         # invariants, verify and verify under both kinds of rule mutation

@@ -16,6 +16,7 @@ from scrollfiber import (
     ScrollSpec,
     StructuralError,
     UnsupportedRegimeError,
+    VerificationError,
     colon_generators,
     dual_support,
     enumerate_facets,
@@ -550,6 +551,30 @@ class TestPendingRidges:
             result = verify_linear_quotients(spec)
             assert not result.passed
             assert [report.facet for report in result.failures()] == [facets[rank]]
+
+    def test_over_the_scan_budget_a_failed_identity_is_refused_unscanned(self, monkeypatch):
+        spec, facets, _, _ = self._doctored(lambda facet, predicted: min(predicted))
+
+        def no_scan(spec, mutation):
+            raise AssertionError("the diagnostic scan ran over its budget")
+
+        monkeypatch.setattr(dual_quotients, "MAX_SCANNED_FACETS", len(facets) - 1)
+        monkeypatch.setattr(dual_quotients, "_scanned", no_scan)
+        h = verify_linear_quotients(ScrollSpec((6,))).degree_counts
+        with pytest.raises(VerificationError) as caught:
+            verify_linear_quotients(spec)
+        message = str(caught.value)
+        assert message.startswith(f"the faces of (6) give h = {h}, but its generators count (")
+        assert message.endswith(
+            f"its {len(facets):,} facets are over the diagnostic scan's budget of {len(facets) - 1:,}"
+        )
+
+    def test_at_the_scan_budget_the_scan_names_the_facet(self, monkeypatch):
+        spec, facets, rank, _ = self._doctored(lambda facet, predicted: min(predicted))
+        monkeypatch.setattr(dual_quotients, "MAX_SCANNED_FACETS", len(facets))
+        result = verify_linear_quotients(spec)
+        assert result.scanned
+        assert [report.facet for report in result.failures()] == [facets[rank]]
 
 
 class TestCompactCertification:

@@ -296,6 +296,88 @@ class TestRankBlocks:
             gc.enable()
 
 
+def _brute_orbit(spec, counts, s):
+    """The multidegrees (m, s) that reversing blocks and permuting blocks of
+    equal degree reach from (``counts``, ``s``), by listing the group."""
+    reached = set()
+    for perm in itertools.permutations(range(spec.d)):
+        if all(spec.n[i] == spec.n[j] for i, j in enumerate(perm)):
+            moved = tuple(counts[j] for j in perm)
+            total = sum(m * n for m, n in zip(counts, spec.n))
+            reached |= {(moved, s), (moved, total - s)}
+    return frozenset(reached)
+
+
+def _multidegree(spec, t, key):
+    bits = (2 * t * max(spec.n)).bit_length()
+    return tuple(key >> bits * i & ((1 << bits) - 1) for i in range(spec.d)), key >> bits * spec.d
+
+
+class TestOrbits:
+    """The oracle ranks one block per symmetry orbit (``_degree_rank``)."""
+
+    PAIRS = [
+        (n, t) for n in [(6,), (2, 4), (3, 3), (2, 2, 2), (2, 3, 4), (2, 2, 2, 2)] for t in (1, 2, 3)
+    ] + [((5,), t) for t in range(1, 6)]
+
+    @pytest.mark.parametrize("n, t", PAIRS, ids=str)
+    def test_orbit_keys_are_the_orbits_of_the_group(self, n, t):
+        spec = ScrollSpec(n)
+        _, by_key = oracle._buckets(spec, t)
+        by_orbit, by_group = {}, {}
+        for key in by_key:
+            by_orbit.setdefault(oracle._orbit(spec, t, key), set()).add(key)
+            by_group.setdefault(_brute_orbit(spec, *_multidegree(spec, t, key)), set()).add(key)
+        assert sorted(map(sorted, by_orbit.values())) == sorted(map(sorted, by_group.values()))
+
+    @pytest.mark.parametrize("n, t", PAIRS, ids=str)
+    def test_every_block_of_an_orbit_has_its_representatives_rank(self, n, t):
+        spec = ScrollSpec(n)
+        _, by_key = oracle._buckets(spec, t)
+        blocks = list(rank_blocks(spec, t))
+        for p in (DEFAULT_MODULUS, None):
+            ranks = {}
+            for key, block in zip(by_key, blocks):
+                rank = oracle._echelon_rank(block, p)
+                ranks.setdefault(oracle._orbit(spec, t, key), []).append((rank, len(block.rows)))
+            assert all(len(set(members)) == 1 for members in ranks.values()), p
+            whole = sum(rank for members in ranks.values() for rank, _ in members)
+            assert _degree_rank(spec, t, p) == (whole, len(blocks), max(map(len, by_key.values())))
+
+    @pytest.mark.parametrize(
+        "n, blocks, orbits, rows",
+        [((2, 2, 2, 2, 2, 2), 2898, 37, 1271), ((13,), 67, 34, 42879)],
+        ids=str,
+    )
+    def test_pinned_expanded_blocks_at_degree_three(self, monkeypatch, n, blocks, orbits, rows):
+        # Count the blocks that are expanded, without expanding them.
+        expanded = []
+
+        def record(spec, t, gens, prefixes, combos):
+            expanded.append(len(combos))
+
+        monkeypatch.setattr(oracle, "_expand", record)
+        monkeypatch.setattr(oracle, "_echelon_rank", lambda problem, p: 1)
+        rank, count, _ = _degree_rank(ScrollSpec(n), 3, DEFAULT_MODULUS)
+        assert (count, len(expanded), sum(expanded)) == (blocks, orbits, rows)
+        # Each representative's rank counts once per block of its orbit.
+        assert rank == blocks
+
+    def test_the_first_block_of_each_orbit_is_expanded(self, monkeypatch):
+        spec = ScrollSpec((2, 3, 4))
+        _, by_key = oracle._buckets(spec, 3)
+        firsts = {}
+        for key, combos in by_key.items():
+            firsts.setdefault(oracle._orbit(spec, 3, key), combos)
+        expanded = []
+        real = oracle._expand
+        monkeypatch.setattr(
+            oracle, "_expand", lambda *args: expanded.append(args[-1]) or real(*args)
+        )
+        _degree_rank(spec, 3, DEFAULT_MODULUS)
+        assert expanded == list(firsts.values())
+
+
 class TestFiberHilbertFunction:
     def test_degree_zero_is_one(self):
         for n in [(5,), (1, 1), (2, 2, 2)]:
@@ -422,7 +504,9 @@ class TestCrossCheck:
         assert result.rows[3] == CrossCheckRow(t=3, fiber_rank=22722, face_count=22722, equal=True)
 
     def test_modulus_collision_falls_back_to_the_rational_rank(self, monkeypatch):
-        # A fake collision in the first block of each degree only.
+        # A fake collision in the first block of each degree only.  At degree
+        # 2 that block stands for its orbit of 2 blocks, so the modular rank
+        # falls short by 2.
         collided = set()
         real = oracle._echelon_rank
 
@@ -439,7 +523,7 @@ class TestCrossCheck:
         assert [(row.t, row.fiber_rank) for row in result.rows] == [(0, 1), (1, 10), (2, 49)]
         assert len(result.notes) == 2
         assert all("suspected modulus collision" in note for note in result.notes)
-        assert "modular rank 48 != rational rank 49" in result.notes[1]
+        assert "modular rank 47 != rational rank 49" in result.notes[1]
 
     def test_every_modular_mismatch_is_rechecked_rationally(self, monkeypatch):
         # Degree 3 of (8,) has 4,060 product rows.
@@ -477,6 +561,7 @@ class TestCrossCheck:
         monkeypatch.setattr(oracle, "_certified_faces", no_work)
         monkeypatch.setattr(oracle, "build_rank_problem", no_work)
         monkeypatch.setattr(oracle, "rank_blocks", no_work)
+        monkeypatch.setattr(oracle, "_buckets", no_work)
         with pytest.raises(CapacityError, match="degree 4 needs 1,663,740 product rows"):
             cross_check(ScrollSpec((13,)), 4)
 

@@ -299,16 +299,17 @@ class TestRankBlocks:
 def _brute_orbit(spec, counts, s):
     """The multidegrees (m, s) that reversing blocks and permuting blocks of
     equal degree reach from (``counts``, ``s``), by listing the group."""
+    total = sum(m * n for m, n in zip(counts, spec.n))
     reached = set()
     for perm in itertools.permutations(range(spec.d)):
         if all(spec.n[i] == spec.n[j] for i, j in enumerate(perm)):
             moved = tuple(counts[j] for j in perm)
-            total = sum(m * n for m, n in zip(counts, spec.n))
             reached |= {(moved, s), (moved, total - s)}
     return frozenset(reached)
 
 
 def _multidegree(spec, t, key):
+    """The block counts and the index sum of a packed multidegree."""
     bits = (2 * t * max(spec.n)).bit_length()
     return tuple(key >> bits * i & ((1 << bits) - 1) for i in range(spec.d)), key >> bits * spec.d
 

@@ -34,7 +34,7 @@ from .dual_quotients import (
 )
 from .errors import PreconditionError, ScrollError, VerificationError
 from .facet_complex import Facet, facet_tree, is_facet
-from .invariants import _certified_faces, _stopwatch, full_report, hilbert_function_by_faces
+from .invariants import _stopwatch, full_report, hilbert_function_by_faces
 from .oracle import DEFAULT_MODULUS, CrossCheckResult, cross_check, fiber_hilbert_function
 from .scroll_model import ScrollSpec, build_matrix, leaves_profile
 
@@ -401,7 +401,7 @@ def cmd_selftest() -> int:
     checks.append(("first facet (2,2,4,4) alpha=2", first.vertices == expected_first))
     checks.append(("first facet is a facet", is_facet(spec, first.vertices)))
     try:
-        faces = bool(_certified_faces(spec))
+        faces = verify_linear_quotients(spec).passed
     except VerificationError:
         faces = False
     checks.append(("face count equals certified h (2,2,4,4)", faces))

@@ -154,12 +154,6 @@ class VerificationResult:
         return self.failing
 
 
-def dual_support(facet: Facet) -> tuple[Vertex, ...]:
-    """Complement V \\ F listed from the greatest variable downwards."""
-    vs = facet.vertices
-    return tuple(v for v in vertex_set(facet.spec) if v not in vs)
-
-
 def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
     """Enumeration ranks in the order certified under ``mutation``:
     ``swap-groups`` moves the second group's range ahead of the first's."""
@@ -436,13 +430,6 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     return frozenset(_vertices(spec, d) for d in _minimal_masks(f & ~m for m in earlier))
 
 
-def _incidence(spec: ScrollSpec) -> list[int]:
-    """The ``_bitset_index`` of the enumeration, kept on the spec for the
-    check of ``_face_h`` that the enumerated complex lies in the counted
-    one."""
-    return per_spec(spec, "incidence", lambda: _bitset_index(_enumerated(spec)[0]))
-
-
 def _decoded(packed: bytearray, width: int) -> list[int]:
     """The predictions packed ``width`` bytes a facet, as masks by rank."""
     return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
@@ -609,7 +596,7 @@ def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
     when they are as many, which the identity of ``_certify`` implies.
     Δ ⊆ Γ holds when no enumerated facet holds two crossing intervals
     a < a' < b < b' or a vertex not good for its group: one AND of rows of
-    ``_incidence`` per crossing pair and per vertex.
+    the masks' ``_bitset_index`` per crossing pair and per vertex.
     """
 
     def compute() -> tuple[int, ...]:
@@ -619,7 +606,7 @@ def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
         if sizes != {size}:
             raise InternalError(f"facets of sizes {sorted(sizes)}, not {size}, for {spec}")
         groups = _good_groups(spec)
-        row = dict(zip(vertex_set(spec), reversed(_incidence(spec))))
+        row = dict(zip(vertex_set(spec), reversed(_bitset_index(masks))))
         ranks = {  # the ranks of each group's facets, one block of bits
             alpha: ((1 << len(r)) - 1) << r.start for alpha, r in ranks_of.items()
         }

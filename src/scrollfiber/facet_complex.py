@@ -17,7 +17,8 @@ top-down by the table's ways, so ``is_facet``, ``facet_tree`` and
 ``predict_LG`` follow the same rules.  ``_face_vector`` counts the faces
 without the table, by an interval DP over the leaf sets, and
 ``numerator_from_face_counts`` turns that count into the h-vector that
-certification compares with its degree counts.
+certification compares with its degree counts; ``_hf_from_counts`` turns
+it into the Hilbert function that the rank oracle compares with.
 
 Internally a vertex set is one ``int`` mask.  Vertex id i, the position of
 the vertex in ascending (a, b) order, is bit ``top - i`` with ``top`` the
@@ -86,9 +87,6 @@ class FacetTree:
     root: Vertex
     children: dict[Vertex, tuple[Vertex, ...]]
     parent: dict[Vertex, Vertex]
-
-    def leaves(self) -> frozenset[Vertex]:
-        return frozenset(v for v, kids in self.children.items() if not kids)
 
 
 def vertex_set(spec: ScrollSpec) -> tuple[Vertex, ...]:
@@ -374,6 +372,14 @@ def _face_vector(spec: ScrollSpec) -> tuple[int, ...]:
         return tuple(packed >> (k * width) & field for k in range(1, sizes))
 
     return per_spec(spec, "face_vector", compute)
+
+
+def _hf_from_counts(f: Sequence[int], t: int) -> int:
+    """Degree-t monomials supported on faces, from f[k-1] faces of size k;
+    f lists every size up to t, or every size that occurs."""
+    if t == 0:
+        return 1
+    return sum(count * math.comb(t - 1, k) for k, count in enumerate(f[:t]))
 
 
 def numerator_from_face_counts(f: Sequence[int], dim: int) -> tuple[int, ...]:

@@ -2,8 +2,8 @@
 
 The h-vector is read off the certified quotient degrees.  Certification
 checks it at every degree against the face count of ``facet_complex``, which
-reads no facet; ``_certified_faces`` hands out that count and refuses to
-report (``VerificationError``) when certification fails.
+reads no facet; ``hilbert_data`` hands out both and refuses to report
+(``VerificationError``) when certification fails.
 Regularity is the h-degree, dimension is the facet size, the a-invariant their
 difference, the reduction number equals the regularity, and Gorensteinness is
 decided by palindromicity of the h-vector, all compared against closed forms.
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .dual_quotients import ColonReport, _enumerated, verify_linear_quotients
 from .errors import CapacityError, DomainError, PreconditionError, VerificationError
-from .facet_complex import Facet, _face_vector, _mask
+from .facet_complex import Facet, _face_vector, _hf_from_counts, _mask
 from .facet_complex import numerator_from_face_counts as numerator_from_face_counts
 from .scroll_model import ScrollSpec, complex_regime
 
@@ -39,10 +39,6 @@ class HVector:
     @property
     def degree(self) -> int:
         return len(self.h) - 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.h)
 
     @property
     def is_palindromic(self) -> bool:
@@ -231,14 +227,6 @@ def _clique_walk(adj: Sequence[int], max_size: int) -> tuple[int, ...]:
     return tuple(counts[1:])
 
 
-def _hf_from_counts(f: Sequence[int], t: int) -> int:
-    """Degree-t monomials supported on faces, from f[k-1] faces of size k;
-    f lists every size up to t, or every size that occurs."""
-    if t == 0:
-        return 1
-    return sum(count * math.comb(t - 1, k) for k, count in enumerate(f[:t]))
-
-
 def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int) -> int:
     """Number of degree-t monomials whose support is a face of the complex
     of ``spec``, generated by ``facets``; ``DomainError`` for a facet of
@@ -320,27 +308,21 @@ def _stopwatch(timings: dict[str, float] | None) -> Callable[[str], None]:
     return lap
 
 
-def _certified_faces(spec: ScrollSpec) -> tuple[int, ...]:
-    """``_face_vector`` of ``spec`` once its certification has passed, which
-    compares the face count with the certified h-vector at every degree
-    (``dual_quotients._certify``); ``VerificationError`` otherwise."""
-    if not verify_linear_quotients(spec).passed:
-        raise VerificationError(f"linear-quotients certification failed for {spec}")
-    return _face_vector(spec)
-
-
 def hilbert_data(spec: ScrollSpec, *, timings: dict[str, float] | None = None) -> HilbertData:
-    """The certified h-polynomial and the face count that confirms it at
-    every degree (``_certified_faces``).  ``timings``, when given, receives
-    the seconds of the stages ``enumerate`` and ``certify``; the face count
-    and its comparison run inside certification."""
+    """The certified h-polynomial and the face count (``_face_vector``) that
+    certification compares with it at every degree; ``VerificationError``
+    when certification fails.  ``timings``, when given, receives the seconds
+    of the stages ``enumerate`` and ``certify``; the face count and its
+    comparison run inside certification."""
     lap = _stopwatch(timings)
     _enumerated(spec)
     lap("enumerate")
     result = verify_linear_quotients(spec)
     lap("certify")
-    f = _certified_faces(spec)
+    if not result.passed:
+        raise VerificationError(f"linear-quotients certification failed for {spec}")
     # Certified, so every quotient is linear and the counts are the h-vector.
+    f = _face_vector(spec)
     return HilbertData(dim=spec.c + spec.d, h_polynomial=HVector(h=result.degree_counts), f=f)
 
 

@@ -5,10 +5,10 @@ spanned by the products of t minors; its dimension is the rank of the
 coefficient matrix of those products, computed exactly by sparse row
 reduction over a prime field (default) or over the rationals, the latter in
 integer arithmetic alone.  The rank side looks at no facet, colon ideal or
-graph.  The face count it is compared with comes from the interval DP,
-certified against the enumerated facets and the certified h-vector
-(``invariants._certified_faces``), so agreement is a genuine cross-check of
-the combinatorial pipeline.
+graph.  The face count it is compared with is the interval DP
+``facet_complex._face_vector``, which reads no facet either and which
+certification compares with the certified h-vector, so agreement is a
+genuine cross-check of the combinatorial pipeline.
 
 A monomial is packed into one integer, one bit field per matrix entry, so a
 product adds monomials with one integer addition and integer order is lex
@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CapacityError, InternalError, PreconditionError
-from .invariants import _certified_faces, _hf_from_counts
+from .facet_complex import _face_vector, _hf_from_counts
 from .scroll_model import ScrollSpec, minor, require_complex
 
 DEFAULT_MODULUS = (1 << 31) - 1
@@ -395,8 +395,9 @@ def cross_check(
     """Compare the rank oracle against the face-count Hilbert function.
 
     The row count grows with the degree, so the row budget is checked at
-    ``t_max`` before the face count and any degree is built.  Raises
-    ``VerificationError`` when the face count fails its certificate.
+    ``t_max`` before the face count and any degree is built.  The face count
+    is the interval DP ``_face_vector``, which reads no facet, so the check
+    runs past the enumeration budget and certifies nothing itself.
 
     Each degree is ranked one block per symmetry orbit (``_degree_rank``).
     A mismatch under a prime modulus is re-checked over the rationals, every
@@ -409,7 +410,7 @@ def cross_check(
     p = _field(modulus)
     _check_rows(spec, t_max)
 
-    faces = _certified_faces(spec)
+    faces = _face_vector(spec)
     # Degree 0 is the ground field on both sides.
     rows: list[CrossCheckRow] = [CrossCheckRow(t=0, fiber_rank=1, face_count=1, equal=True)]
     notes: list[str] = []

@@ -201,7 +201,7 @@ def test_criterion_10_structural_invariants():
             result = verify_linear_quotients(spec)
             hv = h_vector_from_quotients(result.reports)
             assert hv.h[0] == 1
-            assert hv.total == len(facets)
+            assert sum(hv.h) == len(facets)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,12 @@ from scrollfiber import (
     ScrollSpec,
     cli,
     dual_quotients,
+    enumerate_facets,
     facet_complex,
     invariants,
     leaves_profile,
     oracle,
+    predict_LG,
     rank_blocks,
 )
 from scrollfiber.cli import ReportEnvelope, _build_parser, cmd_batch, main
@@ -169,17 +171,18 @@ class TestInvariantsCommand:
     ):
         # The ridge passes still see the true facets; only the check that
         # the enumerated complex lies in the counted one reads the mutant,
-        # through the kept index.
-        real = dual_quotients._incidence
+        # through the index that the check builds.
+        spec = ScrollSpec((5,))
+        groups = dual_quotients._enumerated(spec)[1]
+        real = dual_quotients._bitset_index
 
-        def with_extra_vertex(spec):
-            masks, groups, _ = dual_quotients._enumerated(spec)
+        def with_extra_vertex(masks):
             rank, bit = mutant(spec, masks, groups)
-            rows = list(real(spec))  # the kept index stays as it is
+            rows = real(masks)
             rows[bit.bit_length() - 1] |= 1 << rank
             return rows
 
-        monkeypatch.setattr(dual_quotients, "_incidence", with_extra_vertex)
+        monkeypatch.setattr(dual_quotients, "_bitset_index", with_extra_vertex)
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
         assert message in json.loads(out)["error"]
@@ -350,6 +353,48 @@ class TestVerifyCommand:
         assert verification["passed"] is False
         assert verification["failure_count"] > 0
         assert all(failure["vertices"] for failure in verification["failures"])
+
+    @pytest.mark.parametrize("mutation", ["c2", "b2", "swap-groups"])
+    def test_a_mutated_rule_certifies_once(self, monkeypatch, mutation):
+        # The oracle reads the face DP, so only the mutated order is certified.
+        calls = []
+        real = dual_quotients._certify
+
+        def counted(spec, rule):
+            calls.append(rule)
+            return real(spec, rule)
+
+        monkeypatch.setattr(dual_quotients, "_certify", counted)
+        envelope, code = cli.cmd_verify(
+            ScrollSpec((2, 4)), False, 2, oracle.DEFAULT_MODULUS, mutation
+        )
+        assert (code, calls) == (1, [mutation])
+        assert envelope.verification["passed"] is False
+        assert envelope.oracle["passed"] is True
+
+    def test_a_doctored_prediction_reports_its_facet_and_the_oracle(self, capsys, monkeypatch):
+        # A true generator cleared from the kept prediction of one facet of
+        # (6,): certification fails without raising, and the report names
+        # that facet next to the oracle rows.
+        spec = ScrollSpec((6,))
+        facets = enumerate_facets(spec)
+        rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
+        cleared = facet_complex._mask(spec, [min(predict_LG(facets[rank]))])
+        masks, _, packed = dual_quotients._enumerated(spec)
+        width = len(packed) // len(masks)
+        cell = slice(rank * width, (rank + 1) * width)
+        packed[cell] = (int.from_bytes(packed[cell], "little") & ~cleared).to_bytes(width, "little")
+        monkeypatch.setattr(cli, "ScrollSpec", lambda n: spec)
+        code, out, _ = run(capsys, "verify", "--n", "6", "--format", "json")
+        payload = json.loads(out)
+        assert (code, payload["error"]) == (1, None)
+        verification, orc = payload["verification"], payload["oracle"]
+        assert (verification["passed"], verification["failure_count"]) == (False, 1)
+        assert verification["failures"][0]["vertices"] == sorted(
+            list(v) for v in facets[rank].vertices
+        )
+        assert orc["passed"] is True
+        assert [row[0] for row in orc["rows"]] == [0, 1, 2, 3]
 
     def test_small_regime_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "1,1,1")

@@ -18,7 +18,6 @@ from scrollfiber import (
     UnsupportedRegimeError,
     VerificationError,
     colon_generators,
-    dual_support,
     enumerate_facets,
     first_facet,
     precedes,
@@ -32,7 +31,6 @@ from scrollfiber.dual_quotients import (
     _enumerated,
     _facet_order,
     _fold,
-    _incidence,
     _predict,
     _scanned,
 )
@@ -149,13 +147,6 @@ class TestOrder:
         g = enumerate_facets(ScrollSpec((6,)))[0]
         with pytest.raises(DomainError):
             precedes(f, g)
-
-    def test_dual_support_is_the_complement(self):
-        facet = enumerate_facets(ScrollSpec((5,)))[0]
-        support = dual_support(facet)
-        assert len(support) == 10 - (5 + 1)
-        assert set(support).isdisjoint(facet.vertices)
-        assert list(support) == sorted(support)
 
 
 class TestColonGenerators:
@@ -586,7 +577,6 @@ class TestCompactCertification:
     def test_certification_stays_under_the_per_facet_byte_bound(self):
         spec = ScrollSpec((12,))
         masks, _, _ = _enumerated(spec)
-        _incidence(spec)
         tracemalloc.start()
         try:
             result = _certify(spec, None)

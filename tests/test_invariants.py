@@ -44,7 +44,7 @@ class TestHVector:
         spec = ScrollSpec(n)
         hv = quotient_h(n)
         assert hv.h[0] == 1
-        assert hv.total == len(enumerate_facets(spec))
+        assert sum(hv.h) == len(enumerate_facets(spec))
 
     def test_degree_is_the_regularity_bound(self):
         for n in [(5,), (6,), (7,), (1, 5), (2, 4), (3, 3), (2, 2, 2, 2)]:

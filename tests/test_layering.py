@@ -16,9 +16,9 @@ ORDER = (
     "errors",
     "scroll_model",
     "facet_complex",
+    "oracle",
     "dual_quotients",
     "invariants",
-    "oracle",
     "cli",
 )
 

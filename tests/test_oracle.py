@@ -36,10 +36,9 @@ from scrollfiber import (
     rank_mod_prime,
     rank_rational,
 )
-from scrollfiber import oracle
+from scrollfiber import dual_quotients, oracle
 from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS
-from scrollfiber.facet_complex import _face_vector, count_facets
-from scrollfiber.invariants import _hf_from_counts
+from scrollfiber.facet_complex import _face_vector, _hf_from_counts, count_facets
 from scrollfiber.oracle import (
     ExpandedPolynomial,
     RankProblem,
@@ -546,12 +545,20 @@ class TestCrossCheck:
             cross_check(ScrollSpec((2, 2, 2)), 2)
 
     @pytest.mark.parametrize("n, hf2", [((6, 6, 6), 7356), ((20,), 9424)])
-    def test_degree_two_from_the_fold_past_the_enumeration_budget(self, n, hf2):
-        # HF(2) = f1 + f2 from the face DP, which enumerates no facet.
+    def test_degree_two_from_the_fold_past_the_enumeration_budget(self, monkeypatch, n, hf2):
+        # HF(2) = f1 + f2 from the face DP, which enumerates no facet, and
+        # cross_check compares with that DP alone.
+        def no_enumeration(spec):
+            raise AssertionError("a facet was enumerated")
+
+        monkeypatch.setattr(dual_quotients, "_enumerated", no_enumeration)
         spec = ScrollSpec(n)
         assert count_facets(spec) > MAX_ENUMERATED_FACETS
         f = _face_vector(spec)
         assert _hf_from_counts(f, 2) == hf2 == fiber_hilbert_function(spec, 2)
+        result = cross_check(spec, 2)
+        assert result.passed
+        assert result.rows[2] == CrossCheckRow(t=2, fiber_rank=hf2, face_count=hf2, equal=True)
 
     def test_row_budget_is_checked_before_any_work(self, monkeypatch):
         # C(78 + 3, 4) = 1,663,740 rows at t_max = 4 for c = 13: refused
@@ -559,7 +566,7 @@ class TestCrossCheck:
         def no_work(*args):
             raise AssertionError("work started before the row check")
 
-        monkeypatch.setattr(oracle, "_certified_faces", no_work)
+        monkeypatch.setattr(oracle, "_face_vector", no_work)
         monkeypatch.setattr(oracle, "build_rank_problem", no_work)
         monkeypatch.setattr(oracle, "rank_blocks", no_work)
         monkeypatch.setattr(oracle, "_buckets", no_work)

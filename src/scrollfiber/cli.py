@@ -20,12 +20,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .dual_quotients import (
     MUTATIONS,
     VerificationResult,
+    _enumerated,
     colon_generators,
     enumerate_facets,
     first_facet,
@@ -33,9 +34,15 @@ from .dual_quotients import (
     verify_linear_quotients,
 )
 from .errors import PreconditionError, ScrollError, VerificationError
-from .facet_complex import Facet, facet_tree, is_facet
-from .invariants import _stopwatch, full_report, hilbert_function_by_faces
-from .oracle import DEFAULT_MODULUS, CrossCheckResult, cross_check, fiber_hilbert_function
+from .facet_complex import Facet, _hf_from_counts, facet_tree, is_facet
+from .invariants import face_counts, full_report
+from .oracle import (
+    DEFAULT_MODULUS,
+    CrossCheckResult,
+    _preflight,
+    cross_check,
+    fiber_hilbert_function,
+)
 from .scroll_model import ScrollSpec, build_matrix, leaves_profile
 
 EXIT_OK = 0
@@ -111,9 +118,8 @@ def _spec_dict(spec: ScrollSpec, normalized: bool) -> dict:
 
 
 def _verification_dict(result: VerificationResult) -> dict:
-    failures = result.failures()
     entries = []
-    for report in failures[:MAX_REPORTED_FAILURES]:
+    for report in result.failing[:MAX_REPORTED_FAILURES]:
         entries.append(
             {
                 "alpha": report.facet.alpha,
@@ -130,7 +136,7 @@ def _verification_dict(result: VerificationResult) -> dict:
         "facets": result.facet_count,
         "mode": "indexed",
         "mutation": result.mutation,
-        "failure_count": len(failures),
+        "failure_count": len(result.failing),
         "failures": entries,
     }
 
@@ -245,30 +251,45 @@ def _write_output(text: str, out_dir: str | None, filename: str) -> None:
     sys.stdout.write(text)
 
 
+def _stopwatch(timings: dict[str, float] | None) -> Callable[[str], None]:
+    """``lap(name)`` records under ``name`` the seconds since the previous
+    lap (or since this call), rounded to milliseconds, when ``timings`` is a
+    dict; otherwise it records nothing."""
+    last = time.perf_counter()
+
+    def lap(name: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        if timings is not None:
+            timings[name] = round(now - last, 3)
+        last = now
+
+    return lap
+
+
 def cmd_invariants(
     spec: ScrollSpec, normalized: bool, timings: dict[str, float] | None = None
 ) -> tuple[ReportEnvelope, int]:
-    """Full invariant report; prediction-only (exit 3) when c < d + 4.
-    ``timings`` receives the stage times of ``full_report``."""
+    """Full invariant report; prediction-only (exit 3) when c < d + 4.  A
+    failed certification is exit 1 with the verification block, failing
+    facets included, and no invariants.  ``timings`` receives the seconds
+    of the stages ``enumerate`` and ``certify``."""
+    lap = _stopwatch(timings)
+    envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="computed")
     try:
-        report = full_report(spec, timings=timings)
-        if report.mode == "prediction-only":
-            envelope = ReportEnvelope(
-                spec=_spec_dict(spec, normalized), mode=report.mode, invariants=asdict(report)
-            )
-            return envelope, EXIT_PREDICTION_ONLY
-        verification = verify_linear_quotients(spec)
+        if spec.has_complex:
+            _enumerated(spec)
+            lap("enumerate")
+            envelope.verification = _verification_dict(verify_linear_quotients(spec))
+            lap("certify")
+        report = full_report(spec)
     except VerificationError as exc:
-        envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="computed", error=str(exc))
+        envelope.error = str(exc)
         return envelope, EXIT_MATH
-    envelope = ReportEnvelope(
-        spec=_spec_dict(spec, normalized),
-        mode="computed",
-        invariants=asdict(report),
-        verification=_verification_dict(verification),
-    )
-    passed = report.closed_form_match and verification.passed
-    return envelope, EXIT_OK if passed else EXIT_MATH
+    envelope.mode, envelope.invariants = report.mode, asdict(report)
+    if report.mode == "prediction-only":
+        return envelope, EXIT_PREDICTION_ONLY
+    return envelope, EXIT_OK if report.closed_form_match else EXIT_MATH
 
 
 def cmd_verify(
@@ -280,9 +301,11 @@ def cmd_verify(
     timings: dict[str, float] | None = None,
 ) -> tuple[ReportEnvelope, int]:
     """Linear-quotients certification plus the rank-oracle cross-check; an
-    enumeration or face count that fails its certificate is exit 1.
-    ``timings`` receives the seconds of the stages ``certify`` and
+    enumeration or face count that fails its certificate is exit 1.  The
+    oracle's pre-flight checks run first, so a refused oracle run certifies
+    nothing.  ``timings`` receives the seconds of the stages ``certify`` and
     ``oracle``."""
+    _preflight(spec, t_max, modulus)
     lap = _stopwatch(timings)
     try:
         verification = verify_linear_quotients(spec, mutation=mutation)
@@ -427,10 +450,9 @@ def cmd_selftest() -> int:
     result = verify_linear_quotients(spec5)
     checks.append(("linear quotients (5)", result.passed))
     checks.append(("h-vector (5)", result.degree_counts == (1, 4, 4, 1)))
-    facets5 = enumerate_facets(spec5)
+    counts5 = face_counts(enumerate_facets(spec5), 2)
     oracle_ok = all(
-        fiber_hilbert_function(spec5, t) == hilbert_function_by_faces(spec5, facets5, t)
-        for t in range(3)
+        fiber_hilbert_function(spec5, t) == _hf_from_counts(counts5, t) for t in range(3)
     )
     checks.append(("rank oracle agrees (5), t <= 2", oracle_ok))
     rational_ok = all(

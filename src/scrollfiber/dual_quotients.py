@@ -150,9 +150,6 @@ class VerificationResult:
             object.__setattr__(self, "_reports", reports)
         return self._reports
 
-    def failures(self) -> tuple[ColonReport, ...]:
-        return self.failing
-
 
 def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
     """Enumeration ranks in the order certified under ``mutation``:

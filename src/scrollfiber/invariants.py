@@ -2,8 +2,8 @@
 
 The h-vector is read off the certified quotient degrees.  Certification
 checks it at every degree against the face count of ``facet_complex``, which
-reads no facet; ``hilbert_data`` hands out both and refuses to report
-(``VerificationError``) when certification fails.
+reads no facet; ``full_report`` refuses to report (``VerificationError``)
+when certification fails.
 Regularity is the h-degree, dimension is the facet size, the a-invariant their
 difference, the reduction number equals the regularity, and Gorensteinness is
 decided by palindromicity of the h-vector, all compared against closed forms.
@@ -12,13 +12,12 @@ decided by palindromicity of the h-vector, all compared against closed forms.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .dual_quotients import ColonReport, _enumerated, verify_linear_quotients
+from .dual_quotients import ColonReport, verify_linear_quotients
 from .errors import CapacityError, DomainError, PreconditionError, VerificationError
-from .facet_complex import Facet, _face_vector, _hf_from_counts, _mask
+from .facet_complex import Facet, _mask
 from .facet_complex import numerator_from_face_counts as numerator_from_face_counts
 from .scroll_model import ScrollSpec, complex_regime
 
@@ -43,16 +42,6 @@ class HVector:
     @property
     def is_palindromic(self) -> bool:
         return self.h == self.h[::-1]
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class HilbertData:
-    """The face ring's certified h-polynomial and f-vector: ``f[k-1]``
-    counts the faces of k vertices."""
-
-    dim: int
-    h_polynomial: HVector
-    f: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,19 +216,6 @@ def _clique_walk(adj: Sequence[int], max_size: int) -> tuple[int, ...]:
     return tuple(counts[1:])
 
 
-def hilbert_function_by_faces(spec: ScrollSpec, facets: Sequence[Facet], t: int) -> int:
-    """Number of degree-t monomials whose support is a face of the complex
-    of ``spec``, generated by ``facets``; ``DomainError`` for a facet of
-    another scroll."""
-    if any(f.spec != spec for f in facets):
-        raise DomainError(f"facets of another scroll given for {spec}")
-    if t < 0:
-        raise PreconditionError(f"degree must be non-negative, got {t}")
-    if t == 0:
-        return 1
-    return _hf_from_counts(face_counts(facets, t), t)
-
-
 def hilbert_function_from_h(h: Sequence[int], dim: int, t: int) -> int:
     """Expand the Hilbert series numerator h over (1-t)^dim at degree t;
     ``PreconditionError`` for an empty h, for a coefficient, dim or t that
@@ -292,55 +268,24 @@ def closed_form(c: int, d: int) -> InvariantReport:
     )
 
 
-def _stopwatch(timings: dict[str, float] | None) -> Callable[[str], None]:
-    """``lap(name)`` records under ``name`` the seconds since the previous
-    lap (or since this call), rounded to milliseconds, when ``timings`` is a
-    dict; otherwise it records nothing."""
-    last = time.perf_counter()
-
-    def lap(name: str) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        if timings is not None:
-            timings[name] = round(now - last, 3)
-        last = now
-
-    return lap
-
-
-def hilbert_data(spec: ScrollSpec, *, timings: dict[str, float] | None = None) -> HilbertData:
-    """The certified h-polynomial and the face count (``_face_vector``) that
-    certification compares with it at every degree; ``VerificationError``
-    when certification fails.  ``timings``, when given, receives the seconds
-    of the stages ``enumerate`` and ``certify``; the face count and its
-    comparison run inside certification."""
-    lap = _stopwatch(timings)
-    _enumerated(spec)
-    lap("enumerate")
-    result = verify_linear_quotients(spec)
-    lap("certify")
-    if not result.passed:
-        raise VerificationError(f"linear-quotients certification failed for {spec}")
-    # Certified, so every quotient is linear and the counts are the h-vector.
-    f = _face_vector(spec)
-    return HilbertData(dim=spec.c + spec.d, h_polynomial=HVector(h=result.degree_counts), f=f)
-
-
-def full_report(spec: ScrollSpec, *, timings: dict[str, float] | None = None) -> InvariantReport:
+def full_report(spec: ScrollSpec) -> InvariantReport:
     """Computed invariants for ``spec``, checked against the closed forms.
 
     For c < d + 4 no complex is built and the closed-form predictions are
-    returned as-is, flagged prediction-only.  Verification failures and
-    face-count disagreements propagate as ``VerificationError``.
-    ``timings`` is passed to ``hilbert_data``.
+    returned as-is, flagged prediction-only.  Otherwise the invariants come
+    from ``verify_linear_quotients(spec)``; ``VerificationError`` when that
+    certification fails, so no invariant is read off an uncertified order.
     """
     c, d = spec.c, spec.d
     predicted = closed_form(c, d)
     if not spec.has_complex:
         return predicted
 
-    data = hilbert_data(spec, timings=timings)
-    hv = data.h_polynomial
+    result = verify_linear_quotients(spec)
+    if not result.passed:
+        raise VerificationError(f"linear-quotients certification failed for {spec}")
+    # Certified, so every quotient is linear and the counts are the h-vector.
+    hv = HVector(h=result.degree_counts)
     reg = hv.degree
     dim = c + d
     gorenstein = hv.is_palindromic
@@ -354,7 +299,7 @@ def full_report(spec: ScrollSpec, *, timings: dict[str, float] | None = None) ->
     return InvariantReport(
         c=c,
         d=d,
-        facet_count=verify_linear_quotients(spec).facet_count,
+        facet_count=result.facet_count,
         h_vector=hv.h,
         dim=dim,
         reg=reg,

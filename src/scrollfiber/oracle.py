@@ -386,6 +386,19 @@ class CrossCheckResult:
     blocks: tuple[tuple[int, int, int], ...]
 
 
+def _preflight(spec: ScrollSpec, t_max: int, modulus: int | str) -> int | None:
+    """The checks ``cross_check`` makes before any work, which cost no work
+    themselves: the regime, t_max >= 0, the modulus (``_field``, whose
+    result it returns) and, as the row count grows with the degree, the row
+    budget at ``t_max``."""
+    require_complex(spec)
+    if t_max < 0:
+        raise PreconditionError(f"t_max must be non-negative, got {t_max}")
+    p = _field(modulus)
+    _check_rows(spec, t_max)
+    return p
+
+
 def cross_check(
     spec: ScrollSpec,
     t_max: int,
@@ -394,22 +407,17 @@ def cross_check(
 ) -> CrossCheckResult:
     """Compare the rank oracle against the face-count Hilbert function.
 
-    The row count grows with the degree, so the row budget is checked at
-    ``t_max`` before the face count and any degree is built.  The face count
-    is the interval DP ``_face_vector``, which reads no facet, so the check
-    runs past the enumeration budget and certifies nothing itself.
+    ``_preflight`` checks the arguments and the row budget before the face
+    count and any degree is built.  The face count is the interval DP
+    ``_face_vector``, which reads no facet, so the check runs past the
+    enumeration budget and certifies nothing itself.
 
     Each degree is ranked one block per symmetry orbit (``_degree_rank``).
     A mismatch under a prime modulus is re-checked over the rationals, every
     orbit of that degree again: a genuinely modular discrepancy is flagged
     as a suspected modulus collision instead of a mathematical failure.
     """
-    require_complex(spec)
-    if t_max < 0:
-        raise PreconditionError(f"t_max must be non-negative, got {t_max}")
-    p = _field(modulus)
-    _check_rows(spec, t_max)
-
+    p = _preflight(spec, t_max, modulus)
     faces = _face_vector(spec)
     # Degree 0 is the ground field on both sides.
     rows: list[CrossCheckRow] = [CrossCheckRow(t=0, fiber_rank=1, face_count=1, equal=True)]

@@ -20,18 +20,18 @@ from scrollfiber import (
     colon_generators,
     cross_check,
     enumerate_facets,
+    face_counts,
     fiber_hilbert_function,
     first_facet,
     full_report,
     h_vector_from_quotients,
-    hilbert_data,
-    hilbert_function_by_faces,
     hilbert_function_from_h,
     leaves_profile,
     numerator_from_face_counts,
     predict_LG,
     verify_linear_quotients,
 )
+from scrollfiber.facet_complex import _face_vector, _hf_from_counts
 
 
 # The worked example, shared with the desk suite so its results are computed once.
@@ -133,16 +133,17 @@ def test_criterion_06_gorenstein_reproduction():
 def test_criterion_07_two_path_hilbert_agreement():
     with criterion(7, "face counts equal the h-polynomial expansion at every degree"):
         for spec in desk_specs_with_complex():
-            data = hilbert_data(spec)  # raises on any disagreement
+            result = verify_linear_quotients(spec)  # checks the identity itself
+            assert result.passed
             dim = spec.c + spec.d
-            assert numerator_from_face_counts(data.f, dim) == data.h_polynomial.h
+            assert numerator_from_face_counts(_face_vector(spec), dim) == result.degree_counts
         # independent spot check through the public face-count entry point
         spec = ScrollSpec((2, 4))
         facets = enumerate_facets(spec)
-        data = hilbert_data(spec)
+        h = verify_linear_quotients(spec).degree_counts
         for t in range(6):
-            by_h = hilbert_function_from_h(data.h_polynomial.h, spec.c + spec.d, t)
-            assert hilbert_function_by_faces(spec, facets, t) == by_h
+            by_h = hilbert_function_from_h(h, spec.c + spec.d, t)
+            assert _hf_from_counts(face_counts(facets, max(t, 1)), t) == by_h
 
 
 def test_criterion_08_oracle_equality():

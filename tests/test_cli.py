@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from scrollfiber import (
     ScrollSpec,
+    VerificationError,
     cli,
     dual_quotients,
     enumerate_facets,
@@ -59,6 +60,21 @@ def _add_unit_off_the_leaves(spec, masks, groups):
     leaves = leaves_profile(spec, next(iter(groups))).leaves
     u = next(u for u in range(1, spec.c) if (u, u + 1) not in leaves)
     return 0, facet_complex._grid(spec)[u][u + 1]
+
+
+def _doctored_six():
+    """A fresh (6,) with a true generator cleared from the kept prediction
+    of one facet with the most generators: the spec, its facets and that
+    facet's rank.  Certification fails without raising."""
+    spec = ScrollSpec((6,))
+    facets = enumerate_facets(spec)
+    rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
+    cleared = facet_complex._mask(spec, [min(predict_LG(facets[rank]))])
+    masks, _, packed = dual_quotients._enumerated(spec)
+    width = len(packed) // len(masks)
+    cell = slice(rank * width, (rank + 1) * width)
+    packed[cell] = (int.from_bytes(packed[cell], "little") & ~cleared).to_bytes(width, "little")
+    return spec, facets, rank
 
 
 class TestInvariantsCommand:
@@ -121,6 +137,27 @@ class TestInvariantsCommand:
         _, first, _ = run(capsys, "invariants", "--n", "1,5", "--format", "json")
         _, second, _ = run(capsys, "invariants", "--n", "1,5", "--format", "json")
         assert first == second
+
+    def test_a_doctored_prediction_reports_its_facet_and_no_invariants(
+        self, capsys, monkeypatch
+    ):
+        spec, facets, rank = _doctored_six()
+        with pytest.raises(VerificationError, match=r"certification failed for \(6\)"):
+            invariants.full_report(spec)
+        monkeypatch.setattr(cli, "ScrollSpec", lambda n: spec)
+        code, out, err = run(capsys, "invariants", "--n", "6", "--format", "json")
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert payload["error"] == "linear-quotients certification failed for (6)"
+        assert (payload["mode"], payload["invariants"]) == ("computed", None)
+        verification = payload["verification"]
+        assert (verification["passed"], verification["facets"]) == (False, 32)
+        assert verification["failure_count"] == 1
+        assert verification["failures"][0]["vertices"] == sorted(
+            list(v) for v in facets[rank].vertices
+        )
+        _, text, _ = run(capsys, "invariants", "--n", "6")
+        assert "linear quotients: FAIL (1 facets) over 32 facets" in text.splitlines()
 
     def test_timings_only_on_request_with_every_stage(self, capsys):
         _, plain, _ = run(capsys, "invariants", "--n", "5", "--format", "json")
@@ -266,7 +303,7 @@ class TestInvariantsCommand:
         # c - d - 2 >= 2**63 for the 20-digit degree; c = 99999999999 would
         # build its c-column matrix if alpha were validated first.
         invocations = [("invariants", "--n", n) for n in ("120", "1100", HUGE)] + [
-            ("verify", "--n", HUGE),
+            ("verify", "--n", HUGE, "--t-max", "0"),
             ("facets", "--n", HUGE),
             ("facets", "--n", "99999999999", "--alpha", "1"),
         ]
@@ -373,17 +410,9 @@ class TestVerifyCommand:
         assert envelope.oracle["passed"] is True
 
     def test_a_doctored_prediction_reports_its_facet_and_the_oracle(self, capsys, monkeypatch):
-        # A true generator cleared from the kept prediction of one facet of
-        # (6,): certification fails without raising, and the report names
-        # that facet next to the oracle rows.
-        spec = ScrollSpec((6,))
-        facets = enumerate_facets(spec)
-        rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
-        cleared = facet_complex._mask(spec, [min(predict_LG(facets[rank]))])
-        masks, _, packed = dual_quotients._enumerated(spec)
-        width = len(packed) // len(masks)
-        cell = slice(rank * width, (rank + 1) * width)
-        packed[cell] = (int.from_bytes(packed[cell], "little") & ~cleared).to_bytes(width, "little")
+        # Certification fails without raising, and the report names the
+        # doctored facet next to the oracle rows.
+        spec, facets, rank = _doctored_six()
         monkeypatch.setattr(cli, "ScrollSpec", lambda n: spec)
         code, out, _ = run(capsys, "verify", "--n", "6", "--format", "json")
         payload = json.loads(out)
@@ -408,6 +437,34 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == (
             "error: degree 4 needs 1,663,740 product rows, over the row capacity "
+            "of 100,000 rows; lower the degree\n"
+        )
+
+    def test_oracle_preflight_runs_before_certification(self, capsys, monkeypatch):
+        def refuse(spec, rule):
+            raise AssertionError("certified before the oracle's pre-flight checks")
+
+        monkeypatch.setattr(dual_quotients, "_certify", refuse)
+        refusals = {
+            ("--n", "4,4,4,4", "--t-max", "3"): (
+                "error: degree 3 needs 295,240 product rows, over the row capacity "
+                "of 100,000 rows; lower the degree\n"
+            ),
+            ("--n", "5", "--t-max", "-1"): "error: t_max must be non-negative, got -1\n",
+            ("--n", "5", "--modulus", "4"): (
+                "error: modulus must be 'rational' or a prime <= 2^31 - 1, got 4\n"
+            ),
+        }
+        for argv, message in refusals.items():
+            assert run(capsys, "verify", *argv) == (2, "", message)
+
+    def test_a_spec_over_both_budgets_reports_the_row_budget(self, capsys):
+        # (20,) is over the enumeration budget too, checked only when
+        # certifying.
+        code, out, err = run(capsys, "verify", "--n", "20", "--t-max", "3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: degree 3 needs 1,161,280 product rows, over the row capacity "
             "of 100,000 rows; lower the degree\n"
         )
 
@@ -724,12 +781,12 @@ class TestBatchReuse:
     def test_each_distinct_type_is_computed_once(self, monkeypatch, batch):
         computed = []
 
-        def counted(spec, **kwargs):
+        def counted(spec, normalized):
             computed.append(spec.n)
-            return full_report(spec, **kwargs)
+            return cmd_invariants(spec, normalized)
 
-        full_report = cli.full_report
-        monkeypatch.setattr(cli, "full_report", counted)
+        cmd_invariants = cli.cmd_invariants
+        monkeypatch.setattr(cli, "cmd_invariants", counted)
         envelopes, code = cmd_batch(batch)
         assert computed == [(12,), (2, 10), (2, 4), (3,), (20,)]
         assert code == 2

@@ -94,7 +94,7 @@ def _assert_engines_agree(spec, mutation):
         assert (r.linear, r.matches_prediction) == (linear, matches)
         failures += not (linear and matches)
     assert indexed.passed == (failures == 0)
-    assert len(indexed.failures()) == failures
+    assert len(indexed.failing) == failures
 
 
 class TestOrder:
@@ -375,7 +375,7 @@ class TestVerification:
         assert result.facet_count == len(facets)
         degrees = [len(r.computed_generators) for r in result.reports]
         assert result.degree_counts == tuple(degrees.count(k) for k in range(max(degrees) + 1))
-        assert (result.failures(), result.scanned) == ((), False)
+        assert (result.failing, result.scanned) == ((), False)
 
     def test_small_scroll_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -384,7 +384,7 @@ class TestVerification:
     def test_mutated_leftmost_leaf_rule_fails(self):
         result = verify_linear_quotients(ScrollSpec((2, 4)), mutation="c2")
         assert not result.passed
-        assert result.failures()
+        assert result.failing
         # the mutation only disturbs predictions, never the computed colons
         assert all(r.linear for r in result.reports)
 
@@ -404,7 +404,7 @@ class TestVerification:
     def test_mutation_failure_counts(self, n, c2, b2, swap):
         spec = DESK_BY_N[n]
         counts = {
-            m: len(verify_linear_quotients(spec, mutation=m).failures())
+            m: len(verify_linear_quotients(spec, mutation=m).failing)
             for m in ("c2", "b2", "swap-groups")
         }
         assert counts == {"c2": c2, "b2": b2, "swap-groups": swap}
@@ -441,7 +441,7 @@ class TestVerification:
         assert result.scanned
         scan = list(_scanned(spec, None))
         assert sum(len(diffs) > gens.bit_count() for _, gens, diffs, _ in scan) == 16
-        assert result.failures() == tuple(r for r in reports if not r.matches_prediction)
+        assert result.failing == tuple(r for r in reports if not r.matches_prediction)
         assert [r.computed_generators for r in reports] == [
             _minimal_diffs(f, facets[:rank]) for rank, f in enumerate(facets)
         ]
@@ -501,7 +501,7 @@ class TestPendingRidges:
     def test_a_prediction_missing_a_generator_fails_that_facet(self):
         spec, facets, rank, missed = self._doctored(lambda facet, predicted: min(predicted))
         result = verify_linear_quotients(spec)
-        (report,) = result.failures()
+        (report,) = result.failing
         assert report.facet == facets[rank]
         assert report.predicted_LG == predict_LG(facets[rank]) - {missed}
         assert report.computed_generators == colon_generators(facets[rank], facets)
@@ -517,7 +517,7 @@ class TestPendingRidges:
             lambda facet, predicted: min(facet.vertices - predicted)
         )
         result = verify_linear_quotients(spec)
-        (report,) = result.failures()
+        (report,) = result.failing
         assert report.facet == facets[rank]
         assert report.predicted_LG == predict_LG(facets[rank]) | {extra}
         assert report.computed_generators == colon_generators(facets[rank], facets)
@@ -541,7 +541,7 @@ class TestPendingRidges:
             spec, _, _, _ = self._doctored(choose, rank)
             result = verify_linear_quotients(spec)
             assert not result.passed
-            assert [report.facet for report in result.failures()] == [facets[rank]]
+            assert [report.facet for report in result.failing] == [facets[rank]]
 
     def test_over_the_scan_budget_a_failed_identity_is_refused_unscanned(self, monkeypatch):
         spec, facets, _, _ = self._doctored(lambda facet, predicted: min(predicted))
@@ -565,7 +565,7 @@ class TestPendingRidges:
         monkeypatch.setattr(dual_quotients, "MAX_SCANNED_FACETS", len(facets))
         result = verify_linear_quotients(spec)
         assert result.scanned
-        assert [report.facet for report in result.failures()] == [facets[rank]]
+        assert [report.facet for report in result.failing] == [facets[rank]]
 
 
 class TestCompactCertification:

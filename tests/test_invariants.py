@@ -22,8 +22,6 @@ from scrollfiber import (
     face_counts,
     full_report,
     h_vector_from_quotients,
-    hilbert_data,
-    hilbert_function_by_faces,
     hilbert_function_from_h,
     numerator_from_face_counts,
     verify_linear_quotients,
@@ -31,7 +29,7 @@ from scrollfiber import (
 )
 from scrollfiber import invariants
 from scrollfiber.dual_quotients import _enumerated
-from scrollfiber.facet_complex import _bitset_index
+from scrollfiber.facet_complex import _bitset_index, _face_vector, _hf_from_counts
 
 
 def quotient_h(n):
@@ -73,21 +71,23 @@ class TestFaceCounting:
     def test_degree_zero_and_one(self):
         spec = ScrollSpec((1, 5))
         facets = enumerate_facets(spec)
-        assert hilbert_function_by_faces(spec, facets, 0) == 1
+        assert _hf_from_counts(face_counts(facets, 1), 0) == 1
         # every vertex lies in some facet, so degree one counts all of V
         covered = set().union(*(f.vertices for f in facets))
         assert covered == set(vertex_set(spec))
-        assert hilbert_function_by_faces(spec, facets, 1) == math.comb(spec.c, 2)
+        assert _hf_from_counts(face_counts(facets, 1), 1) == math.comb(spec.c, 2)
 
     @pytest.mark.parametrize("n", [(5,), (6,), (1, 5), (3, 3), (2, 2, 2, 2)])
     def test_two_paths_agree_up_to_five(self, n):
         spec = ScrollSpec(n)
-        data = hilbert_data(spec)
+        f = _face_vector(spec)
+        h = verify_linear_quotients(spec).degree_counts
         facets = enumerate_facets(spec)
         for t in range(6):
-            by_faces = invariants._hf_from_counts(data.f, t)
-            assert by_faces == hilbert_function_by_faces(spec, facets, t)
-            assert by_faces == hilbert_function_from_h(data.h_polynomial.h, spec.c + spec.d, t)
+            by_faces = _hf_from_counts(f, t)
+            if t >= 1:
+                assert by_faces == _hf_from_counts(face_counts(facets, t), t)
+            assert by_faces == hilbert_function_from_h(h, spec.c + spec.d, t)
 
     @pytest.mark.parametrize("n", [(5,), (6,), (7,), (1, 5), (2, 4), (3, 3)])
     def test_numerator_from_full_face_vector(self, n):
@@ -136,11 +136,7 @@ class TestFaceCounting:
 
     def test_facets_of_another_scroll_are_refused(self):
         five = enumerate_facets(ScrollSpec((5,)))
-        six = enumerate_facets(ScrollSpec((6,)))
-        # Equal specs are one scroll, whichever object holds them.
-        assert hilbert_function_by_faces(ScrollSpec((5,)), five, 2) == 49
-        with pytest.raises(DomainError, match=r"another scroll given for \(5\)"):
-            hilbert_function_by_faces(ScrollSpec((5,)), six, 2)
+        assert _hf_from_counts(face_counts(five, 2), 2) == 49
         with pytest.raises(DomainError, match="facets of several scrolls"):
             face_counts(five + enumerate_facets(ScrollSpec((2, 4))), 2)
 
@@ -307,11 +303,28 @@ class TestFullReport:
         reports = [full_report(ScrollSpec(n)) for n in [(1, 5), (2, 4), (3, 3)]]
         assert len({r.h_vector for r in reports}) == 1
         assert len({r.facet_count for r in reports}) == 1
-        f_vectors = [hilbert_data(ScrollSpec(n)).f for n in [(1, 5), (2, 4), (3, 3)]]
+        f_vectors = [_face_vector(ScrollSpec(n)) for n in [(1, 5), (2, 4), (3, 3)]]
         assert f_vectors[0] == f_vectors[1] == f_vectors[2]
         big = [full_report(ScrollSpec(n)) for n in [(1, 2, 2, 4), (2, 2, 2, 3)]]
         assert big[0].h_vector == big[1].h_vector
         assert big[0].facet_count == big[1].facet_count
+
+    @pytest.mark.parametrize(
+        "c, d", [(c, d) for c in range(5, 11) for d in range(1, c - 3)], ids=str
+    )
+    def test_h_depends_only_on_c_and_d(self, c, d):
+        # Every scroll type of c columns and d blocks, c >= d + 4: 86 types
+        # for c <= 10.
+        types = [
+            n
+            for n in itertools.combinations_with_replacement(range(1, c + 1), d)
+            if sum(n) == c
+        ]
+        results = [verify_linear_quotients(ScrollSpec(n)) for n in types]
+        assert all(result.passed for result in results)
+        assert len({result.degree_counts for result in results}) == 1
+        assert len({result.facet_count for result in results}) == 1
+        assert len(results[0].degree_counts) - 1 == closed_form(c, d).reg
 
     def test_builds_no_facet_view_and_no_report(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -341,9 +354,9 @@ class TestFullReport:
 class TestHilbertWindow:
     def test_long_window_sums_only_the_sizes_that_occur(self):
         # (5,) has faces of sizes 1..6 only; degree 20,000 needs no more.
-        data = hilbert_data(ScrollSpec((5,)))
-        assert len(data.f) == 6
-        by_faces = invariants._hf_from_counts(data.f, 20_000)
+        f = _face_vector(ScrollSpec((5,)))
+        assert len(f) == 6
+        by_faces = _hf_from_counts(f, 20_000)
         assert by_faces == hilbert_function_from_h((1, 4, 4, 1), 6, 20_000)
 
     @pytest.mark.parametrize("dim", [0, -1])
@@ -377,6 +390,6 @@ class TestHilbertWindow:
             hilbert_function_from_h((coefficient,), 3, 2)
 
     def test_from_h_refuses_a_negative_degree(self):
-        # As hilbert_function_by_faces and fiber_hilbert_function do.
+        # As fiber_hilbert_function does.
         with pytest.raises(PreconditionError, match="degree must be non-negative, got -1"):
             hilbert_function_from_h((1, 4, 4, 1), 6, -1)

@@ -27,6 +27,7 @@ from .dual_quotients import (
     MUTATIONS,
     VerificationResult,
     _enumerated,
+    _views,
     colon_generators,
     enumerate_facets,
     first_facet,
@@ -43,7 +44,7 @@ from .oracle import (
     cross_check,
     fiber_hilbert_function,
 )
-from .scroll_model import ScrollSpec, build_matrix, leaves_profile
+from .scroll_model import ScrollSpec, build_matrix, leaves_profile, require_alpha
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -328,20 +329,18 @@ def cmd_verify(
 def cmd_facets(
     spec: ScrollSpec, normalized: bool, fmt: str, alpha: int | None, limit: int
 ) -> str:
-    """Render the facet list (with trees) in the requested format."""
+    """Render the facet list (with trees), building only the views it prints."""
     if limit < 0:
         raise PreconditionError(f"--limit must be >= 0 (0 emits every facet), got {limit}")
-    facets = enumerate_facets(spec)
     if alpha is not None:
-        leaves_profile(spec, alpha)  # validates the alpha range
-        facets = [f for f in facets if f.alpha == alpha]
-    if limit:
-        facets = facets[:limit]
+        require_alpha(spec, alpha)  # before the enumeration, at any c
+    masks, groups, _ = _enumerated(spec)
+    ranks = (range(len(masks)) if alpha is None else groups[alpha])[: limit or None]
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "spec": _spec_dict(spec, normalized),
-            "count": len(facets),
+            "count": len(ranks),
             "facets": [
                 {
                     "alpha": f.alpha,
@@ -350,12 +349,12 @@ def cmd_facets(
                         [list(v), list(p)] for v, p in facet_tree(f).parent.items()
                     ),
                 }
-                for f in facets
+                for f in _views(spec, ranks)
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = [f"{len(facets)} facets of n=({','.join(str(v) for v in spec.n)})"]
-    for f in facets:
+    lines = [f"{len(ranks)} facets of n=({','.join(str(v) for v in spec.n)})"]
+    for f in _views(spec, ranks):
         verts = " ".join(f"({a},{b})" for a, b in sorted(f.vertices))
         lines.append(f"alpha={f.alpha}  {verts}")
     return "\n".join(lines) + "\n"

@@ -25,10 +25,11 @@ its role in its column, which its parent's way fixes, and by its own way
 (``_rule``).  So one fold of each group's grammar table with the role as
 state, ``_fold``, lists every facet together with its prediction, next to
 the fold of ``facet_complex`` that counts the facets.  Its unmutated run is
-the enumeration (``_enumerated``, ``enumerate_facets``, ``first_facet``),
-kept on the spec; only the rule mutations fold again.  It keeps no alpha
-per facet: each group's facets take one range of enumeration ranks, larger
-alpha first, and a facet's alpha is that of the range holding it.
+the enumeration, kept on the spec (``_enumerated``); only the rule mutations
+fold again.  It keeps no alpha per facet: each group's facets take one range
+of ranks, larger alpha first.  ``_views`` builds the ``Facet`` views of a
+range on request, for ``enumerate_facets``, ``first_facet``, the failing
+reports and the ``facets`` command, and keeps none.
 Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
@@ -75,9 +76,12 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 #: Each facet is kept as one int mask, about 50 bytes, with its packed
 #: prediction; certification decodes each prediction once and keeps it as
 #: an int over its two passes, with the incidence index of the face identity
-#: and the ridges still waiting for a partner.  ``invariants`` peaks at about
-#: 190 bytes a facet: 99 MB max RSS for (4,4,4,4), 475,456 facets, and
-#: 181 MB for (4,4,4,5), 982,889, in 10 and 21 s on a 2-core host.
+#: and the ridges still waiting for a partner.  ``invariants`` peaks at
+#: 170-200 bytes a facet: 93 MB max RSS for (4,4,4,4), 475,456 facets, and
+#: 166 MB for (4,4,4,5), 982,889, in 6.1 and 14.3 s (one CLI process each,
+#: median of 3, max RSS of the child, 2-core host).  A ``Facet`` view takes
+#: about 2.3 KB at (4,4,4,5), so ``_views`` builds views only on request and
+#: keeps none.
 MAX_ENUMERATED_FACETS = 1_000_000
 
 # The facets greatest first (``_fold``): their masks, each group's range of
@@ -367,24 +371,23 @@ def _check_distinct(spec: ScrollSpec, masks: Sequence[int], groups: dict[int, ra
             )
 
 
+def _views(spec: ScrollSpec, ranks: range) -> Iterator[Facet]:
+    """The ``Facet`` view of each rank in ``ranks`` (step 1), built as it is
+    yielded; walking the group ranges gives each its group's alpha."""
+    masks, groups, _ = _enumerated(spec)
+    for alpha, group in groups.items():
+        for r in range(max(ranks.start, group.start), min(ranks.stop, group.stop)):
+            yield Facet(vertices=_vertices(spec, masks[r]), alpha=alpha, spec=spec)
+
+
 def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
     """All facets of the initial complex, greatest first in the facet order.
 
     The list is grouped by window position (larger alpha first) and ordered
     within a group by the dual-monomial comparison of ``precedes``.  The
-    result is deterministic; its ``Facet`` views are built on the first
-    call and kept on the spec object.
+    result is deterministic; each call builds its own views (``_views``).
     """
-
-    def views() -> tuple[Facet, ...]:
-        masks, groups, _ = _enumerated(spec)
-        return tuple(
-            Facet(vertices=_vertices(spec, masks[r]), alpha=alpha, spec=spec)
-            for alpha, ranks in groups.items()
-            for r in ranks
-        )
-
-    return list(per_spec(spec, "facet_views", views))
+    return list(_views(spec, range(len(_enumerated(spec)[0]))))
 
 
 def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
@@ -395,9 +398,9 @@ def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     without a complex and for an alpha that is not an ``int`` in
     [1, c-d-2], after the guarded enumeration.
     """
-    masks, groups, _ = _enumerated(spec)
+    _, groups, _ = _enumerated(spec)
     leaves_profile(spec, alpha)
-    return Facet(vertices=_vertices(spec, masks[groups[alpha].start]), alpha=alpha, spec=spec)
+    return next(_views(spec, groups[alpha][:1]))
 
 
 def _minimal_masks(diffs: Iterable[int]) -> frozenset[int]:
@@ -653,19 +656,14 @@ def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
     facets the failed identity is a ``VerificationError`` with both
     h-vectors, without the scan.
     """
-    masks, groups, _ = _enumerated(spec)  # its guards refuse a huge c first
-
-    def facet(rank: int) -> Facet:
-        alpha = next(a for a, ranks in groups.items() if rank in ranks)
-        return Facet(_vertices(spec, masks[rank]), alpha, spec)
-
+    masks = _enumerated(spec)[0]  # its guards refuse a huge c first
     size = spec.c + spec.d
     counts = [0] * (size + 1)
     failing: list[ColonReport] = []
     for rank, gens, predicted in _certified(spec, mutation):
         counts[gens.bit_count()] += 1
         if gens != predicted:
-            failing.append(_report(facet(rank), gens, None, predicted))
+            failing.append(_report(next(_views(spec, range(rank, rank + 1))), gens, None, predicted))
     h = _face_h(spec)  # after the passes, so that its index adds nothing to their peak
     degree_counts = _trimmed(counts)
     scanned = degree_counts != h
@@ -679,7 +677,7 @@ def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
         counts = [0] * (size + 1)
         failing = []
         for rank, gens, diffs, predicted in _scanned(spec, mutation):
-            report = _report(facet(rank), gens, diffs, predicted)
+            report = _report(next(_views(spec, range(rank, rank + 1))), gens, diffs, predicted)
             counts[gens.bit_count()] += report.linear
             if not report.matches_prediction:
                 failing.append(report)

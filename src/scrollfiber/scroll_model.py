@@ -85,6 +85,13 @@ def require_complex(spec: ScrollSpec) -> None:
         raise UnsupportedRegimeError(f"no facet complex for c={spec.c}, d={spec.d}: needs c >= d+4")
 
 
+def require_alpha(spec: ScrollSpec, alpha: int) -> None:
+    """``require_complex``, then ``PreconditionError`` unless ``alpha`` is an int in [1, c-d-2]."""
+    require_complex(spec)
+    if type(alpha) is not int or alpha not in spec.alphas:  # bool is an int subclass
+        raise PreconditionError(f"alpha must lie in [1, {spec.alphas[-1]}], got {alpha!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ScrollMatrix:
     """The rearranged 2 x c column matrix of a scroll."""
@@ -159,9 +166,7 @@ def leaves_profile(spec: ScrollSpec, alpha: int) -> LeavesProfile:
     found by solving the defining set equation exactly; failure to find one
     would mean the column arrangement is broken and raises ``InternalError``.
     """
-    require_complex(spec)
-    if type(alpha) is not int or alpha not in spec.alphas:  # bool is an int subclass
-        raise PreconditionError(f"alpha must lie in [1, {spec.alphas[-1]}], got {alpha!r}")
+    require_alpha(spec, alpha)
     c, d = spec.c, spec.d
     matrix = build_matrix(spec)
     gamma: dict[int, int] = {}

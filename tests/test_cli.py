@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrollfiber import (
+    Facet,
     ScrollSpec,
     VerificationError,
     cli,
     dual_quotients,
     enumerate_facets,
     facet_complex,
+    facet_tree,
     invariants,
     leaves_profile,
     oracle,
@@ -513,6 +515,74 @@ class TestFacetsCommand:
             assert code == 2
             assert out == ""
             assert "alpha must lie in [1, 2]" in err
+
+    def test_alpha_is_checked_before_the_enumeration(self, capsys, monkeypatch):
+        def refused_fold(spec, mutation):
+            raise AssertionError("the enumeration ran")
+
+        monkeypatch.setattr(dual_quotients, "_fold", refused_fold)
+        code, out, err = run(capsys, "facets", "--n", "5", "--alpha", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: alpha must lie in [1, 2], got 9\n"
+
+
+def _reference_facets(spec, everything, fmt, alpha, limit):
+    """``cmd_facets``'s output rendered from ``everything``, the list of
+    ``enumerate_facets(spec)``."""
+    facets = [f for f in everything if alpha in (None, f.alpha)]
+    facets = facets[:limit] if limit else facets
+    if fmt == "text":
+        lines = [f"{len(facets)} facets of n=({','.join(map(str, spec.n))})"]
+        lines += [f"alpha={f.alpha}  " + " ".join(f"({a},{b})" for a, b in sorted(f.vertices))
+                  for f in facets]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "spec": {"n": list(spec.n), "c": spec.c, "d": spec.d, "normalized": False},
+        "count": len(facets),
+        "facets": [
+            {
+                "alpha": f.alpha,
+                "vertices": sorted(list(v) for v in f.vertices),
+                "parents": sorted([list(v), list(p)] for v, p in facet_tree(f).parent.items()),
+            }
+            for f in facets
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestFacetsBuildsWhatItPrints:
+    # The json of all 20,696 facets takes about 6 s; the text covers it.
+    @pytest.mark.parametrize(
+        "fmt, alpha, limit",
+        [("text", None, 0)]
+        + [(fmt, a, lim) for fmt in ("text", "json") for a, lim in ((None, 5), (3, 0), (3, 5))],
+    )
+    def test_builds_exactly_the_views_it_prints(self, monkeypatch, fmt, alpha, limit):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return Facet(*args, **kwargs)
+
+        monkeypatch.setattr(dual_quotients, "Facet", counted)
+        out = cli.cmd_facets(ScrollSpec((2, 2, 4, 4)), False, fmt, alpha, limit)
+        printed = json.loads(out)["count"] if fmt == "json" else len(out.splitlines()) - 1
+        assert len(built) == printed == (5 if limit else 20696 if alpha is None else 5070)
+
+    @pytest.mark.parametrize("n", [(6,), (2, 2, 4, 4)])
+    def test_output_matches_the_enumeration(self, n):
+        spec = ScrollSpec(n)
+        everything = enumerate_facets(spec)
+        above = len(everything) + 1
+        for alpha in (None, *spec.alphas):
+            for limit in (0, 1, 7, above):
+                for fmt in ("text", "json"):
+                    if fmt == "json" and n != (6,) and limit in (0, above):
+                        continue  # the text format covers the whole groups
+                    expected = _reference_facets(spec, everything, fmt, alpha, limit)
+                    assert cli.cmd_facets(spec, False, fmt, alpha, limit) == expected
 
 
 class TestBatchCommand:

@@ -304,9 +304,10 @@ class TestFacetOrder:
         assert len({f.alpha for f in facets}) == spec.c - spec.d - 2
         assert all(precedes(f, g) for f, g in zip(facets, facets[1:]))
 
-    def test_views_are_kept_on_the_spec(self):
+    def test_each_call_builds_its_own_views(self):
         spec = ScrollSpec((6,))
-        assert enumerate_facets(spec)[0] is enumerate_facets(spec)[0]
+        assert enumerate_facets(spec)[0] == enumerate_facets(spec)[0]
+        assert enumerate_facets(spec)[0] is not enumerate_facets(spec)[0]
         assert enumerate_facets(spec) is not enumerate_facets(spec)
         assert first_facet(spec, 3) == enumerate_facets(spec)[0]
 

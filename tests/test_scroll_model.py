@@ -45,7 +45,8 @@ class TestScrollSpec:
     def test_results_live_on_the_spec_object(self):
         spec, twin = ScrollSpec((5,)), ScrollSpec((5,))
         assert verify_linear_quotients(spec) is verify_linear_quotients(spec)
-        assert enumerate_facets(spec)[0] is enumerate_facets(spec)[0]
+        assert enumerate_facets(spec)[0] == enumerate_facets(spec)[0]
+        assert enumerate_facets(spec)[0] is not enumerate_facets(spec)[0]
         assert enumerate_facets(twin)[0] is not enumerate_facets(spec)[0]
         assert spec == twin and hash(spec) == hash(twin)
         assert repr(spec) == "ScrollSpec(n=(5,))"

@@ -35,9 +35,12 @@ one facet's ``_walk``, so a mutation moves both.
 
 One generator, ``_certified``, walks the certified order backward once
 for the pending ridges, then forward once, and yields every facet's
-generators.  ``verify_linear_quotients`` folds it into per-degree counts and
-the failing reports, not one report per facet; ``VerificationResult.reports``
-maps it through the same report builder only when asked.
+generators.  It tests a facet's unmutated prediction where the order is
+the enumeration's own from that facet on, every vertex elsewhere.  One
+tally, ``_tally``, folds it into per-degree counts and the failing reports,
+not one report per facet, and folds the diagnostic scan the same way;
+``VerificationResult.reports`` maps the pass ``_certify`` kept through the
+same report builder only when asked.
 """
 
 from __future__ import annotations
@@ -77,11 +80,11 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 #: prediction; certification decodes each prediction once and keeps it as
 #: an int over its two passes, with the incidence index of the face identity
 #: and the ridges still waiting for a partner.  ``invariants`` peaks at
-#: 170-200 bytes a facet: 93 MB max RSS for (4,4,4,4), 475,456 facets, and
-#: 166 MB for (4,4,4,5), 982,889, in 6.1 and 14.3 s (one CLI process each,
-#: median of 3, max RSS of the child, 2-core host).  A ``Facet`` view takes
-#: about 2.3 KB at (4,4,4,5), so ``_views`` builds views only on request and
-#: keeps none.
+#: 160-190 bytes a facet: 89.5 MB max RSS for (4,4,4,4), 475,456 facets,
+#: and 158.7 MB for (4,4,4,5), 982,889, in 6.3 and 14.4 s (one CLI process
+#: each, median of 3, max RSS of the child from ``wait4``, 2-core host).  A
+#: ``Facet`` view takes about 2.3 KB at (4,4,4,5), so ``_views`` builds
+#: views only on request and keeps none.
 MAX_ENUMERATED_FACETS = 1_000_000
 
 # The facets greatest first (``_fold``): their masks, each group's range of
@@ -146,10 +149,7 @@ class VerificationResult:
     def reports(self) -> tuple[ColonReport, ...]:
         if self._reports is None:
             views = enumerate_facets(self.spec)
-            if self.scanned:
-                stream = _scanned(self.spec, self.mutation)
-            else:
-                stream = ((r, gens, None, p) for r, gens, p in _certified(self.spec, self.mutation))
+            stream = (_scanned if self.scanned else _certified)(self.spec, self.mutation)
             reports = tuple(_report(views[rank], *colon) for rank, *colon in stream)
             object.__setattr__(self, "_reports", reports)
         return self._reports
@@ -463,13 +463,16 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     its enumeration rank, the mask of its counted generators and the mask of
     its prediction (``_predictions``).
 
-    Only a facet's candidate generators are tested: the enumeration's
-    unmutated prediction where the facets before it are exactly the lower
-    ranks, every vertex elsewhere (the two ranges ``swap-groups`` moves, any
-    other order).  A candidate u of F is a generator when an earlier facet
-    holds the ridge F - u.  A backward pass finds them: each facet first
-    removes its own ridges from ``pending``, which resolves the candidates
-    of later facets that it holds, then adds the ridges of its candidates.
+    Only a facet's candidate generators are tested, chosen by rank.  Let
+    ``start`` be the first position from which the order is the
+    enumeration's own: 0 for the enumeration's order, the end of the two
+    moved ranges under ``swap-groups``.  A rank r >= start, whose earlier
+    facets are exactly the lower ranks, tests its unmutated prediction; any
+    other rank tests every vertex, so any order is certified.  A candidate
+    u of F is a generator when an earlier facet holds the ridge F - u.  A
+    backward pass finds them: each facet first removes its own ridges from
+    ``pending``, which resolves the candidates of later facets that it
+    holds, then adds the ridges of its candidates.
     A ridge still pending at the end is held by no facet before its earliest
     owner, whose candidate it fails; every later owner's passes.  So
     ``pending`` holds only the ridges still waiting for a partner, not
@@ -480,23 +483,19 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     ``_certify`` decides with the face identity that it is all of it.
     """
     masks = _enumerated(spec)[0]
-    predicted = _predictions(spec, None)
+    unmutated = _predictions(spec, None)
+    predicted = _predictions(spec, mutation) if mutation in ("c2", "b2") else unmutated
     order = _facet_order(spec, mutation)
-    candidates: list[int] = []  # per position in ``order``
-    last = -1  # the highest rank before this position
-    for i, rank in enumerate(order):
-        exact = rank == i and last < i  # the earlier facets are the lower ranks
-        candidates.append(predicted[rank] if exact else masks[rank])
-        last = max(last, rank)
-    if mutation in ("c2", "b2"):
-        predicted = _predictions(spec, mutation)
+    down = range(len(order) - 1, -1, -1)  # the positions, last first
+    start = next(itertools.compress(down, map(operator.ne, reversed(order), down)), -1) + 1
     pending: set[int] = set()
-    for i in reversed(range(len(order))):
-        f = masks[order[i]]
+    for rank in reversed(order):
+        f = masks[rank]
         pending.difference_update(_ridges(f, f))
-        pending.update(_ridges(f, candidates[i]))
-    for i, rank in enumerate(order):
-        f, gens, rest = masks[rank], 0, candidates[i]
+        pending.update(_ridges(f, unmutated[rank] if rank >= start else f))
+    for rank in order:
+        f, gens = masks[rank], 0
+        rest = unmutated[rank] if rank >= start else f
         while rest:
             u = rest & -rest
             rest ^= u
@@ -533,23 +532,40 @@ def _scanned(
         yield rank, sum(d for d in diffs if d.bit_count() == 1), diffs, predicted[rank]
 
 
-def _report(facet: Facet, gens: int, diffs: frozenset[int] | None, predicted: int) -> ColonReport:
-    """The ``ColonReport`` of ``facet`` from its generators, and its minimal
-    differences when they come from ``_scanned``."""
+def _report(facet: Facet, gens: int, *colon: object) -> ColonReport:
+    """The ``ColonReport`` of ``facet`` from its generators and the rest of
+    its entry in a pass: its prediction, after its minimal differences when
+    the pass is ``_scanned``."""
     spec = facet.spec
-    if diffs is None:
-        linear = True
-        computed = frozenset(frozenset((v,)) for v in _vertices(spec, gens))
-    else:
-        linear = all(d.bit_count() == 1 for d in diffs)
-        computed = frozenset(_vertices(spec, d) for d in diffs)
+    *scan, predicted = colon
+    diffs = scan[0] if scan else _ridges(0, gens)  # the singletons of ``gens``
+    linear = all(d.bit_count() == 1 for d in diffs)
     return ColonReport(
         facet=facet,
-        computed_generators=computed,
+        computed_generators=frozenset(_vertices(spec, d) for d in diffs),
         predicted_LG=_vertices(spec, predicted),
         linear=linear,
         matches_prediction=linear and gens == predicted,
     )
+
+
+def _tally(spec: ScrollSpec, stream: Iterable[tuple]) -> tuple[tuple[int, ...], list[ColonReport]]:
+    """Fold a pass, ``_certified``'s or ``_scanned``'s, into the degree
+    counts of its linear facets, without trailing zeros, and the reports of
+    the facets that are not linear or do not match their prediction."""
+    counts = [0] * (spec.c + spec.d + 1)
+    failing = []
+    for entry in stream:
+        rank, gens, predicted = entry[0], entry[1], entry[-1]
+        # A scanned facet is linear when its minimal differences are its
+        # singleton generators; a certified one always is.
+        linear = len(entry) == 3 or len(entry[2]) == gens.bit_count()
+        counts[gens.bit_count()] += linear
+        if not linear or gens != predicted:
+            failing.append(_report(next(_views(spec, range(rank, rank + 1))), *entry[1:]))
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts), failing
 
 
 def verify_linear_quotients(
@@ -626,16 +642,10 @@ def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
     return per_spec(spec, "face_h", compute)
 
 
-def _trimmed(counts: list[int]) -> tuple[int, ...]:
-    """``counts`` without its trailing zeros, one entry kept."""
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
-
-
 def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
-    """Fold ``_certified`` into per-degree counts and the failing reports,
-    and certify by the face identity that the order is a shelling.
+    """Tally ``_certified`` into per-degree counts and the failing reports
+    (``_tally``), and certify by the face identity that the order is a
+    shelling.
 
     Let R_j be the vertices u of the j-th facet F_j whose ridge F_j - u lies
     in an earlier facet, and R'_j ⊆ R_j the counted generators.  Every face
@@ -657,15 +667,8 @@ def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
     h-vectors, without the scan.
     """
     masks = _enumerated(spec)[0]  # its guards refuse a huge c first
-    size = spec.c + spec.d
-    counts = [0] * (size + 1)
-    failing: list[ColonReport] = []
-    for rank, gens, predicted in _certified(spec, mutation):
-        counts[gens.bit_count()] += 1
-        if gens != predicted:
-            failing.append(_report(next(_views(spec, range(rank, rank + 1))), gens, None, predicted))
+    degree_counts, failing = _tally(spec, _certified(spec, mutation))
     h = _face_h(spec)  # after the passes, so that its index adds nothing to their peak
-    degree_counts = _trimmed(counts)
     scanned = degree_counts != h
     if scanned and len(masks) > MAX_SCANNED_FACETS:
         raise VerificationError(
@@ -674,14 +677,7 @@ def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
             f"{MAX_SCANNED_FACETS:,}"
         )
     if scanned:
-        counts = [0] * (size + 1)
-        failing = []
-        for rank, gens, diffs, predicted in _scanned(spec, mutation):
-            report = _report(next(_views(spec, range(rank, rank + 1))), gens, diffs, predicted)
-            counts[gens.bit_count()] += report.linear
-            if not report.matches_prediction:
-                failing.append(report)
-        degree_counts = _trimmed(counts)
+        degree_counts, failing = _tally(spec, _scanned(spec, mutation))
         if all(report.linear for report in failing) and degree_counts != h:
             raise VerificationError(f"the faces of {spec} give h = {h}, not {degree_counts}")
     return VerificationResult(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from conftest import DESK_SPECS, desk_specs_with_complex
@@ -481,6 +482,31 @@ class TestPendingRidges:
         monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
         assert list(_certified(spec, None)) == list(_all_ridges_certified(spec, None))
 
+    def test_swapped_order_tests_predictions_past_the_moved_groups(self, monkeypatch):
+        # (7,) has 4 groups.  Past the two moved ranges the order is the
+        # enumeration's own, so each facet looks up the ridges of exactly its
+        # unmutated prediction; a moved facet looks up those of every vertex.
+        # Each facet also drops its own ridges once, with its whole mask.
+        spec = DESK_BY_N[(7,)]
+        facets = enumerate_facets(spec)
+        _, second, *rest = _enumerated(spec)[1].values()
+        assert rest and second.stop < len(facets)
+        calls = []
+        real = dual_quotients._ridges
+
+        def ridges(f, vertices):
+            calls.append((f, vertices))
+            return real(f, vertices)
+
+        monkeypatch.setattr(dual_quotients, "_ridges", ridges)
+        list(_certified(spec, "swap-groups"))
+        expected = []
+        for rank, facet in enumerate(facets):
+            f = _mask(spec, facet.vertices)
+            moved = rank < second.stop
+            expected += [(f, f), (f, f if moved else _mask(spec, predict_LG(facet)))]
+        assert Counter(calls) == Counter(expected)
+
     def _doctored(self, choose, rank=None):
         """A fresh (6,) whose kept packed prediction of the facet at ``rank``
         (by default one with the most generators) has the bit of
@@ -569,9 +595,9 @@ class TestPendingRidges:
 
 
 class TestCompactCertification:
-    # Measured 81 bytes per facet at the peak (Python 3.11): the predictions
-    # decoded once, the candidates per position and the few ridges still
-    # pending.  A set of every ridge certified so far took 844.
+    # Measured 73 bytes per facet at the peak (Python 3.11): the predictions
+    # decoded once and the few ridges still pending.  A set of every ridge
+    # certified so far took 844.
     BYTES_PER_FACET = 200
 
     def test_certification_stays_under_the_per_facet_byte_bound(self):

@@ -12,13 +12,22 @@ the combinatorial prediction ``predict_LG``.
 All facets have c + d vertices, so a singleton difference F \\ G = {u}
 means G = F \\ {u} + {w}: G holds the ridge F \\ {u}.  Only the ridges of
 a facet's candidate generators are looked up, mostly those of its
-prediction: a backward pass over the certified order keeps the ridges that
-still wait for an earlier facet to hold them, not every ridge certified so
-far (at most 11,159 of the 502,242 distinct ridges of (2,2,2,2,2,2)).  The
-generators found this way are true ones, and the face identity decides
-that they are all of them: their degree counts equal the h-vector of the
-counted complex exactly when the order is a shelling (``_certify``).  Only
-when the identity fails does the quadratic scan name the failing facets.
+prediction.  Each facet acts on every ridge it holds: it adds the ridge of
+a candidate to a pending set and drops the others.  So after a backward
+pass over the certified order a ridge is pending exactly when its earliest
+owner tests it, and that candidate is no generator; the set holds the
+ridges still waiting for an earlier facet, not every ridge certified so far.
+It ends empty on every unmutated, ``c2`` and ``b2`` run, which then skip
+the forward pass that finds those owners.  Whether a ridge is pending
+depends only on the facets holding it, so the ridges holding a unit b and
+the others are certified apart, in a forked child and in this process on
+specs with at least ``MIN_FORKED_FACETS`` facets.  On (2,2,2,2,2,2) the
+two sets peak at 9,275 and 10,755 ridges, where one pass over all 502,242
+distinct ridges peaks at 11,159.  The generators found this way are true
+ones, and the face identity decides that they are all of them: their degree
+counts equal the h-vector of the counted complex exactly when the order is
+a shelling (``_certify``).  Only when the identity fails does the quadratic
+scan name the failing facets.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
@@ -33,23 +42,27 @@ reports and the ``facets`` command, and keeps none.
 Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
-One generator, ``_certified``, walks the certified order backward once
-for the pending ridges, then forward once, and yields every facet's
-generators.  It tests a facet's unmutated prediction where the order is
-the enumeration's own from that facet on, every vertex elsewhere.  One
-tally, ``_tally``, folds it into per-degree counts and the failing reports,
-not one report per facet, and folds the diagnostic scan the same way;
-``VerificationResult.reports`` maps the pass ``_certify`` kept through the
-same report builder only when asked.
+One generator, ``_certified``, merges the candidates that the two classes
+of ridges miss (``_missed``: a backward pass, then a forward one while any
+ridge is pending) and yields every facet's generators.  It tests a facet's
+unmutated prediction where the order is the enumeration's own from that
+facet on, every vertex elsewhere.  One tally, ``_tally``, folds it into
+per-degree counts and the failing reports, not one report per facet, and
+folds the diagnostic scan the same way; ``VerificationResult.reports`` maps
+the pass ``_certify`` kept through the same report builder only when asked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import marshal
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -78,13 +91,14 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
 #: Enumeration refuses specs with more facets than this (``CapacityError``).
 #: Each facet is kept as one int mask, about 50 bytes, with its packed
 #: prediction; certification decodes each prediction once and keeps it as
-#: an int over its two passes, with the incidence index of the face identity
+#: an int over its passes, with the incidence index of the face identity
 #: and the ridges still waiting for a partner.  ``invariants`` peaks at
-#: 160-190 bytes a facet: 89.5 MB max RSS for (4,4,4,4), 475,456 facets,
-#: and 158.7 MB for (4,4,4,5), 982,889, in 6.3 and 14.4 s (one CLI process
-#: each, median of 3, max RSS of the child from ``wait4``, 2-core host).  A
-#: ``Facet`` view takes about 2.3 KB at (4,4,4,5), so ``_views`` builds
-#: views only on request and keeps none.
+#: 160-190 bytes a facet: 88.5 MB max RSS for (4,4,4,4), 475,456 facets,
+#: and 156.5 MB for (4,4,4,5), 982,889, in 5.5 and 13.4 s of wall time and
+#: 7.9 and 18.4 s of CPU over both processes (one CLI run each, median of
+#: 3, max RSS and CPU of the run and its forked child from ``wait4``,
+#: 2-core host).  A ``Facet`` view takes about 2.3 KB at (4,4,4,5), so
+#: ``_views`` builds views only on request and keeps none.
 MAX_ENUMERATED_FACETS = 1_000_000
 
 # The facets greatest first (``_fold``): their masks, each group's range of
@@ -458,6 +472,145 @@ def _ridges(f: int, vertices: int) -> list[int]:
     return ridges
 
 
+#: ``_certified`` certifies its two classes of ridges in two processes, one
+#: forked, only on specs with at least this many facets; below it, where
+#: ``os.fork`` is missing or fails, and in a process running other threads,
+#: it certifies both in one.  A fork pays for itself on large specs: with
+#: it, ``invariants`` on (2,2,2,2,2,2), 38,012 facets, took 0.54 s against
+#: 0.69 s in one process, and on (4,4,4,4) 4.6 s against 6.8 s, at equal
+#: CPU (medians of 8 and 3 alternating runs).  On small specs it saves a
+#: few milliseconds for more CPU: forked at every size, the benchmark's
+#: ``batch`` lines, 2,398-7,384 facets, took 3 % more CPU (4 of 4 runs),
+#: and its oracle specs, at most 924 facets, gained nothing (2-core host).
+MIN_FORKED_FACETS = 10_000
+
+#: ``_certify`` runs the diagnostic scan only on specs with at most this many
+#: facets, and raises ``VerificationError`` over it.  Only an engine defect
+#: reaches the scan, which costs about 0.4 µs per pair of facets on a 2-core
+#: host: 3.2 s for (12,), 3,962 facets, and 10.7 s for (13,), 8,034; so this
+#: budget stops it within about 20 s, where 1,000,000 facets would take days.
+MAX_SCANNED_FACETS = 10_000
+
+# POSIX fixes SIGKILL at 9; ``signal`` is not otherwise imported.
+_SIGKILL = 9
+
+
+def _split(spec: ScrollSpec) -> tuple[int, bool]:
+    """The bit of the unit b = (a, a+1) that splits the ridges most evenly
+    into those holding b and the rest, and whether the first class is the
+    larger.  The facets holding b are those of the groups whose leaf set
+    holds b, read off the group ranges; each has c + d - 1 ridges holding b
+    and one without, and every other facet has c + d without."""
+    masks, groups, _ = _enumerated(spec)
+    size = spec.c + spec.d
+    leaves = [(leaves_profile(spec, alpha).leaves, len(r)) for alpha, r in groups.items()]
+    sizes = {}  # the two classes' ridge counts, by a
+    for a in range(1, spec.c):
+        held = sum(count for units, count in leaves if (a, a + 1) in units)
+        sizes[a] = held * (size - 1), (len(masks) - held) * size + held
+    a = min(sizes, key=lambda a: abs(sizes[a][0] - sizes[a][1]))
+    return _grid(spec)[a][a + 1], sizes[a][0] > sizes[a][1]
+
+
+def _missed(
+    masks: Sequence[int],
+    order: Sequence[int],
+    tested: Sequence[int],
+    start: int,
+    b: int,
+    holding: bool,
+) -> dict[int, int]:
+    """In one class of ridges, those holding the vertex bit ``b`` or those
+    not holding it, the candidates that are no generators: by rank, the mask
+    of the candidates u of F whose ridge F - u is in the class and lies in no
+    earlier facet.  A rank r >= ``start`` tests ``tested[r]``, any other rank
+    every vertex.
+
+    Each facet acts on every ridge of the class that it holds: it adds the
+    ridge of a candidate to ``pending`` and drops the others.  So after the
+    backward pass a ridge is pending exactly when its earliest owner tests
+    it, and the forward pass finds that owner, until none is pending."""
+
+    def scoped(ranks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+        # The facets with a ridge in the class: rank, mask, the vertices u
+        # whose ridge F - u is in it, and the candidates among them.
+        for rank in ranks:
+            f = masks[rank]
+            if f & b:
+                scope = f ^ b if holding else b
+            elif holding:
+                continue
+            else:
+                scope = f
+            yield rank, f, scope, (tested[rank] if rank >= start else f) & scope
+
+    pending: set[int] = set()
+    for _, f, scope, candidates in scoped(reversed(order)):
+        pending.difference_update(_ridges(f, scope ^ candidates))
+        pending.update(_ridges(f, candidates))
+    missed: dict[int, int] = {}
+    for rank, f, _, candidates in scoped(order):
+        if not pending:
+            break
+        rest, lost = candidates, 0
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            if f ^ u in pending:  # this facet is the ridge's earliest owner
+                pending.remove(f ^ u)
+                lost |= u
+        if lost:
+            missed[rank] = lost
+    return missed
+
+
+def _forked(half: Callable[[], dict[int, int]]) -> tuple[int, int] | None:
+    """Start ``half`` in a forked child, which sends its map marshalled
+    through a pipe and leaves through ``os._exit``, touching no stdio: the
+    child's pid and the pipe's read end, or None where ``os.fork`` is
+    missing or fails, and in a process running other threads, where a fork
+    is unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            payload = marshal.dumps(half())
+            while payload:
+                payload = payload[os.write(write, payload) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _joined(pid: int, read: int) -> dict[int, int] | None:
+    """The map that the child ``pid`` sent through ``read``, once the child
+    is reaped; None unless it exited 0 after sending all of it."""
+    chunks = []
+    try:
+        while chunk := os.read(read, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        return None
+    try:
+        return marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
 def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, int, int]]:
     """Per facet in the order certified under ``mutation`` (``_facet_order``):
     its enumeration rank, the mask of its counted generators and the mask of
@@ -469,14 +622,18 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     moved ranges under ``swap-groups``.  A rank r >= start, whose earlier
     facets are exactly the lower ranks, tests its unmutated prediction; any
     other rank tests every vertex, so any order is certified.  A candidate
-    u of F is a generator when an earlier facet holds the ridge F - u.  A
-    backward pass finds them: each facet first removes its own ridges from
-    ``pending``, which resolves the candidates of later facets that it
-    holds, then adds the ridges of its candidates.
-    A ridge still pending at the end is held by no facet before its earliest
-    owner, whose candidate it fails; every later owner's passes.  So
-    ``pending`` holds only the ridges still waiting for a partner, not
-    every ridge certified so far.
+    u of F is a generator when an earlier facet holds the ridge F - u, that
+    is unless F is the ridge's earliest owner.
+
+    Whether a ridge's earliest owner tests it depends only on the facets
+    holding that ridge, so the ridges holding a unit b and the others are
+    certified apart (``_missed``), and the union of the two maps of missed
+    candidates is the single pass's for any b (``_split`` picks it).  On
+    specs with at least ``MIN_FORKED_FACETS`` facets a forked child
+    certifies the larger class while this process certifies the other; if
+    the child fails, this process certifies its class too.  The child is
+    reaped before the first facet is yielded, and killed first if this
+    process's class raises.  Unmutated, ``c2`` and ``b2`` runs miss none.
 
     Every counted generator u has an earlier facet holding F - u, so the
     counted set is part of the true one, whatever the prediction;
@@ -488,31 +645,25 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     order = _facet_order(spec, mutation)
     down = range(len(order) - 1, -1, -1)  # the positions, last first
     start = next(itertools.compress(down, map(operator.ne, reversed(order), down)), -1) + 1
-    pending: set[int] = set()
-    for rank in reversed(order):
-        f = masks[rank]
-        pending.difference_update(_ridges(f, f))
-        pending.update(_ridges(f, unmutated[rank] if rank >= start else f))
+    b, larger = _split(spec)
+    first, second = (
+        functools.partial(_missed, masks, order, unmutated, start, b, holding)
+        for holding in (larger, not larger)
+    )
+    child = _forked(first) if len(masks) >= MIN_FORKED_FACETS else None
+    try:
+        missed = second()
+    except BaseException:
+        if child:
+            os.kill(child[0], _SIGKILL)
+            _joined(*child)
+        raise
+    theirs = _joined(*child) if child else None
+    for rank, m in (first() if theirs is None else theirs).items():
+        missed[rank] = missed.get(rank, 0) | m
     for rank in order:
-        f, gens = masks[rank], 0
-        rest = unmutated[rank] if rank >= start else f
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            key = f ^ u
-            if key in pending:  # this facet is the ridge's earliest owner
-                pending.remove(key)
-            else:
-                gens |= u
-        yield rank, gens, predicted[rank]
-
-
-#: ``_certify`` runs the diagnostic scan only on specs with at most this many
-#: facets, and raises ``VerificationError`` over it.  Only an engine defect
-#: reaches the scan, which costs about 0.4 µs per pair of facets on a 2-core
-#: host: 3.2 s for (12,), 3,962 facets, and 10.7 s for (13,), 8,034; so this
-#: budget stops it within about 20 s, where 1,000,000 facets would take days.
-MAX_SCANNED_FACETS = 10_000
+        candidates = unmutated[rank] if rank >= start else masks[rank]
+        yield rank, candidates & ~missed.get(rank, 0), predicted[rank]
 
 
 def _scanned(

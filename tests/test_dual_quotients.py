@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import marshal
+import math
+import os
 import random
+import threading
+import time
 import tracemalloc
+import types
 from collections import Counter
 
 import pytest
@@ -24,6 +30,7 @@ from scrollfiber import (
     precedes,
     predict_LG,
     verify_linear_quotients,
+    vertex_set,
 )
 from scrollfiber import dual_quotients, facet_complex
 from scrollfiber.dual_quotients import (
@@ -484,9 +491,11 @@ class TestPendingRidges:
 
     def test_swapped_order_tests_predictions_past_the_moved_groups(self, monkeypatch):
         # (7,) has 4 groups.  Past the two moved ranges the order is the
-        # enumeration's own, so each facet looks up the ridges of exactly its
-        # unmutated prediction; a moved facet looks up those of every vertex.
-        # Each facet also drops its own ridges once, with its whole mask.
+        # enumeration's own, so each facet adds the ridges of exactly its
+        # unmutated prediction; a moved facet adds those of every vertex.
+        # Each facet drops the rest of its ridges, and acts on each of its
+        # ridges once over both classes.  The backward passes look up ridges
+        # in pairs, the ridges dropped and then the ridges added, in-process.
         spec = DESK_BY_N[(7,)]
         facets = enumerate_facets(spec)
         _, second, *rest = _enumerated(spec)[1].values()
@@ -498,14 +507,21 @@ class TestPendingRidges:
             calls.append((f, vertices))
             return real(f, vertices)
 
+        monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", math.inf)
         monkeypatch.setattr(dual_quotients, "_ridges", ridges)
         list(_certified(spec, "swap-groups"))
-        expected = []
+        acted, added, dropped = Counter(), Counter(), Counter()
+        for (f, drops), (g, adds) in zip(calls[::2], calls[1::2], strict=True):
+            assert f == g and not drops & adds
+            acted[f] += drops.bit_count() + adds.bit_count()
+            added[f] |= adds
+            dropped[f] |= drops
         for rank, facet in enumerate(facets):
             f = _mask(spec, facet.vertices)
             moved = rank < second.stop
-            expected += [(f, f), (f, f if moved else _mask(spec, predict_LG(facet)))]
-        assert Counter(calls) == Counter(expected)
+            assert acted[f] == f.bit_count()
+            assert added[f] == (f if moved else _mask(spec, predict_LG(facet)))
+            assert dropped[f] == f & ~added[f]
 
     def _doctored(self, choose, rank=None):
         """A fresh (6,) whose kept packed prediction of the facet at ``rank``
@@ -592,6 +608,151 @@ class TestPendingRidges:
         result = verify_linear_quotients(spec)
         assert result.scanned
         assert [report.facet for report in result.failing] == [facets[rank]]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRidgeClasses:
+    """``_certified`` certifies the ridges holding a split vertex b apart
+    from the others, one class in a forked child on large specs."""
+
+    @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups", "shuffled"])
+    @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
+    def test_every_split_vertex_gives_the_all_ridges_stream(self, spec, mutation, monkeypatch):
+        # Every unit, then two degenerate splits: a vertex bit above every
+        # facet mask, held by none, and the root, held by every facet.  The
+        # child's class alternates so that each side takes both classes.
+        if mutation == "shuffled":
+            order = list(range(len(_enumerated(spec)[0])))
+            random.Random(len(spec.n)).shuffle(order)
+            monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
+            mutation = None
+        grid = _grid(spec)
+        splits = [grid[a][a + 1] for a in range(1, spec.c)]
+        splits += [1 << len(vertex_set(spec)), grid[1][spec.c]]
+        expected = list(_all_ridges_certified(spec, mutation))
+        for i, b in enumerate(splits):
+            split = (b, i % 2 == 0)
+            monkeypatch.setattr(dual_quotients, "_split", lambda spec: split)
+            assert list(_certified(spec, mutation)) == expected, split
+
+    def _forks(self, monkeypatch, cutoff=0):
+        """Fork at ``cutoff`` facets and count this process's forks."""
+        forks = []
+        real = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", cutoff)
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def _halves(self, monkeypatch, fail=None):
+        """Count the classes this process certifies; ``fail(parent)`` says
+        whether a class raises, in this process or in a child."""
+        parent, calls = os.getpid(), []
+        real = dual_quotients._missed
+
+        def missed(*args):
+            if os.getpid() == parent:
+                calls.append(args[-1])
+            if fail is not None and fail(os.getpid() == parent):
+                raise RuntimeError("a class failed")
+            return real(*args)
+
+        monkeypatch.setattr(dual_quotients, "_missed", missed)
+        return calls
+
+    @pytest.mark.parametrize("mutation", [None, "swap-groups"])
+    def test_the_forked_stream_is_the_in_process_one(self, mutation, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = list(_certified(spec, mutation))
+        forks = self._forks(monkeypatch)
+        calls = self._halves(monkeypatch)
+        assert list(_certified(spec, mutation)) == expected
+        assert len(forks) == len(calls) == 1
+        _assert_no_child()
+
+    def test_below_the_cutoff_nothing_forks(self, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        forks = self._forks(monkeypatch, cutoff=len(_enumerated(spec)[0]) + 1)
+        calls = self._halves(monkeypatch)
+        list(_certified(spec, None))
+        assert forks == [] and sorted(calls) == [False, True]
+
+    def test_a_process_running_threads_does_not_fork(self, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = list(_certified(spec, None))
+        forks = self._forks(monkeypatch)
+        streams = []
+        worker = threading.Thread(target=lambda: streams.append(list(_certified(spec, None))))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and streams == [expected] and forks == []
+
+    def test_without_os_fork_both_classes_run_in_process(self, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = list(_certified(spec, "swap-groups"))
+        monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", 0)
+        monkeypatch.delattr(os, "fork")
+        calls = self._halves(monkeypatch)
+        assert list(_certified(spec, "swap-groups")) == expected
+        assert sorted(calls) == [False, True]
+
+    def test_a_failing_fork_runs_both_classes_in_process(self, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = list(_certified(spec, "swap-groups"))
+
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", 0)
+        monkeypatch.setattr(os, "fork", fork)
+        calls = self._halves(monkeypatch)
+        assert list(_certified(spec, "swap-groups")) == expected
+        assert sorted(calls) == [False, True]
+
+    def test_a_child_that_fails_is_reaped_and_its_class_run_here(self, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = list(_certified(spec, "swap-groups"))
+        forks = self._forks(monkeypatch)
+        calls = self._halves(monkeypatch, fail=lambda parent: not parent)
+        assert list(_certified(spec, "swap-groups")) == expected
+        assert len(forks) == 1 and sorted(calls) == [False, True]
+        _assert_no_child()
+
+    def test_a_short_payload_runs_the_child_class_here(self, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = list(_certified(spec, "swap-groups"))
+        self._forks(monkeypatch)
+        calls = self._halves(monkeypatch)
+        cut = types.SimpleNamespace(dumps=lambda m: marshal.dumps(m)[:-1], loads=marshal.loads)
+        monkeypatch.setattr(dual_quotients, "marshal", cut)
+        assert list(_certified(spec, "swap-groups")) == expected
+        assert sorted(calls) == [False, True]
+        _assert_no_child()
+
+    def test_a_raising_class_here_kills_the_child(self, monkeypatch):
+        # The child's class would take a minute; the kill ends it at once.
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        forks = self._forks(monkeypatch)
+
+        def fail(parent):
+            if not parent:
+                time.sleep(60)
+            return parent
+
+        self._halves(monkeypatch, fail=fail)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="a class failed"):
+            list(_certified(spec, None))
+        assert time.monotonic() - began < 30 and len(forks) == 1
+        _assert_no_child()
 
 
 class TestCompactCertification:

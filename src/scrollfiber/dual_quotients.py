@@ -56,13 +56,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import marshal
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -86,7 +83,7 @@ from .facet_complex import (
     numerator_from_face_counts,
     vertex_set,
 )
-from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex
+from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex, two_halves
 
 #: Enumeration refuses specs with more facets than this (``CapacityError``).
 #: Each facet is kept as one int mask, about 50 bytes, with its packed
@@ -491,10 +488,6 @@ MIN_FORKED_FACETS = 10_000
 #: budget stops it within about 20 s, where 1,000,000 facets would take days.
 MAX_SCANNED_FACETS = 10_000
 
-# POSIX fixes SIGKILL at 9; ``signal`` is not otherwise imported.
-_SIGKILL = 9
-
-
 def _split(spec: ScrollSpec) -> tuple[int, bool]:
     """The bit of the unit b = (a, a+1) that splits the ridges most evenly
     into those holding b and the rest, and whether the first class is the
@@ -564,53 +557,6 @@ def _missed(
     return missed
 
 
-def _forked(half: Callable[[], dict[int, int]]) -> tuple[int, int] | None:
-    """Start ``half`` in a forked child, which sends its map marshalled
-    through a pipe and leaves through ``os._exit``, touching no stdio: the
-    child's pid and the pipe's read end, or None where ``os.fork`` is
-    missing or fails, and in a process running other threads, where a fork
-    is unsafe."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            payload = marshal.dumps(half())
-            while payload:
-                payload = payload[os.write(write, payload) :]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, read
-
-
-def _joined(pid: int, read: int) -> dict[int, int] | None:
-    """The map that the child ``pid`` sent through ``read``, once the child
-    is reaped; None unless it exited 0 after sending all of it."""
-    chunks = []
-    try:
-        while chunk := os.read(read, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(read)
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        return None
-    try:
-        return marshal.loads(b"".join(chunks))
-    except (EOFError, ValueError, TypeError):
-        return None
-
-
 def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, int, int]]:
     """Per facet in the order certified under ``mutation`` (``_facet_order``):
     its enumeration rank, the mask of its counted generators and the mask of
@@ -630,10 +576,11 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     certified apart (``_missed``), and the union of the two maps of missed
     candidates is the single pass's for any b (``_split`` picks it).  On
     specs with at least ``MIN_FORKED_FACETS`` facets a forked child
-    certifies the larger class while this process certifies the other; if
-    the child fails, this process certifies its class too.  The child is
-    reaped before the first facet is yielded, and killed first if this
-    process's class raises.  Unmutated, ``c2`` and ``b2`` runs miss none.
+    certifies the larger class while this process certifies the other
+    (``two_halves``); if the child fails, this process certifies its class
+    too.  The child is reaped before the first facet is yielded, and killed
+    first if this process's class raises.  Unmutated, ``c2`` and ``b2``
+    runs miss none.
 
     Every counted generator u has an earlier facet holding F - u, so the
     counted set is part of the true one, whatever the prediction;
@@ -650,16 +597,8 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
         functools.partial(_missed, masks, order, unmutated, start, b, holding)
         for holding in (larger, not larger)
     )
-    child = _forked(first) if len(masks) >= MIN_FORKED_FACETS else None
-    try:
-        missed = second()
-    except BaseException:
-        if child:
-            os.kill(child[0], _SIGKILL)
-            _joined(*child)
-        raise
-    theirs = _joined(*child) if child else None
-    for rank, m in (first() if theirs is None else theirs).items():
+    theirs, missed = two_halves(first, second, len(masks) >= MIN_FORKED_FACETS)
+    for rank, m in theirs.items():
         missed[rank] = missed.get(rank, 0) | m
     for rank in order:
         candidates = unmutated[rank] if rank >= start else masks[rank]

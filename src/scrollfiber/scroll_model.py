@@ -10,12 +10,17 @@ column of every block in decreasing block order.
 
 Everything is immutable except a ``ScrollSpec``'s private memo, where
 ``per_spec`` keeps reused results until the spec object is freed.
+``two_halves`` runs two independent halves of a computation, one in a
+forked child, for certification and for the rank oracle alike.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 from .errors import InternalError, InvalidVertexError, PreconditionError, UnsupportedRegimeError
 
@@ -77,6 +82,84 @@ def per_spec(spec: ScrollSpec, key: Any, compute: Callable[[], Any]) -> Any:
     if key not in spec._memo:
         spec._memo[key] = compute()
     return spec._memo[key]
+
+
+# A result that ``two_halves`` can send through a pipe with ``marshal``: an
+# int or a dict of ints, never None.
+Half = TypeVar("Half")
+
+# POSIX fixes SIGKILL at 9; ``signal`` is not otherwise imported.
+_SIGKILL = 9
+
+
+def _forked(half: Callable[[], Half]) -> tuple[int, int] | None:
+    """Start ``half`` in a forked child, which sends its result marshalled
+    through a pipe and leaves through ``os._exit``, touching no stdio: the
+    child's pid and the pipe's read end, or None where ``os.fork`` is
+    missing or fails, and in a process running other threads, where a fork
+    is unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            payload = marshal.dumps(half())
+            while payload:
+                payload = payload[os.write(write, payload) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _joined(pid: int, read: int) -> Half | None:
+    """The result that the child ``pid`` sent through ``read``, once the
+    child is reaped; None unless it exited 0 after sending all of it."""
+    chunks = []
+    try:
+        while chunk := os.read(read, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        return None
+    try:
+        return marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def two_halves(
+    first: Callable[[], Half], second: Callable[[], Half], fork: bool
+) -> tuple[Half, Half]:
+    """``(first(), second())``, with ``first`` in a forked child while this
+    process runs ``second`` when ``fork`` holds.
+
+    The child is reaped before this returns, and killed first if ``second``
+    raises.  Where ``os.fork`` is missing or fails, in a process running
+    other threads, and when the child exits non-zero or sends a short
+    payload, this process runs ``first`` itself, so the result never
+    depends on the fork.  Each half returns an int or a dict of ints."""
+    child = _forked(first) if fork else None
+    try:
+        own = second()
+    except BaseException:
+        if child:
+            os.kill(child[0], _SIGKILL)
+            _joined(*child)
+        raise
+    theirs = _joined(*child) if child else None
+    return (first() if theirs is None else theirs), own
 
 
 def require_complex(spec: ScrollSpec) -> None:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+
+import pytest
 
 from scrollfiber import ScrollSpec, leaves_profile, vertex_set
 
@@ -96,3 +99,9 @@ def tightest_covers(vertices) -> dict:
         if enclosing:
             covers[v] = min(enclosing, key=lambda u: u[1] - u[0])
     return covers
+
+
+def assert_no_child() -> None:
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -13,7 +13,7 @@ import types
 from collections import Counter
 
 import pytest
-from conftest import DESK_SPECS, desk_specs_with_complex
+from conftest import DESK_SPECS, assert_no_child, desk_specs_with_complex
 
 from scrollfiber import (
     DomainError,
@@ -32,7 +32,7 @@ from scrollfiber import (
     verify_linear_quotients,
     vertex_set,
 )
-from scrollfiber import dual_quotients, facet_complex
+from scrollfiber import dual_quotients, facet_complex, scroll_model
 from scrollfiber.dual_quotients import (
     _certified,
     _certify,
@@ -610,11 +610,6 @@ class TestPendingRidges:
         assert [report.facet for report in result.failing] == [facets[rank]]
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestRidgeClasses:
     """``_certified`` certifies the ridges holding a split vertex b apart
     from the others, one class in a forked child on large specs."""
@@ -676,7 +671,7 @@ class TestRidgeClasses:
         calls = self._halves(monkeypatch)
         assert list(_certified(spec, mutation)) == expected
         assert len(forks) == len(calls) == 1
-        _assert_no_child()
+        assert_no_child()
 
     def test_below_the_cutoff_nothing_forks(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
@@ -724,7 +719,7 @@ class TestRidgeClasses:
         calls = self._halves(monkeypatch, fail=lambda parent: not parent)
         assert list(_certified(spec, "swap-groups")) == expected
         assert len(forks) == 1 and sorted(calls) == [False, True]
-        _assert_no_child()
+        assert_no_child()
 
     def test_a_short_payload_runs_the_child_class_here(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
@@ -732,10 +727,10 @@ class TestRidgeClasses:
         self._forks(monkeypatch)
         calls = self._halves(monkeypatch)
         cut = types.SimpleNamespace(dumps=lambda m: marshal.dumps(m)[:-1], loads=marshal.loads)
-        monkeypatch.setattr(dual_quotients, "marshal", cut)
+        monkeypatch.setattr(scroll_model, "marshal", cut)
         assert list(_certified(spec, "swap-groups")) == expected
         assert sorted(calls) == [False, True]
-        _assert_no_child()
+        assert_no_child()
 
     def test_a_raising_class_here_kills_the_child(self, monkeypatch):
         # The child's class would take a minute; the kill ends it at once.
@@ -752,7 +747,7 @@ class TestRidgeClasses:
         with pytest.raises(RuntimeError, match="a class failed"):
             list(_certified(spec, None))
         assert time.monotonic() - began < 30 and len(forks) == 1
-        _assert_no_child()
+        assert_no_child()
 
 
 class TestCompactCertification:

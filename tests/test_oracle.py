@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import gc
 import itertools
+import marshal
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import types
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
 import pytest
+from conftest import assert_no_child
 
 from scrollfiber import (
     DEFAULT_MODULUS,
@@ -36,7 +41,7 @@ from scrollfiber import (
     rank_mod_prime,
     rank_rational,
 )
-from scrollfiber import dual_quotients, oracle
+from scrollfiber import dual_quotients, oracle, scroll_model
 from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS
 from scrollfiber.facet_complex import _face_vector, _hf_from_counts, count_facets
 from scrollfiber.oracle import (
@@ -263,7 +268,9 @@ class TestRankBlocks:
         with pytest.raises(CapacityError):
             rank_blocks(ScrollSpec((13,)), 4)
 
-    def test_block_by_block_peaks_under_a_quarter_of_the_whole_matrix(self):
+    def test_block_by_block_peaks_under_a_quarter_of_the_whole_matrix(self, monkeypatch):
+        # In one process, so that the traced peak covers every block.
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", math.inf)
         spec = ScrollSpec((2, 3, 4))
 
         def peak(work):
@@ -313,6 +320,20 @@ def _multidegree(spec, t, key):
     return tuple(key >> bits * i & ((1 << bits) - 1) for i in range(spec.d)), key >> bits * spec.d
 
 
+def _is_standard(spec, combo):
+    """Whether the multiset ``combo`` of minor indices, in ``_generators``
+    order, is a standard product: both its left and its right columns
+    weakly increasing."""
+    pairs = [(a, b) for a in range(1, spec.c + 1) for b in range(a + 1, spec.c + 1)]
+    lefts, rights = zip(*(pairs[i] for i in combo))
+    return list(lefts) == sorted(lefts) and list(rights) == sorted(rights)
+
+
+def _pluecker(c, t):
+    """The dimension of degree t of the coordinate ring of G(2, c)."""
+    return math.comb(c + t - 1, t) * math.comb(c + t - 2, t) // (t + 1)
+
+
 class TestOrbits:
     """The oracle ranks one block per symmetry orbit (``_degree_rank``)."""
 
@@ -346,11 +367,13 @@ class TestOrbits:
 
     @pytest.mark.parametrize(
         "n, blocks, orbits, rows",
-        [((2, 2, 2, 2, 2, 2), 2898, 37, 1271), ((13,), 67, 34, 42879)],
+        [((2, 2, 2, 2, 2, 2), 2898, 37, 529), ((13,), 67, 34, 21557)],
         ids=str,
     )
     def test_pinned_expanded_blocks_at_degree_three(self, monkeypatch, n, blocks, orbits, rows):
-        # Count the blocks that are expanded, without expanding them.
+        # Count the blocks that are expanded, and their standard rows, without
+        # expanding them (all rows: 1,271 and 42,879).
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", math.inf)
         expanded = []
 
         def record(spec, t, gens, prefixes, combos):
@@ -364,18 +387,203 @@ class TestOrbits:
         assert rank == blocks
 
     def test_the_first_block_of_each_orbit_is_expanded(self, monkeypatch):
+        # Its standard rows, in the order of the block; the two halves
+        # take the blocks in their own order.
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", math.inf)
         spec = ScrollSpec((2, 3, 4))
         _, by_key = oracle._buckets(spec, 3)
         firsts = {}
         for key, combos in by_key.items():
-            firsts.setdefault(oracle._orbit(spec, 3, key), combos)
+            standard = [combo for combo in combos if _is_standard(spec, combo)]
+            firsts.setdefault(oracle._orbit(spec, 3, key), standard)
         expanded = []
         real = oracle._expand
         monkeypatch.setattr(
             oracle, "_expand", lambda *args: expanded.append(args[-1]) or real(*args)
         )
         _degree_rank(spec, 3, DEFAULT_MODULUS)
-        assert expanded == list(firsts.values())
+        assert sorted(expanded) == sorted(firsts.values())
+
+
+class TestStandardRows:
+    """``_degree_rank`` expands only the standard rows of each block, which
+    span its row space over every field by the straightening law."""
+
+    PAIRS = TestOrbits.PAIRS + [((2, 2, 4, 4), t) for t in (1, 2)] + [
+        (n, t) for n in [(1, 1, 1, 1), (1, 1, 1, 2), (1,) * 5, (1,) * 6] for t in (1, 2, 3)
+    ]
+
+    @pytest.mark.parametrize("n, t", PAIRS, ids=str)
+    def test_standard_rows_have_the_rank_of_every_row(self, n, t):
+        spec = ScrollSpec(n)
+        gens, by_key = oracle._buckets(spec, t)
+        prefixes = {(): {0: 1}}
+        for combos, block in zip(by_key.values(), rank_blocks(spec, t)):
+            standard = [combo for combo in combos if _is_standard(spec, combo)]
+            rows = oracle._expand(spec, t, gens, prefixes, standard)
+            for p in (DEFAULT_MODULUS, None, 2):
+                assert oracle._echelon_rank(rows, p) == oracle._echelon_rank(block, p), p
+
+    @pytest.mark.parametrize(
+        "n, t_max",
+        [((5,), 5), ((2, 4), 3), ((2, 2, 2, 2), 3), ((1, 1, 1, 1), 4), ((1,) * 6, 3), ((13,), 2)],
+        ids=str,
+    )
+    def test_each_degree_has_the_pluecker_count_of_standard_multisets(self, n, t_max):
+        spec = ScrollSpec(n)
+        for t in range(1, t_max + 1):
+            by_key = oracle._buckets(spec, t)[1]
+            standard = [oracle._standard(spec, combos) for combos in by_key.values()]
+            assert standard == [
+                [combo for combo in combos if _is_standard(spec, combo)]
+                for combos in by_key.values()
+            ]
+            assert sum(map(len, standard)) == _pluecker(spec.c, t), t
+
+    @pytest.mark.parametrize("c, t_max", [(4, 5), (5, 4), (6, 3)], ids=str)
+    def test_the_generic_matrix_has_one_rank_per_standard_multiset(self, c, t_max):
+        # (1^c) is the generic 2 x c matrix, where the standard products
+        # are linearly independent.
+        spec = ScrollSpec((1,) * c)
+        for t in range(1, t_max + 1):
+            for p in (DEFAULT_MODULUS, None, 2):
+                assert _degree_rank(spec, t, p)[0] == _pluecker(c, t), (t, p)
+
+
+class TestTwoProcessOracle:
+    """A degree with at least ``MIN_FORKED_ROWS`` standard rows is ranked in
+    two halves, one in a forked child (``scroll_model.two_halves``)."""
+
+    SPEC, T = ScrollSpec((4, 5)), 3  # 2,622 standard rows in 67 representatives
+
+    def _forks(self, monkeypatch, cutoff=0):
+        """Fork at ``cutoff`` rows and count this process's forks."""
+        forks = []
+        real = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", cutoff)
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def _halves(self, monkeypatch, fail=None):
+        """Count the halves this process ranks; ``fail(parent)`` says whether
+        a half raises, in this process or in a child."""
+        parent, calls = os.getpid(), []
+        real = oracle._ranked
+
+        def ranked(*args):
+            if os.getpid() == parent:
+                calls.append(len(args[3]))
+            if fail is not None and fail(os.getpid() == parent):
+                raise RuntimeError("a half failed")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_ranked", ranked)
+        return calls
+
+    def _expected(self, monkeypatch, p=DEFAULT_MODULUS):
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", math.inf)
+        return _degree_rank(self.SPEC, self.T, p)
+
+    def test_the_halves_split_the_representatives_by_cost(self):
+        by_key = oracle._buckets(self.SPEC, self.T)[1]
+        reps = [(1, combos) for combos in by_key.values()]
+        first, second = oracle._halves(reps)
+        assert sorted(first + second) == sorted(reps)
+        costs = [sum(len(combos) ** 2 for _, combos in half) for half in (first, second)]
+        assert abs(costs[0] - costs[1]) <= max(len(combos) ** 2 for _, combos in reps)
+
+    @pytest.mark.parametrize("p", [DEFAULT_MODULUS, None, 2], ids=str)
+    def test_the_forked_ranks_are_the_in_process_ones(self, p, monkeypatch):
+        expected = self._expected(monkeypatch, p)
+        forks = self._forks(monkeypatch)
+        calls = self._halves(monkeypatch)
+        assert _degree_rank(self.SPEC, self.T, p) == expected
+        assert len(forks) == len(calls) == 1
+        assert_no_child()
+
+    def test_cross_check_forks_at_its_large_degrees_only(self, monkeypatch):
+        expected = cross_check(ScrollSpec((8,)), 3)
+        forks = self._forks(monkeypatch, cutoff=1000)  # degree 3: 1,346 rows
+        assert cross_check(ScrollSpec((8,)), 3) == expected and expected.passed
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_below_the_cutoff_nothing_forks(self, monkeypatch):
+        expected = self._expected(monkeypatch)
+        forks = self._forks(monkeypatch, cutoff=2623)
+        calls = self._halves(monkeypatch)
+        assert _degree_rank(self.SPEC, self.T, DEFAULT_MODULUS) == expected
+        assert forks == [] and len(calls) == 2 and sum(calls) == 67
+
+    def test_a_process_running_threads_does_not_fork(self, monkeypatch):
+        expected = self._expected(monkeypatch)
+        forks = self._forks(monkeypatch)
+        ranks = []
+        worker = threading.Thread(
+            target=lambda: ranks.append(_degree_rank(self.SPEC, self.T, DEFAULT_MODULUS))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and ranks == [expected] and forks == []
+
+    def test_without_os_fork_both_halves_run_in_process(self, monkeypatch):
+        expected = self._expected(monkeypatch)
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", 0)
+        monkeypatch.delattr(os, "fork")
+        calls = self._halves(monkeypatch)
+        assert _degree_rank(self.SPEC, self.T, DEFAULT_MODULUS) == expected
+        assert len(calls) == 2 and sum(calls) == 67
+
+    def test_a_failing_fork_runs_both_halves_in_process(self, monkeypatch):
+        expected = self._expected(monkeypatch)
+
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", 0)
+        monkeypatch.setattr(os, "fork", fork)
+        calls = self._halves(monkeypatch)
+        assert _degree_rank(self.SPEC, self.T, DEFAULT_MODULUS) == expected
+        assert len(calls) == 2 and sum(calls) == 67
+
+    def test_a_child_that_fails_is_reaped_and_its_half_ranked_here(self, monkeypatch):
+        expected = self._expected(monkeypatch)
+        forks = self._forks(monkeypatch)
+        calls = self._halves(monkeypatch, fail=lambda parent: not parent)
+        assert _degree_rank(self.SPEC, self.T, DEFAULT_MODULUS) == expected
+        assert len(forks) == 1 and len(calls) == 2 and sum(calls) == 67
+        assert_no_child()
+
+    def test_a_short_payload_ranks_the_child_half_here(self, monkeypatch):
+        expected = self._expected(monkeypatch)
+        self._forks(monkeypatch)
+        calls = self._halves(monkeypatch)
+        cut = types.SimpleNamespace(dumps=lambda m: marshal.dumps(m)[:-1], loads=marshal.loads)
+        monkeypatch.setattr(scroll_model, "marshal", cut)
+        assert _degree_rank(self.SPEC, self.T, DEFAULT_MODULUS) == expected
+        assert len(calls) == 2 and sum(calls) == 67
+        assert_no_child()
+
+    def test_a_raising_half_here_kills_the_child(self, monkeypatch):
+        # The child's half would take a minute; the kill ends it at once.
+        forks = self._forks(monkeypatch)
+
+        def fail(parent):
+            if not parent:
+                time.sleep(60)
+            return parent
+
+        self._halves(monkeypatch, fail=fail)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="a half failed"):
+            _degree_rank(self.SPEC, self.T, DEFAULT_MODULUS)
+        assert time.monotonic() - began < 30 and len(forks) == 1
+        assert_no_child()
 
 
 class TestFiberHilbertFunction:
@@ -507,6 +715,7 @@ class TestCrossCheck:
         # A fake collision in the first block of each degree only.  At degree
         # 2 that block stands for its orbit of 2 blocks, so the modular rank
         # falls short by 2.
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", math.inf)
         collided = set()
         real = oracle._echelon_rank
 
@@ -527,6 +736,7 @@ class TestCrossCheck:
 
     def test_every_modular_mismatch_is_rechecked_rationally(self, monkeypatch):
         # Degree 3 of (8,) has 4,060 product rows.
+        monkeypatch.setattr(oracle, "MIN_FORKED_ROWS", math.inf)
         real = oracle._echelon_rank
         monkeypatch.setattr(
             oracle, "_echelon_rank", lambda problem, p: real(problem, None) - (p is not None)

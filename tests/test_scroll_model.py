@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from conftest import assert_no_child
 from hypothesis import given, strategies as st
 
 from scrollfiber import (
@@ -16,6 +19,7 @@ from scrollfiber import (
     minor,
     verify_linear_quotients,
 )
+from scrollfiber.scroll_model import two_halves
 
 specs = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4).map(
     lambda values: ScrollSpec(tuple(sorted(values)))
@@ -203,3 +207,15 @@ class TestMinor:
                     key = frozenset(minor(spec, a, b).as_dict().items())
                     assert key not in seen
                     seen.add(key)
+
+
+class TestTwoHalves:
+    """``two_halves`` gives ``(first(), second())`` whether or not it forks;
+    certification and the rank oracle test its fallbacks."""
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_the_halves_come_back_in_order(self, fork):
+        parent = os.getpid()
+        first, second = two_halves(lambda: {1: os.getpid()}, lambda: os.getpid(), fork)
+        assert second == parent and (first[1] != parent) == fork
+        assert_no_child()

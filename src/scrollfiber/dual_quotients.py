@@ -19,15 +19,20 @@ owner tests it, and that candidate is no generator; the set holds the
 ridges still waiting for an earlier facet, not every ridge certified so far.
 It ends empty on every unmutated, ``c2`` and ``b2`` run, which then skip
 the forward pass that finds those owners.  Whether a ridge is pending
-depends only on the facets holding it, so the ridges holding a unit b and
-the others are certified apart, in a forked child and in this process on
-specs with at least ``MIN_FORKED_FACETS`` facets.  On (2,2,2,2,2,2) the
-two sets peak at 9,275 and 10,755 ridges, where one pass over all 502,242
-distinct ridges peaks at 11,159.  The generators found this way are true
-ones, and the face identity decides that they are all of them: their degree
-counts equal the h-vector of the counted complex exactly when the order is
-a shelling (``_certify``).  Only when the identity fails does the quadratic
-scan name the failing facets.
+depends only on the facets holding it, and the leaf sets tell which facets
+can (``_classes``): a ridge F - v lies only in F's group when v is no unit,
+and only in partner groups, whose leaf sets hold its units, when v is one.
+So the within-group ridges of each group and the cross-group ridges are
+certified apart, in two halves by group (``_halves``), one in a forked child
+on specs with at least ``MIN_FORKED_FACETS`` facets, and a ridge that lies
+in its facet alone is never looked up.  On (2,2,2,2,2,2) 403,988 of the
+684,216 ridges are looked up, and the pending set peaks at 8,502 ridges in
+the pass over the cross-group ones, where one pass over all of them peaks
+at 11,159; on (4,4,4,5) at 91,409 against 134,682.  The generators found
+this way are true ones, and the face identity decides that they are all of
+them: their degree counts equal the h-vector of the counted complex exactly
+when the order is a shelling (``_certify``).  Only when the identity fails
+does the quadratic scan name the failing facets.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
@@ -42,14 +47,15 @@ reports and the ``facets`` command, and keeps none.
 Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
-One generator, ``_certified``, merges the candidates that the two classes
-of ridges miss (``_missed``: a backward pass, then a forward one while any
-ridge is pending) and yields every facet's generators.  It tests a facet's
-unmutated prediction where the order is the enumeration's own from that
-facet on, every vertex elsewhere.  One tally, ``_tally``, folds it into
-per-degree counts and the failing reports, not one report per facet, and
-folds the diagnostic scan the same way; ``VerificationResult.reports`` maps
-the pass ``_certify`` kept through the same report builder only when asked.
+One generator, ``_certified``, merges the candidates that the two halves
+of the ridge classes miss (``_missed``: a backward pass, then a forward one
+while any ridge is pending) and yields every facet's generators.  It tests
+a facet's unmutated prediction where the order is the enumeration's own
+from that facet on, every vertex elsewhere.  One tally, ``_tally``, folds it
+into per-degree counts and the failing reports, not one report per facet,
+and folds the diagnostic scan the same way; ``VerificationResult.reports``
+maps the pass ``_certify`` kept through the same report builder only when
+asked.
 """
 
 from __future__ import annotations
@@ -88,14 +94,14 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex,
 #: Enumeration refuses specs with more facets than this (``CapacityError``).
 #: Each facet is kept as one int mask, about 50 bytes, with its packed
 #: prediction; certification decodes each prediction once and keeps it as
-#: an int over its passes, with the incidence index of the face identity
-#: and the ridges still waiting for a partner.  ``invariants`` peaks at
-#: 160-190 bytes a facet: 88.5 MB max RSS for (4,4,4,4), 475,456 facets,
-#: and 156.5 MB for (4,4,4,5), 982,889, in 5.5 and 13.4 s of wall time and
-#: 7.9 and 18.4 s of CPU over both processes (one CLI run each, median of
-#: 3, max RSS and CPU of the run and its forked child from ``wait4``,
-#: 2-core host).  A ``Facet`` view takes about 2.3 KB at (4,4,4,5), so
-#: ``_views`` builds views only on request and keeps none.
+#: an int over its passes, with a byte for the index of its group, the
+#: incidence index of the face identity and the ridges still waiting for a
+#: partner.  ``invariants`` peaks at 160-190 bytes a facet: 81.3 MB max RSS
+#: for (4,4,4,4), 475,456 facets, and 151.1 MB for (4,4,4,5), 982,889, in
+#: 2.8 and 6.6 s of wall time and 3.8 and 8.9 s of CPU over both processes
+#: (one CLI run each, median of 3, max RSS and CPU of the run and its forked
+#: child from ``wait4``, 2-core host).  A ``Facet`` view takes about 2.3 KB
+#: at (4,4,4,5), so ``_views`` builds views only on request and keeps none.
 MAX_ENUMERATED_FACETS = 1_000_000
 
 # The facets greatest first (``_fold``): their masks, each group's range of
@@ -458,25 +464,15 @@ def _predictions(spec: ScrollSpec, mutation: str | None) -> list[int]:
     return _decoded(packed, len(packed) // len(masks))
 
 
-def _ridges(f: int, vertices: int) -> list[int]:
-    """The ridges f - u of the facet mask ``f``, one per set bit u of
-    ``vertices``."""
-    ridges = []
-    while vertices:
-        u = vertices & -vertices
-        vertices ^= u
-        ridges.append(f ^ u)
-    return ridges
-
-
-#: ``_certified`` certifies its two classes of ridges in two processes, one
-#: forked, only on specs with at least this many facets; below it, where
-#: ``os.fork`` is missing or fails, and in a process running other threads,
-#: it certifies both in one.  A fork pays for itself on large specs: with
-#: it, ``invariants`` on (2,2,2,2,2,2), 38,012 facets, took 0.54 s against
-#: 0.69 s in one process, and on (4,4,4,4) 4.6 s against 6.8 s, at equal
-#: CPU (medians of 8 and 3 alternating runs).  On small specs it saves a
-#: few milliseconds for more CPU: forked at every size, the benchmark's
+#: ``_certified`` certifies the two halves of its ridge classes in two
+#: processes, one forked, only on specs with at least this many facets;
+#: below it, where ``os.fork`` is missing or fails, and in a process running
+#: other threads, it certifies both in one.  A fork pays for itself in wall
+#: time on large specs: with it, ``invariants`` on (2,2,2,2,2,2), 38,012
+#: facets, took 0.24 s against 0.29 s in one process (median of 8
+#: alternating runs), and on (4,4,4,4) 2.7 s against 3.5 s, for 3.6 s of
+#: CPU against 3.5 s (median of 3).  On small specs it saves a few
+#: milliseconds for more CPU: forked at every size, the benchmark's
 #: ``batch`` lines, 2,398-7,384 facets, took 3 % more CPU (4 of 4 runs),
 #: and its oracle specs, at most 924 facets, gained nothing (2-core host).
 MIN_FORKED_FACETS = 10_000
@@ -488,21 +484,67 @@ MIN_FORKED_FACETS = 10_000
 #: budget stops it within about 20 s, where 1,000,000 facets would take days.
 MAX_SCANNED_FACETS = 10_000
 
-def _split(spec: ScrollSpec) -> tuple[int, bool]:
-    """The bit of the unit b = (a, a+1) that splits the ridges most evenly
-    into those holding b and the rest, and whether the first class is the
-    larger.  The facets holding b are those of the groups whose leaf set
-    holds b, read off the group ranges; each has c + d - 1 ridges holding b
-    and one without, and every other facet has c + d without."""
+
+def _classes(spec: ScrollSpec) -> tuple[bytearray, list[int], list[int]]:
+    """The ridge classes by leaf set: the index of each rank's group, in the
+    order of the group ranges, one byte a rank; and per group the vertices v
+    whose ridge F - v another facet may hold, within the group and across
+    groups.  ``InternalError`` when two groups share a leaf set.
+
+    A facet's units are exactly its group's leaf set (``_check_distinct``),
+    leaf sets differ from group to group and all have d + 2 units.  Let G
+    hold the ridge F - v of a facet F of the group with leaf set L, G != F.
+    If v is no unit, G holds every unit of L, hence no other, so G is in F's
+    group; and if every facet of the group holds v, G does, so G = F.  If v
+    is a unit, G holds L - v and a unit w != v, so G is in a partner group,
+    one whose leaf set holds L - v.  So the within-group ridges are those of
+    the vertices not held by every facet of the group, and the cross-group
+    ones those of the units with a partner group; the other ridges lie in F
+    alone, so their candidates are no generators and need no lookup."""
     masks, groups, _ = _enumerated(spec)
-    size = spec.c + spec.d
-    leaves = [(leaves_profile(spec, alpha).leaves, len(r)) for alpha, r in groups.items()]
-    sizes = {}  # the two classes' ridge counts, by a
-    for a in range(1, spec.c):
-        held = sum(count for units, count in leaves if (a, a + 1) in units)
-        sizes[a] = held * (size - 1), (len(masks) - held) * size + held
-    a = min(sizes, key=lambda a: abs(sizes[a][0] - sizes[a][1]))
-    return _grid(spec)[a][a + 1], sizes[a][0] > sizes[a][1]
+    leaves = [_mask(spec, leaves_profile(spec, alpha).leaves) for alpha in groups]
+    if len(set(leaves)) < len(leaves):
+        raise InternalError(f"two groups of {spec} share a leaf set")
+    everything = (1 << math.comb(spec.c, 2)) - 1
+    within = [
+        everything ^ functools.reduce(operator.and_, itertools.islice(masks, r.start, r.stop))
+        for r in groups.values()
+    ]
+    units = [_grid(spec)[a][a + 1] for a in range(1, spec.c)]
+    # A leaf set holds L - u and not u exactly when it is a partner's.
+    cross = [sum(u for u in units if any(held & ~m == u for m in leaves)) for held in leaves]
+    group_of = bytearray().join(bytes([g]) * len(r) for g, r in enumerate(groups.values()))
+    return group_of, within, cross
+
+
+def _halves(
+    spec: ScrollSpec, within: list[int], cross: list[int]
+) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+    """Two halves of the ridge classes, balanced by the ridges they look up,
+    each as its passes of per-group scopes.  The first takes the
+    cross-group ridges, in a pass of their own, and the within-group ridges
+    of the set of groups that brings it closest to half of all; the second
+    takes those of the other groups.  Every facet of a group has as many
+    ridges in a scope as the group's first.
+
+    The cross-group ridges of a group wait in the pending set until the
+    adjacent group's facets come, so their pass peaks highest, and the
+    within-group ridges of the largest groups would add to that peak in the
+    same pass."""
+    masks, groups, _ = _enumerated(spec)
+    ranks = list(groups.values())
+    crossing = sum(len(r) * (masks[r.start] & x).bit_count() for r, x in zip(ranks, cross))
+    sizes = [len(r) * (masks[r.start] & w).bit_count() for r, w in zip(ranks, within)]
+    subsets = {0: 0}  # a set of groups by its within-group ridges, as a mask of indexes
+    for g, size in enumerate(sizes):
+        for total, chosen in list(subsets.items()):
+            subsets.setdefault(total + size, chosen | 1 << g)
+    rest = sum(sizes)
+    chosen = subsets[min(subsets, key=lambda total: max(crossing + total, rest - total))]
+    return (
+        (cross, [w * (chosen >> g & 1) for g, w in enumerate(within)]),
+        ([w * (~chosen >> g & 1) for g, w in enumerate(within)],),
+    )
 
 
 def _missed(
@@ -510,50 +552,53 @@ def _missed(
     order: Sequence[int],
     tested: Sequence[int],
     start: int,
-    b: int,
-    holding: bool,
+    group_of: bytearray,
+    passes: Iterable[Sequence[int]],
 ) -> dict[int, int]:
-    """In one class of ridges, those holding the vertex bit ``b`` or those
-    not holding it, the candidates that are no generators: by rank, the mask
-    of the candidates u of F whose ridge F - u is in the class and lies in no
-    earlier facet.  A rank r >= ``start`` tests ``tested[r]``, any other rank
-    every vertex.
+    """The candidates that are no generators among the ridges of one half
+    of the classes, one pass per scope in ``passes``, where a pass takes the
+    ridges F - u with u in the scope of F's group (``scopes[group_of[rank]]``):
+    by rank, the mask of the candidates u of F whose ridge F - u is in the
+    half and lies in no earlier facet.  A rank r >= ``start`` tests
+    ``tested[r]``, any other rank every vertex.
 
-    Each facet acts on every ridge of the class that it holds: it adds the
-    ridge of a candidate to ``pending`` and drops the others.  So after the
-    backward pass a ridge is pending exactly when its earliest owner tests
-    it, and the forward pass finds that owner, until none is pending."""
-
-    def scoped(ranks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-        # The facets with a ridge in the class: rank, mask, the vertices u
-        # whose ridge F - u is in it, and the candidates among them.
-        for rank in ranks:
-            f = masks[rank]
-            if f & b:
-                scope = f ^ b if holding else b
-            elif holding:
-                continue
-            else:
-                scope = f
-            yield rank, f, scope, (tested[rank] if rank >= start else f) & scope
-
-    pending: set[int] = set()
-    for _, f, scope, candidates in scoped(reversed(order)):
-        pending.difference_update(_ridges(f, scope ^ candidates))
-        pending.update(_ridges(f, candidates))
+    In a pass each facet acts on every ridge of the pass that it holds: it
+    adds the ridge of a candidate to ``pending`` and drops the others.  So
+    after the backward pass a ridge is pending exactly when its earliest
+    owner tests it, and the forward pass finds that owner, until none is
+    pending."""
     missed: dict[int, int] = {}
-    for rank, f, _, candidates in scoped(order):
-        if not pending:
-            break
-        rest, lost = candidates, 0
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            if f ^ u in pending:  # this facet is the ridge's earliest owner
-                pending.remove(f ^ u)
-                lost |= u
-        if lost:
-            missed[rank] = lost
+    for scopes in passes:
+        pending: set[int] = set()
+        for rank in reversed(order):
+            f = masks[rank]
+            scope = f & scopes[group_of[rank]]  # the vertices whose ridge is in the pass
+            if not scope:
+                continue
+            candidates = (tested[rank] if rank >= start else f) & scope
+            drops = scope ^ candidates
+            while drops:
+                u = drops & -drops
+                drops ^= u
+                pending.discard(f ^ u)
+            while candidates:
+                u = candidates & -candidates
+                candidates ^= u
+                pending.add(f ^ u)
+        for rank in order if pending else ():
+            f = masks[rank]
+            rest = f & scopes[group_of[rank]] & (tested[rank] if rank >= start else f)
+            lost = 0
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                if f ^ u in pending:  # this facet is the ridge's earliest owner
+                    pending.remove(f ^ u)
+                    lost |= u
+            if lost:
+                missed[rank] = missed.get(rank, 0) | lost
+                if not pending:
+                    break
     return missed
 
 
@@ -572,19 +617,20 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     is unless F is the ridge's earliest owner.
 
     Whether a ridge's earliest owner tests it depends only on the facets
-    holding that ridge, so the ridges holding a unit b and the others are
-    certified apart (``_missed``), and the union of the two maps of missed
-    candidates is the single pass's for any b (``_split`` picks it).  On
-    specs with at least ``MIN_FORKED_FACETS`` facets a forked child
-    certifies the larger class while this process certifies the other
-    (``two_halves``); if the child fails, this process certifies its class
-    too.  The child is reaped before the first facet is yielded, and killed
-    first if this process's class raises.  Unmutated, ``c2`` and ``b2``
-    runs miss none.
+    holding that ridge, so the ridge classes by leaf set (``_classes``) are
+    certified apart, and a candidate whose ridge lies in its facet alone is
+    no generator without a lookup.  On specs with at least
+    ``MIN_FORKED_FACETS`` facets a forked child certifies the half of the
+    classes with the cross-group ridges (``_halves``) while this process
+    certifies the other (``two_halves``); if the child fails, this process
+    certifies its half too.  The child is reaped before the first facet is
+    yielded, and killed first if this process's half raises.  Unmutated,
+    ``c2`` and ``b2`` runs miss none.
 
-    Every counted generator u has an earlier facet holding F - u, so the
-    counted set is part of the true one, whatever the prediction;
-    ``_certify`` decides with the face identity that it is all of it.
+    Every counted generator u has an earlier facet holding F - u, found by a
+    lookup, so the counted set is part of the true one, whatever the
+    prediction and even were a class too small; ``_certify`` decides with
+    the face identity that it is all of it.
     """
     masks = _enumerated(spec)[0]
     unmutated = _predictions(spec, None)
@@ -592,17 +638,18 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     order = _facet_order(spec, mutation)
     down = range(len(order) - 1, -1, -1)  # the positions, last first
     start = next(itertools.compress(down, map(operator.ne, reversed(order), down)), -1) + 1
-    b, larger = _split(spec)
+    group_of, within, cross = _classes(spec)
     first, second = (
-        functools.partial(_missed, masks, order, unmutated, start, b, holding)
-        for holding in (larger, not larger)
+        functools.partial(_missed, masks, order, unmutated, start, group_of, passes)
+        for passes in _halves(spec, within, cross)
     )
     theirs, missed = two_halves(first, second, len(masks) >= MIN_FORKED_FACETS)
     for rank, m in theirs.items():
         missed[rank] = missed.get(rank, 0) | m
+    hashed = [w | x for w, x in zip(within, cross)]
     for rank in order:
         candidates = unmutated[rank] if rank >= start else masks[rank]
-        yield rank, candidates & ~missed.get(rank, 0), predicted[rank]
+        yield rank, candidates & hashed[group_of[rank]] & ~missed.get(rank, 0), predicted[rank]
 
 
 def _scanned(
@@ -628,7 +675,7 @@ def _report(facet: Facet, gens: int, *colon: object) -> ColonReport:
     the pass is ``_scanned``."""
     spec = facet.spec
     *scan, predicted = colon
-    diffs = scan[0] if scan else _ridges(0, gens)  # the singletons of ``gens``
+    diffs = scan[0] if scan else [1 << k for k in range(gens.bit_length()) if gens >> k & 1]
     linear = all(d.bit_count() == 1 for d in diffs)
     return ColonReport(
         facet=facet,

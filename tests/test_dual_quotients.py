@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import marshal
 import math
 import os
@@ -30,12 +32,12 @@ from scrollfiber import (
     precedes,
     predict_LG,
     verify_linear_quotients,
-    vertex_set,
 )
 from scrollfiber import dual_quotients, facet_complex, scroll_model
 from scrollfiber.dual_quotients import (
     _certified,
     _certify,
+    _classes,
     _enumerated,
     _facet_order,
     _fold,
@@ -491,37 +493,31 @@ class TestPendingRidges:
 
     def test_swapped_order_tests_predictions_past_the_moved_groups(self, monkeypatch):
         # (7,) has 4 groups.  Past the two moved ranges the order is the
-        # enumeration's own, so each facet adds the ridges of exactly its
-        # unmutated prediction; a moved facet adds those of every vertex.
-        # Each facet drops the rest of its ridges, and acts on each of its
-        # ridges once over both classes.  The backward passes look up ridges
-        # in pairs, the ridges dropped and then the ridges added, in-process.
+        # enumeration's own, so each facet with a ridge that another facet
+        # may hold reads its unmutated prediction in the ridge passes; a
+        # moved facet tests every vertex and reads none.
         spec = DESK_BY_N[(7,)]
-        facets = enumerate_facets(spec)
-        _, second, *rest = _enumerated(spec)[1].values()
-        assert rest and second.stop < len(facets)
-        calls = []
-        real = dual_quotients._ridges
+        masks, groups, _ = _enumerated(spec)
+        _, second, *rest = groups.values()
+        assert rest and second.stop < len(masks)
+        group_of, within, cross = _classes(spec)
+        reads = []
+        real = dual_quotients._missed
 
-        def ridges(f, vertices):
-            calls.append((f, vertices))
-            return real(f, vertices)
+        class Recorded(list):
+            def __getitem__(self, rank):
+                reads.append(rank)
+                return super().__getitem__(rank)
+
+        def missed(masks, order, tested, *args):
+            return real(masks, order, Recorded(tested), *args)
 
         monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", math.inf)
-        monkeypatch.setattr(dual_quotients, "_ridges", ridges)
+        monkeypatch.setattr(dual_quotients, "_missed", missed)
         list(_certified(spec, "swap-groups"))
-        acted, added, dropped = Counter(), Counter(), Counter()
-        for (f, drops), (g, adds) in zip(calls[::2], calls[1::2], strict=True):
-            assert f == g and not drops & adds
-            acted[f] += drops.bit_count() + adds.bit_count()
-            added[f] |= adds
-            dropped[f] |= drops
-        for rank, facet in enumerate(facets):
-            f = _mask(spec, facet.vertices)
-            moved = rank < second.stop
-            assert acted[f] == f.bit_count()
-            assert added[f] == (f if moved else _mask(spec, predict_LG(facet)))
-            assert dropped[f] == f & ~added[f]
+        hashed = [m & (within[g] | cross[g]) for m, g in zip(masks, group_of)]
+        assert all(hashed)
+        assert set(reads) == set(range(second.stop, len(masks)))
 
     def _doctored(self, choose, rank=None):
         """A fresh (6,) whose kept packed prediction of the facet at ``rank``
@@ -610,29 +606,126 @@ class TestPendingRidges:
         assert [report.facet for report in result.failing] == [facets[rank]]
 
 
+def _bits(mask):
+    """The one-bit masks of the set bits of ``mask``."""
+    return [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 class TestRidgeClasses:
-    """``_certified`` certifies the ridges holding a split vertex b apart
-    from the others, one class in a forked child on large specs."""
+    """``_certified`` certifies the ridges by classes of leaf set, never
+    looking up a ridge that no other facet can hold, in two halves of the
+    classes, one in a forked child on large specs."""
 
     @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups", "shuffled"])
-    @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
-    def test_every_split_vertex_gives_the_all_ridges_stream(self, spec, mutation, monkeypatch):
-        # Every unit, then two degenerate splits: a vertex bit above every
-        # facet mask, held by none, and the root, held by every facet.  The
-        # child's class alternates so that each side takes both classes.
+    @pytest.mark.parametrize(
+        "spec",
+        [s for s in desk_specs_with_complex() if s.n != (2, 2, 4, 4)],
+        ids=lambda spec: str(spec.n),
+    )
+    def test_every_assignment_of_groups_gives_the_all_ridges_stream(
+        self, spec, mutation, monkeypatch
+    ):
+        # Every set of groups whose within-group ridges join the pass of the
+        # cross-group ones in the first half, the rest in the second.
+        # (2,2,4,4), with 64 sets, runs its own halves in TestPendingRidges.
         if mutation == "shuffled":
             order = list(range(len(_enumerated(spec)[0])))
             random.Random(len(spec.n)).shuffle(order)
             monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
             mutation = None
-        grid = _grid(spec)
-        splits = [grid[a][a + 1] for a in range(1, spec.c)]
-        splits += [1 << len(vertex_set(spec)), grid[1][spec.c]]
         expected = list(_all_ridges_certified(spec, mutation))
-        for i, b in enumerate(splits):
-            split = (b, i % 2 == 0)
-            monkeypatch.setattr(dual_quotients, "_split", lambda spec: split)
-            assert list(_certified(spec, mutation)) == expected, split
+        groups = range(len(spec.alphas))
+        for size in range(len(groups) + 1):
+            for chosen in itertools.combinations(groups, size):
+
+                def halves(spec, within, cross, chosen=chosen):
+                    first = [w * (g in chosen) for g, w in enumerate(within)]
+                    return (cross, first), ([w * (g not in chosen) for g, w in enumerate(within)],)
+
+                monkeypatch.setattr(dual_quotients, "_halves", halves)
+                assert list(_certified(spec, mutation)) == expected, chosen
+
+    @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
+    def test_the_halves_split_the_classes_by_group(self, spec):
+        masks, groups, _ = _enumerated(spec)
+        group_of, within, cross = _classes(spec)
+        assert group_of == bytes(g for g, ranks in enumerate(groups.values()) for _ in ranks)
+        (crossing, first), (second,) = dual_quotients._halves(spec, within, cross)
+        assert crossing == cross
+        units = _mask(spec, [(a, a + 1) for a in range(1, spec.c)])
+        for g, (ranks, w, x) in enumerate(zip(groups.values(), within, cross)):
+            assert x & ~units == 0 and w & masks[ranks.start] & units == 0
+            assert (first[g], second[g]) in ((w, 0), (0, w))
+
+        def looked_up(half):
+            sizes = ((len(r), masks[r.start] & scope) for r, scope in zip(groups.values(), half))
+            return sum(count * scoped.bit_count() for count, scoped in sizes)
+
+        # No other set of groups balances the ridges looked up better.
+        best = min(
+            max(looked_up(cross) + looked_up(half), looked_up(within) - looked_up(half))
+            for chosen in itertools.product((0, 1), repeat=len(within))
+            for half in [[w * c for w, c in zip(within, chosen)]]
+        )
+        assert max(looked_up(cross) + looked_up(first), looked_up(second)) == best
+
+    @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
+    def test_a_skipped_ridge_lies_in_one_facet_and_a_shared_one_in_one_pass(self, spec):
+        # Brute force over every ridge of every enumerated facet.
+        masks, _, _ = _enumerated(spec)
+        group_of, within, cross = _classes(spec)
+        passes = [scopes for half in dual_quotients._halves(spec, within, cross) for scopes in half]
+        holders = Counter(f ^ v for f in masks for v in _bits(f))
+        pass_of = {}
+        for rank, f in enumerate(masks):
+            g = group_of[rank]
+            for v in _bits(f):
+                scoped = [i for i, scopes in enumerate(passes) if scopes[g] & v]
+                if not scoped:
+                    assert holders[f ^ v] == 1
+                else:
+                    (i,) = scoped
+                    assert pass_of.setdefault(f ^ v, i) == i
+        assert len(pass_of) < len(holders)
+
+    def test_a_shared_leaf_set_is_an_internal_error(self, monkeypatch):
+        spec = ScrollSpec((6,))
+        _enumerated(spec)  # each facet's units are checked against its leaf set here
+        real = dual_quotients.leaves_profile
+
+        def shared(spec, alpha):
+            return dataclasses.replace(real(spec, alpha), leaves=real(spec, 1).leaves)
+
+        monkeypatch.setattr(dual_quotients, "leaves_profile", shared)
+        with pytest.raises(InternalError, match=r"two groups of \(6\) share a leaf set"):
+            verify_linear_quotients(spec)
+
+    def test_a_class_map_that_skips_a_shared_ridge_fails(self, monkeypatch):
+        # Each vertex whose ridge another facet of (7,) holds, cleared from
+        # its group's scope: the generators it stops counting break the
+        # face identity, which over the scan budget is an error.
+        spec = DESK_BY_N[(7,)]
+        masks, _, _ = _enumerated(spec)
+        group_of, within, cross = _classes(spec)
+        holders = Counter(f ^ v for f in masks for v in _bits(f))
+        shared = {
+            (group_of[rank], v)
+            for rank, f in enumerate(masks)
+            for v in _bits(f)
+            if holders[f ^ v] > 1
+        }
+        assert any(v & cross[g] for g, v in shared) and any(v & within[g] for g, v in shared)
+        monkeypatch.setattr(dual_quotients, "MAX_SCANNED_FACETS", 0)
+        assert verify_linear_quotients(ScrollSpec((7,))).passed
+        for g, v in sorted(shared):
+            doctored = (
+                group_of,
+                [w & ~v if h == g else w for h, w in enumerate(within)],
+                [x & ~v if h == g else x for h, x in enumerate(cross)],
+            )
+            monkeypatch.setattr(dual_quotients, "_classes", lambda _, doctored=doctored: doctored)
+            with pytest.raises(VerificationError, match="over the diagnostic scan's budget"):
+                verify_linear_quotients(ScrollSpec((7,)))
 
     def _forks(self, monkeypatch, cutoff=0):
         """Fork at ``cutoff`` facets and count this process's forks."""
@@ -648,8 +741,8 @@ class TestRidgeClasses:
         return forks
 
     def _halves(self, monkeypatch, fail=None):
-        """Count the classes this process certifies; ``fail(parent)`` says
-        whether a class raises, in this process or in a child."""
+        """The halves this process certifies; ``fail(parent)`` says whether
+        a half raises, in this process or in a child."""
         parent, calls = os.getpid(), []
         real = dual_quotients._missed
 
@@ -678,7 +771,7 @@ class TestRidgeClasses:
         forks = self._forks(monkeypatch, cutoff=len(_enumerated(spec)[0]) + 1)
         calls = self._halves(monkeypatch)
         list(_certified(spec, None))
-        assert forks == [] and sorted(calls) == [False, True]
+        assert forks == [] and len(calls) == 2 and calls[0] != calls[1]
 
     def test_a_process_running_threads_does_not_fork(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
@@ -697,7 +790,7 @@ class TestRidgeClasses:
         monkeypatch.delattr(os, "fork")
         calls = self._halves(monkeypatch)
         assert list(_certified(spec, "swap-groups")) == expected
-        assert sorted(calls) == [False, True]
+        assert len(calls) == 2 and calls[0] != calls[1]
 
     def test_a_failing_fork_runs_both_classes_in_process(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
@@ -710,7 +803,7 @@ class TestRidgeClasses:
         monkeypatch.setattr(os, "fork", fork)
         calls = self._halves(monkeypatch)
         assert list(_certified(spec, "swap-groups")) == expected
-        assert sorted(calls) == [False, True]
+        assert len(calls) == 2 and calls[0] != calls[1]
 
     def test_a_child_that_fails_is_reaped_and_its_class_run_here(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
@@ -718,7 +811,7 @@ class TestRidgeClasses:
         forks = self._forks(monkeypatch)
         calls = self._halves(monkeypatch, fail=lambda parent: not parent)
         assert list(_certified(spec, "swap-groups")) == expected
-        assert len(forks) == 1 and sorted(calls) == [False, True]
+        assert len(forks) == 1 and len(calls) == 2 and calls[0] != calls[1]
         assert_no_child()
 
     def test_a_short_payload_runs_the_child_class_here(self, monkeypatch):
@@ -729,7 +822,7 @@ class TestRidgeClasses:
         cut = types.SimpleNamespace(dumps=lambda m: marshal.dumps(m)[:-1], loads=marshal.loads)
         monkeypatch.setattr(scroll_model, "marshal", cut)
         assert list(_certified(spec, "swap-groups")) == expected
-        assert sorted(calls) == [False, True]
+        assert len(calls) == 2 and calls[0] != calls[1]
         assert_no_child()
 
     def test_a_raising_class_here_kills_the_child(self, monkeypatch):

@@ -35,8 +35,8 @@ from .dual_quotients import (
     verify_linear_quotients,
 )
 from .errors import PreconditionError, ScrollError, VerificationError
-from .facet_complex import Facet, _hf_from_counts, facet_tree, is_facet
-from .invariants import face_counts, full_report
+from .facet_complex import Facet, _face_vector, _hf_from_counts, facet_tree, is_facet
+from .invariants import full_report
 from .oracle import (
     DEFAULT_MODULUS,
     CrossCheckResult,
@@ -449,9 +449,9 @@ def cmd_selftest() -> int:
     result = verify_linear_quotients(spec5)
     checks.append(("linear quotients (5)", result.passed))
     checks.append(("h-vector (5)", result.degree_counts == (1, 4, 4, 1)))
-    counts5 = face_counts(enumerate_facets(spec5), 2)
+    faces5 = _face_vector(spec5)
     oracle_ok = all(
-        fiber_hilbert_function(spec5, t) == _hf_from_counts(counts5, t) for t in range(3)
+        fiber_hilbert_function(spec5, t) == _hf_from_counts(faces5, t) for t in range(3)
     )
     checks.append(("rank oracle agrees (5), t <= 2", oracle_ok))
     rational_ok = all(

@@ -47,15 +47,15 @@ reports and the ``facets`` command, and keeps none.
 Certification parses no facet.  ``predict_LG`` applies the same rule over
 one facet's ``_walk``, so a mutation moves both.
 
-One generator, ``_certified``, merges the candidates that the two halves
-of the ridge classes miss (``_missed``: a backward pass, then a forward one
-while any ridge is pending) and yields every facet's generators.  It tests
-a facet's unmutated prediction where the order is the enumeration's own
-from that facet on, every vertex elsewhere.  One tally, ``_tally``, folds it
-into per-degree counts and the failing reports, not one report per facet,
-and folds the diagnostic scan the same way; ``VerificationResult.reports``
-maps the pass ``_certify`` kept through the same report builder only when
-asked.
+``_check_distinct`` checks the enumeration where it is kept, for every
+reader: it lists every facet once, with c + d vertices.  ``_certified``
+chooses each facet's candidates once, its unmutated prediction where the
+order is the enumeration's own from that facet on and every vertex
+elsewhere, and merges those that the two halves of the ridge classes miss
+(``_missed``: a backward pass, then a forward one while any ridge is
+pending).  It and the diagnostic scan yield one entry per facet
+(``Colon``), which ``_tally`` folds into per-degree counts and the failing
+reports and ``VerificationResult.reports`` maps only when asked.
 """
 
 from __future__ import annotations
@@ -167,7 +167,9 @@ class VerificationResult:
         if self._reports is None:
             views = enumerate_facets(self.spec)
             stream = (_scanned if self.scanned else _certified)(self.spec, self.mutation)
-            reports = tuple(_report(views[rank], *colon) for rank, *colon in stream)
+            reports = tuple(
+                _report(views[r], gens, predicted, diffs) for r, gens, predicted, diffs in stream
+            )
             object.__setattr__(self, "_reports", reports)
         return self._reports
 
@@ -345,9 +347,9 @@ def _enumerated(spec: ScrollSpec) -> Enumeration:
 
     Raises ``CapacityError`` before the fold when the spec has more than
     ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` unless the fold
-    lists as many facets as ``count_facets`` counts, each once.  That is
-    part of the certificate (``_certify``), and ``_check_distinct`` checks
-    it.
+    lists as many facets as ``count_facets`` counts, each once and with
+    c + d vertices.  That is part of the certificate (``_certify``), and
+    ``_check_distinct`` checks it for every reader of the enumeration.
     """
     require_complex(spec)
 
@@ -368,21 +370,27 @@ def _enumerated(spec: ScrollSpec) -> Enumeration:
 
 
 def _check_distinct(spec: ScrollSpec, masks: Sequence[int], groups: dict[int, range]) -> None:
-    """``InternalError`` unless every facet is listed once: within a group's
-    range the masks strictly increase, and a facet's units, the intervals
-    (a, a+1) it holds, are exactly its group's leaf set, which differs from
-    group to group.  One comparison and one AND a facet."""
-    grid = _grid(spec)
-    units = sum(grid[a][a + 1] for a in range(1, spec.c))
-    for alpha, ranks in groups.items():
+    """``InternalError`` unless every facet is listed once, with c + d
+    vertices: every mask has c + d bits, no two groups share a leaf set, the
+    masks strictly increase within a group's range, and a facet's units, the
+    intervals (a, a+1) it holds, are its group's leaf set.  One bit count,
+    one comparison and one AND a facet."""
+    size = spec.c + spec.d
+    sizes = set(map(int.bit_count, masks))
+    if sizes != {size}:
+        raise InternalError(f"facets of sizes {sorted(sizes)}, not {size}, for {spec}")
+    leaves = [_mask(spec, leaves_profile(spec, alpha).leaves) for alpha in groups]
+    if len(set(leaves)) < len(leaves):
+        raise InternalError(f"two groups of {spec} share a leaf set")
+    units = _mask(spec, [(a, a + 1) for a in range(1, spec.c)])
+    for (alpha, ranks), held in zip(groups.items(), leaves):
         first, stop = ranks.start, ranks.stop
         ahead = itertools.islice(masks, first + 1, stop)
         if not all(map(operator.lt, itertools.islice(masks, first, stop), ahead)):
             raise InternalError(
                 f"the masks of the group at alpha={alpha} of {spec} do not strictly increase"
             )
-        leaves = _mask(spec, leaves_profile(spec, alpha).leaves)
-        if set(map(units.__and__, itertools.islice(masks, first, stop))) != {leaves}:
+        if set(map(units.__and__, itertools.islice(masks, first, stop))) != {held}:
             raise InternalError(
                 f"a facet of the group at alpha={alpha} of {spec} holds other units than its leaves"
             )
@@ -489,22 +497,21 @@ def _classes(spec: ScrollSpec) -> tuple[bytearray, list[int], list[int]]:
     """The ridge classes by leaf set: the index of each rank's group, in the
     order of the group ranges, one byte a rank; and per group the vertices v
     whose ridge F - v another facet may hold, within the group and across
-    groups.  ``InternalError`` when two groups share a leaf set.
+    groups.
 
-    A facet's units are exactly its group's leaf set (``_check_distinct``),
-    leaf sets differ from group to group and all have d + 2 units.  Let G
-    hold the ridge F - v of a facet F of the group with leaf set L, G != F.
-    If v is no unit, G holds every unit of L, hence no other, so G is in F's
-    group; and if every facet of the group holds v, G does, so G = F.  If v
-    is a unit, G holds L - v and a unit w != v, so G is in a partner group,
-    one whose leaf set holds L - v.  So the within-group ridges are those of
-    the vertices not held by every facet of the group, and the cross-group
-    ones those of the units with a partner group; the other ridges lie in F
-    alone, so their candidates are no generators and need no lookup."""
+    A facet's units are exactly its group's leaf set, leaf sets differ from
+    group to group (both checked by ``_check_distinct``) and all have d + 2
+    units.  Let G hold the ridge F - v of a facet F of the group with leaf
+    set L, G != F.  If v is no unit, G holds every unit of L, hence no
+    other, so G is in F's group; and if every facet of the group holds v, G
+    does, so G = F.  If v is a unit, G holds L - v and a unit w != v, so G
+    is in a partner group, one whose leaf set holds L - v.  So the
+    within-group ridges are those of the vertices not held by every facet of
+    the group, and the cross-group ones those of the units with a partner
+    group; the other ridges lie in F alone, so their candidates are no
+    generators and need no lookup."""
     masks, groups, _ = _enumerated(spec)
     leaves = [_mask(spec, leaves_profile(spec, alpha).leaves) for alpha in groups]
-    if len(set(leaves)) < len(leaves):
-        raise InternalError(f"two groups of {spec} share a leaf set")
     everything = (1 << math.comb(spec.c, 2)) - 1
     within = [
         everything ^ functools.reduce(operator.and_, itertools.islice(masks, r.start, r.stop))
@@ -550,17 +557,15 @@ def _halves(
 def _missed(
     masks: Sequence[int],
     order: Sequence[int],
-    tested: Sequence[int],
-    start: int,
+    candidates: Sequence[int],
     group_of: bytearray,
     passes: Iterable[Sequence[int]],
 ) -> dict[int, int]:
     """The candidates that are no generators among the ridges of one half
     of the classes, one pass per scope in ``passes``, where a pass takes the
     ridges F - u with u in the scope of F's group (``scopes[group_of[rank]]``):
-    by rank, the mask of the candidates u of F whose ridge F - u is in the
-    half and lies in no earlier facet.  A rank r >= ``start`` tests
-    ``tested[r]``, any other rank every vertex.
+    by rank, the mask of the candidates u in ``candidates[rank]`` whose
+    ridge F - u is in the half and lies in no earlier facet.
 
     In a pass each facet acts on every ridge of the pass that it holds: it
     adds the ridge of a candidate to ``pending`` and drops the others.  So
@@ -575,19 +580,19 @@ def _missed(
             scope = f & scopes[group_of[rank]]  # the vertices whose ridge is in the pass
             if not scope:
                 continue
-            candidates = (tested[rank] if rank >= start else f) & scope
-            drops = scope ^ candidates
+            scoped = candidates[rank] & scope
+            drops = scope ^ scoped
             while drops:
                 u = drops & -drops
                 drops ^= u
                 pending.discard(f ^ u)
-            while candidates:
-                u = candidates & -candidates
-                candidates ^= u
+            while scoped:
+                u = scoped & -scoped
+                scoped ^= u
                 pending.add(f ^ u)
         for rank in order if pending else ():
             f = masks[rank]
-            rest = f & scopes[group_of[rank]] & (tested[rank] if rank >= start else f)
+            rest = f & scopes[group_of[rank]] & candidates[rank]
             lost = 0
             while rest:
                 u = rest & -rest
@@ -602,30 +607,33 @@ def _missed(
     return missed
 
 
-def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, int, int]]:
-    """Per facet in the order certified under ``mutation`` (``_facet_order``):
-    its enumeration rank, the mask of its counted generators and the mask of
-    its prediction (``_predictions``).
+# One facet's entry in a pass, ``_certified``'s or ``_scanned``'s: its
+# enumeration rank, the mask of its generators, the mask of its prediction,
+# and its minimal difference masks when the pass is the scan, else None.
+Colon = tuple[int, int, int, frozenset[int] | None]
 
-    Only a facet's candidate generators are tested, chosen by rank.  Let
-    ``start`` be the first position from which the order is the
-    enumeration's own: 0 for the enumeration's order, the end of the two
-    moved ranges under ``swap-groups``.  A rank r >= start, whose earlier
-    facets are exactly the lower ranks, tests its unmutated prediction; any
-    other rank tests every vertex, so any order is certified.  A candidate
-    u of F is a generator when an earlier facet holds the ridge F - u, that
-    is unless F is the ridge's earliest owner.
+
+def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[Colon]:
+    """Per facet in the order certified under ``mutation`` (``_facet_order``),
+    its ``Colon``: its rank, the mask of its counted generators, the mask of
+    its prediction (``_predictions``) and None.
+
+    Only a facet's candidate generators are tested, chosen once by rank in
+    ``candidates``.  From the first position ``start`` on which the order is
+    the enumeration's own (0 for its order, the end of the two moved ranges
+    under ``swap-groups``), a rank's earlier facets are exactly the lower
+    ranks, and it tests its unmutated prediction; any other rank tests every
+    vertex, so any order is certified.  A candidate u of F is a generator
+    when an earlier facet holds the ridge F - u, that is unless F is the
+    ridge's earliest owner.
 
     Whether a ridge's earliest owner tests it depends only on the facets
     holding that ridge, so the ridge classes by leaf set (``_classes``) are
     certified apart, and a candidate whose ridge lies in its facet alone is
-    no generator without a lookup.  On specs with at least
-    ``MIN_FORKED_FACETS`` facets a forked child certifies the half of the
-    classes with the cross-group ridges (``_halves``) while this process
-    certifies the other (``two_halves``); if the child fails, this process
-    certifies its half too.  The child is reaped before the first facet is
-    yielded, and killed first if this process's half raises.  Unmutated,
-    ``c2`` and ``b2`` runs miss none.
+    no generator without a lookup.  The two halves of the classes
+    (``_halves``) run in two processes on specs with at least
+    ``MIN_FORKED_FACETS`` facets (``two_halves``), the child reaped before
+    the first facet is yielded.  Unmutated, ``c2`` and ``b2`` runs miss none.
 
     Every counted generator u has an earlier facet holding F - u, found by a
     lookup, so the counted set is part of the true one, whatever the
@@ -638,9 +646,10 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
     order = _facet_order(spec, mutation)
     down = range(len(order) - 1, -1, -1)  # the positions, last first
     start = next(itertools.compress(down, map(operator.ne, reversed(order), down)), -1) + 1
+    candidates = [*masks[:start], *unmutated[start:]] if start else unmutated
     group_of, within, cross = _classes(spec)
     first, second = (
-        functools.partial(_missed, masks, order, unmutated, start, group_of, passes)
+        functools.partial(_missed, masks, order, candidates, group_of, passes)
         for passes in _halves(spec, within, cross)
     )
     theirs, missed = two_halves(first, second, len(masks) >= MIN_FORKED_FACETS)
@@ -648,34 +657,31 @@ def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, in
         missed[rank] = missed.get(rank, 0) | m
     hashed = [w | x for w, x in zip(within, cross)]
     for rank in order:
-        candidates = unmutated[rank] if rank >= start else masks[rank]
-        yield rank, candidates & hashed[group_of[rank]] & ~missed.get(rank, 0), predicted[rank]
+        gens = candidates[rank] & hashed[group_of[rank]] & ~missed.get(rank, 0)
+        yield rank, gens, predicted[rank], None
 
 
-def _scanned(
-    spec: ScrollSpec, mutation: str | None
-) -> Iterator[tuple[int, int, frozenset[int], int]]:
+def _scanned(spec: ScrollSpec, mutation: str | None) -> Iterator[Colon]:
     """The diagnostic pass, quadratic in the facet count: per facet in the
-    order certified under ``mutation``, its enumeration rank, the mask of
-    its singleton generators, its minimal difference masks against every
-    earlier facet (the scan of ``colon_generators``) and the mask of its
-    prediction."""
+    order certified under ``mutation``, its ``Colon`` with the mask of its
+    singleton generators and its minimal difference masks against every
+    earlier facet, kept in one list (the scan of ``colon_generators``)."""
     masks = _enumerated(spec)[0]
     predicted = _predictions(spec, mutation)
-    order = _facet_order(spec, mutation)
-    for i, rank in enumerate(order):
+    earlier: list[int] = []
+    for rank in _facet_order(spec, mutation):
         f = masks[rank]
-        diffs = _minimal_masks(f & ~masks[r] for r in order[:i])
-        yield rank, sum(d for d in diffs if d.bit_count() == 1), diffs, predicted[rank]
+        diffs = _minimal_masks(f & ~m for m in earlier)
+        earlier.append(f)
+        yield rank, sum(d for d in diffs if d.bit_count() == 1), predicted[rank], diffs
 
 
-def _report(facet: Facet, gens: int, *colon: object) -> ColonReport:
-    """The ``ColonReport`` of ``facet`` from its generators and the rest of
-    its entry in a pass: its prediction, after its minimal differences when
-    the pass is ``_scanned``."""
+def _report(facet: Facet, gens: int, predicted: int, diffs: frozenset[int] | None) -> ColonReport:
+    """The ``ColonReport`` of ``facet`` from the rest of its entry in a pass
+    (``Colon``); a certified facet's colon ideal is generated by ``gens``."""
     spec = facet.spec
-    *scan, predicted = colon
-    diffs = scan[0] if scan else [1 << k for k in range(gens.bit_length()) if gens >> k & 1]
+    if diffs is None:
+        diffs = frozenset(1 << k for k in range(gens.bit_length()) if gens >> k & 1)
     linear = all(d.bit_count() == 1 for d in diffs)
     return ColonReport(
         facet=facet,
@@ -686,20 +692,20 @@ def _report(facet: Facet, gens: int, *colon: object) -> ColonReport:
     )
 
 
-def _tally(spec: ScrollSpec, stream: Iterable[tuple]) -> tuple[tuple[int, ...], list[ColonReport]]:
-    """Fold a pass, ``_certified``'s or ``_scanned``'s, into the degree
-    counts of its linear facets, without trailing zeros, and the reports of
-    the facets that are not linear or do not match their prediction."""
+def _tally(spec: ScrollSpec, stream: Iterable[Colon]) -> tuple[tuple[int, ...], list[ColonReport]]:
+    """Fold a pass of ``Colon`` entries, ``_certified``'s or ``_scanned``'s,
+    into the degree counts of its linear facets (no trailing zeros) and the
+    reports of the facets not linear or not matching their prediction."""
     counts = [0] * (spec.c + spec.d + 1)
     failing = []
-    for entry in stream:
-        rank, gens, predicted = entry[0], entry[1], entry[-1]
+    for rank, gens, predicted, diffs in stream:
         # A scanned facet is linear when its minimal differences are its
         # singleton generators; a certified one always is.
-        linear = len(entry) == 3 or len(entry[2]) == gens.bit_count()
+        linear = diffs is None or len(diffs) == gens.bit_count()
         counts[gens.bit_count()] += linear
         if not linear or gens != predicted:
-            failing.append(_report(next(_views(spec, range(rank, rank + 1))), *entry[1:]))
+            facet = next(_views(spec, range(rank, rank + 1)))
+            failing.append(_report(facet, gens, predicted, diffs))
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return tuple(counts), failing
@@ -724,8 +730,8 @@ def verify_linear_quotients(
 
 def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
     """The h-vector of the counted complex Γ (``_face_vector``), kept on the
-    spec once the enumerated complex Δ is checked to lie in Γ with facets of
-    c + d vertices; ``VerificationError`` or ``InternalError`` otherwise.
+    spec once the enumerated complex Δ is checked to lie in Γ;
+    ``VerificationError`` otherwise.
 
     Γ is pure, and its facets are exactly the trees of the grammar.  Fix a
     group, its leaf set L, and call an interval good when it holds a unit of
@@ -745,7 +751,7 @@ def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
     which is not good, or a node already present.
 
     So Δ ⊆ Γ, checked here, and duplicate-free facets of c + d vertices
-    (``_enumerated`` and here) make Δ's facets facets of Γ; Δ = Γ exactly
+    (``_check_distinct``) make Δ's facets facets of Γ; Δ = Γ exactly
     when they are as many, which the identity of ``_certify`` implies.
     Δ ⊆ Γ holds when no enumerated facet holds two crossing intervals
     a < a' < b < b' or a vertex not good for its group: one AND of rows of
@@ -754,10 +760,6 @@ def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
 
     def compute() -> tuple[int, ...]:
         masks, ranks_of, _ = _enumerated(spec)
-        size = spec.c + spec.d
-        sizes = set(map(int.bit_count, masks))
-        if sizes != {size}:
-            raise InternalError(f"facets of sizes {sorted(sizes)}, not {size}, for {spec}")
         groups = _good_groups(spec)
         row = dict(zip(vertex_set(spec), reversed(_bitset_index(masks))))
         ranks = {  # the ranks of each group's facets, one block of bits
@@ -771,7 +773,7 @@ def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
         for v, bits in row.items():
             if bits & sum(block for alpha, block in ranks.items() if not groups[v] >> alpha & 1):
                 raise VerificationError(f"a facet of {spec} holds {v}, not good for its group")
-        f = _face_vector(spec)
+        f, size = _face_vector(spec), spec.c + spec.d
         if len(f) != size:
             raise VerificationError(f"the faces of {spec} come in {len(f)} sizes, not {size}")
         return numerator_from_face_counts(f, size)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import marshal
 import os
 import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, TypeVar
 
@@ -121,22 +122,23 @@ def _forked(half: Callable[[], Half]) -> tuple[int, int] | None:
     return pid, read
 
 
-def _joined(pid: int, read: int) -> Half | None:
-    """The result that the child ``pid`` sent through ``read``, once the
-    child is reaped; None unless it exited 0 after sending all of it."""
+def _joined(pid: int, read: int) -> tuple[int, Half | None]:
+    """The exit status of the child ``pid``, once it is reaped, and the
+    result it sent through ``read``: None unless it exited 0 after sending
+    all of it."""
     chunks = []
     try:
         while chunk := os.read(read, 1 << 16):
             chunks.append(chunk)
     finally:
         os.close(read)
-        status = os.waitpid(pid, 0)[1]
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status:
-        return None
+        return status, None
     try:
-        return marshal.loads(b"".join(chunks))
+        return status, marshal.loads(b"".join(chunks))
     except (EOFError, ValueError, TypeError):
-        return None
+        return status, None
 
 
 def two_halves(
@@ -149,7 +151,10 @@ def two_halves(
     raises.  Where ``os.fork`` is missing or fails, in a process running
     other threads, and when the child exits non-zero or sends a short
     payload, this process runs ``first`` itself, so the result never
-    depends on the fork.  Each half returns an int or a dict of ints."""
+    depends on the fork; a failed child is first reported by a
+    ``RuntimeWarning`` that names its exit status, so that a warning
+    turned into an error in the child fails the run under ``-W error``.
+    Each half returns an int or a dict of ints."""
     child = _forked(first) if fork else None
     try:
         own = second()
@@ -158,8 +163,18 @@ def two_halves(
             os.kill(child[0], _SIGKILL)
             _joined(*child)
         raise
-    theirs = _joined(*child) if child else None
-    return (first() if theirs is None else theirs), own
+    if not child:
+        return first(), own
+    status, theirs = _joined(*child)
+    if theirs is None:
+        short = "" if status else " after a short payload"
+        warnings.warn(
+            f"the forked half exited with status {status}{short}; running it in this process",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        theirs = first()
+    return theirs, own
 
 
 def require_complex(spec: ScrollSpec) -> None:

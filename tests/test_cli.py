@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from scrollfiber import (
     Facet,
+    InternalError,
     ScrollSpec,
     VerificationError,
     cli,
@@ -524,6 +526,21 @@ class TestFacetsCommand:
         code, out, err = run(capsys, "facets", "--n", "5", "--alpha", "9")
         assert (code, out) == (2, "")
         assert err == "error: alpha must lie in [1, 2], got 9\n"
+
+    def test_a_shared_leaf_set_is_refused_with_the_enumeration(self, capsys, monkeypatch):
+        # Facets of different groups differ only because their leaf sets
+        # do, so every reader of the enumeration gets that check.
+        real = dual_quotients.leaves_profile
+
+        def shared(spec, alpha):
+            return dataclasses.replace(real(spec, alpha), leaves=real(spec, 1).leaves)
+
+        monkeypatch.setattr(dual_quotients, "leaves_profile", shared)
+        with pytest.raises(InternalError, match=r"two groups of \(6\) share a leaf set"):
+            enumerate_facets(ScrollSpec((6,)))
+        code, out, err = run(capsys, "facets", "--n", "6")
+        assert (code, out) == (2, "")
+        assert err == "error: two groups of (6) share a leaf set\n"
 
 
 def _reference_facets(spec, everything, fmt, alpha, limit):

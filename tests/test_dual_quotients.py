@@ -450,7 +450,7 @@ class TestVerification:
         # every facet's colon ideal comes from the scan.
         assert result.scanned
         scan = list(_scanned(spec, None))
-        assert sum(len(diffs) > gens.bit_count() for _, gens, diffs, _ in scan) == 16
+        assert sum(len(diffs) > gens.bit_count() for _, gens, _, diffs in scan) == 16
         assert result.failing == tuple(r for r in reports if not r.matches_prediction)
         assert [r.computed_generators for r in reports] == [
             _minimal_diffs(f, facets[:rank]) for rank, f in enumerate(facets)
@@ -460,7 +460,8 @@ class TestVerification:
 def _all_ridges_certified(spec, mutation):
     """Reference forward pass that tests every vertex of every facet and
     keeps every ridge F - u certified so far: a ridge seen before marks a
-    generator."""
+    generator.  Its entries have the shape of ``_certified``'s: rank,
+    generators, prediction and no minimal differences."""
     masks, _, packed = _enumerated(spec)
     if mutation in ("c2", "b2"):
         packed = _fold(spec, mutation)[2]
@@ -473,7 +474,7 @@ def _all_ridges_certified(spec, mutation):
                 gens |= u
             ridges.add(f ^ u)
         predicted = int.from_bytes(packed[rank * width : (rank + 1) * width], "little")
-        yield rank, gens, predicted
+        yield rank, gens, predicted, None
 
 
 class TestPendingRidges:
@@ -493,31 +494,27 @@ class TestPendingRidges:
 
     def test_swapped_order_tests_predictions_past_the_moved_groups(self, monkeypatch):
         # (7,) has 4 groups.  Past the two moved ranges the order is the
-        # enumeration's own, so each facet with a ridge that another facet
-        # may hold reads its unmutated prediction in the ridge passes; a
-        # moved facet tests every vertex and reads none.
+        # enumeration's own, so each facet there tests its unmutated
+        # prediction; a moved facet tests every vertex.  Both halves of
+        # the ridge classes get that one list.
         spec = DESK_BY_N[(7,)]
         masks, groups, _ = _enumerated(spec)
         _, second, *rest = groups.values()
         assert rest and second.stop < len(masks)
-        group_of, within, cross = _classes(spec)
-        reads = []
+        unmutated = dual_quotients._predictions(spec, None)
+        received = []
         real = dual_quotients._missed
 
-        class Recorded(list):
-            def __getitem__(self, rank):
-                reads.append(rank)
-                return super().__getitem__(rank)
-
-        def missed(masks, order, tested, *args):
-            return real(masks, order, Recorded(tested), *args)
+        def missed(masks, order, candidates, *args):
+            received.append(candidates)
+            return real(masks, order, candidates, *args)
 
         monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", math.inf)
         monkeypatch.setattr(dual_quotients, "_missed", missed)
         list(_certified(spec, "swap-groups"))
-        hashed = [m & (within[g] | cross[g]) for m, g in zip(masks, group_of)]
-        assert all(hashed)
-        assert set(reads) == set(range(second.stop, len(masks)))
+        expected = [*masks[: second.stop], *unmutated[second.stop :]]
+        assert expected != list(masks) and expected != unmutated
+        assert received == [expected, expected]
 
     def _doctored(self, choose, rank=None):
         """A fresh (6,) whose kept packed prediction of the facet at ``rank``
@@ -689,16 +686,19 @@ class TestRidgeClasses:
         assert len(pass_of) < len(holders)
 
     def test_a_shared_leaf_set_is_an_internal_error(self, monkeypatch):
-        spec = ScrollSpec((6,))
-        _enumerated(spec)  # each facet's units are checked against its leaf set here
+        # Checked with the enumeration, before any class is built.
         real = dual_quotients.leaves_profile
 
         def shared(spec, alpha):
             return dataclasses.replace(real(spec, alpha), leaves=real(spec, 1).leaves)
 
+        def no_classes(spec):
+            raise AssertionError("the ridge classes were built")
+
         monkeypatch.setattr(dual_quotients, "leaves_profile", shared)
+        monkeypatch.setattr(dual_quotients, "_classes", no_classes)
         with pytest.raises(InternalError, match=r"two groups of \(6\) share a leaf set"):
-            verify_linear_quotients(spec)
+            verify_linear_quotients(ScrollSpec((6,)))
 
     def test_a_class_map_that_skips_a_shared_ridge_fails(self, monkeypatch):
         # Each vertex whose ridge another facet of (7,) holds, cleared from
@@ -810,7 +810,8 @@ class TestRidgeClasses:
         expected = list(_certified(spec, "swap-groups"))
         forks = self._forks(monkeypatch)
         calls = self._halves(monkeypatch, fail=lambda parent: not parent)
-        assert list(_certified(spec, "swap-groups")) == expected
+        with pytest.warns(RuntimeWarning, match="status 1;"):
+            assert list(_certified(spec, "swap-groups")) == expected
         assert len(forks) == 1 and len(calls) == 2 and calls[0] != calls[1]
         assert_no_child()
 
@@ -821,7 +822,8 @@ class TestRidgeClasses:
         calls = self._halves(monkeypatch)
         cut = types.SimpleNamespace(dumps=lambda m: marshal.dumps(m)[:-1], loads=marshal.loads)
         monkeypatch.setattr(scroll_model, "marshal", cut)
-        assert list(_certified(spec, "swap-groups")) == expected
+        with pytest.warns(RuntimeWarning, match="status 0 after a short payload"):
+            assert list(_certified(spec, "swap-groups")) == expected
         assert len(calls) == 2 and calls[0] != calls[1]
         assert_no_child()
 

@@ -219,3 +219,16 @@ class TestTwoHalves:
         first, second = two_halves(lambda: {1: os.getpid()}, lambda: os.getpid(), fork)
         assert second == parent and (first[1] != parent) == fork
         assert_no_child()
+
+    def test_a_failed_child_is_named_by_its_exit_status(self):
+        parent = os.getpid()
+
+        def first():
+            if os.getpid() != parent:
+                os._exit(7)
+            return 1
+
+        with pytest.warns(RuntimeWarning, match="exited with status 7; running it") as caught:
+            assert two_halves(first, lambda: 2, True) == (1, 2)
+        assert len(caught) == 1
+        assert_no_child()

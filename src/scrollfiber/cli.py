@@ -274,13 +274,11 @@ def cmd_invariants(
     """Full invariant report; prediction-only (exit 3) when c < d + 4.  A
     failed certification is exit 1 with the verification block, failing
     facets included, and no invariants.  ``timings`` receives the seconds
-    of the stages ``enumerate`` and ``certify``."""
+    of the stage ``certify``, which folds the facets as it certifies them."""
     lap = _stopwatch(timings)
     envelope = ReportEnvelope(spec=_spec_dict(spec, normalized), mode="computed")
     try:
         if spec.has_complex:
-            _enumerated(spec)
-            lap("enumerate")
             envelope.verification = _verification_dict(verify_linear_quotients(spec))
             lap("certify")
         report = full_report(spec)
@@ -334,7 +332,7 @@ def cmd_facets(
         raise PreconditionError(f"--limit must be >= 0 (0 emits every facet), got {limit}")
     if alpha is not None:
         require_alpha(spec, alpha)  # before the enumeration, at any c
-    masks, groups, _ = _enumerated(spec)
+    masks, groups = _enumerated(spec)
     ranks = (range(len(masks)) if alpha is None else groups[alpha])[: limit or None]
     if fmt == "json":
         payload = {

@@ -18,44 +18,39 @@ pass over the certified order a ridge is pending exactly when its earliest
 owner tests it, and that candidate is no generator; the set holds the
 ridges still waiting for an earlier facet, not every ridge certified so far.
 It ends empty on every unmutated, ``c2`` and ``b2`` run, which then skip
-the forward pass that finds those owners.  Whether a ridge is pending
-depends only on the facets holding it, and the leaf sets tell which facets
-can (``_classes``): a ridge F - v lies only in F's group when v is no unit,
-and only in partner groups, whose leaf sets hold its units, when v is one.
-So the within-group ridges of each group and the cross-group ridges are
-certified apart, in two halves by group (``_halves``), one in a forked child
-on specs with at least ``MIN_FORKED_FACETS`` facets, and a ridge that lies
-in its facet alone is never looked up.  On (2,2,2,2,2,2) 403,988 of the
-684,216 ridges are looked up, and the pending set peaks at 8,502 ridges in
-the pass over the cross-group ones, where one pass over all of them peaks
-at 11,159; on (4,4,4,5) at 91,409 against 134,682.  The generators found
-this way are true ones, and the face identity decides that they are all of
-them: their degree counts equal the h-vector of the counted complex exactly
-when the order is a shelling (``_certify``).  Only when the identity fails
-does the quadratic scan name the failing facets.
+the forward pass that finds those owners (``_missed``).  Whether a ridge is
+pending depends only on the facets holding it, and the leaf sets tell which
+facets can (``_partners``): a ridge F - v lies only in F's group when v is
+no unit, and only in F's group and one partner group, at alpha ± 1, when v
+is one.  So each group's within-group ridges take a pass of their own, the
+cross-group ridges of each pair of partners one more, and a ridge that lies
+in its facet alone is never looked up.
+
+Certification streams the groups (``_run``): it folds a group, checks it,
+runs its within-group pass and its cross pass with each partner it holds,
+and tallies a group once its last partner has come, so that it holds two
+groups at a time.  On specs with at least ``MIN_FORKED_FACETS`` facets the
+groups are cut into two runs of about equal facet count (``_cut``), the
+first certified in a forked child, each process pinned to its own CPU
+(``two_halves``).  The generators found this way are true ones, and the
+face identity decides that they are all of them: their degree counts equal
+the h-vector of the counted complex exactly when the order is a shelling
+(``_certify``).  Only when the identity fails does the quadratic scan name
+the failing facets.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
-(``_rule``).  So one fold of each group's grammar table with the role as
-state, ``_fold``, lists every facet together with its prediction, next to
-the fold of ``facet_complex`` that counts the facets.  Its unmutated run is
-the enumeration, kept on the spec (``_enumerated``); only the rule mutations
-fold again.  It keeps no alpha per facet: each group's facets take one range
-of ranks, larger alpha first.  ``_views`` builds the ``Facet`` views of a
-range on request, for ``enumerate_facets``, ``first_facet``, the failing
-reports and the ``facets`` command, and keeps none.
-Certification parses no facet.  ``predict_LG`` applies the same rule over
-one facet's ``_walk``, so a mutation moves both.
-
-``_check_distinct`` checks the enumeration where it is kept, for every
-reader: it lists every facet once, with c + d vertices.  ``_certified``
-chooses each facet's candidates once, its unmutated prediction where the
-order is the enumeration's own from that facet on and every vertex
-elsewhere, and merges those that the two halves of the ridge classes miss
-(``_missed``: a backward pass, then a forward one while any ridge is
-pending).  It and the diagnostic scan yield one entry per facet
-(``Colon``), which ``_tally`` folds into per-degree counts and the failing
-reports and ``VerificationResult.reports`` maps only when asked.
+(``_rule``).  So one fold of a group's grammar table with the role as
+state, ``_fold``, lists every facet of the group together with its
+prediction, next to the fold of ``facet_complex`` that counts them.  Each
+run folds its own groups; only the rule mutations fold them again.  The
+unmutated masks of all groups, checked the same way, are the enumeration,
+kept on the spec (``_enumerated``) for ``enumerate_facets``,
+``first_facet``, ``colon_generators`` and the ``facets`` command; it keeps
+no alpha per facet: each group's facets take one range of ranks, larger
+alpha first.  ``_views`` builds the ``Facet`` views of a range on request
+and keeps none.  Certification parses no facet.  ``predict_LG`` applies the
+same rule over one facet's ``_walk``, so a mutation moves both.
 """
 
 from __future__ import annotations
@@ -81,6 +76,7 @@ from .facet_complex import (
     _face_vector,
     _good_groups,
     _grid,
+    _group_counts,
     _mask,
     _table,
     _vertices,
@@ -91,23 +87,26 @@ from .facet_complex import (
 )
 from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex, two_halves
 
-#: Enumeration refuses specs with more facets than this (``CapacityError``).
-#: Each facet is kept as one int mask, about 50 bytes, with its packed
-#: prediction; certification decodes each prediction once and keeps it as
-#: an int over its passes, with a byte for the index of its group, the
-#: incidence index of the face identity and the ridges still waiting for a
-#: partner.  ``invariants`` peaks at 160-190 bytes a facet: 81.3 MB max RSS
-#: for (4,4,4,4), 475,456 facets, and 151.1 MB for (4,4,4,5), 982,889, in
-#: 2.8 and 6.6 s of wall time and 3.8 and 8.9 s of CPU over both processes
-#: (one CLI run each, median of 3, max RSS and CPU of the run and its forked
-#: child from ``wait4``, 2-core host).  A ``Facet`` view takes about 2.3 KB
-#: at (4,4,4,5), so ``_views`` builds views only on request and keeps none.
+#: Enumeration and certification refuse specs with more facets than this
+#: (``CapacityError``), before any fold.  The enumeration keeps each facet
+#: as one int mask, about 50 bytes; certification keeps none past its
+#: group, and a run holds two groups at a time with their predictions and
+#: the ridges still waiting for a partner.  ``invariants`` peaks at
+#: MAX_RSS_4444 MB max RSS for (4,4,4,4), 475,456 facets, and MAX_RSS_4445 MB for
+#: (4,4,4,5), 982,889, in WALL_4444 and WALL_4445 s of wall time and CPU_4444 and CPU_4445 s of CPU
+#: over both processes (one CLI run each, median of 3, max RSS and CPU of
+#: the run and its forked child from ``wait4``, 2-core host).  A ``Facet``
+#: view takes about 2.3 KB at (4,4,4,5), so ``_views`` builds views only on
+#: request and keeps none.
 MAX_ENUMERATED_FACETS = 1_000_000
 
-# The facets greatest first (``_fold``): their masks, each group's range of
-# their ranks (larger alpha first), and their predictions packed ``width``
-# little-endian bytes a facet (9 bytes at c = 12, where an int takes 40).
-Enumeration = tuple[tuple[int, ...], dict[int, range], bytearray]
+# The facets greatest first (``_enumerated``): their masks, and each
+# group's range of their ranks, larger alpha first.
+Enumeration = tuple[list[int], dict[int, range]]
+
+# The certified order (``_facet_order``): its groups in turn, each as its
+# alpha and the positions of its facets in the order of the group's fold.
+Order = list[tuple[int, Sequence[int]]]
 
 #: Named rule mutations for mutation-testing the checker.  Only for
 #: diagnostics; production verification uses ``mutation=None``.
@@ -145,7 +144,8 @@ class VerificationResult:
     no facet's generators differ from its prediction, and the face identity
     holds.  ``scanned`` says that the identity failed, so every facet's
     colon ideal came from the quadratic scan.  ``reports`` rebuilds all of
-    them, in the certified order, on first access.
+    them, in the certified order, on first access: it replays the runs, or
+    the scan, in this process.
     """
 
     spec: ScrollSpec
@@ -165,23 +165,24 @@ class VerificationResult:
     @property
     def reports(self) -> tuple[ColonReport, ...]:
         if self._reports is None:
-            views = enumerate_facets(self.spec)
-            stream = (_scanned if self.scanned else _certified)(self.spec, self.mutation)
-            reports = tuple(
-                _report(views[r], gens, predicted, diffs) for r, gens, predicted, diffs in stream
-            )
-            object.__setattr__(self, "_reports", reports)
+            spec, mutation = self.spec, self.mutation
+            if self.scanned:
+                stream: Iterable[Colon] = _scanned(spec, mutation)
+            else:
+                stream = _certified(spec, mutation, every=True)[1]
+            object.__setattr__(self, "_reports", tuple(_report(spec, *entry) for entry in stream))
         return self._reports
 
 
-def _facet_order(spec: ScrollSpec, mutation: str | None) -> Sequence[int]:
-    """Enumeration ranks in the order certified under ``mutation``:
-    ``swap-groups`` moves the second group's range ahead of the first's."""
-    masks, groups, _ = _enumerated(spec)
-    if mutation != "swap-groups":
-        return range(len(masks))
-    first, second, *_ = groups.values()
-    return [*second, *first, *range(second.stop, len(masks))]
+def _facet_order(spec: ScrollSpec, mutation: str | None) -> Order:
+    """The groups in the order certified under ``mutation``, each with the
+    positions of its facets in its fold's order: larger alpha first, each
+    group in its fold's own order, and ``swap-groups`` moves the second
+    group ahead of the first."""
+    order: Order = [(alpha, range(count)) for alpha, count in _group_counts(spec).items()]
+    if mutation == "swap-groups":
+        order[0], order[1] = order[1], order[0]
+    return order
 
 
 def precedes(f: Facet, g: Facet) -> bool:
@@ -282,124 +283,213 @@ def predict_LG(facet: Facet, *, mutation: str | None = None) -> frozenset[Vertex
     return _vertices(spec, _predict(walk, _grid(spec), facet.alpha, spec.alphas[-1], mutation))
 
 
-def _fold(spec: ScrollSpec, mutation: str | None) -> Enumeration:
-    """Every facet greatest first, with its prediction: a fold of each
-    group's grammar table by ``_rule``, with the node's role as state.
+def _fold(spec: ScrollSpec, alpha: int, mutation: str | None) -> tuple[list[int], list[int]]:
+    """Every facet of the group at ``alpha`` in the facet order, with its
+    prediction: a fold of the group's grammar table by ``_rule``, with the
+    node's role as state.  Returns the masks and the prediction masks, both
+    by position.
 
     Per node and per role some parent gives it, the fold lists every
     subtree of the node as one int, its mask shifted above the vertex bits
     ORed with its prediction, in the node's role, in the order of the
     table's ways.  Roles in which the node adds its bit on the same ways
     share one list, so a role that never adds it shares the list of the
-    node's descendants.  Groups come larger alpha first, each sorted once
-    by mask and given the next range of ranks, so the ranges tile the
-    enumeration: within a group the dual supports, read from the greatest
-    variable down, are compared position by position with the greater
-    variable winning.  The smallest vertex id in the symmetric difference
-    decides that; it is the highest differing bit of the two masks, and the
-    facet holding it comes later.
+    node's descendants.  The group is sorted once by mask: within a group
+    the dual supports, read from the greatest variable down, are compared
+    position by position with the greater variable winning.  The smallest
+    vertex id in the symmetric difference decides that; it is the highest
+    differing bit of the two masks, and the facet holding it comes later.
     """
     grid, greatest, root = _grid(spec), spec.alphas[-1], (1, spec.c)
     shift = math.comb(spec.c, 2)
-    width, low = (shift + 7) // 8, ~(-1 << shift)
-    masks: list[int] = []
-    groups: dict[int, range] = {}
-    packed = bytearray()
-    for alpha in reversed(spec.alphas):
-        folded: dict[Vertex, dict[int, list[int]]] = {}
-        rules = {
-            node: [(kids, *_rule(node, kids, alpha, greatest, mutation)) for kids in ways]
-            for node, ways in _table(spec, alpha).items()
+    folded: dict[Vertex, dict[int, list[int]]] = {}
+    rules = {
+        node: [(kids, *_rule(node, kids, alpha, greatest, mutation)) for kids in ways]
+        for node, ways in _table(spec, alpha).items()
+    }
+    wanted: dict[Vertex, set[int]] = {root: {TOP}}
+    for ways in rules.values():
+        for kids, kid_roles, _ in ways:
+            for kid, role in zip(kids, kid_roles):
+                wanted.setdefault(kid, set()).add(role)
+    for (a, b), ways in rules.items():
+        bit = grid[a][b]
+        signs = {r: tuple(r in gen for *_, gen in ways) for r in wanted.get((a, b), ())}
+        lists: dict[tuple[bool, ...], list[int]] = {sign: [] for sign in signs.values()}
+        for i, (kids, kid_roles, _) in enumerate(ways):
+            partial = [bit << shift]
+            for kid, role in zip(kids, kid_roles):
+                partial = [p | q for p in partial for q in folded[kid][role]]
+            for sign, entries in lists.items():
+                entries += [p | bit for p in partial] if sign[i] else partial
+        folded[(a, b)] = {r: lists[sign] for r, sign in signs.items()}
+    group = folded[root][TOP]
+    del folded
+    group.sort()
+    low = ~(-1 << shift)
+    return [e >> shift for e in group], [e & low for e in group]
+
+
+def _partners(spec: ScrollSpec) -> dict[int, dict[int, int]]:
+    """Per group, larger alpha first, its partner groups, each with the
+    unit u of the group's leaf set L whose ridges that partner's facets may
+    hold: the groups whose leaf sets hold L - u.
+
+    A facet's units are exactly its group's leaf set (``_check_group``),
+    and all leaf sets have d + 2 units.  Let G hold the ridge F - v of a
+    facet F of the group with leaf set L, G != F.  If v is no unit, G holds
+    every unit of L, hence no other, so G is in F's group; and if every
+    facet of the group holds v, G does, so G = F.  If v is a unit, G holds
+    L - v and a unit w != v, so G is in a partner group.  ``InternalError``
+    when two groups share a leaf set, which would let facets of two groups
+    coincide, and when a partner is not at alpha ± 1.  Then no unit has two
+    partners, which would be partners of each other at alpha ± 2, so the
+    pair of a unit's group and its partner holds every facet holding its
+    ridges."""
+    leaves = {
+        alpha: _mask(spec, leaves_profile(spec, alpha).leaves) for alpha in reversed(spec.alphas)
+    }
+    if len(set(leaves.values())) < len(leaves):
+        raise InternalError(f"two groups of {spec} share a leaf set")
+    partners = {}
+    for alpha, held in leaves.items():
+        partners[alpha] = {
+            beta: held & ~other
+            for beta, other in leaves.items()
+            if (held & ~other).bit_count() == 1
         }
-        wanted: dict[Vertex, set[int]] = {root: {TOP}}
-        for ways in rules.values():
-            for kids, kid_roles, _ in ways:
-                for kid, role in zip(kids, kid_roles):
-                    wanted.setdefault(kid, set()).add(role)
-        for (a, b), ways in rules.items():
-            bit = grid[a][b]
-            signs = {r: tuple(r in gen for *_, gen in ways) for r in wanted.get((a, b), ())}
-            lists: dict[tuple[bool, ...], list[int]] = {sign: [] for sign in signs.values()}
-            for i, (kids, kid_roles, _) in enumerate(ways):
-                partial = [bit << shift]
-                for kid, role in zip(kids, kid_roles):
-                    partial = [p | q for p in partial for q in folded[kid][role]]
-                for sign, entries in lists.items():
-                    entries += [p | bit for p in partial] if sign[i] else partial
-            folded[(a, b)] = {r: lists[sign] for r, sign in signs.items()}
-        # Sorted in place, then split one facet at a time: copies of the
-        # group here raised the peak RSS of certification by ~1 MB.
-        group = folded[root][TOP]
-        del folded
-        group.sort()
-        groups[alpha] = range(len(masks), len(masks) + len(group))
-        for e in group:
-            masks.append(e >> shift)
-            packed += (e & low).to_bytes(width, "little")
-        del group
-    return tuple(masks), groups, packed
+        for beta in partners[alpha]:
+            if abs(beta - alpha) != 1:
+                raise InternalError(
+                    f"the groups at alpha={alpha} and alpha={beta} of {spec} are partners, "
+                    "but not adjacent"
+                )
+    return partners
 
 
-def _enumerated(spec: ScrollSpec) -> Enumeration:
-    """The unmutated ``_fold`` of ``spec``, kept on the spec: the facet
-    masks in the facet order, each group's range of their ranks (larger
-    alpha first) and their packed predictions.
-
-    Raises ``CapacityError`` before the fold when the spec has more than
-    ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` unless the fold
-    lists as many facets as ``count_facets`` counts, each once and with
-    c + d vertices.  That is part of the certificate (``_certify``), and
-    ``_check_distinct`` checks it for every reader of the enumeration.
-    """
+def _counted(spec: ScrollSpec) -> tuple[int, dict[int, int]]:
+    """``count_facets(spec)`` and the facet count of each group, larger
+    alpha first (``_group_counts``), once the spec passes the guards of
+    every fold: ``CapacityError`` over ``MAX_ENUMERATED_FACETS`` facets,
+    and ``InternalError`` from ``_partners``."""
     require_complex(spec)
-
-    def compute() -> Enumeration:
-        expected = count_facets(spec)
-        if expected > MAX_ENUMERATED_FACETS:
-            raise CapacityError(
-                f"{spec} has {expected:,} facets, over the enumeration budget of "
-                f"{MAX_ENUMERATED_FACETS:,} facets; choose a smaller scroll type"
-            )
-        masks, groups, packed = _fold(spec, None)
-        if len(masks) != expected:
-            raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
-        _check_distinct(spec, masks, groups)
-        return masks, groups, packed
-
-    return per_spec(spec, "facets", compute)
+    expected = count_facets(spec)
+    if expected > MAX_ENUMERATED_FACETS:
+        raise CapacityError(
+            f"{spec} has {expected:,} facets, over the enumeration budget of "
+            f"{MAX_ENUMERATED_FACETS:,} facets; choose a smaller scroll type"
+        )
+    _partners(spec)
+    return expected, _group_counts(spec)
 
 
-def _check_distinct(spec: ScrollSpec, masks: Sequence[int], groups: dict[int, range]) -> None:
-    """``InternalError`` unless every facet is listed once, with c + d
-    vertices: every mask has c + d bits, no two groups share a leaf set, the
-    masks strictly increase within a group's range, and a facet's units, the
-    intervals (a, a+1) it holds, are its group's leaf set.  One bit count,
-    one comparison and one AND a facet."""
+def _check_group(spec: ScrollSpec, alpha: int, masks: Sequence[int], count: int) -> None:
+    """``InternalError`` unless ``masks``, a fold of the group at ``alpha``,
+    lists each of its ``count`` facets once, with c + d vertices: ``count``
+    masks of c + d bits each, strictly increasing, whose units, the
+    intervals (a, a+1) a facet holds, are the group's leaf set.  With
+    distinct leaf sets (``_partners``), no facet is in two groups.  One bit
+    count, one comparison and one AND a facet."""
+    if len(masks) != count:
+        raise InternalError(
+            f"folded {len(masks)} facets of the group at alpha={alpha} of {spec}, counted {count}"
+        )
     size = spec.c + spec.d
     sizes = set(map(int.bit_count, masks))
     if sizes != {size}:
         raise InternalError(f"facets of sizes {sorted(sizes)}, not {size}, for {spec}")
-    leaves = [_mask(spec, leaves_profile(spec, alpha).leaves) for alpha in groups]
-    if len(set(leaves)) < len(leaves):
-        raise InternalError(f"two groups of {spec} share a leaf set")
+    if not all(map(operator.lt, masks, itertools.islice(masks, 1, None))):
+        raise InternalError(
+            f"the masks of the group at alpha={alpha} of {spec} do not strictly increase"
+        )
     units = _mask(spec, [(a, a + 1) for a in range(1, spec.c)])
-    for (alpha, ranks), held in zip(groups.items(), leaves):
-        first, stop = ranks.start, ranks.stop
-        ahead = itertools.islice(masks, first + 1, stop)
-        if not all(map(operator.lt, itertools.islice(masks, first, stop), ahead)):
-            raise InternalError(
-                f"the masks of the group at alpha={alpha} of {spec} do not strictly increase"
+    held = _mask(spec, leaves_profile(spec, alpha).leaves)
+    if set(map(units.__and__, masks)) != {held}:
+        raise InternalError(
+            f"a facet of the group at alpha={alpha} of {spec} holds other units than its leaves"
+        )
+
+
+def _check_subcomplex(spec: ScrollSpec, alpha: int, masks: Sequence[int]) -> None:
+    """``VerificationError`` unless every facet of the group at ``alpha``
+    is a face of the counted complex Γ (``_face_vector``).
+
+    Γ is pure, and its facets are exactly the trees of the grammar.  Fix a
+    group, its leaf set L, and call an interval good when it holds a unit of
+    L; a face of Γ is a laminar family of good intervals.  Take a maximal
+    one, σ.  (1, c) lies in σ: it is good and crosses nothing.  The
+    children of a node (a, b) of σ, its maximal proper subintervals in σ,
+    number at most two, leave no gap and reach a and b: otherwise the union
+    of two adjacent children, or a child stretched to a or b, would be good,
+    laminar with σ and new.  So a node has no child, one child (a+1, b) or
+    (a, b-1), or two children (a, k) and (k, b).  A childless node is a unit
+    of L, since a longer one holds a good unit that could be added; a
+    one-child node drops a unit that is not in L, which could be added
+    otherwise.  So σ is a tree of ``facet_complex._rules``: every unit is a
+    leaf or dropped once, with one more leaf than splits, and |σ| =
+    c + |L| - 2 = c + d.  Conversely every tree is maximal: the smallest
+    node holding a would-be new interval leaves it only a non-leaf unit,
+    which is not good, or a node already present.
+
+    So Δ ⊆ Γ, checked here group by group, and duplicate-free facets of
+    c + d vertices (``_check_group``) make Δ's facets facets of Γ; Δ = Γ
+    exactly when they are as many, which the identity of ``_certify``
+    implies.  A facet lies in Γ when it holds no two crossing intervals
+    a < a' < b < b', one AND of rows of the group's ``_bitset_index`` per
+    crossing pair, and no vertex not good for its group, one OR over the
+    group's masks.
+    """
+    vertices = vertex_set(spec)
+    rows = _bitset_index(masks)
+    row = dict(zip(vertices, reversed([*rows, *[0] * (len(vertices) - len(rows))])))
+    for (a, b), (a2, b2) in itertools.combinations(vertices, 2):
+        if a < a2 < b < b2 and row[(a, b)] & row[(a2, b2)]:
+            raise VerificationError(
+                f"a facet of {spec} holds ({a}, {b}) and ({a2}, {b2}), which cross"
             )
-        if set(map(units.__and__, itertools.islice(masks, first, stop))) != {held}:
-            raise InternalError(
-                f"a facet of the group at alpha={alpha} of {spec} holds other units than its leaves"
-            )
+    groups, grid = _good_groups(spec), _grid(spec)
+    good = sum(grid[a][b] for (a, b), bits in groups.items() if bits >> alpha & 1)
+    outside = functools.reduce(operator.or_, masks, 0) & ~good
+    if outside:
+        raise VerificationError(
+            f"a facet of {spec} holds {min(_vertices(spec, outside))}, not good for its group"
+        )
+
+
+def _enumerated(spec: ScrollSpec) -> Enumeration:
+    """The unmutated ``_fold`` masks of every group of ``spec``, kept on the
+    spec: the facet masks in the facet order, and each group's range of
+    their ranks, larger alpha first.
+
+    Raises ``CapacityError`` before any fold when the spec has more than
+    ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` unless every
+    facet is listed once, with c + d vertices: each group passes
+    ``_check_group``, and the total is ``count_facets``.  Those are the
+    checks certification makes on each group it folds.
+    """
+    require_complex(spec)
+
+    def compute() -> Enumeration:
+        expected, counts = _counted(spec)
+        masks: list[int] = []
+        groups: dict[int, range] = {}
+        for alpha, count in counts.items():
+            group = _fold(spec, alpha, None)[0]
+            _check_group(spec, alpha, group, count)
+            groups[alpha] = range(len(masks), len(masks) + len(group))
+            masks += group
+            del group
+        if len(masks) != expected:
+            raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
+        return masks, groups
+
+    return per_spec(spec, "facets", compute)
 
 
 def _views(spec: ScrollSpec, ranks: range) -> Iterator[Facet]:
     """The ``Facet`` view of each rank in ``ranks`` (step 1), built as it is
     yielded; walking the group ranges gives each its group's alpha."""
-    masks, groups, _ = _enumerated(spec)
+    masks, groups = _enumerated(spec)
     for alpha, group in groups.items():
         for r in range(max(ranks.start, group.start), min(ranks.stop, group.stop)):
             yield Facet(vertices=_vertices(spec, masks[r]), alpha=alpha, spec=spec)
@@ -423,7 +513,7 @@ def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     without a complex and for an alpha that is not an ``int`` in
     [1, c-d-2], after the guarded enumeration.
     """
-    _, groups, _ = _enumerated(spec)
+    _, groups = _enumerated(spec)
     leaves_profile(spec, alpha)
     return next(_views(spec, groups[alpha][:1]))
 
@@ -455,31 +545,14 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     return frozenset(_vertices(spec, d) for d in _minimal_masks(f & ~m for m in earlier))
 
 
-def _decoded(packed: bytearray, width: int) -> list[int]:
-    """The predictions packed ``width`` bytes a facet, as masks by rank."""
-    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
-
-
-def _predictions(spec: ScrollSpec, mutation: str | None) -> list[int]:
-    """The prediction masks by rank: the enumeration's, or under a rule
-    mutation a fresh ``_fold``'s, whose masks must be the enumeration's
-    (``InternalError`` otherwise)."""
-    masks, _, packed = _enumerated(spec)
-    if mutation in ("c2", "b2"):  # swap-groups only reorders the facets
-        folded, _, packed = _fold(spec, mutation)
-        if folded != masks:
-            raise InternalError(f"the prediction fold differs from the enumeration of {spec}")
-    return _decoded(packed, len(packed) // len(masks))
-
-
-#: ``_certified`` certifies the two halves of its ridge classes in two
-#: processes, one forked, only on specs with at least this many facets;
-#: below it, where ``os.fork`` is missing or fails, and in a process running
-#: other threads, it certifies both in one.  A fork pays for itself in wall
-#: time on large specs: with it, ``invariants`` on (2,2,2,2,2,2), 38,012
-#: facets, took 0.24 s against 0.29 s in one process (median of 8
-#: alternating runs), and on (4,4,4,4) 2.7 s against 3.5 s, for 3.6 s of
-#: CPU against 3.5 s (median of 3).  On small specs it saves a few
+#: ``_certified`` cuts the groups into two runs, the first certified in a
+#: forked child, only on specs with at least this many facets; below it,
+#: where ``os.fork`` is missing or fails, and in a process running other
+#: threads, it certifies both runs in one process.  A fork pays for itself
+#: in wall time on large specs: with it, ``invariants`` on (2,2,2,2,2,2),
+#: 38,012 facets, took FORK_222222 s against UNFORK_222222 s in one process (median of 8
+#: alternating runs), and on (4,4,4,4) FORK_4444 s against UNFORK_4444 s, for CPU_FORK_4444 s of
+#: CPU against CPU_UNFORK_4444 s (median of 3).  On small specs it saves a few
 #: milliseconds for more CPU: forked at every size, the benchmark's
 #: ``batch`` lines, 2,398-7,384 facets, took 3 % more CPU (4 of 4 runs),
 #: and its oracle specs, at most 924 facets, gained nothing (2-core host).
@@ -493,95 +566,88 @@ MIN_FORKED_FACETS = 10_000
 MAX_SCANNED_FACETS = 10_000
 
 
-def _classes(spec: ScrollSpec) -> tuple[bytearray, list[int], list[int]]:
-    """The ridge classes by leaf set: the index of each rank's group, in the
-    order of the group ranges, one byte a rank; and per group the vertices v
-    whose ridge F - v another facet may hold, within the group and across
-    groups.
+@dataclass(slots=True)
+class _Group:
+    """A group of facets as a run holds it, in the certified order: their
+    masks, predictions and candidate generators (``tested``), by position;
+    the vertices whose ridges other facets of the group may hold
+    (``within``), the units whose ridges a partner group's facets may hold
+    (``cross``), the group's leaf set, and by position the candidates found
+    to be no generators so far (``missed``)."""
 
-    A facet's units are exactly its group's leaf set, leaf sets differ from
-    group to group (both checked by ``_check_distinct``) and all have d + 2
-    units.  Let G hold the ridge F - v of a facet F of the group with leaf
-    set L, G != F.  If v is no unit, G holds every unit of L, hence no
-    other, so G is in F's group; and if every facet of the group holds v, G
-    does, so G = F.  If v is a unit, G holds L - v and a unit w != v, so G
-    is in a partner group, one whose leaf set holds L - v.  So the
-    within-group ridges are those of the vertices not held by every facet of
-    the group, and the cross-group ones those of the units with a partner
-    group; the other ridges lie in F alone, so their candidates are no
-    generators and need no lookup."""
-    masks, groups, _ = _enumerated(spec)
-    leaves = [_mask(spec, leaves_profile(spec, alpha).leaves) for alpha in groups]
+    alpha: int
+    masks: list[int]
+    predicted: list[int]
+    tested: list[int]
+    within: int
+    cross: int
+    leaves: int
+    missed: dict[int, int] = field(default_factory=dict)
+
+
+def _group(
+    spec: ScrollSpec,
+    mutation: str | None,
+    alpha: int,
+    positions: Sequence[int],
+    count: int,
+    in_place: bool,
+) -> _Group:
+    """The group at ``alpha``, folded and checked, in the certified order
+    ``positions`` of its fold's order: ``_check_group`` against its
+    ``count``, Δ ⊆ Γ (``_check_subcomplex``), and under ``c2`` and ``b2``
+    the mutated fold's masks against the unmutated ones (``InternalError``).
+
+    A facet's candidates are its unmutated prediction when ``in_place``,
+    that is when this group and every later one are in the enumeration's
+    own order, so that a facet's earlier facets are exactly those of the
+    enumeration; elsewhere they are all its vertices, so any order is
+    certified."""
+    masks, unmutated = _fold(spec, alpha, None)
+    _check_group(spec, alpha, masks, count)
+    _check_subcomplex(spec, alpha, masks)
+    predicted = unmutated
+    if mutation in ("c2", "b2"):  # swap-groups only reorders the groups
+        folded, predicted = _fold(spec, alpha, mutation)
+        if folded != masks:
+            raise InternalError(
+                f"the {mutation} fold of the group at alpha={alpha} of {spec} differs from "
+                "its unmutated fold"
+            )
+    tested = unmutated if in_place else masks
+    if positions != range(len(masks)):
+        masks, predicted, tested = ([seq[p] for p in positions] for seq in (masks, predicted, tested))
     everything = (1 << math.comb(spec.c, 2)) - 1
-    within = [
-        everything ^ functools.reduce(operator.and_, itertools.islice(masks, r.start, r.stop))
-        for r in groups.values()
-    ]
-    units = [_grid(spec)[a][a + 1] for a in range(1, spec.c)]
-    # A leaf set holds L - u and not u exactly when it is a partner's.
-    cross = [sum(u for u in units if any(held & ~m == u for m in leaves)) for held in leaves]
-    group_of = bytearray().join(bytes([g]) * len(r) for g, r in enumerate(groups.values()))
-    return group_of, within, cross
-
-
-def _halves(
-    spec: ScrollSpec, within: list[int], cross: list[int]
-) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
-    """Two halves of the ridge classes, balanced by the ridges they look up,
-    each as its passes of per-group scopes.  The first takes the
-    cross-group ridges, in a pass of their own, and the within-group ridges
-    of the set of groups that brings it closest to half of all; the second
-    takes those of the other groups.  Every facet of a group has as many
-    ridges in a scope as the group's first.
-
-    The cross-group ridges of a group wait in the pending set until the
-    adjacent group's facets come, so their pass peaks highest, and the
-    within-group ridges of the largest groups would add to that peak in the
-    same pass."""
-    masks, groups, _ = _enumerated(spec)
-    ranks = list(groups.values())
-    crossing = sum(len(r) * (masks[r.start] & x).bit_count() for r, x in zip(ranks, cross))
-    sizes = [len(r) * (masks[r.start] & w).bit_count() for r, w in zip(ranks, within)]
-    subsets = {0: 0}  # a set of groups by its within-group ridges, as a mask of indexes
-    for g, size in enumerate(sizes):
-        for total, chosen in list(subsets.items()):
-            subsets.setdefault(total + size, chosen | 1 << g)
-    rest = sum(sizes)
-    chosen = subsets[min(subsets, key=lambda total: max(crossing + total, rest - total))]
-    return (
-        (cross, [w * (chosen >> g & 1) for g, w in enumerate(within)]),
-        ([w * (~chosen >> g & 1) for g, w in enumerate(within)],),
+    return _Group(
+        alpha=alpha,
+        masks=masks,
+        predicted=predicted,
+        tested=tested,
+        within=everything ^ functools.reduce(operator.and_, masks),
+        cross=sum(_partners(spec)[alpha].values()),
+        leaves=_mask(spec, leaves_profile(spec, alpha).leaves),
     )
 
 
-def _missed(
-    masks: Sequence[int],
-    order: Sequence[int],
-    candidates: Sequence[int],
-    group_of: bytearray,
-    passes: Iterable[Sequence[int]],
-) -> dict[int, int]:
-    """The candidates that are no generators among the ridges of one half
-    of the classes, one pass per scope in ``passes``, where a pass takes the
-    ridges F - u with u in the scope of F's group (``scopes[group_of[rank]]``):
-    by rank, the mask of the candidates u in ``candidates[rank]`` whose
-    ridge F - u is in the half and lies in no earlier facet.
+def _missed(segments: Sequence[tuple[_Group, int]]) -> None:
+    """One pass over the ridges F - u, u in a scope, of the facets of each
+    ``(group, scope)`` in ``segments``, in the certified order: adds to each
+    group's ``missed``, by position, the candidates u whose ridge F - u lies
+    in no earlier facet of the pass.  A pass holds every facet that can
+    hold its ridges (``_partners``).
 
-    In a pass each facet acts on every ridge of the pass that it holds: it
-    adds the ridge of a candidate to ``pending`` and drops the others.  So
-    after the backward pass a ridge is pending exactly when its earliest
-    owner tests it, and the forward pass finds that owner, until none is
-    pending."""
-    missed: dict[int, int] = {}
-    for scopes in passes:
-        pending: set[int] = set()
-        for rank in reversed(order):
-            f = masks[rank]
-            scope = f & scopes[group_of[rank]]  # the vertices whose ridge is in the pass
-            if not scope:
+    Each facet acts on every ridge of the pass that it holds: it adds the
+    ridge of a candidate to ``pending`` and drops the others.  So after the
+    backward pass a ridge is pending exactly when its earliest owner tests
+    it, and the forward pass finds that owner, until none is pending."""
+    pending: set[int] = set()
+    for group, scope in reversed(segments):
+        for f, tested in zip(reversed(group.masks), reversed(group.tested)):
+            held = f & scope
+            if not held:
                 continue
-            scoped = candidates[rank] & scope
-            drops = scope ^ scoped
+            scoped = tested & held
+            drops = held ^ scoped
             while drops:
                 u = drops & -drops
                 drops ^= u
@@ -590,9 +656,9 @@ def _missed(
                 u = scoped & -scoped
                 scoped ^= u
                 pending.add(f ^ u)
-        for rank in order if pending else ():
-            f = masks[rank]
-            rest = f & scopes[group_of[rank]] & candidates[rank]
+    for group, scope in segments if pending else ():
+        for i, (f, tested) in enumerate(zip(group.masks, group.tested)):
+            rest = f & scope & tested
             lost = 0
             while rest:
                 u = rest & -rest
@@ -601,64 +667,151 @@ def _missed(
                     pending.remove(f ^ u)
                     lost |= u
             if lost:
-                missed[rank] = missed.get(rank, 0) | lost
+                group.missed[i] = group.missed.get(i, 0) | lost
                 if not pending:
-                    break
-    return missed
+                    return
 
 
 # One facet's entry in a pass, ``_certified``'s or ``_scanned``'s: its
-# enumeration rank, the mask of its generators, the mask of its prediction,
-# and its minimal difference masks when the pass is the scan, else None.
-Colon = tuple[int, int, int, frozenset[int] | None]
+# group's alpha, its mask, the mask of its generators, the mask of its
+# prediction, and its minimal difference masks when the pass is the scan,
+# else None.
+Colon = tuple[int, int, int, int, frozenset[int] | None]
+
+# A tallied entry of ``_run``: the index of its group in the certified
+# order, then a certified ``Colon`` without its last field.
+Tallied = tuple[int, int, int, int, int]
 
 
-def _certified(spec: ScrollSpec, mutation: str | None) -> Iterator[Colon]:
-    """Per facet in the order certified under ``mutation`` (``_facet_order``),
-    its ``Colon``: its rank, the mask of its counted generators, the mask of
-    its prediction (``_predictions``) and None.
+def _tally(
+    j: int, group: _Group, counts: list[int], kept: list[Tallied], every: bool
+) -> None:
+    """Add the facets of ``group``, the ``j``-th of the certified order, to
+    the degree counts ``counts`` and their entries to ``kept``: every entry
+    when ``every`` holds, else those whose generators differ from their
+    prediction.  A facet's generators are its candidates whose ridges are
+    looked up and held by an earlier facet."""
+    scope, missed = group.within | group.cross, group.missed
+    facets = zip(group.masks, group.tested, group.predicted)
+    for i, (f, tested, predicted) in enumerate(facets):
+        gens = tested & scope & ~missed.get(i, 0)
+        counts[gens.bit_count()] += 1
+        if every or gens != predicted:
+            kept.append((j, group.alpha, f, gens, predicted))
 
-    Only a facet's candidate generators are tested, chosen once by rank in
-    ``candidates``.  From the first position ``start`` on which the order is
-    the enumeration's own (0 for its order, the end of the two moved ranges
-    under ``swap-groups``), a rank's earlier facets are exactly the lower
-    ranks, and it tests its unmutated prediction; any other rank tests every
-    vertex, so any order is certified.  A candidate u of F is a generator
-    when an earlier facet holds the ridge F - u, that is unless F is the
-    ridge's earliest owner.
 
-    Whether a ridge's earliest owner tests it depends only on the facets
-    holding that ridge, so the ridge classes by leaf set (``_classes``) are
-    certified apart, and a candidate whose ridge lies in its facet alone is
-    no generator without a lookup.  The two halves of the classes
-    (``_halves``) run in two processes on specs with at least
-    ``MIN_FORKED_FACETS`` facets (``two_halves``), the child reaped before
-    the first facet is yielded.  Unmutated, ``c2`` and ``b2`` runs miss none.
+def _run(
+    spec: ScrollSpec, mutation: str | None, order: Order, part: range, every: bool
+) -> tuple[list[int], list[Tallied], dict[int, dict[int, int]], dict[int, _Group]]:
+    """Fold, check and certify the groups ``order[j]``, j in ``part``, in
+    turn (``_group``).
+
+    Each group gets its within-group pass, and a cross pass with each
+    partner group once both are held, in the certified order (``_missed``).
+    A partner before ``part`` belongs to an earlier run: it is folded here
+    too, for its cross passes alone, and kept among the ``extras`` for the
+    caller, which tallies it once the earlier run's passes over it are in.
+    A group is tallied (``_tally``) and dropped when its last partner after
+    it within ``part`` has come; one with a partner after ``part`` is not:
+    its ``missed`` goes to the later run, in ``deferred``.  On the
+    enumeration's order a run so holds two of its groups and at most one
+    extra at a time.
+
+    Returns the degree counts and the entries of the groups tallied, the
+    deferred missed maps by alpha, and the extras by index."""
+    counts_of, partners = _group_counts(spec), _partners(spec)
+    where = {alpha: j for j, (alpha, _) in enumerate(order)}
+    enumeration = list(counts_of)
+    start = len(order)  # from this index on, every group is in the enumeration's order
+    while start and order[start - 1] == (
+        enumeration[start - 1],
+        range(counts_of[enumeration[start - 1]]),
+    ):
+        start -= 1
+
+    def folded(j: int) -> _Group:
+        alpha, positions = order[j]
+        return _group(spec, mutation, alpha, positions, counts_of[alpha], j >= start)
+
+    counts = [0] * (spec.c + spec.d + 1)
+    kept: list[Tallied] = []
+    held: dict[int, _Group] = {}
+    extras: dict[int, _Group] = {}
+    deferred: dict[int, dict[int, int]] = {}
+    for j in part:
+        group = held[j] = folded(j)
+        _missed([(group, group.within)])
+        for i in sorted(where[beta] for beta in partners[group.alpha]):
+            if i < part.start and i not in extras:
+                extras[i] = folded(i)
+            if i < j:
+                other = extras[i] if i < part.start else held[i]
+                _missed([(other, other.cross & ~group.leaves), (group, group.cross & ~other.leaves)])
+        for i in list(held):
+            later = [where[beta] for beta in partners[held[i].alpha] if where[beta] > i]
+            if any(j < k < part.stop for k in later):
+                continue  # a partner in this run is still to come
+            done = held.pop(i)
+            if any(k >= part.stop for k in later):
+                deferred[done.alpha] = done.missed
+            else:
+                _tally(i, done, counts, kept, every)
+    return counts, kept, deferred, extras
+
+
+def _cut(sizes: Sequence[int]) -> int:
+    """How many groups, at least one and not all, the first of two runs
+    takes, given the facet counts of the groups in the certified order: the
+    number that brings the two runs' facet counts closest."""
+    total, prefix = sum(sizes), list(itertools.accumulate(sizes))
+    return min(range(1, len(sizes)), key=lambda k: abs(2 * prefix[k - 1] - total))
+
+
+def _certified(
+    spec: ScrollSpec, mutation: str | None, cut: int | None = None, every: bool = False
+) -> tuple[list[int], list[Colon]]:
+    """The degree counts of the facets' counted generators in the order
+    certified under ``mutation`` (``_facet_order``), and the ``Colon``
+    entries, in that order, of every facet when ``every`` holds, else of
+    those whose generators differ from their prediction.
+
+    The groups are cut into two runs (``_run``), the first ``cut`` in the
+    order and the rest; by default by ``_cut`` on specs with at least
+    ``MIN_FORKED_FACETS`` facets, and none on smaller ones, which run in
+    one.  The first run goes to a forked child unless ``every`` holds
+    (``two_halves``), the child reaped before this returns.  The groups of
+    the first run with a partner in the second are tallied here, once both
+    runs' passes over them are in.  Unmutated, ``c2`` and ``b2`` runs miss
+    no candidate.  ``InternalError`` unless the groups hold
+    ``count_facets`` facets.
 
     Every counted generator u has an earlier facet holding F - u, found by a
     lookup, so the counted set is part of the true one, whatever the
-    prediction and even were a class too small; ``_certify`` decides with
+    prediction and even were a scope too small; ``_certify`` decides with
     the face identity that it is all of it.
     """
-    masks = _enumerated(spec)[0]
-    unmutated = _predictions(spec, None)
-    predicted = _predictions(spec, mutation) if mutation in ("c2", "b2") else unmutated
+    expected, counts_of = _counted(spec)
     order = _facet_order(spec, mutation)
-    down = range(len(order) - 1, -1, -1)  # the positions, last first
-    start = next(itertools.compress(down, map(operator.ne, reversed(order), down)), -1) + 1
-    candidates = [*masks[:start], *unmutated[start:]] if start else unmutated
-    group_of, within, cross = _classes(spec)
-    first, second = (
-        functools.partial(_missed, masks, order, candidates, group_of, passes)
-        for passes in _halves(spec, within, cross)
+    if cut is None:
+        sizes = [counts_of[alpha] for alpha, _ in order]
+        cut = _cut(sizes) if expected >= MIN_FORKED_FACETS else 0
+
+    def first() -> tuple[list[int], list[Tallied], dict[int, dict[int, int]]]:
+        return _run(spec, mutation, order, range(cut), every)[:3]
+
+    second = functools.partial(_run, spec, mutation, order, range(cut, len(order)), every)
+    (theirs, their_kept, deferred), (counts, kept, _, extras) = two_halves(
+        first, second, cut > 0 and not every
     )
-    theirs, missed = two_halves(first, second, len(masks) >= MIN_FORKED_FACETS)
-    for rank, m in theirs.items():
-        missed[rank] = missed.get(rank, 0) | m
-    hashed = [w | x for w, x in zip(within, cross)]
-    for rank in order:
-        gens = candidates[rank] & hashed[group_of[rank]] & ~missed.get(rank, 0)
-        yield rank, gens, predicted[rank], None
+    for j, group in extras.items():
+        for i, lost in deferred[group.alpha].items():
+            group.missed[i] = group.missed.get(i, 0) | lost
+        _tally(j, group, counts, kept, every)
+    counts = list(map(operator.add, theirs, counts))
+    if sum(counts) != expected:
+        raise InternalError(f"enumerated {sum(counts)} facets for {spec}, counted {expected}")
+    kept = sorted(their_kept + kept, key=operator.itemgetter(0))  # stable: keeps each group's order
+    return counts, [(alpha, f, gens, predicted, None) for _, alpha, f, gens, predicted in kept]
 
 
 def _scanned(spec: ScrollSpec, mutation: str | None) -> Iterator[Colon]:
@@ -666,25 +819,26 @@ def _scanned(spec: ScrollSpec, mutation: str | None) -> Iterator[Colon]:
     order certified under ``mutation``, its ``Colon`` with the mask of its
     singleton generators and its minimal difference masks against every
     earlier facet, kept in one list (the scan of ``colon_generators``)."""
-    masks = _enumerated(spec)[0]
-    predicted = _predictions(spec, mutation)
     earlier: list[int] = []
-    for rank in _facet_order(spec, mutation):
-        f = masks[rank]
-        diffs = _minimal_masks(f & ~m for m in earlier)
-        earlier.append(f)
-        yield rank, sum(d for d in diffs if d.bit_count() == 1), predicted[rank], diffs
+    for alpha, positions in _facet_order(spec, mutation):
+        masks, predicted = _fold(spec, alpha, mutation)
+        for p in positions:
+            f = masks[p]
+            diffs = _minimal_masks(f & ~m for m in earlier)
+            earlier.append(f)
+            yield alpha, f, sum(d for d in diffs if d.bit_count() == 1), predicted[p], diffs
 
 
-def _report(facet: Facet, gens: int, predicted: int, diffs: frozenset[int] | None) -> ColonReport:
-    """The ``ColonReport`` of ``facet`` from the rest of its entry in a pass
-    (``Colon``); a certified facet's colon ideal is generated by ``gens``."""
-    spec = facet.spec
+def _report(
+    spec: ScrollSpec, alpha: int, mask: int, gens: int, predicted: int, diffs: frozenset[int] | None
+) -> ColonReport:
+    """The ``ColonReport`` of a ``Colon`` entry; a certified facet's colon
+    ideal is generated by ``gens``."""
     if diffs is None:
         diffs = frozenset(1 << k for k in range(gens.bit_length()) if gens >> k & 1)
     linear = all(d.bit_count() == 1 for d in diffs)
     return ColonReport(
-        facet=facet,
+        facet=Facet(vertices=_vertices(spec, mask), alpha=alpha, spec=spec),
         computed_generators=frozenset(_vertices(spec, d) for d in diffs),
         predicted_LG=_vertices(spec, predicted),
         linear=linear,
@@ -692,23 +846,11 @@ def _report(facet: Facet, gens: int, predicted: int, diffs: frozenset[int] | Non
     )
 
 
-def _tally(spec: ScrollSpec, stream: Iterable[Colon]) -> tuple[tuple[int, ...], list[ColonReport]]:
-    """Fold a pass of ``Colon`` entries, ``_certified``'s or ``_scanned``'s,
-    into the degree counts of its linear facets (no trailing zeros) and the
-    reports of the facets not linear or not matching their prediction."""
-    counts = [0] * (spec.c + spec.d + 1)
-    failing = []
-    for rank, gens, predicted, diffs in stream:
-        # A scanned facet is linear when its minimal differences are its
-        # singleton generators; a certified one always is.
-        linear = diffs is None or len(diffs) == gens.bit_count()
-        counts[gens.bit_count()] += linear
-        if not linear or gens != predicted:
-            facet = next(_views(spec, range(rank, rank + 1)))
-            failing.append(_report(facet, gens, predicted, diffs))
+def _trimmed(counts: list[int]) -> tuple[int, ...]:
+    """Degree counts without trailing zeros."""
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
-    return tuple(counts), failing
+    return tuple(counts)
 
 
 def verify_linear_quotients(
@@ -719,7 +861,7 @@ def verify_linear_quotients(
     Every facet's minimal colon generators must be singletons equal to its
     prediction; the greatest facet's colon must be empty.  The unmutated
     result is kept on ``spec``.  ``VerificationError`` when the enumerated
-    complex is not the counted one (``_face_h``).
+    complex is not the counted one (``_check_subcomplex``, ``_face_h``).
     """
     require_complex(spec)
     _check_mutation(mutation)
@@ -729,50 +871,12 @@ def verify_linear_quotients(
 
 
 def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
-    """The h-vector of the counted complex Γ (``_face_vector``), kept on the
-    spec once the enumerated complex Δ is checked to lie in Γ;
-    ``VerificationError`` otherwise.
-
-    Γ is pure, and its facets are exactly the trees of the grammar.  Fix a
-    group, its leaf set L, and call an interval good when it holds a unit of
-    L; a face of Γ is a laminar family of good intervals.  Take a maximal
-    one, σ.  (1, c) lies in σ: it is good and crosses nothing.  The
-    children of a node (a, b) of σ, its maximal proper subintervals in σ,
-    number at most two, leave no gap and reach a and b: otherwise the union
-    of two adjacent children, or a child stretched to a or b, would be good,
-    laminar with σ and new.  So a node has no child, one child (a+1, b) or
-    (a, b-1), or two children (a, k) and (k, b).  A childless node is a unit
-    of L, since a longer one holds a good unit that could be added; a
-    one-child node drops a unit that is not in L, which could be added
-    otherwise.  So σ is a tree of ``facet_complex._rules``: every unit is a
-    leaf or dropped once, with one more leaf than splits, and |σ| =
-    c + |L| - 2 = c + d.  Conversely every tree is maximal: the smallest
-    node holding a would-be new interval leaves it only a non-leaf unit,
-    which is not good, or a node already present.
-
-    So Δ ⊆ Γ, checked here, and duplicate-free facets of c + d vertices
-    (``_check_distinct``) make Δ's facets facets of Γ; Δ = Γ exactly
-    when they are as many, which the identity of ``_certify`` implies.
-    Δ ⊆ Γ holds when no enumerated facet holds two crossing intervals
-    a < a' < b < b' or a vertex not good for its group: one AND of rows of
-    the masks' ``_bitset_index`` per crossing pair and per vertex.
-    """
+    """The h-vector of the counted complex Γ, from its f-vector
+    (``_face_vector``), kept on the spec; ``VerificationError`` unless its
+    faces come in c + d sizes, the size of every facet of Γ
+    (``_check_subcomplex``)."""
 
     def compute() -> tuple[int, ...]:
-        masks, ranks_of, _ = _enumerated(spec)
-        groups = _good_groups(spec)
-        row = dict(zip(vertex_set(spec), reversed(_bitset_index(masks))))
-        ranks = {  # the ranks of each group's facets, one block of bits
-            alpha: ((1 << len(r)) - 1) << r.start for alpha, r in ranks_of.items()
-        }
-        for (a, b), (a2, b2) in itertools.combinations(row, 2):
-            if a < a2 < b < b2 and row[(a, b)] & row[(a2, b2)]:
-                raise VerificationError(
-                    f"a facet of {spec} holds ({a}, {b}) and ({a2}, {b2}), which cross"
-                )
-        for v, bits in row.items():
-            if bits & sum(block for alpha, block in ranks.items() if not groups[v] >> alpha & 1):
-                raise VerificationError(f"a facet of {spec} holds {v}, not good for its group")
         f, size = _face_vector(spec), spec.c + spec.d
         if len(f) != size:
             raise VerificationError(f"the faces of {spec} come in {len(f)} sizes, not {size}")
@@ -782,9 +886,9 @@ def _face_h(spec: ScrollSpec) -> tuple[int, ...]:
 
 
 def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
-    """Tally ``_certified`` into per-degree counts and the failing reports
-    (``_tally``), and certify by the face identity that the order is a
-    shelling.
+    """Certify by the face identity that the order certified under
+    ``mutation`` is a shelling: the degree counts of ``_certified`` against
+    the h-vector of the counted complex (``_face_h``).
 
     Let R_j be the vertices u of the j-th facet F_j whose ridge F_j - u lies
     in an earlier facet, and R'_j ⊆ R_j the counted generators.  Every face
@@ -793,11 +897,11 @@ def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
     equality exactly when the order is a shelling (Björner's partition
     form); S' with R'_j in place of R_j is at least S, and equals it only
     when R' = R.  The identity says that the counts of the |R'_j| are the
-    h-vector of Γ (``_face_h``), that is S' = f_Γ.  Its top coefficient
-    makes Δ's facets, which are distinct facets of Γ, all of Γ's, so Δ = Γ;
-    then S' = f_Δ forces R' = R and a shelling.  Each facet's colon ideal is
-    generated by its counted vertices, and a facet fails only when those
-    differ from its prediction.
+    h-vector of Γ, that is S' = f_Γ.  Its top coefficient makes Δ's facets,
+    which are distinct facets of Γ (``_check_group``, ``_check_subcomplex``),
+    all of Γ's, so Δ = Γ; then S' = f_Δ forces R' = R and a shelling.  Each
+    facet's colon ideal is generated by its counted vertices, and a facet
+    fails only when those differ from its prediction.
 
     When the identity fails, ``_scanned`` gives every facet's colon ideal
     and the failing reports are exact; if the scan finds a shelling all the
@@ -805,23 +909,33 @@ def _certify(spec: ScrollSpec, mutation: str | None) -> VerificationResult:
     facets the failed identity is a ``VerificationError`` with both
     h-vectors, without the scan.
     """
-    masks = _enumerated(spec)[0]  # its guards refuse a huge c first
-    degree_counts, failing = _tally(spec, _certified(spec, mutation))
-    h = _face_h(spec)  # after the passes, so that its index adds nothing to their peak
+    counts, kept = _certified(spec, mutation)
+    facet_count = sum(counts)
+    degree_counts, failing = _trimmed(counts), [_report(spec, *entry) for entry in kept]
+    h = _face_h(spec)
     scanned = degree_counts != h
-    if scanned and len(masks) > MAX_SCANNED_FACETS:
+    if scanned and facet_count > MAX_SCANNED_FACETS:
         raise VerificationError(
             f"the faces of {spec} give h = {h}, but its generators count {degree_counts}; "
-            f"its {len(masks):,} facets are over the diagnostic scan's budget of "
+            f"its {facet_count:,} facets are over the diagnostic scan's budget of "
             f"{MAX_SCANNED_FACETS:,}"
         )
     if scanned:
-        degree_counts, failing = _tally(spec, _scanned(spec, mutation))
+        counts = [0] * (spec.c + spec.d + 1)
+        failing = []
+        for alpha, f, gens, predicted, diffs in _scanned(spec, mutation):
+            # A scanned facet is linear when its minimal differences are its
+            # singleton generators.
+            linear = len(diffs) == gens.bit_count()
+            counts[gens.bit_count()] += linear
+            if not linear or gens != predicted:
+                failing.append(_report(spec, alpha, f, gens, predicted, diffs))
+        degree_counts = _trimmed(counts)
         if all(report.linear for report in failing) and degree_counts != h:
             raise VerificationError(f"the faces of {spec} give h = {h}, not {degree_counts}")
     return VerificationResult(
         spec=spec,
-        facet_count=len(masks),
+        facet_count=facet_count,
         degree_counts=degree_counts,
         failing=tuple(failing),
         mutation=mutation,

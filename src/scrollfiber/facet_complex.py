@@ -138,23 +138,32 @@ def _vertices(spec: ScrollSpec, mask: int) -> frozenset[Vertex]:
     return frozenset(out)
 
 
+# ``_BIT_DIGITS[k]`` maps a byte to the ASCII digit of its bit k.
+_BIT_DIGITS = [bytes(b"01"[byte >> k & 1] for byte in range(256)) for k in range(8)]
+
+
 def _bitset_index(masks: Sequence[int]) -> list[int]:
     """Incidence index over bit positions: entry ``pos`` has bit ``rank``
     set exactly when ``masks[rank]`` has bit ``pos``.
 
-    A transposition by strings, not a loop over set bits: a block of masks
-    written out as one binary string of fixed-width rows and reversed holds
-    in ``text[pos::width]`` the block's bit ``pos`` of every mask, the last
-    mask first, so that string read in base 2 is the block's share of entry
-    ``pos``.  Blocks of ``INDEX_BLOCK`` masks keep the string small next to
-    the masks."""
+    A transposition by bytes, not a loop over set bits: a block of masks
+    written out big-endian, last mask first, as rows of ``size`` bytes holds
+    in ``data[j::size]`` byte j of every mask, and translating that column
+    through ``_BIT_DIGITS[k]`` spells bit k of each in ASCII digits, the
+    last mask first, so that string read in base 2 is the block's share of
+    entry ``8 * (size - 1 - j) + k``.  Blocks of ``INDEX_BLOCK`` masks keep
+    the bytes small next to the masks."""
     width = max(map(int.bit_length, masks), default=0)
-    rows = [0] * width
-    row = f"{{:0{width}b}}".format
+    size = (width + 7) // 8
+    rows = [0] * (8 * size)
     for base in range(0, len(masks), INDEX_BLOCK):
-        text = "".join(map(row, masks[base : base + INDEX_BLOCK]))[::-1]
-        for pos in range(width):
-            rows[pos] |= int(text[pos::width], 2) << base
+        block = masks[base : base + INDEX_BLOCK]
+        data = b"".join(m.to_bytes(size, "big") for m in reversed(block))
+        for j in range(size):
+            column, low = data[j::size], 8 * (size - 1 - j)
+            for k, digits in enumerate(_BIT_DIGITS):
+                rows[low + k] |= int(column.translate(digits), 2) << base
+    del rows[width:]
     return rows
 
 
@@ -291,22 +300,28 @@ def _table(spec: ScrollSpec, alpha: int) -> Rules:
     return tables[alpha]
 
 
-def count_facets(spec: ScrollSpec) -> int:
-    """Number of facets of the initial complex, without enumerating them.
-
-    Folds each group's grammar table into subtree counts, in time
-    polynomial in c; ``dual_quotients.enumerate_facets`` lists exactly this
-    many facets.
-    Raises ``CapacityError`` as ``_table`` does.
-    """
-    require_complex(spec)
-    total = 0
-    for alpha in spec.alphas:
+def _group_counts(spec: ScrollSpec) -> dict[int, int]:
+    """The number of facets of each group, larger alpha first (the order of
+    the enumeration), without enumerating them: a fold of each group's
+    grammar table into subtree counts, in time polynomial in c.  Raises
+    ``CapacityError`` as ``_table`` does."""
+    out = {}
+    for alpha in reversed(spec.alphas):
         counts: dict[Vertex, int] = {}
         for node, ways in _table(spec, alpha).items():
             counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids in ways)
-        total += counts[(1, spec.c)]
-    return total
+        out[alpha] = counts[(1, spec.c)]
+    return out
+
+
+def count_facets(spec: ScrollSpec) -> int:
+    """Number of facets of the initial complex, without enumerating them:
+    the sum of ``_group_counts``.  ``dual_quotients.enumerate_facets``
+    lists exactly this many facets.
+    Raises ``CapacityError`` as ``_table`` does.
+    """
+    require_complex(spec)
+    return sum(_group_counts(spec).values())
 
 
 def _good_groups(spec: ScrollSpec) -> dict[Vertex, int]:

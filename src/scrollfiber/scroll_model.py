@@ -11,11 +11,13 @@ column of every block in decreasing block order.
 Everything is immutable except a ``ScrollSpec``'s private memo, where
 ``per_spec`` keeps reused results until the spec object is freed.
 ``two_halves`` runs two independent halves of a computation, one in a
-forked child, for certification and for the rank oracle alike.
+forked child and each pinned to its own CPU, for certification and for the
+rank oracle alike.
 """
 
 from __future__ import annotations
 
+import contextlib
 import marshal
 import os
 import threading
@@ -86,19 +88,42 @@ def per_spec(spec: ScrollSpec, key: Any, compute: Callable[[], Any]) -> Any:
 
 
 # A result that ``two_halves`` can send through a pipe with ``marshal``: an
-# int or a dict of ints, never None.
+# int, or a tuple, list, set or dict of such values, never None.
 Half = TypeVar("Half")
 
 # POSIX fixes SIGKILL at 9; ``signal`` is not otherwise imported.
 _SIGKILL = 9
 
 
-def _forked(half: Callable[[], Half]) -> tuple[int, int] | None:
-    """Start ``half`` in a forked child, which sends its result marshalled
-    through a pipe and leaves through ``os._exit``, touching no stdio: the
-    child's pid and the pipe's read end, or None where ``os.fork`` is
-    missing or fails, and in a process running other threads, where a fork
-    is unsafe."""
+def _cpus() -> tuple[set[int], int, int] | None:
+    """This process's CPU affinity mask and two distinct CPUs of it, one for
+    a forked half and one for this process's; None where
+    ``os.sched_getaffinity`` is missing or the mask holds fewer than two.
+
+    Pinning keeps the halves apart: the scheduler may keep a forked child
+    on its parent's CPU, where the two halves take turns."""
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        return None
+    theirs, own, *_ = sorted(mask)
+    return mask, theirs, own
+
+
+def _pin(cpus: set[int]) -> None:
+    """Restrict this process to ``cpus``; where the system refuses, it
+    runs unpinned, with the same result."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _forked(half: Callable[[], Half], cpu: int | None) -> tuple[int, int] | None:
+    """Start ``half`` in a forked child, pinned to ``cpu`` unless it is
+    None, which sends its result marshalled through a pipe and leaves
+    through ``os._exit``, touching no stdio: the child's pid and the pipe's
+    read end, or None where ``os.fork`` is missing or fails, and in a
+    process running other threads, where a fork is unsafe."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
     read, write = os.pipe()
@@ -112,6 +137,8 @@ def _forked(half: Callable[[], Half]) -> tuple[int, int] | None:
         code = 1
         try:
             os.close(read)
+            if cpu is not None:
+                _pin({cpu})
             payload = marshal.dumps(half())
             while payload:
                 payload = payload[os.write(write, payload) :]
@@ -147,17 +174,27 @@ def two_halves(
     """``(first(), second())``, with ``first`` in a forked child while this
     process runs ``second`` when ``fork`` holds.
 
-    The child is reaped before this returns, and killed first if ``second``
-    raises.  Where ``os.fork`` is missing or fails, in a process running
-    other threads, and when the child exits non-zero or sends a short
-    payload, this process runs ``first`` itself, so the result never
+    Where this process may run on at least two CPUs (``_cpus``), the child
+    is pinned to one of them as it starts and this process to another for
+    its half; its own mask is restored after its half, also when that
+    raises.  The child is reaped before this returns, and killed first if
+    ``second`` raises.  Where ``os.fork`` is missing or fails, in a process
+    running other threads, and when the child exits non-zero or sends a
+    short payload, this process runs ``first`` itself, so the result never
     depends on the fork; a failed child is first reported by a
     ``RuntimeWarning`` that names its exit status, so that a warning
     turned into an error in the child fails the run under ``-W error``.
-    Each half returns an int or a dict of ints."""
-    child = _forked(first) if fork else None
+    Only ``first``'s result goes through the pipe (``Half``)."""
+    cpus = _cpus() if fork else None
+    child = _forked(first, cpus and cpus[1]) if fork else None
     try:
-        own = second()
+        if child and cpus:
+            _pin({cpus[2]})
+        try:
+            own = second()
+        finally:
+            if child and cpus:
+                _pin(cpus[0])
     except BaseException:
         if child:
             os.kill(child[0], _SIGKILL)

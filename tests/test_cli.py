@@ -52,32 +52,41 @@ def refused(capsys, *argv):
     return exc.value.code, captured.out, captured.err
 
 
-def _add_crossing_interval(spec, masks, groups):
-    """A facet that holds (1, 3) gains (2, 4), which crosses it."""
+def _add_crossing_interval(spec, alpha, masks):
+    """A facet that holds (1, 3) gains (2, 4), which crosses it: its
+    position in the group's masks and the bit, or None without one."""
     grid = facet_complex._grid(spec)
-    return next(r for r, m in enumerate(masks) if m & grid[1][3]), grid[2][4]
+    holding = [p for p, m in enumerate(masks) if m & grid[1][3]]
+    return holding and (holding[0], grid[2][4])
 
 
-def _add_unit_off_the_leaves(spec, masks, groups):
-    """The first facet gains a unit outside its group's leaf set; a unit is
-    good for a group only when it is one of its leaves."""
-    leaves = leaves_profile(spec, next(iter(groups))).leaves
+def _add_unit_off_the_leaves(spec, alpha, masks):
+    """The first facet of the greatest group gains a unit outside its leaf
+    set; a unit is good for a group only when it is one of its leaves."""
+    leaves = leaves_profile(spec, alpha).leaves
     u = next(u for u in range(1, spec.c) if (u, u + 1) not in leaves)
-    return 0, facet_complex._grid(spec)[u][u + 1]
+    return alpha == spec.alphas[-1] and (0, facet_complex._grid(spec)[u][u + 1])
 
 
-def _doctored_six():
-    """A fresh (6,) with a true generator cleared from the kept prediction
-    of one facet with the most generators: the spec, its facets and that
-    facet's rank.  Certification fails without raising."""
+def _doctored_six(monkeypatch):
+    """A fresh (6,) whose group fold clears a true generator from the
+    prediction of one facet with the most generators: the spec, its facets
+    and that facet's rank.  Certification fails without raising."""
     spec = ScrollSpec((6,))
     facets = enumerate_facets(spec)
     rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
     cleared = facet_complex._mask(spec, [min(predict_LG(facets[rank]))])
-    masks, _, packed = dual_quotients._enumerated(spec)
-    width = len(packed) // len(masks)
-    cell = slice(rank * width, (rank + 1) * width)
-    packed[cell] = (int.from_bytes(packed[cell], "little") & ~cleared).to_bytes(width, "little")
+    alpha = facets[rank].alpha
+    position = rank - dual_quotients._enumerated(spec)[1][alpha].start
+    real = dual_quotients._fold
+
+    def doctored(folded, group, mutation):
+        masks, predicted = real(folded, group, mutation)
+        if folded is spec and group == alpha and mutation is None:
+            predicted[position] &= ~cleared
+        return masks, predicted
+
+    monkeypatch.setattr(dual_quotients, "_fold", doctored)
     return spec, facets, rank
 
 
@@ -145,7 +154,7 @@ class TestInvariantsCommand:
     def test_a_doctored_prediction_reports_its_facet_and_no_invariants(
         self, capsys, monkeypatch
     ):
-        spec, facets, rank = _doctored_six()
+        spec, facets, rank = _doctored_six(monkeypatch)
         with pytest.raises(VerificationError, match=r"certification failed for \(6\)"):
             invariants.full_report(spec)
         monkeypatch.setattr(cli, "ScrollSpec", lambda n: spec)
@@ -168,7 +177,7 @@ class TestInvariantsCommand:
         assert json.loads(plain)["timings"] is None
         _, out, _ = run(capsys, "invariants", "--n", "5", "--format", "json", "--timings")
         timings = json.loads(out)["timings"]
-        assert set(timings) == {"enumerate", "certify", "total"}
+        assert set(timings) == {"certify", "total"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
     def test_verify_timings_lap_certification_and_the_oracle(self, capsys):
@@ -211,19 +220,17 @@ class TestInvariantsCommand:
         self, capsys, monkeypatch, command, mutant, message
     ):
         # The ridge passes still see the true facets; only the check that
-        # the enumerated complex lies in the counted one reads the mutant,
-        # through the index that the check builds.
-        spec = ScrollSpec((5,))
-        groups = dual_quotients._enumerated(spec)[1]
-        real = dual_quotients._bitset_index
+        # each group's facets lie in the counted complex reads the mutant.
+        real = dual_quotients._check_subcomplex
 
-        def with_extra_vertex(masks):
-            rank, bit = mutant(spec, masks, groups)
-            rows = real(masks)
-            rows[bit.bit_length() - 1] |= 1 << rank
-            return rows
+        def with_extra_vertex(spec, alpha, masks):
+            added = mutant(spec, alpha, masks)
+            if added:
+                masks = list(masks)
+                masks[added[0]] |= added[1]
+            real(spec, alpha, masks)
 
-        monkeypatch.setattr(dual_quotients, "_bitset_index", with_extra_vertex)
+        monkeypatch.setattr(dual_quotients, "_check_subcomplex", with_extra_vertex)
         code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
         assert message in json.loads(out)["error"]
@@ -274,9 +281,10 @@ class TestInvariantsCommand:
         assert error.startswith("the faces of (5) give h = (")
         assert error.endswith("its 10 facets are over the diagnostic scan's budget of 9")
 
-    def test_one_incidence_index_per_spec_on_every_command(self, monkeypatch):
-        # invariants, verify and verify under both kinds of rule mutation
-        # read one incidence index, transposed once per spec object.
+    def test_one_incidence_index_per_group_and_certification(self, monkeypatch):
+        # Each certification transposes each group's masks once, for its
+        # check that they lie in the counted complex; the unmutated one is
+        # kept on the spec, so verify after invariants transposes none.
         calls = []
         real = facet_complex._bitset_index
 
@@ -293,7 +301,8 @@ class TestInvariantsCommand:
             for mutation in (None, "swap-groups", "c2")
         ]
         assert codes == [0, 0, 1, 1]
-        assert calls == [28]
+        sizes = [len(ranks) for ranks in dual_quotients._enumerated(spec)[1].values()]
+        assert sizes == [14, 14] and calls == sizes * 3
 
     def test_facet_budget_guard(self, capsys):
         started = time.perf_counter()
@@ -416,7 +425,7 @@ class TestVerifyCommand:
     def test_a_doctored_prediction_reports_its_facet_and_the_oracle(self, capsys, monkeypatch):
         # Certification fails without raising, and the report names the
         # doctored facet next to the oracle rows.
-        spec, facets, rank = _doctored_six()
+        spec, facets, rank = _doctored_six(monkeypatch)
         monkeypatch.setattr(cli, "ScrollSpec", lambda n: spec)
         code, out, _ = run(capsys, "verify", "--n", "6", "--format", "json")
         payload = json.loads(out)

@@ -37,7 +37,7 @@ from scrollfiber import dual_quotients, facet_complex, scroll_model
 from scrollfiber.dual_quotients import (
     _certified,
     _certify,
-    _classes,
+    _cut,
     _enumerated,
     _facet_order,
     _fold,
@@ -74,8 +74,20 @@ def _minimal_diffs(facet, earlier):
 
 
 def _certified_order(spec, mutation):
-    facets = enumerate_facets(spec)
-    return [facets[rank] for rank in _facet_order(spec, mutation)]
+    facets, groups = enumerate_facets(spec), _enumerated(spec)[1]
+    order = dual_quotients._facet_order(spec, mutation)
+    return [facets[groups[alpha][p]] for alpha, positions in order for p in positions]
+
+
+def _shuffled(spec, seed):
+    """The enumeration's order of the groups, each group's facets shuffled
+    within it."""
+    rng, order = random.Random(seed), []
+    for alpha, positions in _facet_order(spec, None):
+        positions = list(positions)
+        rng.shuffle(positions)
+        order.append((alpha, positions))
+    return order
 
 
 def _agreement_cases(specs):
@@ -243,23 +255,19 @@ class TestPredictionFold:
     def test_fold_equals_the_walk_on_every_facet(self, spec, mutation):
         # Certification no longer parses the facets, so every enumerated mask
         # is parsed here, and its prediction over the walk is the fold's.
-        masks, groups, _ = _enumerated(spec)
+        masks, groups = _enumerated(spec)
         grid, greatest = _grid(spec), spec.alphas[-1]
-        walked = [
-            _predict(_walk(spec, masks[rank], alpha), grid, alpha, greatest, mutation)
-            for alpha, ranks in groups.items()
-            for rank in ranks
-        ]
-        folded_masks, folded_groups, packed = _fold(spec, mutation)
-        assert (folded_masks, folded_groups) == (masks, groups)
-        width = len(packed) // len(masks)
-        unpacked = range(0, len(packed), width)
-        assert [int.from_bytes(packed[i : i + width], "little") for i in unpacked] == walked
+        for alpha, ranks in groups.items():
+            walked = [
+                _predict(_walk(spec, masks[rank], alpha), grid, alpha, greatest, mutation)
+                for rank in ranks
+            ]
+            assert _fold(spec, alpha, mutation) == (masks[ranks.start : ranks.stop], walked)
 
     @pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda spec: ",".join(map(str, spec.n)))
     def test_each_group_is_one_range_of_ranks(self, spec):
         # Greatest alpha first, consecutive, together every rank once.
-        masks, groups, _ = _enumerated(spec)
+        masks, groups = _enumerated(spec)
         assert list(groups) == list(reversed(spec.alphas))
         assert all(type(ranks) is range and ranks.step == 1 for ranks in groups.values())
         stops = [0, *(ranks.stop for ranks in groups.values())]
@@ -281,34 +289,51 @@ class TestPredictionFold:
         assert result.passed
         assert result.degree_counts == (1, 50, 710, 3746, 7836, 6412, 1820, 120, 1)
 
-    def test_a_fresh_spec_folds_once_and_each_rule_mutation_once_more(self, monkeypatch):
+    def test_certification_folds_each_group_once_and_each_rule_mutation_twice(
+        self, monkeypatch
+    ):
+        # Certification keeps no enumeration: it folds each group in the
+        # certified order, and under a rule mutation folds it once more.
+        # The enumeration is folded once for all its readers.
         calls = []
-        fold = dual_quotients._fold
 
-        def counted(spec, mutation):
-            calls.append(mutation)
-            return fold(spec, mutation)
+        def counted(spec, alpha, mutation):
+            calls.append((alpha, mutation))
+            return _fold(spec, alpha, mutation)
 
         monkeypatch.setattr(dual_quotients, "_fold", counted)
-        spec = ScrollSpec((2, 4))
+        spec = ScrollSpec((7,))
+        enumeration = list(reversed(spec.alphas))
         assert verify_linear_quotients(spec).passed
+        assert verify_linear_quotients(spec).passed
+        assert calls == [(alpha, None) for alpha in enumeration]
+        calls.clear()
         enumerate_facets(spec)
         first_facet(spec, 1)
-        assert calls == [None]
+        enumerate_facets(spec)
+        assert calls == [(alpha, None) for alpha in enumeration]
         for mutation in ("swap-groups", "c2", "b2"):
-            assert not verify_linear_quotients(spec, mutation=mutation).passed
-        assert calls == [None, "c2", "b2"]
+            calls.clear()
+            result = verify_linear_quotients(spec, mutation=mutation)
+            assert not result.passed and not result.scanned
+            order = [alpha for alpha, _ in _facet_order(spec, mutation)]
+            twice = mutation in ("c2", "b2")
+            assert calls == [
+                fold for alpha in order for fold in [(alpha, None)] + [(alpha, mutation)] * twice
+            ]
 
-    def test_fold_is_checked_against_the_enumeration(self, monkeypatch):
+    def test_a_mutated_fold_is_checked_against_the_unmutated_one(self, monkeypatch):
+        def swapped(spec, alpha, mutation):
+            masks, predicted = _fold(spec, alpha, mutation)
+            if mutation == "c2" and alpha == 1:
+                masks[1], masks[2] = masks[2], masks[1]
+            return masks, predicted
+
         spec = ScrollSpec((2, 4))
-        masks, groups, packed = _enumerated(spec)
-        swapped = list(masks)
-        swapped[1], swapped[2] = swapped[2], swapped[1]
-        assert any(1 in ranks and 2 in ranks for ranks in groups.values())
-        monkeypatch.setattr(
-            dual_quotients, "_enumerated", lambda spec: (tuple(swapped), groups, packed)
-        )
-        with pytest.raises(InternalError, match="prediction fold"):
+        assert len(_fold(spec, 1, None)[0]) > 2
+        monkeypatch.setattr(dual_quotients, "_fold", swapped)
+        assert verify_linear_quotients(spec).passed
+        with pytest.raises(InternalError, match=r"the c2 fold of the group at alpha=1 of \(2,4\)"):
             verify_linear_quotients(spec, mutation="c2")
 
 
@@ -317,40 +342,47 @@ class TestEachFacetOnce:
     masks strictly increase within a group's range, and a facet's units are
     its group's leaf set."""
 
-    def test_a_duplicate_mask_is_an_internal_error(self, monkeypatch):
-        real = dual_quotients._fold
-
-        def duplicated(spec, mutation):
-            masks, groups, packed = real(spec, mutation)
-            ranks = next(r for r in groups.values() if len(r) > 1)
-            masks = list(masks)
-            masks[ranks.start + 1] = masks[ranks.start]
-            return tuple(masks), groups, packed
+    @pytest.mark.parametrize("reader", [enumerate_facets, verify_linear_quotients])
+    def test_a_duplicate_mask_is_an_internal_error(self, monkeypatch, reader):
+        def duplicated(spec, alpha, mutation):
+            masks, predicted = _fold(spec, alpha, mutation)
+            masks[1] = masks[0]
+            return masks, predicted
 
         monkeypatch.setattr(dual_quotients, "_fold", duplicated)
-        with pytest.raises(InternalError, match=r"group at alpha=\d+ of \(6\) do not strictly"):
-            enumerate_facets(ScrollSpec((6,)))
+        with pytest.raises(InternalError, match=r"group at alpha=3 of \(6\) do not strictly"):
+            reader(ScrollSpec((6,)))
 
     def test_a_facet_under_another_group_is_an_internal_error(self):
         # The greatest facet, claimed by each other group in turn.
         spec = ScrollSpec((6,))
-        masks, groups, _ = _enumerated(spec)
-        dual_quotients._check_distinct(spec, masks, groups)
+        masks, groups = _enumerated(spec)
+        for alpha, ranks in groups.items():
+            dual_quotients._check_group(spec, alpha, masks[ranks.start : ranks.stop], len(ranks))
         for alpha in spec.alphas[:-1]:
             with pytest.raises(InternalError, match="holds other units than its leaves"):
-                dual_quotients._check_distinct(spec, masks, {alpha: range(1)})
+                dual_quotients._check_group(spec, alpha, masks[:1], 1)
+
+    def test_a_group_folded_short_of_its_count_is_an_internal_error(self, monkeypatch):
+        def dropped(spec, alpha, mutation):
+            masks, predicted = _fold(spec, alpha, mutation)
+            return masks[1:], predicted[1:]
+
+        monkeypatch.setattr(dual_quotients, "_fold", dropped)
+        for reader in (enumerate_facets, verify_linear_quotients):
+            with pytest.raises(InternalError, match=r"folded 8 facets of the group at alpha=3"):
+                reader(ScrollSpec((6,)))
 
 
 class TestVerification:
     def test_a_facet_of_another_size_is_an_internal_error(self, monkeypatch):
         # The root dropped from the first facet of the greatest group keeps
         # the masks increasing and the units, so only the size check sees it.
-        real = dual_quotients._fold
-
-        def shrunk(spec, mutation):
-            masks, groups, packed = real(spec, mutation)
-            root = _grid(spec)[1][spec.c]
-            return (masks[0] ^ root, *masks[1:]), groups, packed
+        def shrunk(spec, alpha, mutation):
+            masks, predicted = _fold(spec, alpha, mutation)
+            if alpha == spec.alphas[-1]:
+                masks[0] ^= _grid(spec)[1][spec.c]
+            return masks, predicted
 
         monkeypatch.setattr(dual_quotients, "_fold", shrunk)
         with pytest.raises(InternalError, match=r"facets of sizes \[5, 6\], not 6"):
@@ -435,23 +467,23 @@ class TestVerification:
 
     def test_quadratic_fallback_on_a_shuffled_order(self, monkeypatch):
         # No order the public API offers has non-linear quotients on small
-        # specs, so the diagnostic scan is reached through a shuffled facet
-        # order, which both the certified stream and the scan read.
+        # specs, so the diagnostic scan is reached through an order with
+        # each group shuffled within itself, which both the certified runs
+        # and the scan read.
         spec = ScrollSpec((6,))
-        enumerated = enumerate_facets(spec)
-        order = list(range(len(enumerated)))
-        random.Random(0).shuffle(order)
-        facets = [enumerated[rank] for rank in order]
+        order = _shuffled(spec, 0)
         monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
+        facets = _certified_order(spec, None)
         result = verify_linear_quotients(spec)
         reports = result.reports
-        assert sum(not r.linear for r in reports) == 16
+        assert sum(not r.linear for r in reports) == 14
         # The shuffled order is no shelling, so the face identity fails and
         # every facet's colon ideal comes from the scan.
         assert result.scanned
         scan = list(_scanned(spec, None))
-        assert sum(len(diffs) > gens.bit_count() for _, gens, _, diffs in scan) == 16
+        assert sum(len(diffs) > gens.bit_count() for *_, gens, _, diffs in scan) == 14
         assert result.failing == tuple(r for r in reports if not r.matches_prediction)
+        assert [r.facet for r in reports] == facets
         assert [r.computed_generators for r in reports] == [
             _minimal_diffs(f, facets[:rank]) for rank, f in enumerate(facets)
         ]
@@ -460,81 +492,100 @@ class TestVerification:
 def _all_ridges_certified(spec, mutation):
     """Reference forward pass that tests every vertex of every facet and
     keeps every ridge F - u certified so far: a ridge seen before marks a
-    generator.  Its entries have the shape of ``_certified``'s: rank,
-    generators, prediction and no minimal differences."""
-    masks, _, packed = _enumerated(spec)
-    if mutation in ("c2", "b2"):
-        packed = _fold(spec, mutation)[2]
-    width = len(packed) // len(masks)
+    generator.  Its entries have the shape of ``_certified``'s: alpha,
+    mask, generators, prediction and no minimal differences."""
+    masks, groups = _enumerated(spec)
     ridges = set()
-    for rank in dual_quotients._facet_order(spec, mutation):
-        f, gens = masks[rank], 0
-        for u in (1 << k for k in range(f.bit_length()) if f >> k & 1):
-            if f ^ u in ridges:
-                gens |= u
-            ridges.add(f ^ u)
-        predicted = int.from_bytes(packed[rank * width : (rank + 1) * width], "little")
-        yield rank, gens, predicted, None
+    for alpha, positions in dual_quotients._facet_order(spec, mutation):
+        predicted = _fold(spec, alpha, mutation)[1]
+        for p in positions:
+            f, gens = masks[groups[alpha][p]], 0
+            for u in (1 << k for k in range(f.bit_length()) if f >> k & 1):
+                if f ^ u in ridges:
+                    gens |= u
+                ridges.add(f ^ u)
+            yield alpha, f, gens, predicted[p], None
+
+
+def _degree_counts(spec, entries):
+    """The degree counts of ``_certified`` for ``entries``."""
+    counts = [0] * (spec.c + spec.d + 1)
+    for _, _, gens, _, _ in entries:
+        counts[gens.bit_count()] += 1
+    return counts
+
+
+def _bits(mask):
+    """The one-bit masks of the set bits of ``mask``."""
+    return [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 class TestPendingRidges:
     @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups"])
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
-    def test_stream_equals_the_all_ridges_pass(self, spec, mutation):
-        assert list(_certified(spec, mutation)) == list(_all_ridges_certified(spec, mutation))
+    def test_entries_equal_the_all_ridges_pass(self, spec, mutation):
+        expected = list(_all_ridges_certified(spec, mutation))
+        counts = _degree_counts(spec, expected)
+        assert _certified(spec, mutation, every=True) == (counts, expected)
+        failing = [entry for entry in expected if entry[2] != entry[3]]
+        assert _certified(spec, mutation) == (counts, failing)
 
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
-    def test_stream_equals_the_all_ridges_pass_on_a_shuffled_order(self, spec, monkeypatch):
+    def test_entries_equal_the_all_ridges_pass_on_a_shuffled_order(self, spec, monkeypatch):
         # Off the enumeration's order every vertex is a candidate, so the
-        # stream counts every vertex whose ridge an earlier facet holds.
-        order = list(range(len(_enumerated(spec)[0])))
-        random.Random(len(spec.n)).shuffle(order)
+        # runs count every vertex whose ridge an earlier facet holds.
+        order = _shuffled(spec, len(spec.n))
         monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
-        assert list(_certified(spec, None)) == list(_all_ridges_certified(spec, None))
+        expected = list(_all_ridges_certified(spec, None))
+        assert _certified(spec, None, every=True) == (_degree_counts(spec, expected), expected)
 
     def test_swapped_order_tests_predictions_past_the_moved_groups(self, monkeypatch):
-        # (7,) has 4 groups.  Past the two moved ranges the order is the
+        # (7,) has 4 groups.  Past the two moved groups the order is the
         # enumeration's own, so each facet there tests its unmutated
-        # prediction; a moved facet tests every vertex.  Both halves of
-        # the ridge classes get that one list.
+        # prediction; a moved facet tests every vertex.
         spec = DESK_BY_N[(7,)]
-        masks, groups, _ = _enumerated(spec)
-        _, second, *rest = groups.values()
-        assert rest and second.stop < len(masks)
-        unmutated = dual_quotients._predictions(spec, None)
-        received = []
-        real = dual_quotients._missed
+        held = {}
+        real = dual_quotients._group
 
-        def missed(masks, order, candidates, *args):
-            received.append(candidates)
-            return real(masks, order, candidates, *args)
+        def group(*args):
+            held[args[2]] = real(*args)
+            return held[args[2]]
 
-        monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", math.inf)
-        monkeypatch.setattr(dual_quotients, "_missed", missed)
-        list(_certified(spec, "swap-groups"))
-        expected = [*masks[: second.stop], *unmutated[second.stop :]]
-        assert expected != list(masks) and expected != unmutated
-        assert received == [expected, expected]
+        monkeypatch.setattr(dual_quotients, "_group", group)
+        _certified(spec, "swap-groups")
+        order = [alpha for alpha, _ in _facet_order(spec, "swap-groups")]
+        assert order == [3, 4, 2, 1]
+        for alpha in order:
+            masks, unmutated = _fold(spec, alpha, None)
+            assert masks != unmutated
+            assert held[alpha].tested == (masks if alpha in order[:2] else unmutated)
 
-    def _doctored(self, choose, rank=None):
-        """A fresh (6,) whose kept packed prediction of the facet at ``rank``
-        (by default one with the most generators) has the bit of
-        ``choose(facet, predicted)`` flipped: the spec, its facets, that
+    def _doctored(self, monkeypatch, choose, rank=None):
+        """A fresh (6,) whose group fold flips, in the prediction of the
+        facet at ``rank`` (by default one with the most generators), the
+        bit of ``choose(facet, predicted)``: the spec, its facets, that
         facet's rank and the chosen vertex."""
         spec = ScrollSpec((6,))
         facets = enumerate_facets(spec)
         if rank is None:
             rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
         vertex = choose(facets[rank], predict_LG(facets[rank]))
-        masks, _, packed = _enumerated(spec)
-        width = len(packed) // len(masks)
-        cell = slice(rank * width, (rank + 1) * width)
-        flipped = int.from_bytes(packed[cell], "little") ^ _mask(spec, [vertex])
-        packed[cell] = flipped.to_bytes(width, "little")
+        alpha = facets[rank].alpha
+        position = rank - _enumerated(spec)[1][alpha].start
+
+        def doctored(folded, group, mutation):
+            masks, predicted = _fold(folded, group, mutation)
+            if folded is spec and group == alpha and mutation is None:
+                predicted[position] ^= _mask(spec, [vertex])
+            return masks, predicted
+
+        monkeypatch.setattr(dual_quotients, "_fold", doctored)
         return spec, facets, rank, vertex
 
-    def test_a_prediction_missing_a_generator_fails_that_facet(self):
-        spec, facets, rank, missed = self._doctored(lambda facet, predicted: min(predicted))
+    def test_a_prediction_missing_a_generator_fails_that_facet(self, monkeypatch):
+        spec, facets, rank, missed = self._doctored(
+            monkeypatch, lambda facet, predicted: min(predicted)
+        )
         result = verify_linear_quotients(spec)
         (report,) = result.failing
         assert report.facet == facets[rank]
@@ -547,9 +598,9 @@ class TestPendingRidges:
         assert result.scanned
         assert result.degree_counts == verify_linear_quotients(ScrollSpec((6,))).degree_counts
 
-    def test_a_prediction_with_a_non_generator_fails_that_facet(self):
+    def test_a_prediction_with_a_non_generator_fails_that_facet(self, monkeypatch):
         spec, facets, rank, extra = self._doctored(
-            lambda facet, predicted: min(facet.vertices - predicted)
+            monkeypatch, lambda facet, predicted: min(facet.vertices - predicted)
         )
         result = verify_linear_quotients(spec)
         (report,) = result.failing
@@ -567,19 +618,19 @@ class TestPendingRidges:
         ],
         ids=["generator-cleared", "non-generator-set"],
     )
-    def test_every_doctored_prediction_fails_its_facet(self, choose):
+    def test_every_doctored_prediction_fails_its_facet(self, monkeypatch, choose):
         # Each of the 31 facets of (6,) with a generator, doctored once.
         facets = enumerate_facets(ScrollSpec((6,)))
         ranks = [rank for rank, facet in enumerate(facets) if predict_LG(facet)]
         assert len(ranks) == 31
         for rank in ranks:
-            spec, _, _, _ = self._doctored(choose, rank)
+            spec, _, _, _ = self._doctored(monkeypatch, choose, rank)
             result = verify_linear_quotients(spec)
             assert not result.passed
             assert [report.facet for report in result.failing] == [facets[rank]]
 
     def test_over_the_scan_budget_a_failed_identity_is_refused_unscanned(self, monkeypatch):
-        spec, facets, _, _ = self._doctored(lambda facet, predicted: min(predicted))
+        spec, facets, _, _ = self._doctored(monkeypatch, lambda facet, predicted: min(predicted))
 
         def no_scan(spec, mutation):
             raise AssertionError("the diagnostic scan ran over its budget")
@@ -596,22 +647,17 @@ class TestPendingRidges:
         )
 
     def test_at_the_scan_budget_the_scan_names_the_facet(self, monkeypatch):
-        spec, facets, rank, _ = self._doctored(lambda facet, predicted: min(predicted))
+        spec, facets, rank, _ = self._doctored(monkeypatch, lambda facet, predicted: min(predicted))
         monkeypatch.setattr(dual_quotients, "MAX_SCANNED_FACETS", len(facets))
         result = verify_linear_quotients(spec)
         assert result.scanned
         assert [report.facet for report in result.failing] == [facets[rank]]
 
 
-def _bits(mask):
-    """The one-bit masks of the set bits of ``mask``."""
-    return [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
-
-
-class TestRidgeClasses:
-    """``_certified`` certifies the ridges by classes of leaf set, never
-    looking up a ridge that no other facet can hold, in two halves of the
-    classes, one in a forked child on large specs."""
+class TestGroupRuns:
+    """``_certified`` streams the groups in two runs, cut anywhere, and
+    looks up only the ridges that another facet can hold; the first run
+    goes to a forked child on large specs."""
 
     @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups", "shuffled"])
     @pytest.mark.parametrize(
@@ -619,111 +665,128 @@ class TestRidgeClasses:
         [s for s in desk_specs_with_complex() if s.n != (2, 2, 4, 4)],
         ids=lambda spec: str(spec.n),
     )
-    def test_every_assignment_of_groups_gives_the_all_ridges_stream(
-        self, spec, mutation, monkeypatch
-    ):
-        # Every set of groups whose within-group ridges join the pass of the
-        # cross-group ones in the first half, the rest in the second.
-        # (2,2,4,4), with 64 sets, runs its own halves in TestPendingRidges.
+    def test_every_cut_gives_the_all_ridges_entries(self, spec, mutation, monkeypatch):
+        # The first k groups of the certified order in the first run, for
+        # every k; k = 0 and k = all are one run.  (2,2,4,4) runs its own
+        # cuts forked below.
         if mutation == "shuffled":
-            order = list(range(len(_enumerated(spec)[0])))
-            random.Random(len(spec.n)).shuffle(order)
+            order = _shuffled(spec, len(spec.n))
             monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
             mutation = None
         expected = list(_all_ridges_certified(spec, mutation))
-        groups = range(len(spec.alphas))
-        for size in range(len(groups) + 1):
-            for chosen in itertools.combinations(groups, size):
-
-                def halves(spec, within, cross, chosen=chosen):
-                    first = [w * (g in chosen) for g, w in enumerate(within)]
-                    return (cross, first), ([w * (g not in chosen) for g, w in enumerate(within)],)
-
-                monkeypatch.setattr(dual_quotients, "_halves", halves)
-                assert list(_certified(spec, mutation)) == expected, chosen
+        for cut in range(len(spec.alphas) + 1):
+            assert _certified(spec, mutation, cut, every=True)[1] == expected, cut
 
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
-    def test_the_halves_split_the_classes_by_group(self, spec):
-        masks, groups, _ = _enumerated(spec)
-        group_of, within, cross = _classes(spec)
-        assert group_of == bytes(g for g, ranks in enumerate(groups.values()) for _ in ranks)
-        (crossing, first), (second,) = dual_quotients._halves(spec, within, cross)
-        assert crossing == cross
-        units = _mask(spec, [(a, a + 1) for a in range(1, spec.c)])
-        for g, (ranks, w, x) in enumerate(zip(groups.values(), within, cross)):
-            assert x & ~units == 0 and w & masks[ranks.start] & units == 0
-            assert (first[g], second[g]) in ((w, 0), (0, w))
-
-        def looked_up(half):
-            sizes = ((len(r), masks[r.start] & scope) for r, scope in zip(groups.values(), half))
-            return sum(count * scoped.bit_count() for count, scoped in sizes)
-
-        # No other set of groups balances the ridges looked up better.
-        best = min(
-            max(looked_up(cross) + looked_up(half), looked_up(within) - looked_up(half))
-            for chosen in itertools.product((0, 1), repeat=len(within))
-            for half in [[w * c for w, c in zip(within, chosen)]]
-        )
-        assert max(looked_up(cross) + looked_up(first), looked_up(second)) == best
+    def test_the_cut_balances_the_facet_counts_of_the_runs(self, spec):
+        sizes = [len(ranks) for ranks in _enumerated(spec)[1].values()]
+        cut = _cut(sizes)
+        assert 0 < cut < len(sizes)
+        imbalance = [abs(sum(sizes[:k]) - sum(sizes[k:])) for k in range(1, len(sizes))]
+        assert abs(sum(sizes[:cut]) - sum(sizes[cut:])) == min(imbalance)
 
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
-    def test_a_skipped_ridge_lies_in_one_facet_and_a_shared_one_in_one_pass(self, spec):
-        # Brute force over every ridge of every enumerated facet.
-        masks, _, _ = _enumerated(spec)
-        group_of, within, cross = _classes(spec)
-        passes = [scopes for half in dual_quotients._halves(spec, within, cross) for scopes in half]
-        holders = Counter(f ^ v for f in masks for v in _bits(f))
-        pass_of = {}
-        for rank, f in enumerate(masks):
-            g = group_of[rank]
-            for v in _bits(f):
-                scoped = [i for i, scopes in enumerate(passes) if scopes[g] & v]
-                if not scoped:
-                    assert holders[f ^ v] == 1
-                else:
-                    (i,) = scoped
-                    assert pass_of.setdefault(f ^ v, i) == i
-        assert len(pass_of) < len(holders)
+    def test_a_skipped_ridge_lies_in_one_facet_and_a_shared_one_in_its_pass(self, spec):
+        # Brute force over every ridge of every enumerated facet: a ridge
+        # F - v of the group at alpha lies in F alone unless v is in the
+        # group's within-group scope, where it lies in the group only, or
+        # is the unit of a partner, where it lies in the pair only.
+        masks, groups = _enumerated(spec)
+        partners = dual_quotients._partners(spec)
+        owners = {}
+        for alpha, ranks in groups.items():
+            for f in masks[ranks.start : ranks.stop]:
+                for v in _bits(f):
+                    owners.setdefault(f ^ v, []).append(alpha)
+        skipped = shared = 0
+        for alpha, ranks in groups.items():
+            group = dual_quotients._group(spec, None, alpha, range(len(ranks)), len(ranks), True)
+            assert group.within & group.cross == 0
+            assert group.cross == sum(partners[alpha].values())
+            for f in group.masks:
+                for v in _bits(f):
+                    held = owners[f ^ v]
+                    if v & group.within:
+                        assert set(held) == {alpha}
+                    elif v & group.cross:
+                        (beta,) = [beta for beta, u in partners[alpha].items() if u == v]
+                        assert set(held) <= {alpha, beta} and abs(alpha - beta) == 1
+                    else:
+                        assert held == [alpha]
+                        skipped += 1
+                    shared += len(held) > 1
+        assert skipped and shared
 
     def test_a_shared_leaf_set_is_an_internal_error(self, monkeypatch):
-        # Checked with the enumeration, before any class is built.
+        # Checked before any group is folded.
         real = dual_quotients.leaves_profile
 
         def shared(spec, alpha):
             return dataclasses.replace(real(spec, alpha), leaves=real(spec, 1).leaves)
 
-        def no_classes(spec):
-            raise AssertionError("the ridge classes were built")
+        def no_fold(spec, alpha, mutation):
+            raise AssertionError("a group was folded")
 
         monkeypatch.setattr(dual_quotients, "leaves_profile", shared)
-        monkeypatch.setattr(dual_quotients, "_classes", no_classes)
+        monkeypatch.setattr(dual_quotients, "_fold", no_fold)
         with pytest.raises(InternalError, match=r"two groups of \(6\) share a leaf set"):
             verify_linear_quotients(ScrollSpec((6,)))
 
-    def test_a_class_map_that_skips_a_shared_ridge_fails(self, monkeypatch):
+    def test_a_partner_not_adjacent_is_an_internal_error(self, monkeypatch):
+        # The group at 3 of (7,) given the leaf set of the group at 1 with
+        # one unit moved: the two are partners, two apart, so a ridge could
+        # lie in three groups and the pair passes would miss it.
+        spec = ScrollSpec((7,))
+        real = dual_quotients.leaves_profile
+        first = real(spec, 1).leaves
+        others = {real(spec, alpha).leaves for alpha in spec.alphas}
+        moved = next(
+            first - {u} | {(a, a + 1)}
+            for u in sorted(first)
+            for a in range(1, spec.c)
+            if (a, a + 1) not in first and first - {u} | {(a, a + 1)} not in others
+        )
+
+        def doctored(spec, alpha):
+            profile = real(spec, alpha)
+            return dataclasses.replace(profile, leaves=moved) if alpha == 3 else profile
+
+        def no_fold(spec, alpha, mutation):
+            raise AssertionError("a group was folded")
+
+        monkeypatch.setattr(dual_quotients, "leaves_profile", doctored)
+        monkeypatch.setattr(dual_quotients, "_fold", no_fold)
+        with pytest.raises(InternalError, match=r"alpha=3 and alpha=1 of \(7\) are partners, but not"):
+            verify_linear_quotients(spec)
+
+    def test_a_scope_that_skips_a_shared_ridge_fails(self, monkeypatch):
         # Each vertex whose ridge another facet of (7,) holds, cleared from
-        # its group's scope: the generators it stops counting break the
+        # its group's scopes: the generators it stops counting break the
         # face identity, which over the scan budget is an error.
-        spec = DESK_BY_N[(7,)]
-        masks, _, _ = _enumerated(spec)
-        group_of, within, cross = _classes(spec)
+        masks, groups = _enumerated(DESK_BY_N[(7,)])
         holders = Counter(f ^ v for f in masks for v in _bits(f))
         shared = {
-            (group_of[rank], v)
-            for rank, f in enumerate(masks)
+            (alpha, v)
+            for alpha, ranks in groups.items()
+            for f in masks[ranks.start : ranks.stop]
             for v in _bits(f)
             if holders[f ^ v] > 1
         }
-        assert any(v & cross[g] for g, v in shared) and any(v & within[g] for g, v in shared)
+        units = _mask(DESK_BY_N[(7,)], [(a, a + 1) for a in range(1, 7)])
+        assert any(v & units for _, v in shared) and any(v & ~units for _, v in shared)
         monkeypatch.setattr(dual_quotients, "MAX_SCANNED_FACETS", 0)
         assert verify_linear_quotients(ScrollSpec((7,))).passed
-        for g, v in sorted(shared):
-            doctored = (
-                group_of,
-                [w & ~v if h == g else w for h, w in enumerate(within)],
-                [x & ~v if h == g else x for h, x in enumerate(cross)],
-            )
-            monkeypatch.setattr(dual_quotients, "_classes", lambda _, doctored=doctored: doctored)
+        real = dual_quotients._group
+        for alpha, v in sorted(shared):
+
+            def narrowed(*args, alpha=alpha, v=v):
+                group = real(*args)
+                if group.alpha == alpha:
+                    group.within &= ~v
+                    group.cross &= ~v
+                return group
+
+            monkeypatch.setattr(dual_quotients, "_group", narrowed)
             with pytest.raises(VerificationError, match="over the diagnostic scan's budget"):
                 verify_linear_quotients(ScrollSpec((7,)))
 
@@ -740,95 +803,114 @@ class TestRidgeClasses:
         monkeypatch.setattr(os, "fork", fork)
         return forks
 
-    def _halves(self, monkeypatch, fail=None):
-        """The halves this process certifies; ``fail(parent)`` says whether
-        a half raises, in this process or in a child."""
+    def _runs(self, monkeypatch, fail=None):
+        """The runs this process certifies, by their range of indexes into
+        the order; ``fail(parent)`` says whether a run raises, in this
+        process or in a child."""
         parent, calls = os.getpid(), []
-        real = dual_quotients._missed
+        real = dual_quotients._run
 
-        def missed(*args):
+        def run(spec, mutation, order, part, every):
             if os.getpid() == parent:
-                calls.append(args[-1])
+                calls.append(part)
             if fail is not None and fail(os.getpid() == parent):
-                raise RuntimeError("a class failed")
-            return real(*args)
+                raise RuntimeError("a run failed")
+            return real(spec, mutation, order, part, every)
 
-        monkeypatch.setattr(dual_quotients, "_missed", missed)
+        monkeypatch.setattr(dual_quotients, "_run", run)
         return calls
 
-    @pytest.mark.parametrize("mutation", [None, "swap-groups"])
-    def test_the_forked_stream_is_the_in_process_one(self, mutation, monkeypatch):
+    @staticmethod
+    def _in_process(spec, mutation):
+        """``_certified``'s result, from the replay in this process."""
+        counts, entries = _certified(spec, mutation, every=True)
+        return counts, [entry for entry in entries if entry[2] != entry[3]]
+
+    @pytest.mark.parametrize("mutation", [None, "c2", "swap-groups"])
+    def test_the_forked_runs_give_the_in_process_result_at_every_cut(self, mutation, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
-        expected = list(_certified(spec, mutation))
+        expected = self._in_process(spec, mutation)
         forks = self._forks(monkeypatch)
-        calls = self._halves(monkeypatch)
-        assert list(_certified(spec, mutation)) == expected
-        assert len(forks) == len(calls) == 1
+        calls = self._runs(monkeypatch)
+        for cut in range(1, len(spec.alphas)):
+            assert _certified(spec, mutation, cut) == expected, cut
+        groups = len(spec.alphas)
+        assert calls == [range(cut, groups) for cut in range(1, groups)]
+        assert len(forks) == groups - 1
         assert_no_child()
 
-    def test_below_the_cutoff_nothing_forks(self, monkeypatch):
+    def test_large_specs_fork_at_the_balanced_cut(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = self._in_process(spec, None)
+        forks = self._forks(monkeypatch, cutoff=dual_quotients.MIN_FORKED_FACETS)
+        calls = self._runs(monkeypatch)
+        assert _certified(spec, None) == expected
+        sizes = [len(ranks) for ranks in _enumerated(spec)[1].values()]
+        assert calls == [range(_cut(sizes), len(sizes))] and len(forks) == 1
+        assert_no_child()
+
+    def test_below_the_cutoff_one_run_takes_every_group(self, monkeypatch):
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        expected = self._in_process(spec, None)
         forks = self._forks(monkeypatch, cutoff=len(_enumerated(spec)[0]) + 1)
-        calls = self._halves(monkeypatch)
-        list(_certified(spec, None))
-        assert forks == [] and len(calls) == 2 and calls[0] != calls[1]
+        calls = self._runs(monkeypatch)
+        assert _certified(spec, None) == expected
+        assert forks == [] and calls == [range(6), range(0)]
 
     def test_a_process_running_threads_does_not_fork(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
-        expected = list(_certified(spec, None))
+        expected = self._in_process(spec, None)
         forks = self._forks(monkeypatch)
-        streams = []
-        worker = threading.Thread(target=lambda: streams.append(list(_certified(spec, None))))
+        results = []
+        worker = threading.Thread(target=lambda: results.append(_certified(spec, None, 3)))
         worker.start()
         worker.join(timeout=60)
-        assert not worker.is_alive() and streams == [expected] and forks == []
+        assert not worker.is_alive() and results == [expected] and forks == []
 
-    def test_without_os_fork_both_classes_run_in_process(self, monkeypatch):
+    def test_without_os_fork_both_runs_run_in_process(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
-        expected = list(_certified(spec, "swap-groups"))
-        monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", 0)
+        expected = self._in_process(spec, "swap-groups")
         monkeypatch.delattr(os, "fork")
-        calls = self._halves(monkeypatch)
-        assert list(_certified(spec, "swap-groups")) == expected
-        assert len(calls) == 2 and calls[0] != calls[1]
+        calls = self._runs(monkeypatch)
+        assert _certified(spec, "swap-groups", 3) == expected
+        assert calls == [range(3, 6), range(3)]
 
-    def test_a_failing_fork_runs_both_classes_in_process(self, monkeypatch):
+    def test_a_failing_fork_runs_both_runs_in_process(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
-        expected = list(_certified(spec, "swap-groups"))
+        expected = self._in_process(spec, "swap-groups")
 
         def fork():
             raise OSError("no more processes")
 
-        monkeypatch.setattr(dual_quotients, "MIN_FORKED_FACETS", 0)
         monkeypatch.setattr(os, "fork", fork)
-        calls = self._halves(monkeypatch)
-        assert list(_certified(spec, "swap-groups")) == expected
-        assert len(calls) == 2 and calls[0] != calls[1]
+        calls = self._runs(monkeypatch)
+        assert _certified(spec, "swap-groups", 3) == expected
+        assert calls == [range(3, 6), range(3)]
 
-    def test_a_child_that_fails_is_reaped_and_its_class_run_here(self, monkeypatch):
+    def test_a_child_that_fails_is_reaped_and_its_run_made_here(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
-        expected = list(_certified(spec, "swap-groups"))
+        expected = self._in_process(spec, "swap-groups")
         forks = self._forks(monkeypatch)
-        calls = self._halves(monkeypatch, fail=lambda parent: not parent)
+        calls = self._runs(monkeypatch, fail=lambda parent: not parent)
         with pytest.warns(RuntimeWarning, match="status 1;"):
-            assert list(_certified(spec, "swap-groups")) == expected
-        assert len(forks) == 1 and len(calls) == 2 and calls[0] != calls[1]
+            assert _certified(spec, "swap-groups", 3) == expected
+        assert len(forks) == 1 and calls == [range(3, 6), range(3)]
         assert_no_child()
 
-    def test_a_short_payload_runs_the_child_class_here(self, monkeypatch):
+    def test_a_short_payload_runs_the_child_run_here(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
-        expected = list(_certified(spec, "swap-groups"))
+        expected = self._in_process(spec, "swap-groups")
         self._forks(monkeypatch)
-        calls = self._halves(monkeypatch)
+        calls = self._runs(monkeypatch)
         cut = types.SimpleNamespace(dumps=lambda m: marshal.dumps(m)[:-1], loads=marshal.loads)
         monkeypatch.setattr(scroll_model, "marshal", cut)
         with pytest.warns(RuntimeWarning, match="status 0 after a short payload"):
-            assert list(_certified(spec, "swap-groups")) == expected
-        assert len(calls) == 2 and calls[0] != calls[1]
+            assert _certified(spec, "swap-groups", 3) == expected
+        assert calls == [range(3, 6), range(3)]
         assert_no_child()
 
-    def test_a_raising_class_here_kills_the_child(self, monkeypatch):
-        # The child's class would take a minute; the kill ends it at once.
+    def test_a_raising_run_here_kills_the_child(self, monkeypatch):
+        # The child's run would take a minute; the kill ends it at once.
         spec = DESK_BY_N[(2, 2, 4, 4)]
         forks = self._forks(monkeypatch)
 
@@ -837,10 +919,10 @@ class TestRidgeClasses:
                 time.sleep(60)
             return parent
 
-        self._halves(monkeypatch, fail=fail)
+        self._runs(monkeypatch, fail=fail)
         began = time.monotonic()
-        with pytest.raises(RuntimeError, match="a class failed"):
-            list(_certified(spec, None))
+        with pytest.raises(RuntimeError, match="a run failed"):
+            _certified(spec, None, 3)
         assert time.monotonic() - began < 30 and len(forks) == 1
         assert_no_child()
 
@@ -853,7 +935,7 @@ class TestCompactCertification:
 
     def test_certification_stays_under_the_per_facet_byte_bound(self):
         spec = ScrollSpec((12,))
-        masks, _, _ = _enumerated(spec)
+        masks, _ = _enumerated(spec)
         tracemalloc.start()
         try:
             result = _certify(spec, None)

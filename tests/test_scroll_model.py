@@ -232,3 +232,63 @@ class TestTwoHalves:
             assert two_halves(first, lambda: 2, True) == (1, 2)
         assert len(caught) == 1
         assert_no_child()
+
+
+def _allowed_cpus():
+    """This process's CPU affinity mask, or None where it cannot be read."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+pinnable = pytest.mark.skipif(
+    not _allowed_cpus() or len(_allowed_cpus()) < 2,
+    reason="needs os.sched_getaffinity and at least two allowed CPUs",
+)
+
+
+class TestPinnedHalves:
+    """``two_halves`` pins the forked half and this process's half to two
+    distinct CPUs of the affinity mask, and restores this process's mask."""
+
+    @pinnable
+    def test_each_half_runs_on_its_own_cpu(self):
+        mask = os.sched_getaffinity(0)
+        theirs, own = two_halves(
+            lambda: os.sched_getaffinity(0), lambda: os.sched_getaffinity(0), True
+        )
+        assert len(theirs) == 1 and theirs <= mask
+        assert own and own <= mask and not theirs & own
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+
+    @pinnable
+    def test_the_mask_is_restored_when_this_half_raises(self):
+        mask = os.sched_getaffinity(0)
+
+        def second():
+            assert os.sched_getaffinity(0) != mask
+            raise RuntimeError("this half failed")
+
+        with pytest.raises(RuntimeError, match="this half failed"):
+            two_halves(lambda: 1, second, True)
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+
+    @pinnable
+    def test_a_refused_pin_runs_both_halves_unpinned(self, monkeypatch, recwarn):
+        mask = os.sched_getaffinity(0)
+
+        def refused(pid, cpus):
+            raise OSError("not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        halves = two_halves(lambda: os.sched_getaffinity(0), lambda: os.sched_getaffinity(0), True)
+        assert halves == (mask, mask)
+        assert len(recwarn) == 0
+        assert_no_child()
+
+    def test_no_fork_pins_nothing(self, monkeypatch):
+        def refused(pid, cpus):
+            raise AssertionError("a process was pinned")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+        assert two_halves(lambda: 1, lambda: 2, False) == (1, 2)

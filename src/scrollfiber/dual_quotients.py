@@ -55,6 +55,7 @@ same rule over one facet's ``_walk``, so a mutation moves both.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -312,6 +313,7 @@ def _fold(spec: ScrollSpec, alpha: int, mutation: str | None) -> tuple[list[int]
         for kids, kid_roles, _ in ways:
             for kid, role in zip(kids, kid_roles):
                 wanted.setdefault(kid, set()).add(role)
+    last = {kid: node for node, ways in rules.items() for kids, *_ in ways for kid in kids}
     for (a, b), ways in rules.items():
         bit = grid[a][b]
         signs = {r: tuple(r in gen for *_, gen in ways) for r in wanted.get((a, b), ())}
@@ -323,8 +325,9 @@ def _fold(spec: ScrollSpec, alpha: int, mutation: str | None) -> tuple[list[int]
             for sign, entries in lists.items():
                 entries += [p | bit for p in partial] if sign[i] else partial
         folded[(a, b)] = {r: lists[sign] for r, sign in signs.items()}
-    group = folded[root][TOP]
-    del folded
+        for kid in {kid for kids, *_ in ways for kid in kids if last[kid] == (a, b)}:
+            del folded[kid]  # its last parent is built
+    group = folded.pop(root)[TOP]
     group.sort()
     low = ~(-1 << shift)
     return [e >> shift for e in group], [e & low for e in group]
@@ -345,26 +348,25 @@ def _partners(spec: ScrollSpec) -> dict[int, dict[int, int]]:
     coincide, and when a partner is not at alpha ± 1.  Then no unit has two
     partners, which would be partners of each other at alpha ± 2, so the
     pair of a unit's group and its partner holds every facet holding its
-    ridges."""
-    leaves = {
-        alpha: _mask(spec, leaves_profile(spec, alpha).leaves) for alpha in reversed(spec.alphas)
-    }
-    if len(set(leaves.values())) < len(leaves):
-        raise InternalError(f"two groups of {spec} share a leaf set")
-    partners = {}
-    for alpha, held in leaves.items():
-        partners[alpha] = {
-            beta: held & ~other
-            for beta, other in leaves.items()
-            if (held & ~other).bit_count() == 1
-        }
-        for beta in partners[alpha]:
-            if abs(beta - alpha) != 1:
-                raise InternalError(
-                    f"the groups at alpha={alpha} and alpha={beta} of {spec} are partners, "
-                    "but not adjacent"
-                )
-    return partners
+    ridges.  Kept on the spec."""
+
+    def compute() -> dict[int, dict[int, int]]:
+        leaves = {alpha: _mask(spec, leaves_profile(spec, alpha).leaves) for alpha in spec.alphas}
+        if len(set(leaves.values())) < len(leaves):
+            raise InternalError(f"two groups of {spec} share a leaf set")
+        partners = {}
+        for alpha in reversed(spec.alphas):
+            units = {beta: leaves[alpha] & ~other for beta, other in leaves.items()}
+            partners[alpha] = {beta: u for beta, u in units.items() if u.bit_count() == 1}
+            for beta in partners[alpha]:
+                if abs(beta - alpha) != 1:
+                    raise InternalError(
+                        f"the groups at alpha={alpha} and alpha={beta} of {spec} are partners, "
+                        "but not adjacent"
+                    )
+        return partners
+
+    return per_spec(spec, "partners", compute)
 
 
 def _counted(spec: ScrollSpec) -> tuple[int, dict[int, int]]:
@@ -439,16 +441,19 @@ def _check_subcomplex(spec: ScrollSpec, alpha: int, masks: Sequence[int]) -> Non
     crossing pair, and no vertex not good for its group, one OR over the
     group's masks.
     """
-    vertices = vertex_set(spec)
-    rows = _bitset_index(masks)
-    row = dict(zip(vertices, reversed([*rows, *[0] * (len(vertices) - len(rows))])))
-    for (a, b), (a2, b2) in itertools.combinations(vertices, 2):
-        if a < a2 < b < b2 and row[(a, b)] & row[(a2, b2)]:
+
+    def crossing() -> list[tuple[Vertex, Vertex]]:
+        pairs = itertools.combinations(vertex_set(spec), 2)
+        return [(v, w) for v, w in pairs if v[0] < w[0] < v[1] < w[1]]
+
+    grid, rows = _grid(spec), _bitset_index(masks)
+    rows += [0] * (math.comb(spec.c, 2) - len(rows))
+    for (a, b), (a2, b2) in per_spec(spec, "crossing", crossing):
+        if rows[grid[a][b].bit_length() - 1] & rows[grid[a2][b2].bit_length() - 1]:
             raise VerificationError(
                 f"a facet of {spec} holds ({a}, {b}) and ({a2}, {b2}), which cross"
             )
-    groups, grid = _good_groups(spec), _grid(spec)
-    good = sum(grid[a][b] for (a, b), bits in groups.items() if bits >> alpha & 1)
+    good = sum(grid[a][b] for (a, b), bits in _good_groups(spec).items() if bits >> alpha & 1)
     outside = functools.reduce(operator.or_, masks, 0) & ~good
     if outside:
         raise VerificationError(
@@ -572,8 +577,8 @@ class _Group:
     masks, predictions and candidate generators (``tested``), by position;
     the vertices whose ridges other facets of the group may hold
     (``within``), the units whose ridges a partner group's facets may hold
-    (``cross``), the group's leaf set, and by position the candidates found
-    to be no generators so far (``missed``)."""
+    (``cross``), and by position the candidates found to be no generators
+    so far (``missed``)."""
 
     alpha: int
     masks: list[int]
@@ -581,7 +586,6 @@ class _Group:
     tested: list[int]
     within: int
     cross: int
-    leaves: int
     missed: dict[int, int] = field(default_factory=dict)
 
 
@@ -590,13 +594,15 @@ def _group(
     mutation: str | None,
     alpha: int,
     positions: Sequence[int],
-    count: int,
     in_place: bool,
+    count: int | None,
 ) -> _Group:
-    """The group at ``alpha``, folded and checked, in the certified order
-    ``positions`` of its fold's order: ``_check_group`` against its
-    ``count``, Δ ⊆ Γ (``_check_subcomplex``), and under ``c2`` and ``b2``
-    the mutated fold's masks against the unmutated ones (``InternalError``).
+    """The group at ``alpha``, folded, in the certified order ``positions``
+    of its fold's order, and checked unless ``count`` is None:
+    ``_check_group`` against ``count``, Δ ⊆ Γ (``_check_subcomplex``), and
+    under ``c2`` and ``b2`` the mutated fold's masks against the unmutated
+    ones (``InternalError``).  A run folds again, unchecked, a group of
+    another run that checks it; the fold is a function of the spec.
 
     A facet's candidates are its unmutated prediction when ``in_place``,
     that is when this group and every later one are in the enumeration's
@@ -604,12 +610,13 @@ def _group(
     enumeration; elsewhere they are all its vertices, so any order is
     certified."""
     masks, unmutated = _fold(spec, alpha, None)
-    _check_group(spec, alpha, masks, count)
-    _check_subcomplex(spec, alpha, masks)
+    if count is not None:
+        _check_group(spec, alpha, masks, count)
+        _check_subcomplex(spec, alpha, masks)
     predicted = unmutated
     if mutation in ("c2", "b2"):  # swap-groups only reorders the groups
         folded, predicted = _fold(spec, alpha, mutation)
-        if folded != masks:
+        if count is not None and folded != masks:
             raise InternalError(
                 f"the {mutation} fold of the group at alpha={alpha} of {spec} differs from "
                 "its unmutated fold"
@@ -625,7 +632,6 @@ def _group(
         tested=tested,
         within=everything ^ functools.reduce(operator.and_, masks),
         cross=sum(_partners(spec)[alpha].values()),
-        leaves=_mask(spec, leaves_profile(spec, alpha).leaves),
     )
 
 
@@ -641,6 +647,7 @@ def _missed(segments: Sequence[tuple[_Group, int]]) -> None:
     backward pass a ridge is pending exactly when its earliest owner tests
     it, and the forward pass finds that owner, until none is pending."""
     pending: set[int] = set()
+    add, discard = pending.add, pending.discard
     for group, scope in reversed(segments):
         for f, tested in zip(reversed(group.masks), reversed(group.tested)):
             held = f & scope
@@ -651,11 +658,11 @@ def _missed(segments: Sequence[tuple[_Group, int]]) -> None:
             while drops:
                 u = drops & -drops
                 drops ^= u
-                pending.discard(f ^ u)
+                discard(f ^ u)
             while scoped:
                 u = scoped & -scoped
                 scoped ^= u
-                pending.add(f ^ u)
+                add(f ^ u)
     for group, scope in segments if pending else ():
         for i, (f, tested) in enumerate(zip(group.masks, group.tested)):
             rest = f & scope & tested
@@ -692,12 +699,16 @@ def _tally(
     prediction.  A facet's generators are its candidates whose ridges are
     looked up and held by an earlier facet."""
     scope, missed = group.within | group.cross, group.missed
-    facets = zip(group.masks, group.tested, group.predicted)
-    for i, (f, tested, predicted) in enumerate(facets):
-        gens = tested & scope & ~missed.get(i, 0)
-        counts[gens.bit_count()] += 1
-        if every or gens != predicted:
-            kept.append((j, group.alpha, f, gens, predicted))
+    gens = [tested & scope for tested in group.tested]
+    for i, lost in missed.items():
+        gens[i] &= ~lost
+    for degree, count in collections.Counter(map(int.bit_count, gens)).items():
+        counts[degree] += count
+    facets = zip(group.masks, gens, group.predicted)
+    kept += (
+        (j, group.alpha, *facet)
+        for facet in (facets if every else itertools.compress(facets, map(operator.ne, gens, group.predicted)))
+    )
 
 
 def _run(
@@ -708,30 +719,28 @@ def _run(
 
     Each group gets its within-group pass, and a cross pass with each
     partner group once both are held, in the certified order (``_missed``).
-    A partner before ``part`` belongs to an earlier run: it is folded here
-    too, for its cross passes alone, and kept among the ``extras`` for the
-    caller, which tallies it once the earlier run's passes over it are in.
-    A group is tallied (``_tally``) and dropped when its last partner after
-    it within ``part`` has come; one with a partner after ``part`` is not:
-    its ``missed`` goes to the later run, in ``deferred``.  On the
-    enumeration's order a run so holds two of its groups and at most one
-    extra at a time.
+    A partner before ``part`` belongs to an earlier run, which checks it: it
+    is folded here too, for its cross passes alone, and kept among the
+    ``extras`` for the caller, which tallies it once the earlier run's
+    passes over it are in.  A group is tallied (``_tally``) and dropped
+    when its last partner after it within ``part`` has come; one with a
+    partner after ``part`` is not: its ``missed`` goes to the later run, in
+    ``deferred``.  On the enumeration's order a run so holds two of its
+    groups and at most one extra at a time.
 
     Returns the degree counts and the entries of the groups tallied, the
     deferred missed maps by alpha, and the extras by index."""
     counts_of, partners = _group_counts(spec), _partners(spec)
     where = {alpha: j for j, (alpha, _) in enumerate(order)}
-    enumeration = list(counts_of)
+    enumeration = [(alpha, range(count)) for alpha, count in counts_of.items()]
     start = len(order)  # from this index on, every group is in the enumeration's order
-    while start and order[start - 1] == (
-        enumeration[start - 1],
-        range(counts_of[enumeration[start - 1]]),
-    ):
+    while start and order[start - 1] == enumeration[start - 1]:
         start -= 1
 
     def folded(j: int) -> _Group:
         alpha, positions = order[j]
-        return _group(spec, mutation, alpha, positions, counts_of[alpha], j >= start)
+        count = counts_of[alpha] if j in part else None
+        return _group(spec, mutation, alpha, positions, j >= start, count)
 
     counts = [0] * (spec.c + spec.d + 1)
     kept: list[Tallied] = []
@@ -741,12 +750,14 @@ def _run(
     for j in part:
         group = held[j] = folded(j)
         _missed([(group, group.within)])
-        for i in sorted(where[beta] for beta in partners[group.alpha]):
+        for beta, unit in partners[group.alpha].items():
+            i = where[beta]
             if i < part.start and i not in extras:
                 extras[i] = folded(i)
             if i < j:
-                other = extras[i] if i < part.start else held[i]
-                _missed([(other, other.cross & ~group.leaves), (group, group.cross & ~other.leaves)])
+                other = extras.get(i) or held[i]
+                toward = partners[beta][group.alpha]  # the units of the pair's ridges
+                _missed([(other, other.cross & toward), (group, group.cross & unit)])
         for i in list(held):
             later = [where[beta] for beta in partners[held[i].alpha] if where[beta] > i]
             if any(j < k < part.stop for k in later):

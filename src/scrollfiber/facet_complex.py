@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -158,7 +159,7 @@ def _bitset_index(masks: Sequence[int]) -> list[int]:
     rows = [0] * (8 * size)
     for base in range(0, len(masks), INDEX_BLOCK):
         block = masks[base : base + INDEX_BLOCK]
-        data = b"".join(m.to_bytes(size, "big") for m in reversed(block))
+        data = b"".join(map(int.to_bytes, reversed(block), repeat(size), repeat("big")))
         for j in range(size):
             column, low = data[j::size], 8 * (size - 1 - j)
             for k, digits in enumerate(_BIT_DIGITS):

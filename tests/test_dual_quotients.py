@@ -700,7 +700,7 @@ class TestGroupRuns:
                     owners.setdefault(f ^ v, []).append(alpha)
         skipped = shared = 0
         for alpha, ranks in groups.items():
-            group = dual_quotients._group(spec, None, alpha, range(len(ranks)), len(ranks), True)
+            group = dual_quotients._group(spec, None, alpha, range(len(ranks)), True, len(ranks))
             assert group.within & group.cross == 0
             assert group.cross == sum(partners[alpha].values())
             for f in group.masks:

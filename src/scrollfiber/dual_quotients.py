@@ -623,7 +623,7 @@ def _group(
             )
     tested = unmutated if in_place else masks
     if positions != range(len(masks)):
-        masks, predicted, tested = ([seq[p] for p in positions] for seq in (masks, predicted, tested))
+        masks, predicted, tested = ([s[p] for p in positions] for s in (masks, predicted, tested))
     everything = (1 << math.comb(spec.c, 2)) - 1
     return _Group(
         alpha=alpha,
@@ -704,11 +704,10 @@ def _tally(
         gens[i] &= ~lost
     for degree, count in collections.Counter(map(int.bit_count, gens)).items():
         counts[degree] += count
-    facets = zip(group.masks, gens, group.predicted)
-    kept += (
-        (j, group.alpha, *facet)
-        for facet in (facets if every else itertools.compress(facets, map(operator.ne, gens, group.predicted)))
-    )
+    facets: Iterable[tuple[int, int, int]] = zip(group.masks, gens, group.predicted)
+    if not every:
+        facets = itertools.compress(facets, map(operator.ne, gens, group.predicted))
+    kept += ((j, group.alpha, *facet) for facet in facets)
 
 
 def _run(

@@ -10,8 +10,10 @@ absent).  Every facet has c + d vertices.
 
 One grammar table per group, ``_rules``, states these rules once; each
 is built on first use and kept on the spec (``_table``).  Two folds read
-it: ``count_facets`` into counts here, and ``dual_quotients._fold`` into
-every facet with its predicted colon generators, which is the enumeration.
+it: ``_group_counts`` into each group's facet count here, which
+``count_facets`` sums, and ``dual_quotients._fold`` into every facet of a
+group with its predicted colon generators, which the enumeration and
+certification read.
 One parser reads it too: ``_walk`` rebuilds the tree of a vertex set
 top-down by the table's ways, so ``is_facet``, ``facet_tree`` and
 ``predict_LG`` follow the same rules.  ``_face_vector`` counts the faces
@@ -58,9 +60,9 @@ Rules = dict[Vertex, list[tuple[Vertex, ...]]]
 #: in about 0.4 s on a 2-core host.
 MAX_COUNTING_STEPS = 1_000_000
 
-#: ``_bitset_index`` transposes this many masks at a time.  One string over
-#: all facets would add its size (C(c, 2) characters a facet) to the
-#: certification peak.
+#: ``_bitset_index`` transposes this many masks at a time.  Bytes over all
+#: of a group's masks at once would add their size, and their translated
+#: columns C(c, 2) bytes a mask, to the certification peak.
 INDEX_BLOCK = 512
 
 

@@ -756,7 +756,7 @@ class TestGroupRuns:
 
         monkeypatch.setattr(dual_quotients, "leaves_profile", doctored)
         monkeypatch.setattr(dual_quotients, "_fold", no_fold)
-        with pytest.raises(InternalError, match=r"alpha=3 and alpha=1 of \(7\) are partners, but not"):
+        with pytest.raises(InternalError, match=r"alpha=3 and alpha=1 of \(7\) are partners"):
             verify_linear_quotients(spec)
 
     def test_a_scope_that_skips_a_shared_ridge_fails(self, monkeypatch):

@@ -514,7 +514,8 @@ class TestBitsetIndex:
         masks = [rng.getrandbits(width) for _ in range(count)]
         if masks:
             masks[-1] |= 1 << (width - 1)
-        rows = [sum(1 << rank for rank, m in enumerate(masks) if m >> pos & 1) for pos in range(width)]
+        ranks = range(len(masks))
+        rows = [sum(1 << r for r in ranks if masks[r] >> pos & 1) for pos in range(width)]
         assert _bitset_index(masks) == (rows if masks else [])
 
 

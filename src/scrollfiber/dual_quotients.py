@@ -90,15 +90,15 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex,
 
 #: Enumeration and certification refuse specs with more facets than this
 #: (``CapacityError``), before any fold.  The enumeration keeps each facet
-#: as one int mask, about 50 bytes; certification keeps none past its
-#: group, and a run holds two groups at a time with their predictions and
-#: the ridges still waiting for a partner.  ``invariants`` peaks at
-#: MAX_RSS_4444 MB max RSS for (4,4,4,4), 475,456 facets, and MAX_RSS_4445 MB for
-#: (4,4,4,5), 982,889, in WALL_4444 and WALL_4445 s of wall time and CPU_4444 and CPU_4445 s of CPU
-#: over both processes (one CLI run each, median of 3, max RSS and CPU of
-#: the run and its forked child from ``wait4``, 2-core host).  A ``Facet``
-#: view takes about 2.3 KB at (4,4,4,5), so ``_views`` builds views only on
-#: request and keeps none.
+#: as one int mask, about 53 bytes; certification keeps no facet past its
+#: group's tally, and a run holds two groups at a time, with their masks
+#: and predictions, plus the ridges still waiting for an earlier facet.
+#: ``invariants`` peaks at 56.8 MB max RSS for (4,4,4,4), 475,456 facets,
+#: and 100.4 MB for (4,4,4,5), 982,889, in 1.5 and 3.9 s of wall time and
+#: 2.8 and 6.5 s of CPU over both processes (one CLI run each, median of 3,
+#: max RSS and CPU of the run and its forked child from ``wait4``, 2-core
+#: host).  A ``Facet`` view takes about 2.3 KB at (4,4,4,5), so ``_views``
+#: builds views only on request and keeps none.
 MAX_ENUMERATED_FACETS = 1_000_000
 
 # The facets greatest first (``_enumerated``): their masks, and each
@@ -554,13 +554,16 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
 #: forked child, only on specs with at least this many facets; below it,
 #: where ``os.fork`` is missing or fails, and in a process running other
 #: threads, it certifies both runs in one process.  A fork pays for itself
-#: in wall time on large specs: with it, ``invariants`` on (2,2,2,2,2,2),
-#: 38,012 facets, took FORK_222222 s against UNFORK_222222 s in one process (median of 8
-#: alternating runs), and on (4,4,4,4) FORK_4444 s against UNFORK_4444 s, for CPU_FORK_4444 s of
-#: CPU against CPU_UNFORK_4444 s (median of 3).  On small specs it saves a few
-#: milliseconds for more CPU: forked at every size, the benchmark's
-#: ``batch`` lines, 2,398-7,384 facets, took 3 % more CPU (4 of 4 runs),
-#: and its oracle specs, at most 924 facets, gained nothing (2-core host).
+#: in wall time on large specs, each process pinned to its own CPU: with
+#: it, ``invariants`` on (2,2,2,2,2,2), 38,012 facets, took 0.20 s against
+#: 0.25 s in one process, for 0.27 s of CPU against 0.24 s (median of 8
+#: alternating runs), on (2,2,4,4), 20,696 facets, 0.171 s against 0.178 s
+#: (10 runs), and on (4,4,4,4) 1.5 s against 2.6 s, for 2.8 s of CPU
+#: against 2.6 s (median of 3).  On small specs it costs time: forked at
+#: every size, ``invariants`` on (12,), 3,962 facets, took 0.129 s against
+#: 0.124 s, for 11 % more CPU, and on (2,2,2,4) and (3,3,4), lines of the
+#: benchmark's ``batch``, 0.123 and 0.113 s against 0.114 and 0.107 s
+#: (median of 10 alternating runs, 2-core host).
 MIN_FORKED_FACETS = 10_000
 
 #: ``_certify`` runs the diagnostic scan only on specs with at most this many

@@ -58,13 +58,14 @@ DEFAULT_MODULUS = (1 << 31) - 1
 MAX_PRODUCT_ROWS = 100_000
 
 #: ``_degree_rank`` ranks a degree's representatives in two processes, one
-#: forked, when their standard rows reach this many; below it, and where a
-#: fork is unavailable, in one (``scroll_model.two_halves``).  A fork costs
-#: a few milliseconds: (5,) at t = 4, 268 rows, took 9.3 ms forked against
-#: 7.6 ms in one process, while at t = 5, 633 rows, it took 27 ms against
-#: 34 ms, (6,) at t = 4, 949 rows, 35 against 54 ms, and (7,) at t = 4
-#: 140 against 194 ms, for up to 25 % more CPU (in process, medians of 5-7
-#: alternating runs, 2-core host).
+#: forked, each pinned to its own CPU, when their standard rows reach this
+#: many; below it, and where a fork is unavailable, in one
+#: (``scroll_model.two_halves``).  A fork costs a few milliseconds: (5,) at
+#: t = 4, 268 rows, took 5.5 ms forked against 5.0 ms in one process, while
+#: at t = 5, 633 rows, it took 15.4 ms against 21.0 ms, (6,) at t = 4, 949
+#: rows, 20.9 against 27.2 ms, and (7,) at t = 4 96 against 168 ms, for up
+#: to 22 % more CPU (in process, medians of 7 alternating runs, 2-core
+#: host).
 MIN_FORKED_ROWS = 600
 
 # A degree-2t monomial in the matrix entries, packed by ``_generators``: the

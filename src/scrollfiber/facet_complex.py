@@ -305,16 +305,20 @@ def _table(spec: ScrollSpec, alpha: int) -> Rules:
 
 def _group_counts(spec: ScrollSpec) -> dict[int, int]:
     """The number of facets of each group, larger alpha first (the order of
-    the enumeration), without enumerating them: a fold of each group's
-    grammar table into subtree counts, in time polynomial in c.  Raises
-    ``CapacityError`` as ``_table`` does."""
-    out = {}
-    for alpha in reversed(spec.alphas):
-        counts: dict[Vertex, int] = {}
-        for node, ways in _table(spec, alpha).items():
-            counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids in ways)
-        out[alpha] = counts[(1, spec.c)]
-    return out
+    the enumeration), kept on the spec, without enumerating them: a fold of
+    each group's grammar table into subtree counts, in time polynomial in c.
+    Raises ``CapacityError`` as ``_table`` does."""
+
+    def compute() -> dict[int, int]:
+        out = {}
+        for alpha in reversed(spec.alphas):
+            counts: dict[Vertex, int] = {}
+            for node, ways in _table(spec, alpha).items():
+                counts[node] = sum(math.prod(counts[kid] for kid in kids) for kids in ways)
+            out[alpha] = counts[(1, spec.c)]
+        return out
+
+    return per_spec(spec, "group_counts", compute)
 
 
 def count_facets(spec: ScrollSpec) -> int:

@@ -928,9 +928,10 @@ class TestGroupRuns:
 
 
 class TestCompactCertification:
-    # Measured 73 bytes per facet at the peak (Python 3.11): the predictions
-    # decoded once and the few ridges still pending.  A set of every ridge
-    # certified so far took 844.
+    # Measured 92 bytes per facet at the peak (Python 3.12): certification
+    # folds its own groups, so this is the fold of one group next to the
+    # masks and predictions of the group before it and the few ridges
+    # still pending.  A set of every ridge certified so far took 844.
     BYTES_PER_FACET = 200
 
     def test_certification_stays_under_the_per_facet_byte_bound(self):

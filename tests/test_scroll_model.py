@@ -209,9 +209,22 @@ class TestMinor:
                     seen.add(key)
 
 
+def _allowed_cpus():
+    """This process's CPU affinity mask, or None where it cannot be read."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+pinnable = pytest.mark.skipif(
+    not _allowed_cpus() or len(_allowed_cpus()) < 2,
+    reason="needs os.sched_getaffinity and at least two allowed CPUs",
+)
+
+
 class TestTwoHalves:
-    """``two_halves`` gives ``(first(), second())`` whether or not it forks;
-    certification and the rank oracle test its fallbacks."""
+    """``two_halves`` gives ``(first(), second())`` whether or not it forks,
+    with the forked half and this process's half pinned to two distinct
+    CPUs of the affinity mask; certification and the rank oracle test its
+    fallbacks."""
 
     @pytest.mark.parametrize("fork", [True, False])
     def test_the_halves_come_back_in_order(self, fork):
@@ -232,22 +245,6 @@ class TestTwoHalves:
             assert two_halves(first, lambda: 2, True) == (1, 2)
         assert len(caught) == 1
         assert_no_child()
-
-
-def _allowed_cpus():
-    """This process's CPU affinity mask, or None where it cannot be read."""
-    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-
-
-pinnable = pytest.mark.skipif(
-    not _allowed_cpus() or len(_allowed_cpus()) < 2,
-    reason="needs os.sched_getaffinity and at least two allowed CPUs",
-)
-
-
-class TestPinnedHalves:
-    """``two_halves`` pins the forked half and this process's half to two
-    distinct CPUs of the affinity mask, and restores this process's mask."""
 
     @pinnable
     def test_each_half_runs_on_its_own_cpu(self):

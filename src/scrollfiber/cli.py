@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -26,8 +27,7 @@ from . import __version__
 from .dual_quotients import (
     MUTATIONS,
     VerificationResult,
-    _enumerated,
-    _views,
+    _facets,
     colon_generators,
     enumerate_facets,
     first_facet,
@@ -327,35 +327,34 @@ def cmd_verify(
 def cmd_facets(
     spec: ScrollSpec, normalized: bool, fmt: str, alpha: int | None, limit: int
 ) -> str:
-    """Render the facet list (with trees), building only the views it prints."""
+    """Render the facet list (with trees).  Only the groups it reaches are
+    folded and checked, and only the views it prints are built."""
     if limit < 0:
         raise PreconditionError(f"--limit must be >= 0 (0 emits every facet), got {limit}")
     if alpha is not None:
-        require_alpha(spec, alpha)  # before the enumeration, at any c
-    masks, groups = _enumerated(spec)
-    ranks = (range(len(masks)) if alpha is None else groups[alpha])[: limit or None]
+        require_alpha(spec, alpha)  # before any fold, at any c
+    views = itertools.islice(_facets(spec, alpha), limit or None)
     if fmt == "json":
+        facets = [
+            {
+                "alpha": f.alpha,
+                "vertices": sorted(list(v) for v in f.vertices),
+                "parents": sorted([list(v), list(p)] for v, p in facet_tree(f).parent.items()),
+            }
+            for f in views
+        ]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "spec": _spec_dict(spec, normalized),
-            "count": len(ranks),
-            "facets": [
-                {
-                    "alpha": f.alpha,
-                    "vertices": sorted(list(v) for v in f.vertices),
-                    "parents": sorted(
-                        [list(v), list(p)] for v, p in facet_tree(f).parent.items()
-                    ),
-                }
-                for f in _views(spec, ranks)
-            ],
+            "count": len(facets),
+            "facets": facets,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = [f"{len(ranks)} facets of n=({','.join(str(v) for v in spec.n)})"]
-    for f in _views(spec, ranks):
-        verts = " ".join(f"({a},{b})" for a, b in sorted(f.vertices))
-        lines.append(f"alpha={f.alpha}  {verts}")
-    return "\n".join(lines) + "\n"
+    lines = [
+        f"alpha={f.alpha}  " + " ".join(f"({a},{b})" for a, b in sorted(f.vertices)) for f in views
+    ]
+    header = f"{len(lines)} facets of n=({','.join(str(v) for v in spec.n)})"
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _batch_line(
@@ -554,9 +553,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_output(_render(envelope, args.format), args.out_dir, filename)
         return code
 
-    except ScrollError as exc:
+    except ScrollError as exc:  # a failed check that no report holds is exit 1
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_MATH if isinstance(exc, VerificationError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

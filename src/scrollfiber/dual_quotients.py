@@ -42,15 +42,15 @@ The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
 (``_rule``).  So one fold of a group's grammar table with the role as
 state, ``_fold``, lists every facet of the group together with its
-prediction, next to the fold of ``facet_complex`` that counts them.  Each
-run folds its own groups; only the rule mutations fold them again.  The
-unmutated masks of all groups, checked the same way, are the enumeration,
-kept on the spec (``_enumerated``) for ``enumerate_facets``,
-``first_facet``, ``colon_generators`` and the ``facets`` command; it keeps
-no alpha per facet: each group's facets take one range of ranks, larger
-alpha first.  ``_views`` builds the ``Facet`` views of a range on request
-and keeps none.  Certification parses no facet.  ``predict_LG`` applies the
-same rule over one facet's ``_walk``, so a mutation moves both.
+prediction, next to the fold of ``facet_complex`` that counts them.  Every
+reader folds the groups it reaches and checks each as certification does
+(``_checked_fold``); only the rule mutations fold a group again.  Each
+certification run folds its own groups, and ``_facets`` yields the
+``Facet`` views of one group at a time, in the facet order, to
+``enumerate_facets``, ``first_facet``, ``colon_generators`` and the
+``facets`` command, which so fold only the groups they read.  No facet is
+kept on the spec.  Certification parses no facet.  ``predict_LG`` applies
+the same rule over one facet's ``_walk``, so a mutation moves both.
 """
 
 from __future__ import annotations
@@ -88,22 +88,17 @@ from .facet_complex import (
 )
 from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex, two_halves
 
-#: Enumeration and certification refuse specs with more facets than this
-#: (``CapacityError``), before any fold.  The enumeration keeps each facet
-#: as one int mask, about 53 bytes; certification keeps no facet past its
-#: group's tally, and a run holds two groups at a time, with their masks
-#: and predictions, plus the ridges still waiting for an earlier facet.
-#: ``invariants`` peaks at 56.8 MB max RSS for (4,4,4,4), 475,456 facets,
-#: and 100.4 MB for (4,4,4,5), 982,889, in 1.5 and 3.9 s of wall time and
-#: 2.8 and 6.5 s of CPU over both processes (one CLI run each, median of 3,
-#: max RSS and CPU of the run and its forked child from ``wait4``, 2-core
-#: host).  A ``Facet`` view takes about 2.3 KB at (4,4,4,5), so ``_views``
-#: builds views only on request and keeps none.
+#: Certification and every facet reader refuse specs with more facets than
+#: this (``CapacityError``, ``_counted``), before any fold.  None keeps a
+#: facet past its group: a certification run holds two groups at a time,
+#: with their masks and predictions, plus the ridges still waiting for an
+#: earlier facet.  ``invariants`` peaks at 56.8 MB max RSS for (4,4,4,4),
+#: 475,456 facets, and 100.4 MB for (4,4,4,5), 982,889, in 1.5 and 3.9 s
+#: of wall time and 2.8 and 6.5 s of CPU over both processes (one CLI run
+#: each, median of 3, max RSS and CPU of the run and its forked child from
+#: ``wait4``, 2-core host).  A ``Facet`` view takes about 2.3 KB at
+#: (4,4,4,5), so ``_facets`` builds each view as it yields it.
 MAX_ENUMERATED_FACETS = 1_000_000
-
-# The facets greatest first (``_enumerated``): their masks, and each
-# group's range of their ranks, larger alpha first.
-Enumeration = tuple[list[int], dict[int, range]]
 
 # The certified order (``_facet_order``): its groups in turn, each as its
 # alpha and the positions of its facets in the order of the group's fold.
@@ -464,43 +459,38 @@ def _check_subcomplex(spec: ScrollSpec, alpha: int, masks: Sequence[int]) -> Non
         )
 
 
-def _enumerated(spec: ScrollSpec) -> Enumeration:
-    """The unmutated ``_fold`` masks of every group of ``spec``, kept on the
-    spec: the facet masks in the facet order, and each group's range of
-    their ranks, larger alpha first.
-
-    Raises ``CapacityError`` before any fold when the spec has more than
-    ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` unless every
-    facet is listed once, with c + d vertices: each group passes
-    ``_check_group``, and the total is ``count_facets``.  Those are the
-    checks certification makes on each group it folds.
-    """
-    require_complex(spec)
-
-    def compute() -> Enumeration:
-        expected, counts = _counted(spec)
-        masks: list[int] = []
-        groups: dict[int, range] = {}
-        for alpha, count in counts.items():
-            group = _fold(spec, alpha, None)[0]
-            _check_group(spec, alpha, group, count)
-            groups[alpha] = range(len(masks), len(masks) + len(group))
-            masks += group
-            del group
-        if len(masks) != expected:
-            raise InternalError(f"enumerated {len(masks)} facets for {spec}, counted {expected}")
-        return masks, groups
-
-    return per_spec(spec, "facets", compute)
+def _checked_fold(spec: ScrollSpec, alpha: int) -> tuple[list[int], list[int]]:
+    """The unmutated ``_fold`` of the group at ``alpha`` with the checks
+    certification makes on every group it folds: ``_check_group`` against
+    the group's count (``_group_counts``, ``InternalError``) and Δ ⊆ Γ
+    (``_check_subcomplex``, ``VerificationError``).  Every reader of the
+    facets folds its groups here."""
+    masks, predicted = _fold(spec, alpha, None)
+    _check_group(spec, alpha, masks, _group_counts(spec)[alpha])
+    _check_subcomplex(spec, alpha, masks)
+    return masks, predicted
 
 
-def _views(spec: ScrollSpec, ranks: range) -> Iterator[Facet]:
-    """The ``Facet`` view of each rank in ``ranks`` (step 1), built as it is
-    yielded; walking the group ranges gives each its group's alpha."""
-    masks, groups = _enumerated(spec)
-    for alpha, group in groups.items():
-        for r in range(max(ranks.start, group.start), min(ranks.stop, group.stop)):
-            yield Facet(vertices=_vertices(spec, masks[r]), alpha=alpha, spec=spec)
+def _facets(spec: ScrollSpec, alpha: int | None = None) -> Iterator[Facet]:
+    """The ``Facet`` views of every facet, or of the group at ``alpha``,
+    greatest first in the facet order, each built as it is yielded.
+
+    Once the spec passes ``_counted``'s guards, each group is folded and
+    checked (``_checked_fold``) when the first of its views is asked for,
+    and dropped once its last is yielded; a reader that stops early folds
+    no later group.  After the last group, ``InternalError`` unless the
+    groups held ``count_facets`` facets, as certification checks.
+    ``alpha`` is not checked here."""
+    expected, groups = _counted(spec)
+    listed = 0
+    for beta in groups if alpha is None else (alpha,):
+        masks = _checked_fold(spec, beta)[0]
+        listed += len(masks)
+        for mask in masks:
+            yield Facet(vertices=_vertices(spec, mask), alpha=beta, spec=spec)
+        del masks  # before the next group is folded
+    if alpha is None and listed != expected:
+        raise InternalError(f"enumerated {listed} facets for {spec}, counted {expected}")
 
 
 def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
@@ -508,22 +498,23 @@ def enumerate_facets(spec: ScrollSpec) -> list[Facet]:
 
     The list is grouped by window position (larger alpha first) and ordered
     within a group by the dual-monomial comparison of ``precedes``.  The
-    result is deterministic; each call builds its own views (``_views``).
+    result is deterministic; each call folds and checks every group again
+    and builds its own views (``_facets``).
     """
-    return list(_views(spec, range(len(_enumerated(spec)[0]))))
+    return list(_facets(spec))
 
 
 def first_facet(spec: ScrollSpec, alpha: int) -> Facet:
     """The greatest facet of the group at ``alpha``.
 
-    The enumeration lists facets greatest first; the view of the first facet
-    of the group, at the start of its range, is built.  Raises for a spec
-    without a complex and for an alpha that is not an ``int`` in
-    [1, c-d-2], after the guarded enumeration.
+    Only that group is folded and checked (``_facets``), and the view of
+    its first facet built.  Raises for a spec without a complex or over
+    the facet budget (``_counted``), then for an alpha that is not an
+    ``int`` in [1, c-d-2].
     """
-    _, groups = _enumerated(spec)
+    _counted(spec)
     leaves_profile(spec, alpha)
-    return next(_views(spec, groups[alpha][:1]))
+    return next(_facets(spec, alpha))
 
 
 def _minimal_masks(diffs: Iterable[int]) -> frozenset[int]:
@@ -546,7 +537,7 @@ def colon_generators(facet: Facet, all_facets: Sequence[Facet]) -> frozenset[fro
     """
     spec = facet.spec
     listed = [_mask(spec, g.vertices) for g in all_facets]
-    if _enumerated(spec)[0][0] not in listed:
+    if _mask(spec, next(_facets(spec)).vertices) not in listed:
         raise DomainError("facet list is missing the greatest facet; incomplete input")
     f = _mask(spec, facet.vertices)
     earlier = (m for g, m in zip(all_facets, listed) if precedes(g, facet))
@@ -601,28 +592,25 @@ def _group(
     alpha: int,
     positions: Sequence[int],
     in_place: bool,
-    count: int | None,
+    checked: bool,
 ) -> _Group:
     """The group at ``alpha``, folded, in the certified order ``positions``
-    of its fold's order, and checked unless ``count`` is None:
-    ``_check_group`` against ``count``, Δ ⊆ Γ (``_check_subcomplex``), and
-    under ``c2`` and ``b2`` the mutated fold's masks against the unmutated
-    ones (``InternalError``).  A run folds again, unchecked, a group of
-    another run that checks it; the fold is a function of the spec.
+    of its fold's order, and when ``checked`` holds checked as every reader
+    checks it (``_checked_fold``), and under ``c2`` and ``b2`` the mutated
+    fold's masks against the unmutated ones (``InternalError``).  A run
+    folds again, unchecked, a group of another run that checks it; the fold
+    is a function of the spec.
 
     A facet's candidates are its unmutated prediction when ``in_place``,
     that is when this group and every later one are in the enumeration's
     own order, so that a facet's earlier facets are exactly those of the
     enumeration; elsewhere they are all its vertices, so any order is
     certified."""
-    masks, unmutated = _fold(spec, alpha, None)
-    if count is not None:
-        _check_group(spec, alpha, masks, count)
-        _check_subcomplex(spec, alpha, masks)
+    masks, unmutated = _checked_fold(spec, alpha) if checked else _fold(spec, alpha, None)
     predicted = unmutated
     if mutation in ("c2", "b2"):  # swap-groups only reorders the groups
         folded, predicted = _fold(spec, alpha, mutation)
-        if count is not None and folded != masks:
+        if checked and folded != masks:
             raise InternalError(
                 f"the {mutation} fold of the group at alpha={alpha} of {spec} differs from "
                 "its unmutated fold"
@@ -735,17 +723,16 @@ def _run(
 
     Returns the degree counts and the entries of the groups tallied, the
     deferred missed maps by alpha, and the extras by index."""
-    counts_of, partners = _group_counts(spec), _partners(spec)
+    partners = _partners(spec)
     where = {alpha: j for j, (alpha, _) in enumerate(order)}
-    enumeration = [(alpha, range(count)) for alpha, count in counts_of.items()]
+    enumeration = [(alpha, range(count)) for alpha, count in _group_counts(spec).items()]
     start = len(order)  # from this index on, every group is in the enumeration's order
     while start and order[start - 1] == enumeration[start - 1]:
         start -= 1
 
     def folded(j: int) -> _Group:
         alpha, positions = order[j]
-        count = counts_of[alpha] if j in part else None
-        return _group(spec, mutation, alpha, positions, j >= start, count)
+        return _group(spec, mutation, alpha, positions, j >= start, j in part)
 
     counts = [0] * (spec.c + spec.d + 1)
     kept: list[Tallied] = []

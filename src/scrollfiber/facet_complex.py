@@ -12,8 +12,8 @@ One grammar table per group, ``_rules``, states these rules once; each
 is built on first use and kept on the spec (``_table``).  Two folds read
 it: ``_group_counts`` into each group's facet count here, which
 ``count_facets`` sums, and ``dual_quotients._fold`` into every facet of a
-group with its predicted colon generators, which the enumeration and
-certification read.
+group with its predicted colon generators, which certification and the
+facet readers of ``dual_quotients`` fold one group at a time.
 One parser reads it too: ``_walk`` rebuilds the tree of a vertex set
 top-down by the table's ways, so ``is_facet``, ``facet_tree`` and
 ``predict_LG`` follow the same rules.  ``_face_vector`` counts the faces
@@ -55,9 +55,9 @@ Rules = dict[Vertex, list[tuple[Vertex, ...]]]
 #: ``_table`` refuses specs whose grammar tables would take more split steps
 #: than this (``CapacityError``): at most C(c, 3) per group, c - d - 2
 #: groups.  The refusal reaches every reader of the tables: counting, the
-#: enumeration and the facet-level API; the face DP checks it too.  Every spec with
-#: c <= 40 is counted: (40,) takes 365,560 steps; (51,), at 999,600, counts
-#: in about 0.4 s on a 2-core host.
+#: folds and the facet-level API; the face DP checks it too.  Every spec
+#: with c <= 40 is counted: (40,) takes 365,560 steps; (51,), at 999,600,
+#: counts in about 0.4 s on a 2-core host.
 MAX_COUNTING_STEPS = 1_000_000
 
 #: ``_bitset_index`` transposes this many masks at a time.  Bytes over all
@@ -70,8 +70,9 @@ INDEX_BLOCK = 512
 class Facet:
     """A facet: its vertex set plus the window position of its leaf set.
 
-    The enumeration keeps facets as int masks; ``enumerate_facets`` and
-    ``first_facet`` of ``dual_quotients`` build these views on request.
+    The folds list facets as int masks; the facet readers of
+    ``dual_quotients`` build one view a facet as they yield it and keep
+    none.
     """
 
     vertices: frozenset[Vertex]
@@ -304,8 +305,8 @@ def _table(spec: ScrollSpec, alpha: int) -> Rules:
 
 
 def _group_counts(spec: ScrollSpec) -> dict[int, int]:
-    """The number of facets of each group, larger alpha first (the order of
-    the enumeration), kept on the spec, without enumerating them: a fold of
+    """The number of facets of each group, larger alpha first (the facet
+    order), kept on the spec, without enumerating them: a fold of
     each group's grammar table into subtree counts, in time polynomial in c.
     Raises ``CapacityError`` as ``_table`` does."""
 
@@ -323,8 +324,8 @@ def _group_counts(spec: ScrollSpec) -> dict[int, int]:
 
 def count_facets(spec: ScrollSpec) -> int:
     """Number of facets of the initial complex, without enumerating them:
-    the sum of ``_group_counts``.  ``dual_quotients.enumerate_facets``
-    lists exactly this many facets.
+    the sum of ``_group_counts``.  Every checked fold of a group lists
+    exactly its group's count (``dual_quotients._checked_fold``).
     Raises ``CapacityError`` as ``_table`` does.
     """
     require_complex(spec)

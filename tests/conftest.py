@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from scrollfiber import ScrollSpec, leaves_profile, vertex_set
+from scrollfiber import ScrollSpec, dual_quotients, leaves_profile, vertex_set
 
 # The desk suite: every spec exercised by the acceptance gate.
 DESK_SUITE: tuple[tuple[int, ...], ...] = (
@@ -26,13 +26,26 @@ DESK_SUITE: tuple[tuple[int, ...], ...] = (
 
 
 # One spec object per desk member: results are kept on the spec object, so
-# tests that share these objects share the computed enumerations and checks.
+# tests that share these objects share the tables, counts and certifications.
 DESK_SPECS: tuple[ScrollSpec, ...] = tuple(ScrollSpec(n) for n in DESK_SUITE)
 
 
 def desk_specs_with_complex() -> list[ScrollSpec]:
     """Desk-suite members large enough to carry the facet complex."""
     return [s for s in DESK_SPECS if s.has_complex]
+
+
+def checked_groups(spec: ScrollSpec) -> tuple[list[int], dict[int, range]]:
+    """Every facet mask of ``spec`` in the facet order, from the checked
+    fold of each group (``dual_quotients._checked_fold``), and each group's
+    range of their ranks, larger alpha first."""
+    masks: list[int] = []
+    groups: dict[int, range] = {}
+    for alpha in dual_quotients._counted(spec)[1]:
+        group = dual_quotients._checked_fold(spec, alpha)[0]
+        groups[alpha] = range(len(masks), len(masks) + len(group))
+        masks += group
+    return masks, groups
 
 
 def reference_is_facet(spec: ScrollSpec, candidate) -> bool:

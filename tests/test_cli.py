@@ -6,13 +6,14 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from conftest import tightest_covers
+from conftest import checked_groups, tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,12 @@ from scrollfiber import (
     ScrollSpec,
     VerificationError,
     cli,
+    colon_generators,
     dual_quotients,
     enumerate_facets,
     facet_complex,
     facet_tree,
+    first_facet,
     invariants,
     leaves_profile,
     oracle,
@@ -77,7 +80,7 @@ def _doctored_six(monkeypatch):
     rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
     cleared = facet_complex._mask(spec, [min(predict_LG(facets[rank]))])
     alpha = facets[rank].alpha
-    position = rank - dual_quotients._enumerated(spec)[1][alpha].start
+    position = rank - checked_groups(spec)[1][alpha].start
     real = dual_quotients._fold
 
     def doctored(folded, group, mutation):
@@ -207,7 +210,7 @@ class TestInvariantsCommand:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --hilbert-window 5" in err
 
-    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    @pytest.mark.parametrize("command", ["invariants", "verify", "facets"])
     @pytest.mark.parametrize(
         "mutant, message",
         [
@@ -219,8 +222,10 @@ class TestInvariantsCommand:
     def test_an_enumerated_facet_off_the_counted_complex_exits_one(
         self, capsys, monkeypatch, command, mutant, message
     ):
-        # The ridge passes still see the true facets; only the check that
-        # each group's facets lie in the counted complex reads the mutant.
+        # The ridge passes and the listed facets are still the true ones;
+        # only the check that each group's facets lie in the counted complex
+        # reads the mutant.  ``facets`` has no report to hold the error, so
+        # it is one line on stderr.
         real = dual_quotients._check_subcomplex
 
         def with_extra_vertex(spec, alpha, masks):
@@ -231,9 +236,13 @@ class TestInvariantsCommand:
             real(spec, alpha, masks)
 
         monkeypatch.setattr(dual_quotients, "_check_subcomplex", with_extra_vertex)
-        code, out, _ = run(capsys, command, "--n", "5", "--format", "json")
+        code, out, err = run(capsys, command, "--n", "5", "--format", "json")
         assert code == 1
-        assert message in json.loads(out)["error"]
+        if command == "facets":
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+        else:
+            assert message in json.loads(out)["error"]
 
     @pytest.mark.parametrize("command", ["invariants", "verify"])
     @pytest.mark.parametrize(
@@ -301,7 +310,7 @@ class TestInvariantsCommand:
             for mutation in (None, "swap-groups", "c2")
         ]
         assert codes == [0, 0, 1, 1]
-        sizes = [len(ranks) for ranks in dual_quotients._enumerated(spec)[1].values()]
+        sizes = list(facet_complex._group_counts(spec).values())
         assert sizes == [14, 14] and calls == sizes * 3
 
     def test_facet_budget_guard(self, capsys):
@@ -609,6 +618,36 @@ class TestFacetsBuildsWhatItPrints:
                         continue  # the text format covers the whole groups
                     expected = _reference_facets(spec, everything, fmt, alpha, limit)
                     assert cli.cmd_facets(spec, False, fmt, alpha, limit) == expected
+
+
+class TestReadersFoldWhatTheyReach:
+    # (2,2,4,4) has 6 groups.  Each reader, on a fresh spec, folds only the
+    # groups it reads from; colon_generators checks its list for the
+    # greatest facet, the first of the first group's fold.
+    @pytest.mark.parametrize(
+        "reader, folds",
+        [
+            (lambda spec, listed: first_facet(spec, 2), 1),
+            (lambda spec, listed: cli.cmd_facets(spec, False, "text", None, 5), 1),
+            (lambda spec, listed: cli.cmd_facets(spec, False, "text", 3, 0), 1),
+            (lambda spec, listed: colon_generators(listed[1], listed), 1),
+            (lambda spec, listed: enumerate_facets(spec), 6),
+        ],
+        ids=["first_facet", "facets-limit", "facets-alpha", "colon_generators", "enumerate_facets"],
+    )
+    def test_folds_only_the_groups_it_reaches(self, monkeypatch, reader, folds):
+        greatest = list(itertools.islice(dual_quotients._facets(ScrollSpec((2, 2, 4, 4))), 2))
+        calls = []
+        real = dual_quotients._fold
+
+        def counted(spec, alpha, mutation):
+            calls.append(alpha)
+            return real(spec, alpha, mutation)
+
+        monkeypatch.setattr(dual_quotients, "_fold", counted)
+        spec = ScrollSpec((2, 2, 4, 4))
+        reader(spec, [dataclasses.replace(f, spec=spec) for f in greatest])
+        assert len(calls) == folds
 
 
 class TestBatchCommand:

@@ -15,7 +15,7 @@ import types
 from collections import Counter
 
 import pytest
-from conftest import DESK_SPECS, assert_no_child, desk_specs_with_complex
+from conftest import DESK_SPECS, assert_no_child, checked_groups, desk_specs_with_complex
 
 from scrollfiber import (
     DomainError,
@@ -38,7 +38,6 @@ from scrollfiber.dual_quotients import (
     _certified,
     _certify,
     _cut,
-    _enumerated,
     _facet_order,
     _fold,
     _predict,
@@ -46,7 +45,7 @@ from scrollfiber.dual_quotients import (
 )
 from scrollfiber.facet_complex import _grid, _mask, _walk
 
-# Shared desk spec objects keep their enumerations between tests.
+# Shared desk spec objects keep their tables and certifications between tests.
 DESK_BY_N = {s.n: s for s in DESK_SPECS}
 
 SPEC_245 = ScrollSpec((2, 4, 5))
@@ -74,7 +73,7 @@ def _minimal_diffs(facet, earlier):
 
 
 def _certified_order(spec, mutation):
-    facets, groups = enumerate_facets(spec), _enumerated(spec)[1]
+    facets, groups = enumerate_facets(spec), checked_groups(spec)[1]
     order = dual_quotients._facet_order(spec, mutation)
     return [facets[groups[alpha][p]] for alpha, positions in order for p in positions]
 
@@ -255,7 +254,7 @@ class TestPredictionFold:
     def test_fold_equals_the_walk_on_every_facet(self, spec, mutation):
         # Certification no longer parses the facets, so every enumerated mask
         # is parsed here, and its prediction over the walk is the fold's.
-        masks, groups = _enumerated(spec)
+        masks, groups = checked_groups(spec)
         grid, greatest = _grid(spec), spec.alphas[-1]
         for alpha, ranks in groups.items():
             walked = [
@@ -267,7 +266,7 @@ class TestPredictionFold:
     @pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda spec: ",".join(map(str, spec.n)))
     def test_each_group_is_one_range_of_ranks(self, spec):
         # Greatest alpha first, consecutive, together every rank once.
-        masks, groups = _enumerated(spec)
+        masks, groups = checked_groups(spec)
         assert list(groups) == list(reversed(spec.alphas))
         assert all(type(ranks) is range and ranks.step == 1 for ranks in groups.values())
         stops = [0, *(ranks.stop for ranks in groups.values())]
@@ -292,9 +291,9 @@ class TestPredictionFold:
     def test_certification_folds_each_group_once_and_each_rule_mutation_twice(
         self, monkeypatch
     ):
-        # Certification keeps no enumeration: it folds each group in the
-        # certified order, and under a rule mutation folds it once more.
-        # The enumeration is folded once for all its readers.
+        # Nothing is kept but the result: certification folds each group in
+        # the certified order, and under a rule mutation folds it once more,
+        # and each facet reader folds the groups it reads, at each call.
         calls = []
 
         def counted(spec, alpha, mutation):
@@ -311,7 +310,7 @@ class TestPredictionFold:
         enumerate_facets(spec)
         first_facet(spec, 1)
         enumerate_facets(spec)
-        assert calls == [(alpha, None) for alpha in enumeration]
+        assert calls == [(alpha, None) for alpha in enumeration + [1] + enumeration]
         for mutation in ("swap-groups", "c2", "b2"):
             calls.clear()
             result = verify_linear_quotients(spec, mutation=mutation)
@@ -356,7 +355,7 @@ class TestEachFacetOnce:
     def test_a_facet_under_another_group_is_an_internal_error(self):
         # The greatest facet, claimed by each other group in turn.
         spec = ScrollSpec((6,))
-        masks, groups = _enumerated(spec)
+        masks, groups = checked_groups(spec)
         for alpha, ranks in groups.items():
             dual_quotients._check_group(spec, alpha, masks[ranks.start : ranks.stop], len(ranks))
         for alpha in spec.alphas[:-1]:
@@ -494,7 +493,7 @@ def _all_ridges_certified(spec, mutation):
     keeps every ridge F - u certified so far: a ridge seen before marks a
     generator.  Its entries have the shape of ``_certified``'s: alpha,
     mask, generators, prediction and no minimal differences."""
-    masks, groups = _enumerated(spec)
+    masks, groups = checked_groups(spec)
     ridges = set()
     for alpha, positions in dual_quotients._facet_order(spec, mutation):
         predicted = _fold(spec, alpha, mutation)[1]
@@ -571,7 +570,7 @@ class TestPendingRidges:
             rank = max(range(len(facets)), key=lambda r: len(predict_LG(facets[r])))
         vertex = choose(facets[rank], predict_LG(facets[rank]))
         alpha = facets[rank].alpha
-        position = rank - _enumerated(spec)[1][alpha].start
+        position = rank - checked_groups(spec)[1][alpha].start
 
         def doctored(folded, group, mutation):
             masks, predicted = _fold(folded, group, mutation)
@@ -679,7 +678,7 @@ class TestGroupRuns:
 
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
     def test_the_cut_balances_the_facet_counts_of_the_runs(self, spec):
-        sizes = [len(ranks) for ranks in _enumerated(spec)[1].values()]
+        sizes = [len(ranks) for ranks in checked_groups(spec)[1].values()]
         cut = _cut(sizes)
         assert 0 < cut < len(sizes)
         imbalance = [abs(sum(sizes[:k]) - sum(sizes[k:])) for k in range(1, len(sizes))]
@@ -691,7 +690,7 @@ class TestGroupRuns:
         # F - v of the group at alpha lies in F alone unless v is in the
         # group's within-group scope, where it lies in the group only, or
         # is the unit of a partner, where it lies in the pair only.
-        masks, groups = _enumerated(spec)
+        masks, groups = checked_groups(spec)
         partners = dual_quotients._partners(spec)
         owners = {}
         for alpha, ranks in groups.items():
@@ -700,7 +699,7 @@ class TestGroupRuns:
                     owners.setdefault(f ^ v, []).append(alpha)
         skipped = shared = 0
         for alpha, ranks in groups.items():
-            group = dual_quotients._group(spec, None, alpha, range(len(ranks)), True, len(ranks))
+            group = dual_quotients._group(spec, None, alpha, range(len(ranks)), True, True)
             assert group.within & group.cross == 0
             assert group.cross == sum(partners[alpha].values())
             for f in group.masks:
@@ -763,7 +762,7 @@ class TestGroupRuns:
         # Each vertex whose ridge another facet of (7,) holds, cleared from
         # its group's scopes: the generators it stops counting break the
         # face identity, which over the scan budget is an error.
-        masks, groups = _enumerated(DESK_BY_N[(7,)])
+        masks, groups = checked_groups(DESK_BY_N[(7,)])
         holders = Counter(f ^ v for f in masks for v in _bits(f))
         shared = {
             (alpha, v)
@@ -845,14 +844,14 @@ class TestGroupRuns:
         forks = self._forks(monkeypatch, cutoff=dual_quotients.MIN_FORKED_FACETS)
         calls = self._runs(monkeypatch)
         assert _certified(spec, None) == expected
-        sizes = [len(ranks) for ranks in _enumerated(spec)[1].values()]
+        sizes = [len(ranks) for ranks in checked_groups(spec)[1].values()]
         assert calls == [range(_cut(sizes), len(sizes))] and len(forks) == 1
         assert_no_child()
 
     def test_below_the_cutoff_one_run_takes_every_group(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
         expected = self._in_process(spec, None)
-        forks = self._forks(monkeypatch, cutoff=len(_enumerated(spec)[0]) + 1)
+        forks = self._forks(monkeypatch, cutoff=len(checked_groups(spec)[0]) + 1)
         calls = self._runs(monkeypatch)
         assert _certified(spec, None) == expected
         assert forks == [] and calls == [range(6), range(0)]
@@ -936,7 +935,7 @@ class TestCompactCertification:
 
     def test_certification_stays_under_the_per_facet_byte_bound(self):
         spec = ScrollSpec((12,))
-        masks, _ = _enumerated(spec)
+        masks, _ = checked_groups(spec)
         tracemalloc.start()
         try:
             result = _certify(spec, None)

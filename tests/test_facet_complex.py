@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     brute_force_facets,
+    checked_groups,
     crossing,
     desk_specs_with_complex,
     reference_is_facet,
@@ -37,12 +38,13 @@ from scrollfiber import (
     vertex_set,
 )
 from scrollfiber import facet_complex
-from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS, _enumerated
+from scrollfiber.dual_quotients import MAX_ENUMERATED_FACETS, _facets
 from scrollfiber.facet_complex import (
     _bitset_index,
     _face_vector,
     _good_groups,
     _grid,
+    _group_counts,
     count_facets,
 )
 from scrollfiber.invariants import (
@@ -312,22 +314,24 @@ class TestFacetOrder:
         assert first_facet(spec, 3) == enumerate_facets(spec)[0]
 
 
-class TestCompactEnumeration:
-    # Measured 67 bytes per facet at the peak and 53 kept (Python 3.12):
-    # one int mask per facet, one rank range per group, no per-facet alpha,
-    # prediction or frozenset; the peak adds one group's fold.
-    BYTES_PER_FACET = 85
+class TestCompactViews:
+    # Measured 189 bytes per facet of the largest group at the peak on a
+    # fresh spec (Python 3.11): the fold and checks of one group, its masks
+    # and predictions, the spec's tables and one view.  Keeping every mask
+    # of the spec while yielding the views took 275.
+    BYTES_PER_FACET = 240
 
-    def test_enumeration_stays_under_the_per_facet_byte_bound(self):
+    def test_every_view_stays_under_the_byte_bound_of_one_group(self):
         spec = ScrollSpec((2, 2, 4, 4))
         tracemalloc.start()
         try:
-            masks, groups = _enumerated(spec)
+            count = sum(1 for _ in _facets(spec))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(masks) == sum(map(len, groups.values())) == 20696
-        assert peak < self.BYTES_PER_FACET * len(masks)
+        largest = max(_group_counts(spec).values())
+        assert (count, largest) == (20696, 5070)
+        assert peak < self.BYTES_PER_FACET * largest
 
 
 class TestFacetCount:
@@ -475,7 +479,7 @@ class TestCountedComplexIsPure:
 
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=str)
     def test_maximal_good_families_are_the_groups_facets(self, spec):
-        masks, groups = _enumerated(spec)
+        masks, groups = checked_groups(spec)
         grid, good = _grid(spec), _good_groups(spec)
         for alpha, ranks in groups.items():
             # Two good intervals are adjacent unless they cross.

@@ -7,7 +7,7 @@ import math
 import re
 
 import pytest
-from conftest import desk_specs_with_complex
+from conftest import checked_groups, desk_specs_with_complex
 
 from scrollfiber import (
     CapacityError,
@@ -28,7 +28,6 @@ from scrollfiber import (
     vertex_set,
 )
 from scrollfiber import invariants
-from scrollfiber.dual_quotients import _enumerated
 from scrollfiber.facet_complex import _bitset_index, _face_vector, _hf_from_counts
 
 
@@ -183,19 +182,19 @@ class TestCliqueWalk:
     )
     def test_equals_the_cover_walk_up_to_dim(self, spec):
         dim = spec.c + spec.d
-        expected = _cover_walk(_enumerated(spec)[0], dim)
+        expected = _cover_walk(checked_groups(spec)[0], dim)
         assert face_counts(enumerate_facets(spec), dim) == expected
 
     @pytest.mark.parametrize("n", [(12,), (2, 2, 4, 4)])
     def test_equals_the_cover_walk_at_window_five(self, n):
         spec = ScrollSpec(n)
-        expected = _cover_walk(_enumerated(spec)[0], 5)
+        expected = _cover_walk(checked_groups(spec)[0], 5)
         assert face_counts(enumerate_facets(spec), 5) == expected
 
     @pytest.mark.parametrize("n", [(5,), (2, 4), (2, 2, 2, 2), (1, 2, 2, 4)])
     def test_certificate_fails_with_a_facet_dropped(self, n):
         spec = ScrollSpec(n)
-        masks = _enumerated(spec)[0]
+        masks = checked_groups(spec)[0]
         invariants._certify_flag(_skeleton(masks), masks)
         for drop in (0, len(masks) // 2, len(masks) - 1):
             kept = masks[:drop] + masks[drop + 1 :]
@@ -204,7 +203,7 @@ class TestCliqueWalk:
 
     def test_certificate_fails_with_an_edge_added_or_removed(self):
         spec = ScrollSpec((2, 4))
-        masks = _enumerated(spec)[0]
+        masks = checked_groups(spec)[0]
         adj = _skeleton(masks)
         u, v = next(
             (u, v)

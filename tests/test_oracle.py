@@ -758,12 +758,12 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("n, hf2", [((6, 6, 6), 7356), ((20,), 9424)])
     def test_degree_two_from_the_fold_past_the_enumeration_budget(self, monkeypatch, n, hf2):
-        # HF(2) = f1 + f2 from the face DP, which enumerates no facet, and
+        # HF(2) = f1 + f2 from the face DP, which folds no group, and
         # cross_check compares with that DP alone.
-        def no_enumeration(spec):
-            raise AssertionError("a facet was enumerated")
+        def no_fold(spec, alpha, mutation):
+            raise AssertionError("a group was folded")
 
-        monkeypatch.setattr(dual_quotients, "_enumerated", no_enumeration)
+        monkeypatch.setattr(dual_quotients, "_fold", no_fold)
         spec = ScrollSpec(n)
         assert count_facets(spec) > MAX_ENUMERATED_FACETS
         f = _face_vector(spec)

@@ -333,7 +333,7 @@ def cmd_facets(
         raise PreconditionError(f"--limit must be >= 0 (0 emits every facet), got {limit}")
     if alpha is not None:
         require_alpha(spec, alpha)  # before any fold, at any c
-    views = itertools.islice(_facets(spec, alpha), limit or None)
+    views = itertools.islice(_facets(spec, alpha), min(limit, sys.maxsize) or None)
     if fmt == "json":
         facets = [
             {

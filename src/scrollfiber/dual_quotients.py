@@ -27,16 +27,16 @@ cross-group ridges of each pair of partners one more, and a ridge that lies
 in its facet alone is never looked up.
 
 Certification streams the groups (``_run``): it folds a group, checks it,
-runs its within-group pass and its cross pass with each partner it holds,
-and tallies a group once its last partner has come, so that it holds two
-groups at a time.  On specs with at least ``MIN_FORKED_FACETS`` facets the
-groups are cut into two runs of about equal facet count (``_cut``), the
-first certified in a forked child, each process pinned to its own CPU
-(``two_halves``).  The generators found this way are true ones, and the
-face identity decides that they are all of them: their degree counts equal
-the h-vector of the counted complex exactly when the order is a shelling
-(``_certify``).  Only when the identity fails does the quadratic scan name
-the failing facets.
+runs its within-group pass, and holds it until a cross pass has met it with
+each partner group (``_hold``), then tallies it.  On specs with at least
+``MIN_FORKED_FACETS`` facets the groups are cut into two runs of about
+equal facet count (``_cut``), the first certified in a forked child, each
+process pinned to its own CPU (``two_halves``); the groups the runs leave
+waiting meet after the join, so each group is folded once.  The
+generators found this way are true ones, and the face identity decides
+that they are all of them: their degree counts equal the h-vector of the
+counted complex exactly when the order is a shelling (``_certify``).  Only
+when the identity fails does the quadratic scan name the failing facets.
 
 The prediction is local to a facet's tree: each node adds its vertex by
 its role in its column, which its parent's way fixes, and by its own way
@@ -91,11 +91,12 @@ from .scroll_model import ScrollSpec, leaves_profile, per_spec, require_complex,
 #: Certification and every facet reader refuse specs with more facets than
 #: this (``CapacityError``, ``_counted``), before any fold.  None keeps a
 #: facet past its group: a certification run holds two groups at a time,
-#: with their masks and predictions, plus the ridges still waiting for an
-#: earlier facet.  ``invariants`` peaks at 56.8 MB max RSS for (4,4,4,4),
-#: 475,456 facets, and 100.4 MB for (4,4,4,5), 982,889, in 1.5 and 3.9 s
-#: of wall time and 2.8 and 6.5 s of CPU over both processes (one CLI run
-#: each, median of 3, max RSS and CPU of the run and its forked child from
+#: with their masks and predictions, plus the groups still waiting on a
+#: partner in the other run and the ridges still waiting for an earlier
+#: facet.  ``invariants`` peaks at 46.5 MB max RSS for (4,4,4,4), 475,456
+#: facets, and 81.1 MB for (4,4,4,5), 982,889, in 1.6 and 3.8 s of wall
+#: time and 2.9 and 6.2 s of CPU over both processes (one CLI run each,
+#: median of 8 and 4, max RSS and CPU of the run and its forked child from
 #: ``wait4``, 2-core host).  A ``Facet`` view takes about 2.3 KB at
 #: (4,4,4,5), so ``_facets`` builds each view as it yields it.
 MAX_ENUMERATED_FACETS = 1_000_000
@@ -574,8 +575,9 @@ class _Group:
     masks, predictions and candidate generators (``tested``), by position;
     the vertices whose ridges other facets of the group may hold
     (``within``), the units whose ridges a partner group's facets may hold
-    (``cross``), and by position the candidates found to be no generators
-    so far (``missed``)."""
+    (``cross``), how many partner groups it has still to meet
+    (``waiting``), and by position the candidates found to be no
+    generators so far (``missed``)."""
 
     alpha: int
     masks: list[int]
@@ -583,34 +585,28 @@ class _Group:
     tested: list[int]
     within: int
     cross: int
+    waiting: int
     missed: dict[int, int] = field(default_factory=dict)
 
 
 def _group(
-    spec: ScrollSpec,
-    mutation: str | None,
-    alpha: int,
-    positions: Sequence[int],
-    in_place: bool,
-    checked: bool,
+    spec: ScrollSpec, mutation: str | None, alpha: int, positions: Sequence[int], in_place: bool
 ) -> _Group:
-    """The group at ``alpha``, folded, in the certified order ``positions``
-    of its fold's order, and when ``checked`` holds checked as every reader
-    checks it (``_checked_fold``), and under ``c2`` and ``b2`` the mutated
-    fold's masks against the unmutated ones (``InternalError``).  A run
-    folds again, unchecked, a group of another run that checks it; the fold
-    is a function of the spec.
+    """The group at ``alpha``, folded and checked as every reader checks it
+    (``_checked_fold``), in the certified order ``positions`` of its fold's
+    order, and under ``c2`` and ``b2`` the mutated fold's masks checked
+    against the unmutated ones (``InternalError``).
 
     A facet's candidates are its unmutated prediction when ``in_place``,
     that is when this group and every later one are in the enumeration's
     own order, so that a facet's earlier facets are exactly those of the
     enumeration; elsewhere they are all its vertices, so any order is
     certified."""
-    masks, unmutated = _checked_fold(spec, alpha) if checked else _fold(spec, alpha, None)
+    masks, unmutated = _checked_fold(spec, alpha)
     predicted = unmutated
     if mutation in ("c2", "b2"):  # swap-groups only reorders the groups
         folded, predicted = _fold(spec, alpha, mutation)
-        if checked and folded != masks:
+        if folded != masks:
             raise InternalError(
                 f"the {mutation} fold of the group at alpha={alpha} of {spec} differs from "
                 "its unmutated fold"
@@ -619,13 +615,15 @@ def _group(
     if positions != range(len(masks)):
         masks, predicted, tested = ([s[p] for p in positions] for s in (masks, predicted, tested))
     everything = (1 << math.comb(spec.c, 2)) - 1
+    partners = _partners(spec)[alpha]
     return _Group(
         alpha=alpha,
         masks=masks,
         predicted=predicted,
         tested=tested,
         within=everything ^ functools.reduce(operator.and_, masks),
-        cross=sum(_partners(spec)[alpha].values()),
+        cross=sum(partners.values()),
+        waiting=len(partners),
     )
 
 
@@ -704,62 +702,58 @@ def _tally(
     kept += ((j, group.alpha, *facet) for facet in facets)
 
 
+def _hold(
+    spec: ScrollSpec,
+    j: int,
+    group: _Group,
+    held: dict[int, _Group],
+    counts: list[int],
+    kept: list[Tallied],
+    every: bool,
+) -> None:
+    """Hold ``group``, the ``j``-th of the certified order, next to the
+    groups ``held`` by index: run the cross pass of the pair it makes with
+    each held partner, the earlier group of the certified order first
+    (``_missed``), then tally (``_tally``) and drop every group that has
+    met all its partners."""
+    partners = _partners(spec)
+    held[j] = group
+    for i, other in held.items():
+        if other.alpha in partners[group.alpha]:
+            pair = (other, group) if i < j else (group, other)
+            _missed([(g, g.cross & partners[g.alpha][h.alpha]) for g, h in (pair, pair[::-1])])
+            other.waiting -= 1
+            group.waiting -= 1
+    for i in [i for i, other in held.items() if not other.waiting]:
+        _tally(i, held.pop(i), counts, kept, every)
+
+
 def _run(
     spec: ScrollSpec, mutation: str | None, order: Order, part: range, every: bool
-) -> tuple[list[int], list[Tallied], dict[int, dict[int, int]], dict[int, _Group]]:
+) -> tuple[list[int], list[Tallied], dict[int, tuple]]:
     """Fold, check and certify the groups ``order[j]``, j in ``part``, in
-    turn (``_group``).
+    turn (``_group``): each gets its within-group pass (``_missed``) and is
+    held (``_hold``) until it has met every partner group.  On the
+    enumeration's order a run so holds two groups at a time, plus those
+    whose partner is in the other run.
 
-    Each group gets its within-group pass, and a cross pass with each
-    partner group once both are held, in the certified order (``_missed``).
-    A partner before ``part`` belongs to an earlier run, which checks it: it
-    is folded here too, for its cross passes alone, and kept among the
-    ``extras`` for the caller, which tallies it once the earlier run's
-    passes over it are in.  A group is tallied (``_tally``) and dropped
-    when its last partner after it within ``part`` has come; one with a
-    partner after ``part`` is not: its ``missed`` goes to the later run, in
-    ``deferred``.  On the enumeration's order a run so holds two of its
-    groups and at most one extra at a time.
-
-    Returns the degree counts and the entries of the groups tallied, the
-    deferred missed maps by alpha, and the extras by index."""
-    partners = _partners(spec)
-    where = {alpha: j for j, (alpha, _) in enumerate(order)}
+    Returns the degree counts and the entries of the groups tallied, and
+    the groups still waiting by index, each as the plain tuple of its
+    fields that a pipe takes (``two_halves``)."""
     enumeration = [(alpha, range(count)) for alpha, count in _group_counts(spec).items()]
     start = len(order)  # from this index on, every group is in the enumeration's order
     while start and order[start - 1] == enumeration[start - 1]:
         start -= 1
-
-    def folded(j: int) -> _Group:
-        alpha, positions = order[j]
-        return _group(spec, mutation, alpha, positions, j >= start, j in part)
-
     counts = [0] * (spec.c + spec.d + 1)
     kept: list[Tallied] = []
     held: dict[int, _Group] = {}
-    extras: dict[int, _Group] = {}
-    deferred: dict[int, dict[int, int]] = {}
     for j in part:
-        group = held[j] = folded(j)
+        alpha, positions = order[j]
+        group = _group(spec, mutation, alpha, positions, j >= start)
         _missed([(group, group.within)])
-        for beta, unit in partners[group.alpha].items():
-            i = where[beta]
-            if i < part.start and i not in extras:
-                extras[i] = folded(i)
-            if i < j:
-                other = extras.get(i) or held[i]
-                toward = partners[beta][group.alpha]  # the units of the pair's ridges
-                _missed([(other, other.cross & toward), (group, group.cross & unit)])
-        for i in list(held):
-            later = [where[beta] for beta in partners[held[i].alpha] if where[beta] > i]
-            if any(j < k < part.stop for k in later):
-                continue  # a partner in this run is still to come
-            done = held.pop(i)
-            if any(k >= part.stop for k in later):
-                deferred[done.alpha] = done.missed
-            else:
-                _tally(i, done, counts, kept, every)
-    return counts, kept, deferred, extras
+        _hold(spec, j, group, held, counts, kept, every)
+    fields = operator.attrgetter(*_Group.__slots__)
+    return counts, kept, {j: fields(group) for j, group in held.items()}
 
 
 def _cut(sizes: Sequence[int]) -> int:
@@ -782,11 +776,11 @@ def _certified(
     order and the rest; by default by ``_cut`` on specs with at least
     ``MIN_FORKED_FACETS`` facets, and none on smaller ones, which run in
     one.  The first run goes to a forked child unless ``every`` holds
-    (``two_halves``), the child reaped before this returns.  The groups of
-    the first run with a partner in the second are tallied here, once both
-    runs' passes over them are in.  Unmutated, ``c2`` and ``b2`` runs miss
-    no candidate.  ``InternalError`` unless the groups hold
-    ``count_facets`` facets.
+    (``two_halves``), the child reaped before this returns.  The groups
+    that each run leaves waiting on a partner in the other are held here
+    (``_hold``) after the join.  Unmutated, ``c2`` and ``b2`` runs miss no
+    candidate.  ``InternalError`` unless the groups hold ``count_facets``
+    facets.
 
     Every counted generator u has an earlier facet holding F - u, found by a
     lookup, so the counted set is part of the true one, whatever the
@@ -799,17 +793,14 @@ def _certified(
         sizes = [counts_of[alpha] for alpha, _ in order]
         cut = _cut(sizes) if expected >= MIN_FORKED_FACETS else 0
 
-    def first() -> tuple[list[int], list[Tallied], dict[int, dict[int, int]]]:
-        return _run(spec, mutation, order, range(cut), every)[:3]
-
+    first = functools.partial(_run, spec, mutation, order, range(cut), every)
     second = functools.partial(_run, spec, mutation, order, range(cut, len(order)), every)
-    (theirs, their_kept, deferred), (counts, kept, _, extras) = two_halves(
+    (theirs, their_kept, their_waiting), (counts, kept, waiting) = two_halves(
         first, second, cut > 0 and not every
     )
-    for j, group in extras.items():
-        for i, lost in deferred[group.alpha].items():
-            group.missed[i] = group.missed.get(i, 0) | lost
-        _tally(j, group, counts, kept, every)
+    held: dict[int, _Group] = {}
+    for j, fields in {**their_waiting, **waiting}.items():
+        _hold(spec, j, _Group(*fields), held, counts, kept, every)
     counts = list(map(operator.add, theirs, counts))
     if sum(counts) != expected:
         raise InternalError(f"enumerated {sum(counts)} facets for {spec}, counted {expected}")

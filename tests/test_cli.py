@@ -523,6 +523,13 @@ class TestFacetsCommand:
         assert payload["count"] == 3
         assert all(f["alpha"] == 2 for f in payload["facets"])
 
+    def test_a_limit_past_every_index_emits_every_facet(self, capsys):
+        # A limit over sys.maxsize, which itertools.islice refuses, is at
+        # or above the facet count, so it lists every facet, as 0 does.
+        code, every, err = run(capsys, "facets", "--n", "5", "--limit", "0")
+        assert code == 0 and err == "" and every.startswith("10 facets of n=(5)\n")
+        assert run(capsys, "facets", "--n", "5", "--limit", str(10**20)) == (0, every, "")
+
     def test_negative_limit_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "facets", "--n", "5", "--limit", "-1")
         assert code == 2

@@ -676,6 +676,26 @@ class TestGroupRuns:
         for cut in range(len(spec.alphas) + 1):
             assert _certified(spec, mutation, cut, every=True)[1] == expected, cut
 
+    @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups"])
+    def test_each_group_is_folded_once_at_every_cut(self, mutation, monkeypatch):
+        # A pair of partner groups split by the cut meets after both runs:
+        # no run folds a group of the other.  A rule mutation folds each
+        # group once more, mutated.
+        calls = []
+
+        def counted(spec, alpha, mutation):
+            calls.append((alpha, mutation))
+            return _fold(spec, alpha, mutation)
+
+        monkeypatch.setattr(dual_quotients, "_fold", counted)
+        spec = ScrollSpec((7,))
+        folds = [None] + [mutation] * (mutation in ("c2", "b2"))
+        once = Counter((alpha, fold) for alpha in spec.alphas for fold in folds)
+        for cut in range(len(spec.alphas) + 1):
+            calls.clear()
+            _certified(spec, mutation, cut, every=True)
+            assert Counter(calls) == once, cut
+
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
     def test_the_cut_balances_the_facet_counts_of_the_runs(self, spec):
         sizes = [len(ranks) for ranks in checked_groups(spec)[1].values()]
@@ -699,7 +719,7 @@ class TestGroupRuns:
                     owners.setdefault(f ^ v, []).append(alpha)
         skipped = shared = 0
         for alpha, ranks in groups.items():
-            group = dual_quotients._group(spec, None, alpha, range(len(ranks)), True, True)
+            group = dual_quotients._group(spec, None, alpha, range(len(ranks)), True)
             assert group.within & group.cross == 0
             assert group.cross == sum(partners[alpha].values())
             for f in group.masks:
@@ -825,7 +845,7 @@ class TestGroupRuns:
         counts, entries = _certified(spec, mutation, every=True)
         return counts, [entry for entry in entries if entry[2] != entry[3]]
 
-    @pytest.mark.parametrize("mutation", [None, "c2", "swap-groups"])
+    @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups"])
     def test_the_forked_runs_give_the_in_process_result_at_every_cut(self, mutation, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]
         expected = self._in_process(spec, mutation)

@@ -135,7 +135,7 @@ def _verification_dict(result: VerificationResult) -> dict:
     return {
         "passed": result.passed,
         "facets": result.facet_count,
-        "mode": "indexed",
+        "mode": "scan" if result.scanned else "indexed",
         "mutation": result.mutation,
         "failure_count": len(result.failing),
         "failures": entries,

@@ -44,8 +44,8 @@ its role in its column, which its parent's way fixes, and by its own way
 state, ``_fold``, lists every facet of the group together with its
 prediction, next to the fold of ``facet_complex`` that counts them.  Every
 reader folds the groups it reaches and checks each as certification does
-(``_checked_fold``); only the rule mutations fold a group again.  Each
-certification run folds its own groups, and ``_facets`` yields the
+(``_checked_fold``); the rule mutations, the scan and ``reports`` fold again.
+Each certification run folds its own groups, and ``_facets`` yields the
 ``Facet`` views of one group at a time, in the facet order, to
 ``enumerate_facets``, ``first_facet``, ``colon_generators`` and the
 ``facets`` command, which so fold only the groups they read.  No facet is
@@ -80,6 +80,7 @@ from .facet_complex import (
     _group_counts,
     _mask,
     _table,
+    _trimmed,
     _vertices,
     _walk,
     count_facets,
@@ -140,9 +141,8 @@ class VerificationResult:
     the failing reports are kept, and ``passed`` means that there are none:
     no facet's generators differ from its prediction, and the face identity
     holds.  ``scanned`` says that the identity failed, so every facet's
-    colon ideal came from the quadratic scan.  ``reports`` rebuilds all of
-    them, in the certified order, on first access: it replays the runs, or
-    the scan, in this process.
+    colon ideal came from the quadratic scan.  ``reports`` lists them all
+    on first access, in the certified order, off the folds (``_all_reports``).
     """
 
     spec: ScrollSpec
@@ -162,12 +162,9 @@ class VerificationResult:
     @property
     def reports(self) -> tuple[ColonReport, ...]:
         if self._reports is None:
-            spec, mutation = self.spec, self.mutation
-            if self.scanned:
-                stream: Iterable[Colon] = _scanned(spec, mutation)
-            else:
-                stream = _certified(spec, mutation, every=True)[1]
-            object.__setattr__(self, "_reports", tuple(_report(spec, *entry) for entry in stream))
+            failing = {_mask(self.spec, r.facet.vertices): r for r in self.failing}
+            reports = tuple(_all_reports(self.spec, self.mutation, failing))
+            object.__setattr__(self, "_reports", reports)
         return self._reports
 
 
@@ -371,9 +368,8 @@ def _partners(spec: ScrollSpec) -> dict[int, dict[int, int]]:
 def _counted(spec: ScrollSpec) -> tuple[int, dict[int, int]]:
     """``count_facets(spec)`` and the facet count of each group, larger
     alpha first (``_group_counts``), once the spec passes the guards of
-    every fold: ``CapacityError`` over ``MAX_ENUMERATED_FACETS`` facets,
-    and ``InternalError`` from ``_partners``."""
-    require_complex(spec)
+    every fold: ``count_facets``'s, ``CapacityError`` over
+    ``MAX_ENUMERATED_FACETS`` facets, and ``InternalError`` from ``_partners``."""
     expected = count_facets(spec)
     if expected > MAX_ENUMERATED_FACETS:
         raise CapacityError(
@@ -677,29 +673,22 @@ def _missed(segments: Sequence[tuple[_Group, int]]) -> None:
 # else None.
 Colon = tuple[int, int, int, int, frozenset[int] | None]
 
-# A tallied entry of ``_run``: the index of its group in the certified
-# order, then a certified ``Colon`` without its last field.
-Tallied = tuple[int, int, int, int, int]
 
-
-def _tally(
-    j: int, group: _Group, counts: list[int], kept: list[Tallied], every: bool
-) -> None:
+def _tally(j: int, group: _Group, counts: list[int], kept: list[tuple[int, Colon]]) -> None:
     """Add the facets of ``group``, the ``j``-th of the certified order, to
-    the degree counts ``counts`` and their entries to ``kept``: every entry
-    when ``every`` holds, else those whose generators differ from their
-    prediction.  A facet's generators are its candidates whose ridges are
-    looked up and held by an earlier facet."""
+    the degree counts ``counts``, and to ``kept``, each with ``j``, the
+    entries of those whose generators differ from their prediction.  A
+    facet's generators are its candidates whose ridges are looked up and
+    held by an earlier facet."""
     scope, missed = group.within | group.cross, group.missed
     gens = [tested & scope for tested in group.tested]
     for i, lost in missed.items():
         gens[i] &= ~lost
     for degree, count in collections.Counter(map(int.bit_count, gens)).items():
         counts[degree] += count
-    facets: Iterable[tuple[int, int, int]] = zip(group.masks, gens, group.predicted)
-    if not every:
-        facets = itertools.compress(facets, map(operator.ne, gens, group.predicted))
-    kept += ((j, group.alpha, *facet) for facet in facets)
+    facets = zip(group.masks, gens, group.predicted)
+    failing = itertools.compress(facets, map(operator.ne, gens, group.predicted))
+    kept += ((j, (group.alpha, *facet, None)) for facet in failing)
 
 
 def _hold(
@@ -708,14 +697,13 @@ def _hold(
     group: _Group,
     held: dict[int, _Group],
     counts: list[int],
-    kept: list[Tallied],
-    every: bool,
+    kept: list[tuple[int, Colon]],
 ) -> None:
     """Hold ``group``, the ``j``-th of the certified order, next to the
     groups ``held`` by index: run the cross pass of the pair it makes with
     each held partner, the earlier group of the certified order first
     (``_missed``), then tally (``_tally``) and drop every group that has
-    met all its partners."""
+    met all its partners, keeping its failing entries in ``kept``."""
     partners = _partners(spec)
     held[j] = group
     for i, other in held.items():
@@ -725,33 +713,33 @@ def _hold(
             other.waiting -= 1
             group.waiting -= 1
     for i in [i for i, other in held.items() if not other.waiting]:
-        _tally(i, held.pop(i), counts, kept, every)
+        _tally(i, held.pop(i), counts, kept)
 
 
 def _run(
-    spec: ScrollSpec, mutation: str | None, order: Order, part: range, every: bool
-) -> tuple[list[int], list[Tallied], dict[int, tuple]]:
+    spec: ScrollSpec, mutation: str | None, order: Order, part: range
+) -> tuple[list[int], list[tuple[int, Colon]], dict[int, tuple]]:
     """Fold, check and certify the groups ``order[j]``, j in ``part``, in
     turn (``_group``): each gets its within-group pass (``_missed``) and is
     held (``_hold``) until it has met every partner group.  On the
     enumeration's order a run so holds two groups at a time, plus those
     whose partner is in the other run.
 
-    Returns the degree counts and the entries of the groups tallied, and
-    the groups still waiting by index, each as the plain tuple of its
-    fields that a pipe takes (``two_halves``)."""
+    Returns the degree counts and the failing entries of the groups tallied,
+    each entry with its group's index, and the groups still waiting by index,
+    each as the plain tuple of its fields that a pipe takes (``two_halves``)."""
     enumeration = [(alpha, range(count)) for alpha, count in _group_counts(spec).items()]
     start = len(order)  # from this index on, every group is in the enumeration's order
     while start and order[start - 1] == enumeration[start - 1]:
         start -= 1
     counts = [0] * (spec.c + spec.d + 1)
-    kept: list[Tallied] = []
+    kept: list[tuple[int, Colon]] = []
     held: dict[int, _Group] = {}
     for j in part:
         alpha, positions = order[j]
         group = _group(spec, mutation, alpha, positions, j >= start)
         _missed([(group, group.within)])
-        _hold(spec, j, group, held, counts, kept, every)
+        _hold(spec, j, group, held, counts, kept)
     fields = operator.attrgetter(*_Group.__slots__)
     return counts, kept, {j: fields(group) for j, group in held.items()}
 
@@ -765,17 +753,17 @@ def _cut(sizes: Sequence[int]) -> int:
 
 
 def _certified(
-    spec: ScrollSpec, mutation: str | None, cut: int | None = None, every: bool = False
+    spec: ScrollSpec, mutation: str | None, cut: int | None = None
 ) -> tuple[list[int], list[Colon]]:
     """The degree counts of the facets' counted generators in the order
     certified under ``mutation`` (``_facet_order``), and the ``Colon``
-    entries, in that order, of every facet when ``every`` holds, else of
-    those whose generators differ from their prediction.
+    entries, in that order, of the facets whose generators differ from
+    their prediction.
 
     The groups are cut into two runs (``_run``), the first ``cut`` in the
     order and the rest; by default by ``_cut`` on specs with at least
     ``MIN_FORKED_FACETS`` facets, and none on smaller ones, which run in
-    one.  The first run goes to a forked child unless ``every`` holds
+    one.  When there are two, the first goes to a forked child
     (``two_halves``), the child reaped before this returns.  The groups
     that each run leaves waiting on a partner in the other are held here
     (``_hold``) after the join.  Unmutated, ``c2`` and ``b2`` runs miss no
@@ -793,34 +781,50 @@ def _certified(
         sizes = [counts_of[alpha] for alpha, _ in order]
         cut = _cut(sizes) if expected >= MIN_FORKED_FACETS else 0
 
-    first = functools.partial(_run, spec, mutation, order, range(cut), every)
-    second = functools.partial(_run, spec, mutation, order, range(cut, len(order)), every)
+    first = functools.partial(_run, spec, mutation, order, range(cut))
+    second = functools.partial(_run, spec, mutation, order, range(cut, len(order)))
     (theirs, their_kept, their_waiting), (counts, kept, waiting) = two_halves(
-        first, second, cut > 0 and not every
+        first, second, cut > 0
     )
     held: dict[int, _Group] = {}
     for j, fields in {**their_waiting, **waiting}.items():
-        _hold(spec, j, _Group(*fields), held, counts, kept, every)
+        _hold(spec, j, _Group(*fields), held, counts, kept)
     counts = list(map(operator.add, theirs, counts))
     if sum(counts) != expected:
         raise InternalError(f"enumerated {sum(counts)} facets for {spec}, counted {expected}")
     kept = sorted(their_kept + kept, key=operator.itemgetter(0))  # stable: keeps each group's order
-    return counts, [(alpha, f, gens, predicted, None) for _, alpha, f, gens, predicted in kept]
+    return counts, [entry for _, entry in kept]
 
 
-def _scanned(spec: ScrollSpec, mutation: str | None) -> Iterator[Colon]:
-    """The diagnostic pass, quadratic in the facet count: per facet in the
-    order certified under ``mutation``, its ``Colon`` with the mask of its
-    singleton generators and its minimal difference masks against every
-    earlier facet, kept in one list (the scan of ``colon_generators``)."""
-    earlier: list[int] = []
+def _ordered(spec: ScrollSpec, mutation: str | None) -> Iterator[tuple[int, int, int]]:
+    """Every facet in the order certified under ``mutation``: its group's
+    alpha, its mask and the mask of its prediction, one fold a group."""
     for alpha, positions in _facet_order(spec, mutation):
         masks, predicted = _fold(spec, alpha, mutation)
         for p in positions:
-            f = masks[p]
-            diffs = _minimal_masks(f & ~m for m in earlier)
-            earlier.append(f)
-            yield alpha, f, sum(d for d in diffs if d.bit_count() == 1), predicted[p], diffs
+            yield alpha, masks[p], predicted[p]
+
+
+def _scanned(spec: ScrollSpec, mutation: str | None) -> Iterator[Colon]:
+    """The diagnostic pass, quadratic in the facet count: per facet of
+    ``_ordered``, its ``Colon`` with the mask of its singleton generators
+    and its minimal difference masks against every earlier facet, kept in
+    one list (the scan of ``colon_generators``)."""
+    earlier: list[int] = []
+    for alpha, f, predicted in _ordered(spec, mutation):
+        diffs = _minimal_masks(f & ~m for m in earlier)
+        earlier.append(f)
+        yield alpha, f, sum(d for d in diffs if d.bit_count() == 1), predicted, diffs
+
+
+def _all_reports(
+    spec: ScrollSpec, mutation: str | None, failing: dict[int, ColonReport]
+) -> Iterator[ColonReport]:
+    """The ``ColonReport`` of every facet of ``_ordered``: a facet in
+    ``failing``, by mask, takes its report from there; any other passed,
+    so its generators are its prediction."""
+    for alpha, f, predicted in _ordered(spec, mutation):
+        yield failing[f] if f in failing else _report(spec, alpha, f, predicted, predicted, None)
 
 
 def _report(
@@ -838,13 +842,6 @@ def _report(
         linear=linear,
         matches_prediction=linear and gens == predicted,
     )
-
-
-def _trimmed(counts: list[int]) -> tuple[int, ...]:
-    """Degree counts without trailing zeros."""
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
 
 
 def verify_linear_quotients(

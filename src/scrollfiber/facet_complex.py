@@ -286,18 +286,14 @@ def _table(spec: ScrollSpec, alpha: int) -> Rules:
 
     Raises ``PreconditionError`` for an alpha that is not an ``int`` (1.0
     and True would find the table of 1), ``CapacityError`` from
-    ``_check_steps`` before the first table, and ``StructuralError`` for
+    ``_check_steps`` before a table is built, and ``StructuralError`` for
     alpha outside [1, c-d-2].
     """
     if type(alpha) is not int:
         raise PreconditionError(f"alpha must lie in [1, {len(spec.alphas)}], got {alpha!r}")
-
-    def budget() -> dict[int, Rules]:
-        _check_steps(spec)
-        return {}
-
-    tables = per_spec(spec, "rules", budget)
+    tables = per_spec(spec, "rules", dict)
     if alpha not in tables:
+        _check_steps(spec)
         if alpha not in spec.alphas:
             raise StructuralError(f"leftmost unit start {alpha} outside [1, {len(spec.alphas)}]")
         tables[alpha] = _rules(spec, alpha)
@@ -422,6 +418,11 @@ def numerator_from_face_counts(f: Sequence[int], dim: int) -> tuple[int, ...]:
         )
         for k in range(dim + 1)
     ]
+    return _trimmed(coeffs)
+
+
+def _trimmed(coeffs: list[int]) -> tuple[int, ...]:
+    """Coefficients, or degree counts, without trailing zeros."""
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

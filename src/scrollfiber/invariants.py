@@ -240,8 +240,12 @@ def closed_form(c: int, d: int) -> InvariantReport:
     Regularity is ceil((c+d-1)/2) for c >= d+4 and c-3 for 2 < c < d+4;
     dimension is c+d, respectively 2c-3.  The degenerate c = 2 scroll maps
     onto a polynomial ring in one variable, so its regularity is 0.  No
-    scroll has c < d: each block has a column.
+    scroll has c < d: each block has a column.  ``PreconditionError`` for a
+    c or d that is not an ``int``, and for a pair that is no scroll's.
     """
+    for name, value in (("c", c), ("d", d)):
+        if type(value) is not int:  # bool is an int subclass
+            raise PreconditionError(f"{name} must be an int, got {value!r}")
     if c < 2 or d < 1:
         raise PreconditionError(f"need c >= 2 and d >= 1, got c={c}, d={d}")
     if c < d:

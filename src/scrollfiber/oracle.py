@@ -177,6 +177,8 @@ def _buckets(
     order, each group's multisets in lexicographic order.  The degree and
     the row budget are checked first, before any work.
     """
+    if type(t) is not int:  # bool is an int subclass
+        raise PreconditionError(f"degree must be an int, got {t!r}")
     if t < 1:
         raise PreconditionError(f"rank problems need degree >= 1, got {t}")
     _check_rows(spec, t)
@@ -336,7 +338,10 @@ def fiber_hilbert_function(
     *,
     modulus: int | str = DEFAULT_MODULUS,
 ) -> int:
-    """Dimension of the degree-t graded piece of the minor subalgebra."""
+    """Dimension of the degree-t graded piece of the minor subalgebra;
+    ``PreconditionError`` for a degree that is not a non-negative ``int``."""
+    if type(t) is not int:  # bool is an int subclass
+        raise PreconditionError(f"degree must be an int, got {t!r}")
     if t < 0:
         raise PreconditionError(f"degree must be non-negative, got {t}")
     p = _field(modulus)
@@ -480,10 +485,12 @@ class CrossCheckResult:
 
 def _preflight(spec: ScrollSpec, t_max: int, modulus: int | str) -> int | None:
     """The checks ``cross_check`` makes before any work, which cost no work
-    themselves: the regime, t_max >= 0, the modulus (``_field``, whose
-    result it returns) and, as the row count grows with the degree, the row
-    budget at ``t_max``."""
+    themselves: the regime, t_max an ``int`` >= 0, the modulus (``_field``,
+    whose result it returns) and, as the row count grows with the degree,
+    the row budget at ``t_max``."""
     require_complex(spec)
+    if type(t_max) is not int:  # bool is an int subclass
+        raise PreconditionError(f"t_max must be an int, got {t_max!r}")
     if t_max < 0:
         raise PreconditionError(f"t_max must be non-negative, got {t_max}")
     p = _field(modulus)

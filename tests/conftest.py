@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 
 import pytest
 
@@ -33,6 +34,17 @@ DESK_SPECS: tuple[ScrollSpec, ...] = tuple(ScrollSpec(n) for n in DESK_SUITE)
 def desk_specs_with_complex() -> list[ScrollSpec]:
     """Desk-suite members large enough to carry the facet complex."""
     return [s for s in DESK_SPECS if s.has_complex]
+
+
+def shuffled_order(spec: ScrollSpec, seed: int) -> list[tuple[int, list[int]]]:
+    """The enumeration's order of the groups, each group's facets shuffled
+    within it."""
+    rng, order = random.Random(seed), []
+    for alpha, positions in dual_quotients._facet_order(spec, None):
+        positions = list(positions)
+        rng.shuffle(positions)
+        order.append((alpha, positions))
+    return order
 
 
 def checked_groups(spec: ScrollSpec) -> tuple[list[int], dict[int, range]]:

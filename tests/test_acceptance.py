@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from conftest import DESK_SPECS, brute_force_facets, crossing, desk_specs_with_complex
@@ -203,6 +204,18 @@ def test_criterion_10_structural_invariants():
             hv = h_vector_from_quotients(result.reports)
             assert hv.h[0] == 1
             assert sum(hv.h) == len(facets)
+
+
+def test_readme_library_example():
+    # The example under "## Library" in the README, run as written, gives
+    # the values its comments name.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    report, table = namespace["report"], namespace["table"]
+    assert (report.reg, report.a_invariant, report.facet_count) == (8, -8, 20_696)
+    assert table.blocks == ((1, 42, 4), (2, 275, 42))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import checked_groups, tightest_covers
+from conftest import checked_groups, shuffled_order, tightest_covers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -446,6 +446,19 @@ class TestVerifyCommand:
         )
         assert orc["passed"] is True
         assert [row[0] for row in orc["rows"]] == [0, 1, 2, 3]
+
+    def test_the_mode_names_the_scan_that_found_the_failures(self, capsys, monkeypatch):
+        # A certified run is "indexed".  No order the command offers fails
+        # the face identity, so the scan is reached through (6,) with each
+        # group shuffled within itself, which has 14 non-linear facets.
+        code, out, _ = run(capsys, "verify", "--n", "6", "--format", "json")
+        assert (code, json.loads(out)["verification"]["mode"]) == (0, "indexed")
+        order = shuffled_order(ScrollSpec((6,)), 0)
+        monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
+        code, out, _ = run(capsys, "verify", "--n", "6", "--format", "json")
+        verification = json.loads(out)["verification"]
+        assert (code, verification["passed"], verification["mode"]) == (1, False, "scan")
+        assert sum(not failure["linear"] for failure in verification["failures"]) == 14
 
     def test_small_regime_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "1,1,1")

@@ -7,7 +7,6 @@ import itertools
 import marshal
 import math
 import os
-import random
 import threading
 import time
 import tracemalloc
@@ -15,7 +14,13 @@ import types
 from collections import Counter
 
 import pytest
-from conftest import DESK_SPECS, assert_no_child, checked_groups, desk_specs_with_complex
+from conftest import (
+    DESK_SPECS,
+    assert_no_child,
+    checked_groups,
+    desk_specs_with_complex,
+    shuffled_order,
+)
 
 from scrollfiber import (
     DomainError,
@@ -35,12 +40,14 @@ from scrollfiber import (
 )
 from scrollfiber import dual_quotients, facet_complex, scroll_model
 from scrollfiber.dual_quotients import (
+    _all_reports,
     _certified,
     _certify,
     _cut,
     _facet_order,
     _fold,
     _predict,
+    _report,
     _scanned,
 )
 from scrollfiber.facet_complex import _grid, _mask, _walk
@@ -76,17 +83,6 @@ def _certified_order(spec, mutation):
     facets, groups = enumerate_facets(spec), checked_groups(spec)[1]
     order = dual_quotients._facet_order(spec, mutation)
     return [facets[groups[alpha][p]] for alpha, positions in order for p in positions]
-
-
-def _shuffled(spec, seed):
-    """The enumeration's order of the groups, each group's facets shuffled
-    within it."""
-    rng, order = random.Random(seed), []
-    for alpha, positions in _facet_order(spec, None):
-        positions = list(positions)
-        rng.shuffle(positions)
-        order.append((alpha, positions))
-    return order
 
 
 def _agreement_cases(specs):
@@ -470,7 +466,7 @@ class TestVerification:
         # each group shuffled within itself, which both the certified runs
         # and the scan read.
         spec = ScrollSpec((6,))
-        order = _shuffled(spec, 0)
+        order = shuffled_order(spec, 0)
         monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
         facets = _certified_order(spec, None)
         result = verify_linear_quotients(spec)
@@ -506,6 +502,17 @@ def _all_ridges_certified(spec, mutation):
             yield alpha, f, gens, predicted[p], None
 
 
+def _read_off(monkeypatch, spec, mutation, cut=None):
+    """Every facet's entry as ``_all_reports`` reads it off the failing
+    entries of ``_certified``: with ``_report`` patched to keep an entry as
+    it is, the derivation yields entries, not reports, of the same facets."""
+    failing = {entry[1]: entry for entry in _certified(spec, mutation, cut)[1]}
+    monkeypatch.setattr(dual_quotients, "_report", lambda spec, *entry: entry)
+    derived = list(_all_reports(spec, mutation, failing))
+    monkeypatch.setattr(dual_quotients, "_report", _report)
+    return derived
+
+
 def _degree_counts(spec, entries):
     """The degree counts of ``_certified`` for ``entries``."""
     counts = [0] * (spec.c + spec.d + 1)
@@ -522,21 +529,21 @@ def _bits(mask):
 class TestPendingRidges:
     @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups"])
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
-    def test_entries_equal_the_all_ridges_pass(self, spec, mutation):
+    def test_entries_equal_the_all_ridges_pass(self, spec, mutation, monkeypatch):
         expected = list(_all_ridges_certified(spec, mutation))
-        counts = _degree_counts(spec, expected)
-        assert _certified(spec, mutation, every=True) == (counts, expected)
         failing = [entry for entry in expected if entry[2] != entry[3]]
-        assert _certified(spec, mutation) == (counts, failing)
+        assert _certified(spec, mutation) == (_degree_counts(spec, expected), failing)
+        assert _read_off(monkeypatch, spec, mutation) == expected
 
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
     def test_entries_equal_the_all_ridges_pass_on_a_shuffled_order(self, spec, monkeypatch):
         # Off the enumeration's order every vertex is a candidate, so the
         # runs count every vertex whose ridge an earlier facet holds.
-        order = _shuffled(spec, len(spec.n))
+        order = shuffled_order(spec, len(spec.n))
         monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
         expected = list(_all_ridges_certified(spec, None))
-        assert _certified(spec, None, every=True) == (_degree_counts(spec, expected), expected)
+        assert _certified(spec, None)[0] == _degree_counts(spec, expected)
+        assert _read_off(monkeypatch, spec, None) == expected
 
     def test_swapped_order_tests_predictions_past_the_moved_groups(self, monkeypatch):
         # (7,) has 4 groups.  Past the two moved groups the order is the
@@ -669,18 +676,19 @@ class TestGroupRuns:
         # every k; k = 0 and k = all are one run.  (2,2,4,4) runs its own
         # cuts forked below.
         if mutation == "shuffled":
-            order = _shuffled(spec, len(spec.n))
+            order = shuffled_order(spec, len(spec.n))
             monkeypatch.setattr(dual_quotients, "_facet_order", lambda spec, mutation: order)
             mutation = None
         expected = list(_all_ridges_certified(spec, mutation))
         for cut in range(len(spec.alphas) + 1):
-            assert _certified(spec, mutation, cut, every=True)[1] == expected, cut
+            assert _read_off(monkeypatch, spec, mutation, cut) == expected, cut
 
     @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups"])
     def test_each_group_is_folded_once_at_every_cut(self, mutation, monkeypatch):
         # A pair of partner groups split by the cut meets after both runs:
         # no run folds a group of the other.  A rule mutation folds each
-        # group once more, mutated.
+        # group once more, mutated.  Both runs fold here, without os.fork.
+        monkeypatch.delattr(os, "fork")
         calls = []
 
         def counted(spec, alpha, mutation):
@@ -693,7 +701,7 @@ class TestGroupRuns:
         once = Counter((alpha, fold) for alpha in spec.alphas for fold in folds)
         for cut in range(len(spec.alphas) + 1):
             calls.clear()
-            _certified(spec, mutation, cut, every=True)
+            _certified(spec, mutation, cut)
             assert Counter(calls) == once, cut
 
     @pytest.mark.parametrize("spec", desk_specs_with_complex(), ids=lambda spec: str(spec.n))
@@ -829,21 +837,20 @@ class TestGroupRuns:
         parent, calls = os.getpid(), []
         real = dual_quotients._run
 
-        def run(spec, mutation, order, part, every):
+        def run(spec, mutation, order, part):
             if os.getpid() == parent:
                 calls.append(part)
             if fail is not None and fail(os.getpid() == parent):
                 raise RuntimeError("a run failed")
-            return real(spec, mutation, order, part, every)
+            return real(spec, mutation, order, part)
 
         monkeypatch.setattr(dual_quotients, "_run", run)
         return calls
 
     @staticmethod
     def _in_process(spec, mutation):
-        """``_certified``'s result, from the replay in this process."""
-        counts, entries = _certified(spec, mutation, every=True)
-        return counts, [entry for entry in entries if entry[2] != entry[3]]
+        """``_certified``'s result from one run in this process."""
+        return _certified(spec, mutation, 0)
 
     @pytest.mark.parametrize("mutation", [None, "c2", "b2", "swap-groups"])
     def test_the_forked_runs_give_the_in_process_result_at_every_cut(self, mutation, monkeypatch):
@@ -867,6 +874,17 @@ class TestGroupRuns:
         sizes = [len(ranks) for ranks in checked_groups(spec)[1].values()]
         assert calls == [range(_cut(sizes), len(sizes))] and len(forks) == 1
         assert_no_child()
+
+    def test_reports_certify_nothing_again(self, monkeypatch):
+        # A facet that does not fail has its prediction as its generators,
+        # so the reports of a certified result are read off one fold a
+        # group, and no run is made again.  The kept result of the shared
+        # spec gives the reports to compare with.
+        spec = DESK_BY_N[(2, 2, 4, 4)]
+        result, expected = _certify(spec, None), verify_linear_quotients(spec).reports
+        assert result._reports is None
+        self._runs(monkeypatch, fail=lambda parent: True)
+        assert result.reports == expected
 
     def test_below_the_cutoff_one_run_takes_every_group(self, monkeypatch):
         spec = DESK_BY_N[(2, 2, 4, 4)]

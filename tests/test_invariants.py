@@ -271,6 +271,22 @@ class TestClosedForm:
         with pytest.raises(PreconditionError, match=f"need c >= d, .* got c={c}, d={d}"):
             closed_form(c, d)
 
+    @pytest.mark.parametrize(
+        "c, d, shown",
+        [
+            (5.0, 1, "c must be an int, got 5.0"),
+            (5, True, "d must be an int, got True"),
+            ("5", 1, "c must be an int, got '5'"),
+            (True, 1, "c must be an int, got True"),
+        ],
+        ids=["float-c", "bool-d", "string-c", "bool-c"],
+    )
+    def test_refuses_an_argument_that_is_not_an_int(self, c, d, shown):
+        # A float or a bool is no int here: 5.0 would give dim=6.0, and True
+        # would be reported as d.
+        with pytest.raises(PreconditionError, match=f"^{re.escape(shown)}$"):
+            closed_form(c, d)
+
     def test_keeps_the_message_for_c_below_two(self):
         with pytest.raises(PreconditionError, match=r"need c >= 2 and d >= 1, got c=1, d=3"):
             closed_form(1, 3)

@@ -263,8 +263,9 @@ class TestRankBlocks:
             raise AssertionError("work started before the checks")
 
         monkeypatch.setattr(oracle, "_generators", no_work)
-        with pytest.raises(PreconditionError):
-            rank_blocks(ScrollSpec((5,)), 0)
+        for t in (0, 2.0, True):
+            with pytest.raises(PreconditionError):
+                rank_blocks(ScrollSpec((5,)), t)
         with pytest.raises(CapacityError):
             rank_blocks(ScrollSpec((13,)), 4)
 
@@ -635,6 +636,22 @@ class TestFiberHilbertFunction:
             cross_check(spec, 1, modulus=modulus)
         with pytest.raises(PreconditionError, match=message):
             rank_mod_prime(build_rank_problem(spec, 1), modulus)
+
+    @pytest.mark.parametrize(
+        "t, shown",
+        [(1.5, "1.5"), (2.0, "2.0"), ("2", "'2'"), (True, "True"), (None, "None")],
+        ids=["float", "integral-float", "digit-string", "bool", "none"],
+    )
+    def test_only_an_int_is_a_degree(self, t, shown):
+        # An integral float would end in a TypeError from math.comb, and
+        # True would be read as degree 1; every entry point refuses them.
+        spec = ScrollSpec((5,))
+        message = f"degree must be an int, got {re.escape(shown)}$"
+        for entry in (fiber_hilbert_function, rank_blocks, build_rank_problem):
+            with pytest.raises(PreconditionError, match=message):
+                entry(spec, t)
+        with pytest.raises(PreconditionError, match=f"t_max must be an int, got {re.escape(shown)}$"):
+            cross_check(spec, t)
 
     def test_rational_and_an_int_prime_are_taken_as_given(self):
         problem = build_rank_problem(ScrollSpec((5,)), 2)
